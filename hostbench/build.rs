@@ -1,0 +1,16 @@
+//! Record the compiler version for the run provenance, so the benchmark
+//! never has to spawn `rustc` while it measures.
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=HOSTBENCH_RUSTC_VERSION={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
