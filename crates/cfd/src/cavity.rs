@@ -27,15 +27,13 @@ use crate::diagrams::{
     build_ftcs_transport_document, build_jacobi2d_sweep_document_windows, Jacobi2dGeometry,
     PLANE_G, PLANE_MASK, PLANE_U0, PLANE_U1, PLANE_W0, PLANE_W1, PLANE_WC, RESIDUAL_CACHE,
 };
-use crate::distributed::{
-    attribute_part, check_same_machine, compile_per_part, measure_system_run,
-};
+use crate::distributed::{check_same_machine, measure_system_run, run_on_nodes};
 use crate::grid::{Grid2, PaddedField};
 use crate::host::{ftcs_update_tree, FtcsCoeffs};
 use crate::overlap::{CompiledSweep, SweepEngine, SweepIo};
 use crate::partition::{read_slabs, GridShape, HaloSpec, Partition, PartitionSpec};
 use nsc_arch::NodeId;
-use nsc_core::{run_compiled_on_pool, CompiledProgram, NscError, Session, Workload};
+use nsc_core::{CompiledProgram, NscError, Session, Workload};
 use nsc_sim::{NscSystem, PerfCounters, RunOptions};
 
 /// Outcome of one distributed Poisson solve.
@@ -186,17 +184,24 @@ pub struct VorticityTransport {
 }
 
 impl VorticityTransport {
-    /// Compile the FTCS step for every part of `partition`, deduplicating
-    /// identical local shapes.
+    /// Compile the FTCS step for every part of `partition`, in part order;
+    /// parts with identical local shapes are session cache hits. Compile
+    /// failures are attributed to the part's node.
     pub fn new(
         session: &Session,
         partition: &dyn Partition,
         coeffs: FtcsCoeffs,
     ) -> Result<Self, NscError> {
-        let programs = compile_per_part(session, partition, |p| {
-            let (lnx, lny, _) = p.local_shape();
-            build_ftcs_transport_document(Jacobi2dGeometry::new(lnx, lny), coeffs)
-        })?;
+        let programs = partition
+            .parts()
+            .iter()
+            .map(|p| {
+                let (lnx, lny, _) = p.local_shape();
+                let mut doc =
+                    build_ftcs_transport_document(Jacobi2dGeometry::new(lnx, lny), coeffs);
+                session.compile(&mut doc).map_err(|e| NscError::on_node(p.node, e))
+            })
+            .collect::<Result<_, _>>()?;
         Ok(VorticityTransport { programs })
     }
 
@@ -222,14 +227,8 @@ impl VorticityTransport {
             mem.plane_mut(PLANE_W0).write_slice(0, &PaddedField::stencil2d(&wrap(ws)).words);
             mem.plane_mut(PLANE_WC).write_slice(0, &PaddedField::aligned2d(&wrap(ws)).words);
         }
-        let refs: Vec<&CompiledProgram> = self.programs.iter().collect();
-        run_compiled_on_pool(
-            &refs,
-            system.nodes_mut(),
-            &partition.node_pool(),
-            &RunOptions::default(),
-        )
-        .map_err(|e| attribute_part(parts, e))?;
+        let lanes: Vec<_> = partition.node_pool().into_iter().zip(&self.programs).collect();
+        run_on_nodes(system, &lanes, &RunOptions::default())?;
         let locals = read_slabs(partition, system, PLANE_W1);
         omega.data = partition.gather(&locals);
         Ok(())

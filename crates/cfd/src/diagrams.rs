@@ -228,18 +228,16 @@ pub fn build_jacobi_slab_document(
 /// unit of work of the distributed solver, which must interleave halo
 /// exchanges between sweeps — the convergence decision moves up to the
 /// system level (a global max-reduction of the per-node residuals).
-pub fn build_jacobi_sweep_document(geo: JacobiGeometry, even: bool) -> Document {
-    build_jacobi_sweep_document_windows(geo, even, &[SweepWindow::whole(geo.nz)])
-}
-
-/// [`build_jacobi_sweep_document`] restricted to output *windows*: one
-/// pipeline instruction per window, each streaming only the xy-planes its
-/// layers need and landing its own `max |masked update|` in the window's
-/// cache slot. With disjoint windows covering a slab's owned layers, the
-/// windowed document is **bit-identical** on those points to the fused
-/// sweep (same operation tree over the same inputs), and the maximum of
-/// the window residuals equals the fused residual — the split the
-/// overlapped sweep engine runs as interior and boundary-shell phases.
+///
+/// The sweep covers the output *windows* given: one pipeline instruction
+/// per window, each streaming only the xy-planes its layers need and
+/// landing its own `max |masked update|` in the window's cache slot.
+/// `&[SweepWindow::whole(geo.nz)]` is the fused whole-slab sweep. With
+/// disjoint windows covering a slab's owned layers, the windowed document
+/// is **bit-identical** on those points to the fused sweep (same
+/// operation tree over the same inputs), and the maximum of the window
+/// residuals equals the fused residual — the split the overlapped sweep
+/// engine runs as interior and boundary-shell phases.
 pub fn build_jacobi_sweep_document_windows(
     geo: JacobiGeometry,
     even: bool,
@@ -254,14 +252,8 @@ pub fn build_jacobi_sweep_document_windows(
 /// ref. \[6\] multigrid V-cycle, as one extra multiply unit on the last
 /// free triplet slot. `u0 -> u1` when `even`, `u1 -> u0` otherwise; the
 /// residual reduction still lands `max |omega-scaled masked update|` in
-/// the cache (the distributed V-cycle ignores it).
-pub fn build_damped_jacobi_sweep_document(geo: JacobiGeometry, even: bool, omega: f64) -> Document {
-    build_damped_jacobi_sweep_document_windows(geo, even, omega, &[SweepWindow::whole(geo.nz)])
-}
-
-/// [`build_damped_jacobi_sweep_document`] restricted to output windows —
-/// see [`build_jacobi_sweep_document_windows`] for the windowing
-/// contract.
+/// the cache (the distributed V-cycle ignores it). See
+/// [`build_jacobi_sweep_document_windows`] for the windowing contract.
 pub fn build_damped_jacobi_sweep_document_windows(
     geo: JacobiGeometry,
     even: bool,
@@ -331,13 +323,9 @@ impl Jacobi2dGeometry {
 /// same feedback `max |update|` residual reduction as the 3-D pipeline.
 /// `u0 -> u1` when `even`, `u1 -> u0` otherwise. This is the
 /// stream-function solve of the lid-driven cavity (Matyka,
-/// physics/0407002), built for the full machine only.
-pub fn build_jacobi2d_sweep_document(geo: Jacobi2dGeometry, even: bool) -> Document {
-    build_jacobi2d_sweep_document_windows(geo, even, &[SweepWindow::whole(geo.ny)])
-}
-
-/// [`build_jacobi2d_sweep_document`] restricted to output windows — runs
-/// of *rows* here, since rows play the role xy-planes play in 3-D. See
+/// physics/0407002), built for the full machine only. The windows are
+/// runs of *rows* here, since rows play the role xy-planes play in 3-D
+/// (`&[SweepWindow::whole(geo.ny)]` is the fused sweep); see
 /// [`build_jacobi_sweep_document_windows`] for the windowing contract.
 pub fn build_jacobi2d_sweep_document_windows(
     geo: Jacobi2dGeometry,
@@ -1174,8 +1162,9 @@ mod tests {
     fn damped_sweep_document_checks_out_and_fills_the_triplets() {
         let kb = KnowledgeBase::nsc_1988();
         for even in [true, false] {
-            let mut doc =
-                build_damped_jacobi_sweep_document(JacobiGeometry::slab(6, 6, 4), even, 0.8);
+            let geo = JacobiGeometry::slab(6, 6, 4);
+            let whole = [SweepWindow::whole(geo.nz)];
+            let mut doc = build_damped_jacobi_sweep_document_windows(geo, even, 0.8, &whole);
             let diags = check_doc(&mut doc, &kb);
             assert!(!has_errors(&diags), "errors: {diags:#?}");
             assert_eq!(doc.pipeline_count(), 1, "one sweep, no convergence loop");

@@ -33,7 +33,7 @@ use crate::host::{sor_sweep_host_layers, JacobiHostState};
 use crate::nsc_run::load_problem;
 use crate::overlap::{SweepEngine, SweepIo};
 use crate::partition::{read_slabs, GridShape, HaloSpec, Part, Partition, PartitionSpec};
-use nsc_core::{CompiledProgram, NscError, Session, Workload};
+use nsc_core::{run_lanes, CompiledProgram, NscError, Session, Workload};
 use nsc_sim::{NscSystem, PerfCounters, RunOptions};
 
 /// Wrap each part's slab words (ghosts included) as a [`Grid3`] on the
@@ -63,33 +63,6 @@ pub(crate) fn check_same_machine(session: &Session, system: &NscSystem) -> Resul
     Ok(())
 }
 
-/// Compile one program per part, indexed in part order; `build`
-/// constructs the document for a part.
-///
-/// The document must depend on the part only through its local shape —
-/// true of every sweep builder — so a balanced decomposition with a
-/// handful of distinct shapes compiles a handful of programs and shares
-/// them across nodes. Compile failures are attributed to the part's node.
-pub(crate) fn compile_per_part(
-    session: &Session,
-    partition: &dyn Partition,
-    build: impl Fn(&Part) -> nsc_diagram::Document,
-) -> Result<Vec<CompiledProgram>, NscError> {
-    let mut by_shape: std::collections::HashMap<(usize, usize, usize), CompiledProgram> =
-        std::collections::HashMap::new();
-    let mut programs = Vec::with_capacity(partition.parts().len());
-    for p in partition.parts() {
-        let prog = match by_shape.entry(p.local_shape()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => e.insert(
-                session.compile(&mut build(p)).map_err(|err| NscError::on_node(p.node, err))?,
-            ),
-        };
-        programs.push(prog.clone());
-    }
-    Ok(programs)
-}
-
 /// Per-run system metrics derived from a counter snapshot taken before
 /// the run: per-node deltas, their overlap-aware aggregate, and the
 /// achieved rate.
@@ -115,13 +88,20 @@ pub(crate) fn measure_system_run(system: &NscSystem, before: &[PerfCounters]) ->
     SystemRunMetrics { per_node, total, simulated_seconds, aggregate_mflops }
 }
 
-/// Re-attribute a pool batch failure to the hypercube node it happened on
-/// (program `i` of a distributed step runs on part `i`'s node).
-pub(crate) fn attribute_part(parts: &[Part], e: NscError) -> NscError {
-    match e {
-        NscError::Batch { doc, source } => NscError::on_node(parts[doc].node, *source),
+/// Run one distributed step's `(node, program)` lanes on `system`'s nodes
+/// through [`run_lanes`], attributing a failure to the hypercube node it
+/// happened on.
+pub(crate) fn run_on_nodes(
+    system: &mut NscSystem,
+    lanes: &[(usize, &CompiledProgram)],
+    opts: &RunOptions,
+) -> Result<(), NscError> {
+    run_lanes(system.nodes_mut(), lanes, opts).map(drop).map_err(|e| match e {
+        NscError::Batch { doc, source } => {
+            NscError::on_node(nsc_arch::NodeId(lanes[doc].0 as u16), *source)
+        }
         other => other,
-    }
+    })
 }
 
 /// Outcome of a distributed Jacobi solve.

@@ -39,7 +39,7 @@ pub fn jacobi_update_tree(
     (unew, dm)
 }
 
-/// The *damped* update, as the `build_damped_jacobi_sweep_document`
+/// The *damped* update, as the `build_damped_jacobi_sweep_document_windows`
 /// pipeline computes it: the plain tree's update scaled by `omega` before
 /// the mask — the multigrid smoothing kernel. Returns `(unew, dm)` where
 /// `dm` is the omega-scaled masked update the residual reduction sees.
@@ -160,7 +160,7 @@ pub fn jacobi_sweep_host(state: &mut JacobiHostState) -> f64 {
     res
 }
 
-/// The 2-D five-point update, as the `build_jacobi2d_sweep_document`
+/// The 2-D five-point update, as the `build_jacobi2d_sweep_document_windows`
 /// pipeline computes it: `((n+s) + (e+w) - g)/4`, masked, added back onto
 /// the centre. Same fixed pairing order as the diagram's addition tree.
 #[inline]

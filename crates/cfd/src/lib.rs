@@ -65,9 +65,8 @@ pub mod workloads;
 pub use self::cavity::{CavityRun, CavityWorkload, Poisson2dSolver, VorticityTransport};
 pub use self::certify::{halo_routes, window_coverage};
 pub use self::diagrams::{
-    build_chebyshev_document, build_damped_jacobi_sweep_document,
-    build_damped_jacobi_sweep_document_windows, build_jacobi2d_sweep_document,
-    build_jacobi2d_sweep_document_windows, build_jacobi_document, build_jacobi_sweep_document,
+    build_chebyshev_document, build_damped_jacobi_sweep_document_windows,
+    build_jacobi2d_sweep_document_windows, build_jacobi_document,
     build_jacobi_sweep_document_windows, JacobiVariant,
 };
 pub use self::distributed::{

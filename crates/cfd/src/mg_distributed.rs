@@ -12,7 +12,7 @@
 //!
 //! * **smoothing** runs machine-resident: each block compiles the damped
 //!   Jacobi sweep pipeline on its local geometry
-//!   ([`crate::diagrams::build_damped_jacobi_sweep_document`]) and sweeps
+//!   ([`crate::diagrams::build_damped_jacobi_sweep_document_windows`]) and sweeps
 //!   concurrently on real node threads, ghost faces moving through the
 //!   hyperspace router between sweeps — bit-identical to the serial
 //!   [`crate::multigrid::smooth`] on the points a block owns, because the

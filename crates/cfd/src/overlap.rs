@@ -21,8 +21,9 @@
 //! 1. synchronously exchange the faces the stream layout cannot overlap
 //!    (the block decomposition's column axis);
 //! 2. launch the interior pipelines on the pool **while** the overlap
-//!    axis's halo sendrecvs travel — [`nsc_core::run_compiled_phased`]
-//!    opens an overlappable communication window
+//!    axis's halo sendrecvs travel — [`SweepEngine::sweep`] runs the
+//!    interior lanes through [`nsc_core::run_lanes`], then opens an
+//!    overlappable communication window
 //!    ([`nsc_sim::NscSystem::open_comm_window`]) whose per-node budget is
 //!    the interior phase's elapsed time, so the exchange charges each
 //!    node only the *non-overlapped remainder*;
@@ -85,13 +86,12 @@
 
 use crate::certify::{halo_routes, window_coverage};
 use crate::diagrams::RESIDUAL_CACHE;
-use crate::distributed::attribute_part;
+use crate::distributed::run_on_nodes;
 use crate::partition::{host_halo_exchange, HaloSpec, Part, Partition, SweepSplit, SweepWindow};
-use nsc_arch::PlaneId;
-use nsc_core::{run_compiled_on_pool, run_compiled_phased, CompiledProgram, NscError, Session};
+use nsc_arch::{NodeId, PlaneId};
+use nsc_core::{CompiledProgram, NscError, Session};
 use nsc_diagram::Document;
 use nsc_sim::{NscSystem, RunOptions};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -126,7 +126,8 @@ impl SweepIo {
 /// A sweep compiled for one engine: either the fused program per part
 /// (synchronized mode) or the interior/boundary-shell pair per part
 /// (overlapped mode). Build one with [`SweepEngine::compile`]; a sweep
-/// only runs on the engine (same partition, same mode) that compiled it.
+/// only runs on an engine of the mode and part count that compiled it
+/// ([`SweepEngine::sweep`] refuses any other with an [`NscError`]).
 #[derive(Debug)]
 pub struct CompiledSweep {
     /// Synchronized mode: the whole-slab program, one per part.
@@ -143,7 +144,8 @@ pub struct CompiledSweep {
 ///
 /// An engine binds a [`Partition`], a [`HaloSpec`] and an `overlap`
 /// mode; [`SweepEngine::compile`] turns a windowed document builder into
-/// a [`CompiledSweep`] (deduplicating identical local shapes), and
+/// a [`CompiledSweep`] (every part's documents through the session's
+/// compile cache), and
 /// [`SweepEngine::sweep`] runs one latency-hidden (or legacy
 /// synchronized) sweep step.
 #[derive(Debug)]
@@ -191,31 +193,22 @@ impl<'p> SweepEngine<'p> {
 
     /// Compile one sweep for this engine's mode. `build` constructs the
     /// windowed document for a part — typically one of the
-    /// `*_document_windows` builders on the part's local geometry.
-    /// Deduplication is by [`Document::digest`]: parts whose builders
-    /// produce identical documents (a balanced decomposition produces a
-    /// handful of distinct shapes) share one compile — and through the
-    /// session's digest-keyed `KernelCache`, repeated `compile` calls on
-    /// the same engine (the even/odd sweeps of every V-cycle level, or a
-    /// re-run) skip codegen entirely. Compile failures are attributed to
-    /// the part's node.
+    /// `*_document_windows` builders on the part's local geometry. Every
+    /// per-part document compiles through [`Session::compile`], so the
+    /// session's `KernelCache` decides reuse: parts whose builders produce
+    /// identical documents (the middle strips of a balanced decomposition)
+    /// and repeated `compile` calls on the same engine (the even/odd
+    /// sweeps of every V-cycle level, or a re-run) are cache hits that skip
+    /// codegen entirely. Compile failures are attributed to the part's
+    /// node.
     pub fn compile(
         &self,
         session: &Session,
         build: impl Fn(&Part, &[SweepWindow]) -> Document,
     ) -> Result<CompiledSweep, NscError> {
-        let mut cache: HashMap<u128, CompiledProgram> = HashMap::new();
-        let mut compile_windows =
-            |p: &Part, windows: &[SweepWindow]| -> Result<CompiledProgram, NscError> {
-                let mut doc = build(p, windows);
-                let key = doc.digest();
-                if let Some(prog) = cache.get(&key) {
-                    return Ok(prog.clone());
-                }
-                let prog = session.compile(&mut doc).map_err(|e| NscError::on_node(p.node, e))?;
-                cache.insert(key, prog.clone());
-                Ok(prog)
-            };
+        let compile_windows = |p: &Part, windows: &[SweepWindow]| {
+            session.compile(&mut build(p, windows)).map_err(|e| NscError::on_node(p.node, e))
+        };
 
         let mut fused = Vec::new();
         let mut interior = Vec::new();
@@ -223,16 +216,9 @@ impl<'p> SweepEngine<'p> {
         let axis = self.partition.shape().overlap_axis();
         for (p, split) in self.partition.parts().iter().zip(&self.splits) {
             if self.overlap {
-                interior.push(match split.interior {
-                    Some(w) => Some(compile_windows(p, &[w])?),
-                    None => None,
-                });
+                interior.push(split.interior.map(|w| compile_windows(p, &[w])).transpose()?);
                 let shells = split.shell_windows();
-                shell.push(if shells.is_empty() {
-                    None
-                } else {
-                    Some(compile_windows(p, &shells)?)
-                });
+                shell.push((!shells.is_empty()).then(|| compile_windows(p, &shells)).transpose()?);
             } else {
                 let whole = SweepWindow::whole(p.spans[axis].local_len());
                 fused.push(compile_windows(p, &[whole])?);
@@ -277,7 +263,9 @@ impl<'p> SweepEngine<'p> {
     /// are read back with ghosts.
     ///
     /// Returns the message nanoseconds hidden under the interior phase
-    /// (always 0 in synchronized mode).
+    /// (always 0 in synchronized mode). A sweep compiled by an engine of
+    /// the other mode or over a different part count is refused with
+    /// [`NscError::Workload`] before anything runs.
     pub fn sweep(
         &self,
         system: &mut NscSystem,
@@ -285,11 +273,21 @@ impl<'p> SweepEngine<'p> {
         io: SweepIo,
         opts: &RunOptions,
     ) -> Result<u64, NscError> {
-        let parts = self.partition.parts();
+        let (mode, compiled) = if self.overlap {
+            ("overlapped", sweep.interior.len())
+        } else {
+            ("synchronized", sweep.fused.len())
+        };
+        if compiled != self.pool.len() {
+            return Err(NscError::Workload(format!(
+                "a {mode} engine over {} parts cannot run a sweep holding {compiled} {mode} \
+                 programs; compile the sweep with this engine",
+                self.pool.len()
+            )));
+        }
         if !self.overlap {
-            let refs: Vec<&CompiledProgram> = sweep.fused.iter().collect();
-            run_compiled_on_pool(&refs, system.nodes_mut(), &self.pool, opts)
-                .map_err(|e| attribute_part(parts, e))?;
+            let lanes: Vec<_> = self.pool.iter().copied().zip(&sweep.fused).collect();
+            run_on_nodes(system, &lanes, opts)?;
             self.partition.halo_exchange(system, io.write, 1, &self.halo);
             return Ok(0);
         }
@@ -297,17 +295,39 @@ impl<'p> SweepEngine<'p> {
         if !io.fresh_ghosts && self.sync_spec.wants_any() {
             self.partition.halo_exchange(system, io.read, 1, &self.sync_spec);
         }
-        let interior: Vec<Option<&CompiledProgram>> =
-            sweep.interior.iter().map(Option::as_ref).collect();
-        let shell: Vec<Option<&CompiledProgram>> = sweep.shell.iter().map(Option::as_ref).collect();
-        let hidden = run_compiled_phased(system, &self.pool, &interior, &shell, opts, |sys| {
-            if !io.fresh_ghosts {
-                self.partition.halo_exchange(sys, io.read, 1, &self.overlap_spec);
-            }
-        })
-        .map_err(|e| attribute_part(parts, e))?;
+        let before: Vec<u64> =
+            self.pool.iter().map(|&i| system.nodes()[i].counters.cycles).collect();
+        run_on_nodes(system, &self.lanes(&sweep.interior), opts)?;
+        // The interior window: what each pool node just spent computing, in
+        // ns. Message time the exchange charges a node hides up to it.
+        let clock = system.nodes()[0].kb.config().clock_hz;
+        let budgets: Vec<(NodeId, u64)> = self
+            .pool
+            .iter()
+            .zip(&before)
+            .map(|(&i, &b)| {
+                let cycles = system.nodes()[i].counters.cycles.saturating_sub(b);
+                (NodeId(i as u16), (cycles as u128 * 1_000_000_000 / clock as u128) as u64)
+            })
+            .collect();
+        system.open_comm_window(&budgets);
+        if !io.fresh_ghosts {
+            self.partition.halo_exchange(system, io.read, 1, &self.overlap_spec);
+        }
+        let hidden = system.close_comm_window();
+        run_on_nodes(system, &self.lanes(&sweep.shell), opts)?;
         self.combine_residuals(system);
         Ok(hidden)
+    }
+
+    /// One phase's lanes: every part that has a program runs it on its
+    /// node (thin parts fold their whole sweep into one phase).
+    fn lanes<'s>(&self, progs: &'s [Option<CompiledProgram>]) -> Vec<(usize, &'s CompiledProgram)> {
+        self.pool
+            .iter()
+            .zip(progs)
+            .filter_map(|(&node, prog)| Some((node, prog.as_ref()?)))
+            .collect()
     }
 
     /// Synchronously refresh all of `plane`'s halo faces — the tail
@@ -443,6 +463,66 @@ mod tests {
             let state = JacobiHostState::new(&wrap(lu), &wrap(lf));
             load_problem(system.node_mut(p.node), &state, JacobiVariant::Full);
         }
+    }
+
+    fn even_sweep(p: &Part, windows: &[SweepWindow]) -> Document {
+        let (nx, ny, nz) = p.local_shape();
+        build_jacobi_sweep_document_windows(JacobiGeometry::slab(nx, ny, nz), true, windows)
+    }
+
+    /// Compile the even sweep of an 8^3 problem striped over a 2-node
+    /// cube with an engine of mode `compiled_overlap`, then hand it to an
+    /// engine of mode `run_overlap`.
+    fn run_across_modes(compiled_overlap: bool, run_overlap: bool) -> Result<u64, NscError> {
+        let (u0, f, _) = manufactured_problem(8);
+        let session = Session::nsc_1988();
+        let mut system = NscSystem::new(HypercubeConfig::new(1), session.kb());
+        let strips = StripPartition::new(GridShape::volume3d(8, 8, 8), system.cube).unwrap();
+        load_strips(&strips, &mut system, &u0, &f);
+        let sweep = SweepEngine::new(&strips, HaloSpec::stencil(), compiled_overlap)
+            .compile(&session, even_sweep)
+            .expect("compiles");
+        let engine = SweepEngine::new(&strips, HaloSpec::stencil(), run_overlap);
+        let io = SweepIo::first(PLANE_U0, PLANE_U1);
+        let result = engine.sweep(&mut system, &sweep, io, &RunOptions::default());
+        if result.is_err() {
+            assert_eq!(system.aggregate_counters().instructions, 0, "refused before running");
+        }
+        result
+    }
+
+    #[test]
+    fn a_synchronized_engine_refuses_an_overlapped_sweep() {
+        let err = run_across_modes(true, false).expect_err("mode mismatch");
+        assert!(matches!(err, NscError::Workload(_)), "{err:?}");
+        assert_eq!(run_across_modes(false, false), Ok(0), "its own mode still runs");
+    }
+
+    #[test]
+    fn an_overlapped_engine_refuses_a_synchronized_sweep() {
+        let err = run_across_modes(false, true).expect_err("mode mismatch");
+        assert!(matches!(err, NscError::Workload(_)), "{err:?}");
+        assert!(run_across_modes(true, true).is_ok(), "its own mode still runs");
+    }
+
+    #[test]
+    fn an_engine_refuses_a_sweep_compiled_over_another_part_count() {
+        let session = Session::nsc_1988();
+        let system = NscSystem::new(HypercubeConfig::new(1), session.kb());
+        let shape = GridShape::volume3d(8, 8, 8);
+        let two = StripPartition::new(shape, system.cube).unwrap();
+        let mut big = NscSystem::new(HypercubeConfig::new(2), session.kb());
+        let four = StripPartition::new(shape, big.cube).unwrap();
+        for overlap in [false, true] {
+            let sweep = SweepEngine::new(&two, HaloSpec::stencil(), overlap)
+                .compile(&session, even_sweep)
+                .expect("compiles");
+            let engine = SweepEngine::new(&four, HaloSpec::stencil(), overlap);
+            let io = SweepIo::first(PLANE_U0, PLANE_U1);
+            let err = engine.sweep(&mut big, &sweep, io, &RunOptions::default()).unwrap_err();
+            assert!(matches!(err, NscError::Workload(_)), "{err:?}");
+        }
+        assert_eq!(big.aggregate_counters().instructions, 0);
     }
 
     #[test]

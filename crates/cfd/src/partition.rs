@@ -453,9 +453,9 @@ pub trait Partition: std::fmt::Debug + Send + Sync {
         out
     }
 
-    /// Node indices of the parts, in partition order — the pool handed to
-    /// [`nsc_core::run_compiled_on_pool`] so part `i`'s program runs on
-    /// part `i`'s node.
+    /// Node indices of the parts, in partition order — zipped with one
+    /// program per part into the lanes [`nsc_core::run_lanes`] runs, so
+    /// part `i`'s program runs on part `i`'s node.
     fn node_pool(&self) -> Vec<usize> {
         self.parts().iter().map(|p| p.node.index()).collect()
     }

@@ -8,12 +8,18 @@
 
 use nsc_cfd::diagrams::{JacobiGeometry, PLANE_U0, PLANE_U1, RESIDUAL_CACHE};
 use nsc_cfd::{
-    build_damped_jacobi_sweep_document, build_jacobi_sweep_document, load_problem, Grid3,
-    JacobiHostState, JacobiVariant,
+    build_damped_jacobi_sweep_document_windows, build_jacobi_sweep_document_windows, load_problem,
+    Grid3, JacobiHostState, JacobiVariant, SweepWindow,
 };
 use nsc_core::{CompiledProgram, NscError, Session};
+use nsc_diagram::Document;
 use nsc_sim::{PerfCounters, RunOptions};
 use proptest::prelude::*;
+
+/// The whole-slab damped sweep.
+fn damped_sweep(geo: JacobiGeometry, even: bool, omega: f64) -> Document {
+    build_damped_jacobi_sweep_document_windows(geo, even, omega, &[SweepWindow::whole(geo.nz)])
+}
 
 /// A deterministic, interesting test problem (no two words alike).
 fn problem(nx: usize, ny: usize, nz: usize) -> JacobiHostState {
@@ -63,15 +69,13 @@ fn cached_shape_compile_equals_from_scratch_compile() {
 
     // Reference: a cold session compiles the target directly.
     let cold = Session::nsc_1988();
-    let reference =
-        cold.compile(&mut build_damped_jacobi_sweep_document(geo, true, omega_target)).unwrap();
+    let reference = cold.compile(&mut damped_sweep(geo, true, omega_target)).unwrap();
     assert_eq!(cold.cache_stats().misses, 1);
 
     // Warm session: the base omega misses, the target omega rebinds.
     let warm = Session::nsc_1988();
-    warm.compile(&mut build_damped_jacobi_sweep_document(geo, true, omega_base)).unwrap();
-    let patched =
-        warm.compile(&mut build_damped_jacobi_sweep_document(geo, true, omega_target)).unwrap();
+    warm.compile(&mut damped_sweep(geo, true, omega_base)).unwrap();
+    let patched = warm.compile(&mut damped_sweep(geo, true, omega_target)).unwrap();
     let stats = warm.cache_stats();
     assert_eq!(
         (stats.misses, stats.rebinds, stats.hits),
@@ -84,8 +88,7 @@ fn cached_shape_compile_equals_from_scratch_compile() {
 
     // And the programs genuinely differ from the base compile — the
     // patch really rebound the constant.
-    let base =
-        warm.compile(&mut build_damped_jacobi_sweep_document(geo, true, omega_base)).unwrap();
+    let base = warm.compile(&mut damped_sweep(geo, true, omega_base)).unwrap();
     assert_ne!(base.program(), patched.program(), "omega must land in the program");
 
     // Run-level identity on top of program-level identity.
@@ -107,13 +110,13 @@ fn cached_shape_compile_equals_from_scratch_compile() {
 fn explicit_rebind_equals_from_scratch_compile() {
     let geo = JacobiGeometry::slab(6, 4, 5);
     let session = Session::nsc_1988();
-    let base = session.compile(&mut build_damped_jacobi_sweep_document(geo, false, 0.9)).unwrap();
+    let base = session.compile(&mut damped_sweep(geo, false, 0.9)).unwrap();
 
-    let mut target = build_damped_jacobi_sweep_document(geo, false, 1.7);
+    let mut target = damped_sweep(geo, false, 1.7);
     let rebound = session.rebind(&base, &mut target).expect("same shape rebinds");
 
     let cold = Session::nsc_1988();
-    let reference = cold.compile(&mut build_damped_jacobi_sweep_document(geo, false, 1.7)).unwrap();
+    let reference = cold.compile(&mut damped_sweep(geo, false, 1.7)).unwrap();
     assert_same_program(&rebound, &reference, "explicit rebind");
 
     // rebind() itself is cache-free: still exactly one entry, no hits.
@@ -127,11 +130,11 @@ fn explicit_rebind_equals_from_scratch_compile() {
 fn rebind_refuses_a_different_shape() {
     let session = Session::nsc_1988();
     let geo = JacobiGeometry::slab(5, 4, 4);
-    let base = session.compile(&mut build_damped_jacobi_sweep_document(geo, true, 0.8)).unwrap();
+    let base = session.compile(&mut damped_sweep(geo, true, 0.8)).unwrap();
 
     // Different geometry: different wiring, different shape.
     let other_geo = JacobiGeometry::slab(6, 4, 4);
-    let mut other = build_damped_jacobi_sweep_document(other_geo, true, 0.8);
+    let mut other = damped_sweep(other_geo, true, 0.8);
     match session.rebind(&base, &mut other) {
         Err(NscError::ShapeMismatch { expected, got }) => {
             assert_eq!(expected, base.shape_digest());
@@ -141,7 +144,8 @@ fn rebind_refuses_a_different_shape() {
     }
 
     // An undamped sweep is also a different shape (no omega constant).
-    let mut undamped = build_jacobi_sweep_document(geo, true);
+    let mut undamped =
+        build_jacobi_sweep_document_windows(geo, true, &[SweepWindow::whole(geo.nz)]);
     assert!(matches!(session.rebind(&base, &mut undamped), Err(NscError::ShapeMismatch { .. })));
 }
 
@@ -167,12 +171,12 @@ proptest! {
 
         let cold = Session::nsc_1988();
         let reference =
-            cold.compile(&mut build_damped_jacobi_sweep_document(geo, even, omega_target)).unwrap();
+            cold.compile(&mut damped_sweep(geo, even, omega_target)).unwrap();
 
         let warm = Session::nsc_1988();
-        let base = warm.compile(&mut build_damped_jacobi_sweep_document(geo, even, omega_base)).unwrap();
+        let base = warm.compile(&mut damped_sweep(geo, even, omega_base)).unwrap();
         let patched =
-            warm.compile(&mut build_damped_jacobi_sweep_document(geo, even, omega_target)).unwrap();
+            warm.compile(&mut damped_sweep(geo, even, omega_target)).unwrap();
         let stats = warm.cache_stats();
         prop_assert_eq!(stats.misses, 1, "base compile is the only full compile");
         prop_assert_eq!(stats.hits + stats.rebinds, 1, "target is served from the shape cache");
@@ -180,7 +184,7 @@ proptest! {
         prop_assert_eq!(patched.program(), reference.program());
 
         // The explicit API agrees with the implicit path.
-        let mut target = build_damped_jacobi_sweep_document(geo, even, omega_target);
+        let mut target = damped_sweep(geo, even, omega_target);
         let rebound = warm.rebind(&base, &mut target).expect("same shape rebinds");
         prop_assert_eq!(rebound.program(), reference.program());
 

@@ -18,7 +18,7 @@ use nsc_arch::NodeId;
 use nsc_checker::Diagnostic;
 use nsc_codegen::GenError;
 use nsc_diagram::DiagramError;
-use nsc_sim::{ExecError, NodeExecError};
+use nsc_sim::ExecError;
 use std::error::Error;
 use std::fmt;
 
@@ -93,10 +93,11 @@ pub enum NscError {
         /// The configured budget.
         limit: u64,
     },
-    /// A failure attributed to one document of a batch; the underlying
-    /// error is the `source()`.
+    /// A failure attributed to one document of a batch (or one lane of a
+    /// [`crate::run_lanes`] call); the underlying error is the `source()`.
     Batch {
-        /// Index of the failing document in the submitted batch.
+        /// Index of the failing document in the submitted batch (or of the
+        /// failing lane).
         doc: usize,
         /// What went wrong with it.
         source: Box<NscError>,
@@ -111,6 +112,14 @@ pub enum NscError {
     },
     /// A batch was submitted with documents but no nodes to run them on.
     EmptyPool,
+    /// A lane handed to [`crate::run_lanes`] named a node that is out of
+    /// range or already taken by an earlier lane; nothing ran.
+    BadLane {
+        /// Index of the offending lane.
+        lane: usize,
+        /// The node it named.
+        node: usize,
+    },
     /// A batch worker thread panicked. Unreachable with the std-backed
     /// scoped-thread pool (child panics propagate), kept so the driver has
     /// no panicking path of its own.
@@ -165,6 +174,9 @@ impl fmt::Display for NscError {
             NscError::Batch { doc, source } => write!(f, "batch document {doc}: {source}"),
             NscError::NodeFailed { node, source } => write!(f, "node {node}: {source}"),
             NscError::EmptyPool => write!(f, "batch submitted with no nodes to run on"),
+            NscError::BadLane { lane, node } => {
+                write!(f, "lane {lane} names node {node}, which is out of range or repeated")
+            }
             NscError::WorkerPanic => write!(f, "a batch worker thread panicked"),
             NscError::Workload(msg) => write!(f, "workload rejected: {msg}"),
             NscError::ShapeMismatch { expected, got } => write!(
@@ -188,6 +200,7 @@ impl Error for NscError {
             }
             NscError::MaxInstructions { .. }
             | NscError::EmptyPool
+            | NscError::BadLane { .. }
             | NscError::WorkerPanic
             | NscError::Workload(_)
             | NscError::ShapeMismatch { .. } => None,
@@ -210,12 +223,6 @@ impl From<GenError> for NscError {
 impl From<ExecError> for NscError {
     fn from(e: ExecError) -> Self {
         NscError::Exec(e)
-    }
-}
-
-impl From<NodeExecError> for NscError {
-    fn from(e: NodeExecError) -> Self {
-        NscError::on_node(e.node, NscError::Exec(e.error))
     }
 }
 
@@ -257,8 +264,7 @@ mod tests {
 
     #[test]
     fn node_failures_chain_to_the_executor_error() {
-        let e: NscError =
-            NodeExecError { node: NodeId(5), error: ExecError::BadProgram("x".into()) }.into();
+        let e = NscError::on_node(NodeId(5), ExecError::BadProgram("x".into()).into());
         assert!(e.to_string().contains("node N5"), "{e}");
         let level1 = e.source().unwrap().downcast_ref::<NscError>().unwrap();
         assert!(matches!(level1, NscError::Exec(_)));

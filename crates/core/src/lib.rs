@@ -65,11 +65,12 @@
 //! # }
 //! ```
 //!
-//! [`Session::run_batch`] extends the same pipeline to many documents
-//! across a pool of nodes ([`run_compiled_on_pool`] drives an explicit
-//! subset — the nodes of one sub-cube embedding); the [`Workload`] trait
+//! [`run_lanes`] runs compiled programs on many nodes at once, one
+//! (node, program) lane per node — the one node-run driver, which the
+//! distributed solvers and [`Session::run_batch`] (many documents
+//! round-robin across a pool of nodes) build on; the [`Workload`] trait
 //! packages whole solver problems (see `nsc-cfd`'s Jacobi/SOR/multigrid
-//! workloads) behind it.
+//! workloads) behind the session.
 
 #![warn(missing_docs)]
 
@@ -83,6 +84,6 @@ pub use self::debugger::{DebugFrame, DebugReport};
 pub use self::environment::VisualEnvironment;
 pub use self::error::{DiagnosticSet, NscError};
 pub use self::session::{
-    run_compiled_batch, run_compiled_on_pool, run_compiled_phased, BatchReport, CacheStats,
-    CertificateLog, CompiledProgram, KernelCache, RunReport, Session, Workload,
+    run_lanes, BatchReport, CacheStats, CertificateLog, CompiledProgram, KernelCache, RunReport,
+    Session, Workload,
 };

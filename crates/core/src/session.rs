@@ -14,10 +14,11 @@
 //! [`RunReport`] with per-run [`PerfCounters`]. Every failure anywhere in
 //! the pipeline is an [`NscError`].
 //!
-//! [`Session::run_batch`] is the batch driver: it compiles many documents
-//! and executes them across a pool of nodes on crossbeam scoped threads,
-//! aggregating the per-run counters — the substrate for serving many
-//! concurrent workloads on one simulated machine park.
+//! [`run_lanes`] is the one driver that runs compiled programs on many
+//! nodes at once, one crossbeam scoped thread per node; the distributed
+//! solvers and [`Session::run_batch`] (compile many documents, run them
+//! round-robin across a pool of nodes, aggregate the per-run counters)
+//! are built on it.
 
 use crate::certify::build_certificate;
 use crate::error::NscError;
@@ -27,10 +28,10 @@ use nsc_checker::{diag, Checker, Diagnostic};
 use nsc_codegen::GenOutput;
 use nsc_diagram::Document;
 use nsc_microcode::MicroProgram;
-use nsc_sim::{CompiledKernel, HaltReason, NodeSim, NscSystem, PerfCounters, RunOptions, RunStats};
+use nsc_sim::{CompiledKernel, HaltReason, NodeSim, PerfCounters, RunOptions, RunStats};
 use serde::Serialize;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One cached compilation: the generator output plus the host fast-path
@@ -560,9 +561,10 @@ impl Session {
 
     /// Compile many documents and execute them across a pool of nodes.
     ///
-    /// Document `i` runs on node `i % nodes.len()`; each node executes its
-    /// queue in submission order on its own scoped thread, so distinct
-    /// nodes run concurrently while one node's programs never interleave.
+    /// Document `i` runs on node `i % nodes.len()`. The batch runs in
+    /// rounds of one document per node through [`run_lanes`], so distinct
+    /// nodes run concurrently while each node executes its documents in
+    /// submission order, never interleaved.
     ///
     /// A *compile* failure aborts before anything executes, leaving every
     /// node untouched. A *runtime* failure cancels the not-yet-started
@@ -590,8 +592,29 @@ impl Session {
             .enumerate()
             .map(|(i, d)| self.compile(d).map_err(|e| NscError::in_batch(i, e)))
             .collect::<Result<Vec<_>, _>>()?;
-        let programs: Vec<&CompiledProgram> = compiled.iter().collect();
-        run_compiled_batch(&programs, nodes, opts)
+        let width = nodes.len();
+        let mut report = BatchReport::default();
+        for (round, progs) in compiled.chunks(width).enumerate() {
+            let lanes: Vec<(usize, &CompiledProgram)> = progs.iter().enumerate().collect();
+            let runs = run_lanes(nodes, &lanes, opts).map_err(|e| match e {
+                NscError::Batch { doc, source } => {
+                    NscError::Batch { doc: round * width + doc, source }
+                }
+                other => other,
+            })?;
+            report.runs.extend(runs);
+        }
+        // A node's documents run sequentially (counters accumulate); the
+        // nodes themselves overlap in time (counters absorb).
+        let mut per_node = vec![PerfCounters::default(); width.min(report.runs.len())];
+        for (i, run) in report.runs.iter().enumerate() {
+            per_node[i % width].accumulate(&run.counters);
+        }
+        for node in &per_node {
+            report.total.absorb(node);
+        }
+        report.nodes_used = per_node.len();
+        Ok(report)
     }
 }
 
@@ -619,202 +642,44 @@ fn rebind_preloads(doc: &Document, output: &mut GenOutput) -> Result<(), ()> {
     Ok(())
 }
 
-/// Execute already-compiled programs across a pool of nodes: program `i`
-/// runs on node `i % nodes.len()`, each node draining its queue in
-/// submission order on its own scoped thread. This is the runtime half of
-/// [`Session::run_batch`], exposed separately so drivers that compile once
-/// and run many times (distributed solvers sweeping with halo exchanges)
-/// skip recompilation. Failure semantics match [`Session::run_batch`].
-pub fn run_compiled_batch(
-    programs: &[&CompiledProgram],
-    nodes: &mut [NodeSim],
-    opts: &RunOptions,
-) -> Result<BatchReport, NscError> {
-    run_compiled_on_lanes(programs, nodes.iter_mut().collect(), opts)
-}
-
-/// Execute compiled programs across a *pool* — an explicit subset of a
-/// node slice, in pool order: program `i` runs on
-/// `nodes[pool[i % pool.len()]]`. This is how an embedding hosted on a
-/// sub-cube drives exactly its own nodes (several embeddings on disjoint
-/// sub-cubes of one system can be driven from different threads without
-/// contending for the whole slice — each call borrows only its pool).
-/// Pool indices must be distinct and in range; failure semantics match
-/// [`Session::run_batch`].
-pub fn run_compiled_on_pool(
-    programs: &[&CompiledProgram],
-    nodes: &mut [NodeSim],
-    pool: &[usize],
-    opts: &RunOptions,
-) -> Result<BatchReport, NscError> {
-    if pool.is_empty() {
-        return if programs.is_empty() {
-            Ok(BatchReport::default())
-        } else {
-            Err(NscError::EmptyPool)
-        };
-    }
-    // Take disjoint mutable borrows of the pool's nodes, in pool order.
-    let mut all: Vec<Option<&mut NodeSim>> = nodes.iter_mut().map(Some).collect();
-    let picked: Vec<&mut NodeSim> = pool
-        .iter()
-        .map(|&i| {
-            all.get_mut(i)
-                .and_then(Option::take)
-                .unwrap_or_else(|| panic!("pool node {i} out of range or repeated"))
-        })
-        .collect();
-    run_compiled_on_lanes(programs, picked, opts)
-}
-
-/// The phased pool driver behind the overlapped sweep engine: run each
-/// lane's *interior* program, perform the communication step with an
-/// overlappable window open, then run each lane's *boundary-shell*
-/// program.
+/// Run compiled programs on nodes: the one driver every caller that
+/// executes on more than one node goes through.
 ///
-/// `interior[i]` and `shell[i]` (either may be `None` — thin parts fold
-/// their whole sweep into one phase) run on `system`'s node `pool[i]`,
-/// each phase concurrently across lanes through
-/// [`run_compiled_on_pool`]. Between the phases, `exchange` is invoked
-/// with an overlap window open ([`NscSystem::open_comm_window`]) whose
-/// per-node budget is exactly the simulated time each pool node just
-/// spent in its interior phase: message time the exchange charges to
-/// those nodes is hidden up to that budget, modelling halo sendrecvs
-/// issued concurrently with the interior compute. Returns the total
-/// hidden nanoseconds.
-///
-/// Failures are reported as [`NscError::Batch`] with `doc` equal to the
-/// *lane* index, so callers can attribute them to the lane's part/node.
-pub fn run_compiled_phased(
-    system: &mut NscSystem,
-    pool: &[usize],
-    interior: &[Option<&CompiledProgram>],
-    shell: &[Option<&CompiledProgram>],
+/// Each lane `(node, program)` runs `program` on `nodes[node]`, every lane
+/// on its own scoped thread, so the lanes run concurrently and each node
+/// executes exactly one program. Lanes must name distinct, in-range nodes
+/// ([`NscError::BadLane`] otherwise, before anything runs); nodes no lane
+/// names stay untouched, so embeddings on disjoint sub-cubes of one system
+/// can each drive only their own nodes. Returns one [`RunReport`] per
+/// lane, in lane order. Every lane runs to completion even when another
+/// fails; the lowest failing lane's error is then reported as
+/// [`NscError::Batch`] with `doc` equal to the lane index.
+pub fn run_lanes(
+    nodes: &mut [NodeSim],
+    lanes: &[(usize, &CompiledProgram)],
     opts: &RunOptions,
-    exchange: impl FnOnce(&mut NscSystem),
-) -> Result<u64, NscError> {
-    assert_eq!(interior.len(), pool.len(), "one interior slot per pool lane");
-    assert_eq!(shell.len(), pool.len(), "one shell slot per pool lane");
-
-    // Run one sparse phase: the lanes that have a program, concurrently.
-    fn run_phase(
-        system: &mut NscSystem,
-        pool: &[usize],
-        progs: &[Option<&CompiledProgram>],
-        opts: &RunOptions,
-    ) -> Result<(), NscError> {
-        let mut sub_progs = Vec::new();
-        let mut sub_pool = Vec::new();
-        let mut lanes = Vec::new();
-        for (lane, prog) in progs.iter().enumerate() {
-            if let Some(p) = prog {
-                sub_progs.push(*p);
-                sub_pool.push(pool[lane]);
-                lanes.push(lane);
-            }
-        }
-        if sub_progs.is_empty() {
-            return Ok(());
-        }
-        run_compiled_on_pool(&sub_progs, system.nodes_mut(), &sub_pool, opts).map(|_| ()).map_err(
-            |e| match e {
-                NscError::Batch { doc, source } => NscError::Batch { doc: lanes[doc], source },
-                other => other,
-            },
-        )
+) -> Result<Vec<RunReport>, NscError> {
+    // Take disjoint mutable borrows of the lanes' nodes, in lane order.
+    let mut free: Vec<Option<&mut NodeSim>> = nodes.iter_mut().map(Some).collect();
+    let mut work = Vec::with_capacity(lanes.len());
+    for (lane, &(node, prog)) in lanes.iter().enumerate() {
+        let sim = free.get_mut(node).and_then(Option::take);
+        work.push((sim.ok_or(NscError::BadLane { lane, node })?, prog));
     }
-
-    let before: Vec<u64> = pool.iter().map(|&i| system.nodes()[i].counters.cycles).collect();
-    run_phase(system, pool, interior, opts)?;
-    // The interior window: what each pool node just spent computing, in ns.
-    let clock = system.nodes()[0].kb.config().clock_hz;
-    let budgets: Vec<(nsc_arch::NodeId, u64)> = pool
-        .iter()
-        .zip(&before)
-        .map(|(&i, &b)| {
-            let cycles = system.nodes()[i].counters.cycles.saturating_sub(b);
-            let ns = (cycles as u128 * 1_000_000_000 / clock as u128) as u64;
-            (nsc_arch::NodeId(i as u16), ns)
+    let mut slots: Vec<Option<Result<RunReport, NscError>>> = lanes.iter().map(|_| None).collect();
+    let _ = crossbeam::thread::scope(|scope| {
+        for ((node, prog), slot) in work.into_iter().zip(slots.iter_mut()) {
+            scope.spawn(move |_| *slot = Some(prog.run(node, opts)));
+        }
+    });
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(lane, slot)| match slot {
+            Some(run) => run.map_err(|e| NscError::in_batch(lane, e)),
+            None => Err(NscError::WorkerPanic),
         })
-        .collect();
-    system.open_comm_window(&budgets);
-    exchange(system);
-    let hidden = system.close_comm_window();
-    run_phase(system, pool, shell, opts)?;
-    Ok(hidden)
-}
-
-fn run_compiled_on_lanes(
-    programs: &[&CompiledProgram],
-    mut nodes: Vec<&mut NodeSim>,
-    opts: &RunOptions,
-) -> Result<BatchReport, NscError> {
-    if programs.is_empty() {
-        return Ok(BatchReport::default());
-    }
-    if nodes.is_empty() {
-        return Err(NscError::EmptyPool);
-    }
-    // Deal (index, program, result slot) triples round-robin into one
-    // work queue per node.
-    let lanes = nodes.len();
-    let mut slots: Vec<Option<Result<RunReport, NscError>>> =
-        programs.iter().map(|_| None).collect();
-    let mut queues: Vec<Vec<(usize, &CompiledProgram, &mut Option<_>)>> =
-        (0..lanes).map(|_| Vec::new()).collect();
-    for (i, (prog, slot)) in programs.iter().zip(slots.iter_mut()).enumerate() {
-        queues[i % lanes].push((i, *prog, slot));
-    }
-    let cancelled = AtomicBool::new(false);
-    let scope_ok = crossbeam::thread::scope(|scope| {
-        for (node, queue) in nodes.iter_mut().zip(queues) {
-            let cancelled = &cancelled;
-            scope.spawn(move |_| {
-                for (i, prog, slot) in queue {
-                    if cancelled.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let run = prog.run(node, opts).map_err(|e| NscError::in_batch(i, e));
-                    if run.is_err() {
-                        cancelled.store(true, Ordering::Relaxed);
-                    }
-                    *slot = Some(run);
-                }
-            });
-        }
-    })
-    .is_ok();
-    if !scope_ok {
-        return Err(NscError::WorkerPanic);
-    }
-
-    // Surface the lowest-indexed failure; a `None` slot means the
-    // cancellation skipped that document, which is only reachable
-    // when some earlier slot holds the causing error.
-    if cancelled.load(Ordering::Relaxed) {
-        for slot in &slots {
-            if let Some(Err(e)) = slot {
-                return Err(e.clone());
-            }
-        }
-        return Err(NscError::WorkerPanic);
-    }
-
-    let mut report = BatchReport::default();
-    let mut lane_totals = vec![PerfCounters::default(); lanes];
-    for (i, slot) in slots.into_iter().enumerate() {
-        let run = slot.unwrap_or(Err(NscError::WorkerPanic))?;
-        lane_totals[i % lanes].accumulate(&run.counters);
-        report.runs.push(run);
-    }
-    // A node's queue runs sequentially (counters accumulate); the
-    // nodes themselves overlap in time (counters absorb).
-    for lane in &lane_totals {
-        report.total.absorb(lane);
-    }
-    report.nodes_used = lanes.min(report.runs.len());
-    report.per_lane = lane_totals;
-    Ok(report)
+        .collect()
 }
 
 /// A document that made it through bind, check and generate.
@@ -903,11 +768,6 @@ pub struct BatchReport {
     /// Pool-level aggregate: work sums across all runs; elapsed cycles are
     /// the busiest node's total (nodes overlap in time).
     pub total: PerfCounters,
-    /// Per-lane totals, indexed like the pool the batch ran on: lane `i`
-    /// accumulated every document it was dealt (`i`, `i + lanes`, ...).
-    /// Job accounting reads busy time per node from here instead of
-    /// re-deriving it from the round-robin deal.
-    pub per_lane: Vec<PerfCounters>,
     /// Nodes that actually received work.
     pub nodes_used: usize,
 }

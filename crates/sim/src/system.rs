@@ -3,37 +3,12 @@
 //! Paper §1-2: nodes are "arranged in a hypercube configuration" with
 //! inter-node communication "handled by means of a hyperspace router"; the
 //! published system sizing is 64 nodes for 40 GFLOPS and 128 GB. The
-//! system model runs per-node programs concurrently (crossbeam scoped
-//! threads — real parallelism for simulation wall-clock) and accounts
-//! simulated communication time with the e-cube router model.
+//! system model holds the nodes (`nsc_core::run_lanes` runs compiled
+//! programs on them concurrently, one scoped thread per node) and
+//! accounts simulated communication time with the e-cube router model.
 
-use crate::exec::ExecError;
-use crate::node::{NodeSim, RunOptions, RunStats};
+use crate::node::NodeSim;
 use nsc_arch::{HypercubeConfig, KnowledgeBase, NodeId, PlaneId};
-use nsc_microcode::MicroProgram;
-use std::fmt;
-
-/// An execution failure attributed to the node it happened on — what a
-/// distributed run needs to report *which* member of the cube failed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeExecError {
-    /// The failing node.
-    pub node: NodeId,
-    /// What its executor reported.
-    pub error: ExecError,
-}
-
-impl fmt::Display for NodeExecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "node {} failed: {}", self.node, self.error)
-    }
-}
-
-impl std::error::Error for NodeExecError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
 
 /// An open overlappable communication window: per-node budgets of
 /// concurrently issued compute that messages may hide under.
@@ -162,64 +137,10 @@ impl NscSystem {
         &self.nodes
     }
 
-    /// All nodes, mutably — the handle batch drivers use to run distinct
-    /// programs across the cube on scoped threads.
+    /// All nodes, mutably — the handle `nsc_core::run_lanes` takes to run
+    /// distinct programs across the cube on scoped threads.
     pub fn nodes_mut(&mut self) -> &mut [NodeSim] {
         &mut self.nodes
-    }
-
-    /// Run one program on every node concurrently (each node gets the same
-    /// program; per-node data lives in its own planes). Returns per-node
-    /// stats in node order; on failure, reports the lowest-numbered node
-    /// that failed and what its executor said.
-    pub fn run_on_all(
-        &mut self,
-        prog: &MicroProgram,
-        opts: &RunOptions,
-    ) -> Result<Vec<RunStats>, NodeExecError> {
-        let progs: Vec<&MicroProgram> = (0..self.nodes.len()).map(|_| prog).collect();
-        self.run_each(&progs, opts)
-    }
-
-    /// Run a *different* program on every node concurrently — program `i`
-    /// on node `i` (the shape a domain-decomposed solver needs, where each
-    /// node's program streams its own subdomain). `progs` must supply one
-    /// program per node. Returns per-node stats in node order; on failure,
-    /// reports the lowest-numbered failing node.
-    pub fn run_each(
-        &mut self,
-        progs: &[&MicroProgram],
-        opts: &RunOptions,
-    ) -> Result<Vec<RunStats>, NodeExecError> {
-        assert_eq!(
-            progs.len(),
-            self.nodes.len(),
-            "run_each wants one program per node ({} supplied, {} nodes)",
-            progs.len(),
-            self.nodes.len()
-        );
-        let mut results: Vec<Option<Result<RunStats, ExecError>>> =
-            (0..self.nodes.len()).map(|_| None).collect();
-        // The vendored scope is std-backed: a child panic propagates as a
-        // panic from scope() itself, so the Ok() here is total — no node
-        // result is ever silently dropped.
-        let _ = crossbeam::thread::scope(|scope| {
-            for ((node, prog), slot) in
-                self.nodes.iter_mut().zip(progs.iter()).zip(results.iter_mut())
-            {
-                scope.spawn(move |_| {
-                    *slot = Some(node.run_program(prog, opts));
-                });
-            }
-        });
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.expect("every spawned node fills its slot")
-                    .map_err(|error| NodeExecError { node: NodeId(i as u16), error })
-            })
-            .collect()
     }
 
     /// Transfer `len` words from a plane of one node to a plane of another,
@@ -369,8 +290,9 @@ impl NscSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::RunOptions;
     use nsc_arch::{FuId, FuOp, InPort, MachineConfig, SinkRef, SourceRef};
-    use nsc_microcode::{FuField, MicroInstruction, PlaneDmaField, ProgramBuilder};
+    use nsc_microcode::{FuField, MicroInstruction, MicroProgram, PlaneDmaField, ProgramBuilder};
 
     fn small_system(dim: u32) -> NscSystem {
         let kb = KnowledgeBase::new(MachineConfig::test_small());
@@ -396,16 +318,22 @@ mod tests {
         b.finish()
     }
 
+    /// Run `prog` on every node, node by node.
+    fn run_everywhere(sys: &mut NscSystem, prog: &MicroProgram) {
+        for node in sys.nodes_mut() {
+            node.run_program(prog, &RunOptions::default()).expect("node runs");
+        }
+    }
+
     #[test]
-    fn nodes_run_concurrently_with_private_data() {
+    fn nodes_run_on_private_data() {
         let mut sys = small_system(2); // 4 nodes
         for i in 0..4u16 {
             sys.node_mut(NodeId(i)).mem.planes[0].write_slice(0, &[i as f64 + 1.0; 16]);
         }
         let kb = sys.node(NodeId(0)).kb.clone();
         let prog = double_program(&kb, 16);
-        let stats = sys.run_on_all(&prog, &RunOptions::default()).expect("all nodes run");
-        assert_eq!(stats.len(), 4);
+        run_everywhere(&mut sys, &prog);
         for i in 0..4u16 {
             assert_eq!(
                 sys.node(NodeId(i)).mem.planes[1].read(7),
@@ -428,51 +356,6 @@ mod tests {
         assert_eq!(sys.node(NodeId(0)).counters.comm_ns, expect, "sender charged");
         assert_eq!(sys.node(NodeId(7)).counters.comm_ns, expect, "receiver charged");
         assert_eq!(sys.node(NodeId(3)).counters.comm_ns, 0, "bystanders are not");
-    }
-
-    /// An instruction whose plane write is never fed: the executor hangs.
-    fn hanging_program(kb: &KnowledgeBase, count: u32) -> MicroProgram {
-        let mut b = ProgramBuilder::new(kb, "hang");
-        let mut ins = MicroInstruction::empty(kb);
-        *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, count);
-        b.push(ins);
-        b.finish()
-    }
-
-    #[test]
-    fn run_each_runs_a_distinct_program_per_node() {
-        let mut sys = small_system(1);
-        let kb = sys.node(NodeId(0)).kb.clone();
-        for i in 0..2u16 {
-            sys.node_mut(NodeId(i)).mem.planes[0].write_slice(0, &[3.0; 8]);
-        }
-        let long = double_program(&kb, 8);
-        let short = double_program(&kb, 2);
-        let stats = sys.run_each(&[&long, &short], &RunOptions::default()).expect("both run");
-        assert_eq!(stats.len(), 2);
-        assert_eq!(sys.node(NodeId(0)).mem.planes[1].read(7), 6.0, "node 0 ran the long stream");
-        assert_eq!(sys.node(NodeId(1)).mem.planes[1].read(7), 0.0, "node 1 ran the short one");
-        assert_eq!(sys.node(NodeId(1)).mem.planes[1].read(1), 6.0);
-    }
-
-    #[test]
-    fn node_failures_name_the_failing_node() {
-        let mut sys = small_system(2);
-        let kb = sys.node(NodeId(0)).kb.clone();
-        let good = double_program(&kb, 4);
-        let bad = hanging_program(&kb, 4);
-        let err = sys
-            .run_each(&[&good, &good, &bad, &good], &RunOptions::default())
-            .expect_err("node 2 hangs");
-        assert_eq!(err.node, NodeId(2));
-        assert!(matches!(err.error, ExecError::Hang { .. }), "{err}");
-        assert!(err.to_string().contains("N2"), "{err}");
-
-        // The same program everywhere: the lowest-numbered node reports.
-        let err = sys.run_on_all(&bad, &RunOptions::default()).expect_err("all hang");
-        assert_eq!(err.node, NodeId(0));
-        use std::error::Error;
-        assert!(err.source().unwrap().downcast_ref::<ExecError>().is_some());
     }
 
     #[test]
@@ -582,7 +465,7 @@ mod tests {
         let mut sys = small_system(1);
         let kb = sys.node(NodeId(0)).kb.clone();
         let prog = double_program(&kb, 64);
-        sys.run_on_all(&prog, &RunOptions::default()).expect("runs");
+        run_everywhere(&mut sys, &prog);
         let compute_only = sys.simulated_seconds();
         assert!(compute_only > 0.0);
         sys.exchange(NodeId(0), PlaneId(0), 0, NodeId(1), PlaneId(0), 0, 1000);
@@ -595,9 +478,9 @@ mod tests {
         let kb = KnowledgeBase::new(MachineConfig::test_small());
         let prog = double_program(&kb, 1024);
         let mut sys1 = small_system(0);
-        sys1.run_on_all(&prog, &RunOptions::default()).expect("runs");
+        run_everywhere(&mut sys1, &prog);
         let mut sys4 = small_system(2);
-        sys4.run_on_all(&prog, &RunOptions::default()).expect("runs");
+        run_everywhere(&mut sys4, &prog);
         let r1 = sys1.aggregate_mflops();
         let r4 = sys4.aggregate_mflops();
         assert!(r4 > 3.5 * r1, "expected ~4x: {r1} vs {r4}");

@@ -1,11 +1,13 @@
 //! `Session::run_batch`: many compiled documents executed across a pool
 //! of nodes in one call, with per-run reports and aggregated counters —
-//! the acceptance gate for the batch session driver.
+//! the acceptance gate for the batch session driver — and `run_lanes`,
+//! the one driver that runs compiled programs on nodes, beneath it.
 
-use nsc::arch::PlaneId;
+use nsc::arch::{MachineConfig, PlaneId};
 use nsc::diagram::Document;
-use nsc::env::{run_compiled_on_pool, NscError, Session};
-use nsc::sim::RunOptions;
+use nsc::env::{run_lanes, NscError, Session};
+use nsc::sim::{ExecError, RunOptions};
+use std::error::Error;
 
 mod common;
 use common::scale_doc;
@@ -90,8 +92,8 @@ fn empty_inputs_are_handled_without_threads() {
 
 #[test]
 fn an_explicit_pool_drives_only_its_own_nodes() {
-    // The per-embedding shape: four nodes, a pool naming nodes 2 and 1 (in
-    // that order) — program i runs on pool[i], the other nodes stay idle.
+    // The per-embedding shape: four nodes, lanes naming nodes 2 and 1 (in
+    // that order) — lane i's program runs on its node, the others stay idle.
     let session = Session::nsc_1988();
     let compiled: Vec<_> = (0..2)
         .map(|i| {
@@ -99,23 +101,91 @@ fn an_explicit_pool_drives_only_its_own_nodes() {
             session.compile(&mut doc).expect("compiles")
         })
         .collect();
-    let programs: Vec<_> = compiled.iter().collect();
     let mut nodes: Vec<_> = (0..4).map(|_| session.node()).collect();
     for node in &mut nodes {
         node.mem.plane_mut(PlaneId(0)).write_slice(0, &[1.0, 1.0, 1.0]);
     }
-    let report =
-        run_compiled_on_pool(&programs, &mut nodes, &[2, 1], &RunOptions::default()).expect("pool");
-    assert_eq!(report.runs.len(), 2);
-    assert_eq!(report.nodes_used, 2);
+    let lanes = [(2, &compiled[0]), (1, &compiled[1])];
+    let runs = run_lanes(&mut nodes, &lanes, &RunOptions::default()).expect("lanes");
+    assert_eq!(runs.len(), 2);
     assert_eq!(nodes[2].mem.plane(PlaneId(1)).read_vec(0, 3), vec![2.0, 2.0, 2.0]);
     assert_eq!(nodes[1].mem.plane(PlaneId(1)).read_vec(0, 3), vec![3.0, 3.0, 3.0]);
     assert_eq!(nodes[0].counters.instructions, 0, "outside the pool");
     assert_eq!(nodes[3].counters.instructions, 0, "outside the pool");
 
-    // An empty pool with work to do is an error.
-    let err = run_compiled_on_pool(&programs, &mut nodes, &[], &RunOptions::default()).unwrap_err();
-    assert!(matches!(err, NscError::EmptyPool));
+    // No lanes, no work: nothing runs.
+    let runs = run_lanes(&mut nodes, &[], &RunOptions::default()).expect("no lanes");
+    assert!(runs.is_empty());
+    assert_eq!(nodes[0].counters.instructions, 0);
+}
+
+#[test]
+fn each_lane_runs_its_own_program_and_reports_its_own_counters() {
+    let session = Session::nsc_1988();
+    let double = session.compile(&mut scale_doc(2.0, 0)).expect("compiles");
+    let triple = session.compile(&mut scale_doc(3.0, 8)).expect("compiles");
+    let mut nodes = vec![session.node(), session.node()];
+    for node in &mut nodes {
+        node.mem.plane_mut(PlaneId(0)).write_slice(0, &[1.0, 2.0, 3.0]);
+    }
+    let lanes = [(0, &double), (1, &triple)];
+    let runs = run_lanes(&mut nodes, &lanes, &RunOptions::default()).expect("both run");
+    assert_eq!(nodes[0].mem.plane(PlaneId(1)).read_vec(0, 3), vec![2.0, 4.0, 6.0]);
+    assert_eq!(nodes[1].mem.plane(PlaneId(1)).read_vec(8, 3), vec![3.0, 6.0, 9.0]);
+    assert_eq!(nodes[0].mem.plane(PlaneId(1)).read_vec(8, 3), vec![0.0; 3], "node 0 ran x2 only");
+    assert_eq!(nodes[1].mem.plane(PlaneId(1)).read_vec(0, 3), vec![0.0; 3], "node 1 ran x3 only");
+    for (run, node) in runs.iter().zip(&nodes) {
+        assert_eq!(run.counters, node.counters, "a lane reports what its own node ran");
+    }
+}
+
+#[test]
+fn the_lowest_failing_lane_is_named_and_chains_to_the_executor_error() {
+    // An interpreting session, and lanes 2 and 3 on a smaller machine that
+    // lacks the functional unit the program was bound to: both fail at
+    // run time, the others complete.
+    let session = Session::nsc_1988().with_fast_path(false);
+    let prog = session.compile(&mut scale_doc(2.0, 0)).expect("compiles");
+    let small = Session::new(MachineConfig::test_small());
+    let mut nodes = vec![session.node(), session.node(), small.node(), small.node()];
+    let lanes: Vec<_> = (0..4).map(|i| (i, &prog)).collect();
+    let err = run_lanes(&mut nodes, &lanes, &RunOptions::default()).unwrap_err();
+    let NscError::Batch { doc, ref source } = err else {
+        panic!("expected Batch, got {err:?}");
+    };
+    assert_eq!(doc, 2, "the lowest failing lane reports");
+    assert!(matches!(**source, NscError::Exec(ExecError::BadProgram(_))), "{source:?}");
+    let level1 = err.source().unwrap().downcast_ref::<NscError>().expect("lane error");
+    assert!(level1.source().unwrap().downcast_ref::<ExecError>().is_some());
+    assert!(nodes[0].counters.instructions > 0 && nodes[1].counters.instructions > 0);
+
+    // The same failure on every lane: lane 0 reports.
+    let mut small_nodes = vec![small.node(), small.node()];
+    let lanes = [(1, &prog), (0, &prog)];
+    let err = run_lanes(&mut small_nodes, &lanes, &RunOptions::default()).unwrap_err();
+    assert!(matches!(err, NscError::Batch { doc: 0, .. }), "{err:?}");
+}
+
+#[test]
+fn a_lane_naming_a_node_out_of_range_is_an_error() {
+    let session = Session::nsc_1988();
+    let prog = session.compile(&mut scale_doc(2.0, 0)).expect("compiles");
+    let mut nodes = vec![session.node(), session.node()];
+    let err = run_lanes(&mut nodes, &[(0, &prog), (2, &prog)], &RunOptions::default())
+        .expect_err("node 2 does not exist");
+    assert_eq!(err, NscError::BadLane { lane: 1, node: 2 });
+    assert_eq!(nodes[0].counters.instructions, 0, "nothing ran");
+}
+
+#[test]
+fn a_lane_repeating_a_node_is_an_error() {
+    let session = Session::nsc_1988();
+    let prog = session.compile(&mut scale_doc(2.0, 0)).expect("compiles");
+    let mut nodes = vec![session.node(), session.node()];
+    let err = run_lanes(&mut nodes, &[(1, &prog), (0, &prog), (1, &prog)], &RunOptions::default())
+        .expect_err("node 1 is named twice");
+    assert_eq!(err, NscError::BadLane { lane: 2, node: 1 });
+    assert!(nodes.iter().all(|n| n.counters.instructions == 0), "nothing ran");
 }
 
 #[test]
