@@ -180,7 +180,8 @@ impl Poisson2dSolver {
 /// Poisson solve *and* explicit transport — runs on the nodes.
 #[derive(Debug)]
 pub struct VorticityTransport {
-    programs: Vec<CompiledProgram>,
+    /// Each part's local shape and the step compiled for it, in part order.
+    programs: Vec<((usize, usize, usize), CompiledProgram)>,
 }
 
 impl VorticityTransport {
@@ -196,12 +197,13 @@ impl VorticityTransport {
             .parts()
             .iter()
             .map(|p| {
-                let (lnx, lny, _) = p.local_shape();
+                let shape = p.local_shape();
                 let mut doc =
-                    build_ftcs_transport_document(Jacobi2dGeometry::new(lnx, lny), coeffs);
-                session.compile(&mut doc).map_err(|e| NscError::on_node(p.node, e))
+                    build_ftcs_transport_document(Jacobi2dGeometry::new(shape.0, shape.1), coeffs);
+                let prog = session.compile(&mut doc).map_err(|e| NscError::on_node(p.node, e))?;
+                Ok((shape, prog))
             })
-            .collect::<Result<_, _>>()?;
+            .collect::<Result<_, NscError>>()?;
         Ok(VorticityTransport { programs })
     }
 
@@ -209,6 +211,11 @@ impl VorticityTransport {
     /// the node planes (ω twice — the SDU stream and the direct centre
     /// stream read from separate planes), run the compiled step on every
     /// part concurrently, and gather the advanced vorticity back.
+    ///
+    /// `partition` must cut the plane into the parts the transport was
+    /// compiled for — the same count, each of the same local shape — or
+    /// the step is refused with [`NscError::Workload`] before anything
+    /// runs.
     pub fn step(
         &self,
         system: &mut NscSystem,
@@ -217,6 +224,16 @@ impl VorticityTransport {
         omega: &mut Grid2,
     ) -> Result<(), NscError> {
         let parts = partition.parts();
+        let same_parts = parts.len() == self.programs.len()
+            && parts.iter().zip(&self.programs).all(|(p, (shape, _))| p.local_shape() == *shape);
+        if !same_parts {
+            return Err(NscError::Workload(format!(
+                "this partition's {} parts do not match the {} parts the transport was \
+                 compiled for (count or local shape); compile it for this partition",
+                parts.len(),
+                self.programs.len()
+            )));
+        }
         let psi_slabs = partition.scatter(&psi.data);
         let w_slabs = partition.scatter(&omega.data);
         for (p, (ps, ws)) in parts.iter().zip(psi_slabs.iter().zip(&w_slabs)) {
@@ -227,7 +244,8 @@ impl VorticityTransport {
             mem.plane_mut(PLANE_W0).write_slice(0, &PaddedField::stencil2d(&wrap(ws)).words);
             mem.plane_mut(PLANE_WC).write_slice(0, &PaddedField::aligned2d(&wrap(ws)).words);
         }
-        let lanes: Vec<_> = partition.node_pool().into_iter().zip(&self.programs).collect();
+        let lanes: Vec<_> =
+            partition.node_pool().into_iter().zip(self.programs.iter().map(|(_, p)| p)).collect();
         run_on_nodes(system, &lanes, &RunOptions::default())?;
         let locals = read_slabs(partition, system, PLANE_W1);
         omega.data = partition.gather(&locals);
@@ -542,6 +560,34 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "{spec:?}: transport diverged from mirror");
             }
         }
+    }
+
+    #[test]
+    fn transport_refuses_a_partition_it_was_not_compiled_for() {
+        let n = 17;
+        let session = Session::nsc_1988();
+        let coeffs = FtcsCoeffs::new(1.0 / (n as f64 - 1.0), 40.0, 1e-4);
+        let mut sys = system(2, &session);
+        let plane = |spec: PartitionSpec, cube| {
+            spec.build(GridShape::plane2d(n, n), cube, true).expect("partitions")
+        };
+        let blocks = plane(PartitionSpec::Block, sys.cube);
+        let strips = plane(PartitionSpec::Strip, sys.cube);
+        let one_node = plane(PartitionSpec::Strip, HypercubeConfig::new(0));
+        let transport =
+            VorticityTransport::new(&session, blocks.as_ref(), coeffs).expect("compiles");
+        let psi = Grid2::new(n, n);
+        let mut omega = Grid2::new(n, n);
+        *omega.at_mut(8, 8) = 1.0;
+        let before = omega.clone();
+        // Same part count, other local shapes; then another part count.
+        for other in [&strips, &one_node] {
+            let err = transport.step(&mut sys, other.as_ref(), &psi, &mut omega).unwrap_err();
+            assert!(matches!(err, NscError::Workload(_)), "{err:?}");
+        }
+        assert_eq!(omega.data, before.data, "a refused step leaves ω alone");
+        assert!(sys.nodes().iter().all(|node| node.counters.instructions == 0), "nothing ran");
+        transport.step(&mut sys, blocks.as_ref(), &psi, &mut omega).expect("its own partition");
     }
 
     #[test]

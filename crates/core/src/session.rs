@@ -15,10 +15,11 @@
 //! the pipeline is an [`NscError`].
 //!
 //! [`run_lanes`] is the one driver that runs compiled programs on many
-//! nodes at once, one crossbeam scoped thread per node; the distributed
-//! solvers and [`Session::run_batch`] (compile many documents, run them
-//! round-robin across a pool of nodes, aggregate the per-run counters)
-//! are built on it.
+//! nodes at once: the first node on the calling thread, every other node
+//! on a crossbeam scoped thread of its own; the distributed solvers and
+//! [`Session::run_batch`] (compile many documents, run them round-robin
+//! across a pool of nodes, aggregate the per-run counters) are built on
+//! it.
 
 use crate::certify::build_certificate;
 use crate::error::NscError;
@@ -645,15 +646,17 @@ fn rebind_preloads(doc: &Document, output: &mut GenOutput) -> Result<(), ()> {
 /// Run compiled programs on nodes: the one driver every caller that
 /// executes on more than one node goes through.
 ///
-/// Each lane `(node, program)` runs `program` on `nodes[node]`, every lane
-/// on its own scoped thread, so the lanes run concurrently and each node
-/// executes exactly one program. Lanes must name distinct, in-range nodes
-/// ([`NscError::BadLane`] otherwise, before anything runs); nodes no lane
-/// names stay untouched, so embeddings on disjoint sub-cubes of one system
-/// can each drive only their own nodes. Returns one [`RunReport`] per
-/// lane, in lane order. Every lane runs to completion even when another
-/// fails; the lowest failing lane's error is then reported as
-/// [`NscError::Batch`] with `doc` equal to the lane index.
+/// Each lane `(node, program)` runs `program` on `nodes[node]`. Lane 0
+/// runs on the calling thread and every further lane on a scoped thread of
+/// its own, so the lanes run concurrently, each node executes exactly one
+/// program, and a one-lane call starts no thread. Lanes must name
+/// distinct, in-range nodes ([`NscError::BadLane`] otherwise, before
+/// anything runs); nodes no lane names stay untouched, so embeddings on
+/// disjoint sub-cubes of one system can each drive only their own nodes.
+/// Returns one [`RunReport`] per lane, in lane order. Every lane runs to
+/// completion even when another fails; the lowest failing lane's error is
+/// then reported as [`NscError::Batch`] with `doc` equal to the lane
+/// index. A panicking lane panics this call once every lane has finished.
 pub fn run_lanes(
     nodes: &mut [NodeSim],
     lanes: &[(usize, &CompiledProgram)],
@@ -667,11 +670,15 @@ pub fn run_lanes(
         work.push((sim.ok_or(NscError::BadLane { lane, node })?, prog));
     }
     let mut slots: Vec<Option<Result<RunReport, NscError>>> = lanes.iter().map(|_| None).collect();
-    let _ = crossbeam::thread::scope(|scope| {
-        for ((node, prog), slot) in work.into_iter().zip(slots.iter_mut()) {
-            scope.spawn(move |_| *slot = Some(prog.run(node, opts)));
-        }
-    });
+    let mut work = work.into_iter().zip(slots.iter_mut());
+    if let Some(((node, prog), slot)) = work.next() {
+        let _ = crossbeam::thread::scope(|scope| {
+            for ((node, prog), slot) in work {
+                scope.spawn(move |_| *slot = Some(prog.run(node, opts)));
+            }
+            *slot = Some(prog.run(node, opts));
+        });
+    }
     slots
         .into_iter()
         .enumerate()

@@ -26,6 +26,12 @@
 //! simply not specialized; [`crate::NodeSim::run_program_with_kernel`]
 //! falls back to the interpreter for those, so the fast path is always
 //! safe to enable.
+//!
+//! A kernel holds only the plan; the element buffers a plan streams
+//! through live on the executing [`crate::NodeSim`], which keeps them
+//! across instructions and runs so that a node's steady state allocates
+//! nothing. They carry no simulated state: every buffer an instruction
+//! uses is emptied before it runs, and a cloned node starts without them.
 
 use crate::counters::PerfCounters;
 use crate::exec::{SourceTrace, SETUP_CYCLES};
@@ -726,10 +732,7 @@ impl Store {
             Store::Plane(p) => mem.planes[p].read_strided_into(base, stride, count, out),
             Store::Cache(c, buf) => {
                 let cache = &mem.caches[c];
-                out.reserve(count);
-                for k in 0..count {
-                    out.push(cache.read(buf, (base + k as i64 * stride) as u64));
-                }
+                out.extend((0..count).map(|k| cache.read(buf, (base + k as i64 * stride) as u64)));
             }
         }
     }
@@ -754,9 +757,35 @@ impl Store {
     }
 }
 
+/// The element buffers a node lends its kernel runs: one per plan slot,
+/// kept across instructions and runs. They hold no simulated state — each
+/// instruction empties the slots it uses before reading any — so a clone
+/// starts empty instead of copying them.
+#[derive(Debug, Default)]
+pub(crate) struct StreamBuffers(Vec<Vec<f64>>);
+
+impl Clone for StreamBuffers {
+    fn clone(&self) -> Self {
+        StreamBuffers::default()
+    }
+}
+
+impl StreamBuffers {
+    /// The first `slots` buffers, emptied (capacity kept).
+    fn cleared(&mut self, slots: usize) -> &mut [Vec<f64>] {
+        if self.0.len() < slots {
+            self.0.resize_with(slots, Vec::new);
+        }
+        let streams = &mut self.0[..slots];
+        streams.iter_mut().for_each(Vec::clear);
+        streams
+    }
+}
+
 /// One vectorizable element loop: the operation dispatch is hoisted out of
-/// the loop, and the hot arithmetic is expressed exactly as
-/// [`FuOp::apply`] does it so results stay bit-identical.
+/// the loop, the buffer is filled by one exact-size `extend`, and the hot
+/// arithmetic is expressed exactly as [`FuOp::apply`] does it so results
+/// stay bit-identical.
 #[inline]
 fn run_loop(
     op: FuOp,
@@ -765,18 +794,11 @@ fn run_loop(
     a: impl Fn(usize) -> f64,
     b: impl Fn(usize) -> f64,
     out: &mut Vec<f64>,
-    exc: &mut u64,
 ) {
     macro_rules! go {
         ($f:expr) => {{
             let f = $f;
-            for k in 0..n {
-                let r: f64 = f(a(k), b(k));
-                if !r.is_finite() {
-                    *exc += 1;
-                }
-                out.push(r);
-            }
+            out.extend((0..n).map(|k| f(a(k), b(k))));
         }};
     }
     match op {
@@ -836,36 +858,26 @@ fn eval_stage(stage: &StagePlan, streams: &mut [Vec<f64>], exceptions: &mut u64)
                 Arg::Acc => unreachable!("acc handled above"),
             }
         };
+        let (op, cv, n) = (stage.op, stage.const_val, stage.n);
         match (side(&stage.a), side(&stage.b)) {
-            (Side::S(a), Side::S(b)) => run_loop(
-                stage.op,
-                stage.const_val,
-                stage.n,
-                |k| a[k],
-                |k| b[k],
-                &mut out,
-                exceptions,
-            ),
-            (Side::S(a), Side::C(b)) => {
-                run_loop(stage.op, stage.const_val, stage.n, |k| a[k], |_| b, &mut out, exceptions)
-            }
-            (Side::C(a), Side::S(b)) => {
-                run_loop(stage.op, stage.const_val, stage.n, |_| a, |k| b[k], &mut out, exceptions)
-            }
-            (Side::C(a), Side::C(b)) => {
-                run_loop(stage.op, stage.const_val, stage.n, |_| a, |_| b, &mut out, exceptions)
-            }
+            (Side::S(a), Side::S(b)) => run_loop(op, cv, n, |k| a[k], |k| b[k], &mut out),
+            (Side::S(a), Side::C(b)) => run_loop(op, cv, n, |k| a[k], |_| b, &mut out),
+            (Side::C(a), Side::S(b)) => run_loop(op, cv, n, |_| a, |k| b[k], &mut out),
+            (Side::C(a), Side::C(b)) => run_loop(op, cv, n, |_| a, |_| b, &mut out),
         }
+        *exceptions += out.iter().filter(|r| !r.is_finite()).count() as u64;
     }
     streams[stage.out_slot] = out;
 }
 
 /// Execute a specialized instruction: bit-identical memory effects,
-/// counters and (when requested) trace to `execute_instruction`.
+/// counters and (when requested) trace to `execute_instruction`. The
+/// element streams run through `buffers`, the executing node's own.
 pub(crate) fn run_plan(
     plan: &InstrPlan,
     mem: &mut NodeMemory,
     counters: &mut PerfCounters,
+    buffers: &mut StreamBuffers,
     want_trace: bool,
 ) -> SourceTrace {
     counters.cycles += SETUP_CYCLES;
@@ -880,16 +892,14 @@ pub(crate) fn run_plan(
         PlanBody::Pipeline(p) => p,
     };
 
-    let mut streams: Vec<Vec<f64>> = vec![Vec::new(); p.slots];
+    let streams = buffers.cleared(p.slots);
     for r in &p.reads {
-        let mut buf = std::mem::take(&mut streams[r.slot]);
-        r.store.read_into(mem, r.base, r.stride, r.count, &mut buf);
-        streams[r.slot] = buf;
+        r.store.read_into(mem, r.base, r.stride, r.count, &mut streams[r.slot]);
     }
 
     let mut exceptions: u64 = 0;
     for stage in &p.stages {
-        eval_stage(stage, &mut streams, &mut exceptions);
+        eval_stage(stage, streams, &mut exceptions);
     }
 
     for w in &p.writes {
@@ -950,7 +960,7 @@ mod tests {
 
         let trace_i = execute_instruction(kb, ins, &mut mem_i, &mut c_i).expect("interpreter runs");
         let plan = plan_instruction(kb, ins).expect("instruction specializes");
-        let trace_k = run_plan(&plan, &mut mem_k, &mut c_k, true);
+        let trace_k = run_plan(&plan, &mut mem_k, &mut c_k, &mut StreamBuffers::default(), true);
 
         assert_eq!(c_i, c_k, "counters must match exactly");
         let bits = |t: &SourceTrace| -> Vec<Option<u64>> {
@@ -1234,6 +1244,116 @@ mod tests {
             |m| m.planes[0].write_slice(0, &(0..16).map(|i| i as f64).collect::<Vec<_>>()),
             &[(Store::Plane(0), 100, 16)],
         );
+    }
+
+    /// A five-slot, 300-element pipeline: `p1[1000..] = (p0 + c0) * 0.5`,
+    /// with the running `max |.|` of that product captured at `c1[5]`.
+    fn long_window_program(kb: &KnowledgeBase) -> MicroProgram {
+        let mut ins = MicroInstruction::empty(kb);
+        *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 300);
+        *ins.cache_rd_mut(CacheId(0)) = CacheDmaField {
+            enabled: true,
+            offset: 0,
+            stride: 1,
+            count: 300,
+            skip: 0,
+            buffer: 0,
+            mode: WriteMode::Stream,
+        };
+        *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Add);
+        *ins.fu_mut(FuId(1)) = FuField {
+            enabled: true,
+            op: FuOp::Mul,
+            in_a: FuInputSel::Switch,
+            in_b: FuInputSel::Constant(0),
+            const_slot: 0,
+            preload: Some(0.5),
+        };
+        *ins.fu_mut(FuId(2)) = FuField {
+            enabled: true,
+            op: FuOp::MaxAbs,
+            in_a: FuInputSel::Switch,
+            in_b: FuInputSel::Feedback(0),
+            const_slot: 0,
+            preload: Some(0.0),
+        };
+        *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(1000, 300);
+        *ins.cache_wr_mut(CacheId(1)) = CacheDmaField::scalar_capture(5);
+        ins.switch.route(kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
+        ins.switch.route(kb, SourceRef::CacheRead(CacheId(0)), SinkRef::FuIn(FuId(0), InPort::B));
+        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::FuIn(FuId(1), InPort::A));
+        ins.switch.route(kb, SourceRef::Fu(FuId(1)), SinkRef::FuIn(FuId(2), InPort::A));
+        ins.switch.route(kb, SourceRef::Fu(FuId(1)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch.route(kb, SourceRef::Fu(FuId(2)), SinkRef::CacheWrite(CacheId(1)));
+        let mut b = nsc_microcode::ProgramBuilder::new(kb, "long");
+        b.push(ins);
+        b.finish()
+    }
+
+    /// A two-slot, 7-element pipeline that rewrites the long program's
+    /// input: `p0[0..7] = -p1[1000..1007]`.
+    fn short_window_program(kb: &KnowledgeBase) -> MicroProgram {
+        let mut ins = MicroInstruction::empty(kb);
+        *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Neg);
+        *ins.plane_rd_mut(PlaneId(1)) = PlaneDmaField::contiguous(1000, 7);
+        *ins.plane_wr_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 7);
+        ins.switch.route(kb, SourceRef::PlaneRead(PlaneId(1)), SinkRef::FuIn(FuId(0), InPort::A));
+        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(0)));
+        let mut b = nsc_microcode::ProgramBuilder::new(kb, "short");
+        b.push(ins);
+        b.finish()
+    }
+
+    #[test]
+    fn node_buffers_carry_nothing_between_programs() {
+        // One node runs a long window, then a shorter program with fewer
+        // slots, then the long window again over the input the short one
+        // rewrote. Each run must match a clone that starts with fresh
+        // buffers and the interpreter, to the bit.
+        use crate::node::{NodeSim, RunOptions};
+        let kb = kb();
+        let mut reused = NodeSim::new(kb.clone());
+        reused.mem.planes[0]
+            .write_slice(0, &(0..300).map(|i| i as f64 - 150.0).collect::<Vec<_>>());
+        for i in 0..300 {
+            reused.mem.caches[0].write(0, i, 0.25 * i as f64);
+        }
+        let mut interp = reused.clone();
+        let snapshot = |node: &NodeSim| -> Vec<u64> {
+            let planes = (0..3).flat_map(|p| node.mem.planes[p].read_vec(0, 1400));
+            let caches =
+                (0..2).flat_map(|c| (0..2).flat_map(move |b| (0..400).map(move |o| (c, b, o))));
+            planes
+                .chain(caches.map(|(c, b, o)| node.mem.caches[c].read(b, o)))
+                .map(f64::to_bits)
+                .collect()
+        };
+        let traces = |stats: &crate::node::RunStats| -> Vec<Vec<Option<u64>>> {
+            stats
+                .traces
+                .iter()
+                .map(|(_, t)| t.last.iter().map(|v| v.map(f64::to_bits)).collect())
+                .collect()
+        };
+        let opts = RunOptions { trace: true, ..Default::default() };
+        let (long, short) = (long_window_program(&kb), short_window_program(&kb));
+        let mut long_outputs = Vec::new();
+        for prog in [&long, &short, &long] {
+            let kernel = CompiledKernel::compile(&kb, prog);
+            assert_eq!(kernel.specialized(), kernel.instructions(), "{} specializes", prog.name);
+            let mut fresh = reused.clone();
+            let want = interp.run_program(prog, &opts).expect("interprets");
+            for node in [&mut reused, &mut fresh] {
+                let got = node.run_program_with_kernel(prog, Some(&kernel), &opts).expect("runs");
+                assert_eq!(node.counters, interp.counters, "{}: counters", prog.name);
+                assert_eq!(traces(&got), traces(&want), "{}: traces", prog.name);
+                assert_eq!(snapshot(node), snapshot(&interp), "{}: memory", prog.name);
+            }
+            if prog.name == "long" {
+                long_outputs.push(reused.mem.planes[1].read_vec(1000, 300));
+            }
+        }
+        assert_ne!(long_outputs[0], long_outputs[1], "the second long run saw new input");
     }
 
     #[test]

@@ -54,16 +54,24 @@ impl MemoryPlane {
         page[(addr % PAGE_WORDS) as usize] = value;
     }
 
-    /// Bulk store starting at `base`.
+    /// Bulk store starting at `base`, a page at a time.
+    ///
+    /// # Panics
+    /// If any addressed word is outside the plane.
     pub fn write_slice(&mut self, base: u64, data: &[f64]) {
-        for (i, &v) in data.iter().enumerate() {
-            self.write(base + i as u64, v);
-        }
+        // A base past `i64::MAX` turns negative and takes the per-word
+        // path, whose address arithmetic wraps back to the same words.
+        self.write_strided(base as i64, 1, data);
     }
 
-    /// Bulk load of `len` words starting at `base`.
+    /// Bulk load of `len` words starting at `base`, a page at a time.
+    ///
+    /// # Panics
+    /// If any addressed word is outside the plane.
     pub fn read_vec(&self, base: u64, len: u64) -> Vec<f64> {
-        (0..len).map(|i| self.read(base + i)).collect()
+        let mut out = Vec::new();
+        self.read_strided_into(base as i64, 1, len as usize, &mut out);
+        out
     }
 
     /// Bulk strided load: append `count` words starting at `base` to

@@ -9,7 +9,7 @@
 
 use crate::counters::PerfCounters;
 use crate::exec::{execute_instruction, ExecError, SourceTrace};
-use crate::kernel::CompiledKernel;
+use crate::kernel::{CompiledKernel, StreamBuffers};
 use crate::memory::NodeMemory;
 use nsc_arch::KnowledgeBase;
 use nsc_microcode::{MicroProgram, SeqCtl};
@@ -64,13 +64,22 @@ pub struct NodeSim {
     /// Cumulative performance counters.
     pub counters: PerfCounters,
     loop_counters: [u32; 16],
+    /// The kernel's element buffers, reused by every specialized
+    /// instruction this node runs; not copied by `clone`.
+    streams: StreamBuffers,
 }
 
 impl NodeSim {
     /// A fresh node for the given machine.
     pub fn new(kb: KnowledgeBase) -> Self {
         let mem = NodeMemory::new(kb.config());
-        NodeSim { kb, mem, counters: PerfCounters::default(), loop_counters: [0; 16] }
+        NodeSim {
+            kb,
+            mem,
+            counters: PerfCounters::default(),
+            loop_counters: [0; 16],
+            streams: StreamBuffers::default(),
+        }
     }
 
     /// A fresh 1988 node.
@@ -122,9 +131,13 @@ impl NodeSim {
                 self.loop_counters[ctr as usize & 15] = val;
             }
             let trace = match kernel.and_then(|k| k.plan(pc)) {
-                Some(plan) => {
-                    crate::kernel::run_plan(plan, &mut self.mem, &mut self.counters, opts.trace)
-                }
+                Some(plan) => crate::kernel::run_plan(
+                    plan,
+                    &mut self.mem,
+                    &mut self.counters,
+                    &mut self.streams,
+                    opts.trace,
+                ),
                 None => execute_instruction(&self.kb, ins, &mut self.mem, &mut self.counters)?,
             };
             executed += 1;

@@ -4,8 +4,9 @@
 //! inter-node communication "handled by means of a hyperspace router"; the
 //! published system sizing is 64 nodes for 40 GFLOPS and 128 GB. The
 //! system model holds the nodes (`nsc_core::run_lanes` runs compiled
-//! programs on them concurrently, one scoped thread per node) and
-//! accounts simulated communication time with the e-cube router model.
+//! programs on them concurrently, the first on the calling thread and one
+//! scoped thread for each other node) and accounts simulated
+//! communication time with the e-cube router model.
 
 use crate::node::NodeSim;
 use nsc_arch::{HypercubeConfig, KnowledgeBase, NodeId, PlaneId};
@@ -138,7 +139,7 @@ impl NscSystem {
     }
 
     /// All nodes, mutably — the handle `nsc_core::run_lanes` takes to run
-    /// distinct programs across the cube on scoped threads.
+    /// distinct programs across the cube concurrently.
     pub fn nodes_mut(&mut self) -> &mut [NodeSim] {
         &mut self.nodes
     }

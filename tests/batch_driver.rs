@@ -167,6 +167,72 @@ fn the_lowest_failing_lane_is_named_and_chains_to_the_executor_error() {
 }
 
 #[test]
+fn a_single_lane_runs_exactly_like_compiled_program_run() {
+    // The one-lane call runs on the calling thread: same report, same
+    // node state as running the program directly.
+    let session = Session::nsc_1988();
+    let prog = session.compile(&mut scale_doc(2.0, 0)).expect("compiles");
+    let mut nodes = vec![session.node()];
+    nodes[0].mem.plane_mut(PlaneId(0)).write_slice(0, &[1.0, 2.0, 3.0]);
+    let mut direct = nodes[0].clone();
+    let opts = RunOptions { trace: true, ..Default::default() };
+    let want = prog.run(&mut direct, &opts).expect("runs");
+    let runs = run_lanes(&mut nodes, &[(0, &prog)], &opts).expect("one lane");
+    assert_eq!(runs.len(), 1);
+    let got = &runs[0];
+    assert_eq!(got.counters, want.counters);
+    assert_eq!((got.stats.halted, got.stats.executed), (want.stats.halted, want.stats.executed));
+    let bits = |r: &nsc::env::RunReport| -> Vec<Vec<Option<u64>>> {
+        r.stats
+            .traces
+            .iter()
+            .map(|(_, t)| t.last.iter().map(|v| v.map(f64::to_bits)).collect())
+            .collect()
+    };
+    assert_eq!(bits(got), bits(&want));
+    assert_eq!(got.mflops.to_bits(), want.mflops.to_bits());
+    assert_eq!(nodes[0].counters, direct.counters);
+    for plane in [PlaneId(0), PlaneId(1)] {
+        assert_eq!(
+            nodes[0].mem.plane(plane).read_vec(0, 8),
+            direct.mem.plane(plane).read_vec(0, 8)
+        );
+    }
+
+    // A failing single lane is still reported as lane 0, with nothing run.
+    let mut fresh = vec![session.node()];
+    let budgetless = RunOptions { max_instructions: 0, ..Default::default() };
+    let err = run_lanes(&mut fresh, &[(0, &prog)], &budgetless).unwrap_err();
+    let NscError::Batch { doc: 0, ref source } = err else {
+        panic!("expected Batch {{ doc: 0, .. }}, got {err:?}");
+    };
+    assert!(matches!(**source, NscError::MaxInstructions { .. }), "{source:?}");
+    assert_eq!(fresh[0].counters.instructions, 0);
+}
+
+#[test]
+fn a_panicking_lane_panics_the_call_once_every_lane_has_finished() {
+    // The program writes past a small machine's 4096-word planes, so it
+    // panics on a small node: first in the caller's own lane, then in a
+    // spawned one. Either way the other lane completes its run.
+    let session = Session::nsc_1988();
+    let prog = session.compile(&mut scale_doc(2.0, 5000)).expect("compiles");
+    let small = Session::new(MachineConfig::test_small());
+    for panicking in 0..2 {
+        let mut nodes = vec![session.node(), session.node()];
+        nodes[panicking] = small.node();
+        let lanes = [(0, &prog), (1, &prog)];
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_lanes(&mut nodes, &lanes, &RunOptions::default())
+        }));
+        assert!(run.is_err(), "lane {panicking}'s panic propagates");
+        let mut reference = session.node();
+        let want = prog.run(&mut reference, &RunOptions::default()).expect("runs");
+        assert_eq!(nodes[1 - panicking].counters, want.counters, "the other lane finished");
+    }
+}
+
+#[test]
 fn a_lane_naming_a_node_out_of_range_is_an_error() {
     let session = Session::nsc_1988();
     let prog = session.compile(&mut scale_doc(2.0, 0)).expect("compiles");
