@@ -230,7 +230,7 @@ impl CacheStats {
 /// attached; every subsequent [`Session::compile`] through that clone
 /// appends its sealed [`CompileCertificate`] here (cache hits and rebinds
 /// included — each restamped with its own compile path and digest). The
-/// machine park drains one log per job lease to attribute certificates to
+/// machine park drains one log per job to attribute certificates to
 /// jobs; the log is an `Arc` internally, so cloning it shares the record.
 #[derive(Debug, Clone, Default)]
 pub struct CertificateLog {

@@ -18,8 +18,8 @@ pub type JobId = usize;
 
 /// What a payload hands back when it finishes: the solution bits for
 /// audits, plus its own convergence figure. Timing and counters are the
-/// *park's* job — it snapshots the leased nodes around the run, so
-/// payloads cannot mis-report their usage.
+/// *park's* job — it reads them off the fresh nodes it ran the payload
+/// on, so payloads cannot mis-report their usage.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
     /// Final residual (or other convergence figure) of the solve.
@@ -37,7 +37,7 @@ pub struct JobOutcome {
     pub converged: bool,
     /// The sealed compile certificates the job's compiles emitted,
     /// stamped with the job's sub-cube lease. Filled in by the *park*
-    /// from the lease's certificate log — payloads never touch this, so
+    /// from the job's certificate log — payloads never touch this, so
     /// a payload cannot launder its own certificates.
     pub certificates: Vec<Arc<CompileCertificate>>,
 }
@@ -78,7 +78,8 @@ pub trait JobPayload: Send + Sync {
     /// Human-readable workload name for queue listings and reports.
     fn name(&self) -> String;
 
-    /// Execute on the leased sub-system.
+    /// Execute on the leased sub-system. The park calls this from one of
+    /// its worker threads; a panic fails this job only.
     fn run(&self, session: &Session, system: &mut NscSystem) -> Result<JobOutcome, NscError>;
 }
 
@@ -158,7 +159,8 @@ pub struct Job {
     pub tenant: String,
     /// Requested sub-cube dimension: the job runs on `2^dim` nodes.
     pub dim: u32,
-    /// Arrival time on the park's simulated clock, in seconds.
+    /// Arrival time on the park's simulated clock, in seconds; the park
+    /// refuses a non-finite one at submission.
     pub submit_at: f64,
     payload: Arc<dyn JobPayload>,
 }

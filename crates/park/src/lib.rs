@@ -22,12 +22,13 @@
 //!   aligned sub-cubes and re-coalesces them on free; an aligned
 //!   sub-cube of a hypercube is itself a hypercube, which is what makes
 //!   leases exact.
-//! * **pool driver** ([`MachinePark`]) — leases node slots to admitted
-//!   jobs (wiped memory, preserved counters), host-executes each batch
-//!   concurrently on scoped threads sharing one compile-once
-//!   [`nsc_core::Session`], measures every job's usage from counter
-//!   deltas, and advances a deterministic virtual clock between
-//!   completions and arrivals.
+//! * **pool driver** ([`MachinePark`]) — first host-executes every
+//!   waiting job on a worker pool (one worker per CPU, at most one per
+//!   park node), each on a fresh machine of its sub-cube's size, all
+//!   sharing one compile-once [`nsc_core::Session`], and measures every
+//!   job's usage from its nodes' counters; then replays those results
+//!   on a deterministic virtual clock, leasing sub-cubes to admitted
+//!   jobs and retiring them between completions and arrivals.
 //!
 //! Every job gets a [`JobReport`] (sub-cube, queue wait, simulated
 //! duration, counters, MFLOPS); the run aggregates into a [`ParkReport`]

@@ -1,66 +1,76 @@
 //! The machine park itself: one simulated NSC shared by many jobs.
 //!
-//! [`MachinePark`] owns the physical machine as a pool of node slots plus
-//! a buddy [`SubCubeAllocator`] over them. [`MachinePark::run`] drives a
+//! [`MachinePark`] owns the physical machine as a buddy
+//! [`SubCubeAllocator`] over its nodes. [`MachinePark::run`] first
+//! host-executes every waiting job, then replays the results through a
 //! deterministic event loop on a simulated park clock:
 //!
-//! 1. **Admit** — the [`SchedPolicy`] picks which arrived jobs start on
+//! 1. **Execute** — a small worker pool (one worker per host CPU, never
+//!    more than the park has nodes) takes the waiting jobs in submission
+//!    order and runs each on a fresh [`NscSystem`] of the job's
+//!    dimension: wiped planes and caches, tenant isolation like any
+//!    shared facility. Every job compiles through a clone of the park's
+//!    [`Session`] — one compiled-kernel cache, so the same sweep document
+//!    compiles once no matter how many tenants submit it — that records
+//!    into a certificate log of its own. The park reads the job's usage
+//!    off its nodes' counters, so payloads cannot mis-report, and a
+//!    panicking payload fails its own job, not the run.
+//! 2. **Admit** — the [`SchedPolicy`] picks which arrived jobs start on
 //!    the free capacity (probed against a clone of the allocator).
-//! 2. **Lease** — each admitted job gets its sub-cube: the matching node
-//!    slots are taken from the pool and rebuilt as a fresh
-//!    [`NscSystem`] of the job's dimension. Leased nodes are *wiped*
-//!    (fresh planes and caches — tenant isolation, like any shared
-//!    facility) but keep their cumulative counters, so machine-lifetime
-//!    accounting survives across tenants.
-//! 3. **Execute** — the admitted batch runs concurrently on host scoped
-//!    threads, all sharing one [`Session`] (and thus one compiled-kernel
-//!    cache: the same sweep document compiles once no matter how many
-//!    tenants submit it). The park snapshots each leased node's counters
-//!    around the run and takes the *delta* as the job's usage — payloads
-//!    cannot mis-report.
+//! 3. **Lease** — each admitted job is allocated its sub-cube, and its
+//!    certificates are stamped with it.
 //! 4. **Advance** — each job's simulated duration is its critical-path
 //!    node's compute-plus-unhidden-communication time; the park clock
-//!    jumps to the next completion or arrival, completed leases return
-//!    their nodes and free their sub-cubes, and admission runs again.
+//!    jumps to the next completion or arrival, completed leases free
+//!    their sub-cubes (spot-auditing certificates on the way out), and
+//!    admission runs again.
 //!
 //! Because an aligned sub-cube of a hypercube is itself a hypercube
 //! (local address `i` is physical node `base | i`, and XOR distances
 //! never touch the shared high bits), a job's sweep schedule, hop
 //! counts, and router charges inside its lease are exactly those of a
-//! standalone machine of the same size — park results are bit-identical
-//! to standalone runs by construction, which the integration tests
-//! assert workload by workload.
+//! standalone machine of the same size — which is what the job runs on.
+//! A job's outcome and counters therefore depend only on its inputs, so
+//! executing it ahead of the schedule changes no figure, and park
+//! results are bit-identical to standalone runs by construction, which
+//! the integration tests assert workload by workload.
 
 use nsc_arch::{HypercubeConfig, SubCube, SubCubeAllocator};
 use nsc_cert::{verify, Expected, LeaseCert};
 use nsc_core::{certify::machine_limits, NscError, Session};
-use nsc_sim::{NodeSim, NscSystem, PerfCounters};
+use nsc_sim::{NscSystem, PerfCounters};
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::job::{Job, JobId, JobOutcome, JobPayload};
-
-/// What one leased thread hands back: the advanced nodes plus the
-/// payload's result.
-type LeaseResult = (Vec<NodeSim>, Result<JobOutcome, NscError>);
+use crate::job::{Job, JobId, JobOutcome};
 use crate::queue::JobQueue;
 use crate::report::{JobReport, ParkReport};
 use crate::sched::{Candidate, SchedPolicy};
 
-/// One job currently holding a lease, waiting for its simulated
-/// completion time. The host execution already happened at admission;
-/// what remains is returning the nodes when the park clock catches up.
+/// One job's host execution, done before the virtual-time loop starts:
+/// everything the schedule needs, none of it dependent on when or where
+/// the job is leased.
+struct Executed {
+    /// Merged counters across the job's nodes (parallel `absorb`).
+    counters: PerfCounters,
+    simulated_seconds: f64,
+    /// The payload's result (certificates not yet stamped with a lease)
+    /// or its error as the report prints it.
+    outcome: Result<JobOutcome, String>,
+}
+
+/// One job holding a lease, waiting for the park clock to reach its
+/// simulated completion time. Its host execution already happened
+/// before the schedule started.
 struct RunningJob {
     id: JobId,
     subcube: SubCube,
     started_at: f64,
     end: f64,
-    /// The leased nodes, counters advanced by the run, to put back.
-    nodes: Vec<NodeSim>,
-    /// Merged counter delta across the lease (parallel `absorb`).
-    counters: PerfCounters,
-    simulated_seconds: f64,
-    outcome: Result<JobOutcome, NscError>,
+    run: Executed,
 }
 
 /// A multi-tenant job service over one simulated NSC.
@@ -99,8 +109,6 @@ struct RunningJob {
 pub struct MachinePark {
     session: Session,
     cube: HypercubeConfig,
-    /// Physical node slots; `None` while a lease holds the node.
-    slots: Vec<Option<NodeSim>>,
     alloc: SubCubeAllocator,
     queue: JobQueue,
     clock_hz: u64,
@@ -115,13 +123,11 @@ impl MachinePark {
     /// the session's machine description.
     pub fn new(session: Session, dim: u32) -> Self {
         let cube = HypercubeConfig::new(dim);
-        let slots = (0..cube.nodes()).map(|_| Some(session.node())).collect();
         let alloc = SubCubeAllocator::new(&cube);
         let clock_hz = session.kb().config().clock_hz;
         MachinePark {
             session,
             cube,
-            slots,
             alloc,
             queue: JobQueue::new(),
             clock_hz,
@@ -173,35 +179,47 @@ impl MachinePark {
         &self.session
     }
 
-    /// Queue a job. Fails when the job asks for a bigger cube than the
-    /// machine has.
-    pub fn submit(&mut self, job: Job) -> Result<JobId, NscError> {
+    /// Why this park cannot queue `job`, if it cannot: a bigger cube than
+    /// the machine has, or an arrival time the park clock never reaches.
+    fn refusal(&self, job: &Job) -> Option<String> {
         if job.dim > self.cube.dimension {
-            return Err(NscError::Workload(format!(
-                "job wants a dimension-{} sub-cube but the park machine is dimension {}",
-                job.dim, self.cube.dimension
-            )));
+            Some(format!(
+                "job '{}' wants a dimension-{} sub-cube but the park machine is dimension {}",
+                job.name(),
+                job.dim,
+                self.cube.dimension
+            ))
+        } else if !job.submit_at.is_finite() {
+            Some(format!(
+                "job '{}' arrives at t = {}, which the park clock never reaches",
+                job.name(),
+                job.submit_at
+            ))
+        } else {
+            None
         }
-        Ok(self.queue.submit(job))
+    }
+
+    /// Queue a job. Fails when the job asks for a bigger cube than the
+    /// machine has, or arrives at a non-finite time.
+    pub fn submit(&mut self, job: Job) -> Result<JobId, NscError> {
+        match self.refusal(&job) {
+            Some(why) => Err(NscError::Workload(why)),
+            None => Ok(self.queue.submit(job)),
+        }
     }
 
     /// Queue a whole batch, in order, returning the ids in submission
-    /// order. All-or-nothing: the first oversized job rejects the batch
-    /// and nothing is queued — the batched path sweep engines use to
-    /// place an ensemble's members atomically.
+    /// order. All-or-nothing: the first job [`MachinePark::submit`] would
+    /// refuse rejects the batch and nothing is queued — the batched path
+    /// sweep engines use to place an ensemble's members atomically.
     pub fn submit_batch(
         &mut self,
         jobs: impl IntoIterator<Item = Job>,
     ) -> Result<Vec<JobId>, NscError> {
         let jobs: Vec<Job> = jobs.into_iter().collect();
-        if let Some(bad) = jobs.iter().find(|j| j.dim > self.cube.dimension) {
-            return Err(NscError::Workload(format!(
-                "batch job '{}' wants a dimension-{} sub-cube but the park machine is \
-                 dimension {}; nothing was queued",
-                bad.name(),
-                bad.dim,
-                self.cube.dimension
-            )));
+        if let Some(why) = jobs.iter().find_map(|j| self.refusal(j)) {
+            return Err(NscError::Workload(format!("batch {why}; nothing was queued")));
         }
         Ok(jobs.into_iter().map(|j| self.queue.submit(j)).collect())
     }
@@ -212,6 +230,8 @@ impl MachinePark {
     /// bit-identical job results and figures, which is what lets the
     /// perf gate commit scheduler throughput and utilization baselines.
     pub fn run(&mut self, policy: SchedPolicy) -> Result<ParkReport, NscError> {
+        // 1. Execute every waiting job on the host before the schedule.
+        let mut executed = self.execute_waiting();
         let mut now = 0.0f64;
         let mut running: Vec<RunningJob> = Vec::new();
         // tenant -> node-seconds (the fair-share key).
@@ -223,7 +243,7 @@ impl MachinePark {
         let mut audited = (0usize, 0usize);
 
         while !self.queue.all_done() {
-            // 1. Admit: what starts on the free capacity right now?
+            // 2. Admit: what starts on the free capacity right now?
             let candidates: Vec<Candidate> = self
                 .queue
                 .arrived_waiting(now)
@@ -236,9 +256,10 @@ impl MachinePark {
             let admitted = policy.admit(&candidates, &self.alloc, &share);
 
             if !admitted.is_empty() {
-                // 2. Lease + 3. execute the admitted batch concurrently.
-                for done in self.start_batch(&admitted, now) {
-                    running.push(done);
+                // 3. Lease each admitted job its sub-cube.
+                for id in admitted {
+                    let run = executed.remove(&id).expect("every waiting job executed up front");
+                    running.push(self.lease(id, run, now));
                 }
                 // Re-enter admission: the policy saw the full waiting
                 // list, so the next pass admits nothing further at this
@@ -251,8 +272,9 @@ impl MachinePark {
             let next_arrival = self.queue.next_arrival_after(now).unwrap_or(f64::INFINITY);
             let next = next_end.min(next_arrival);
             if !next.is_finite() {
-                // Arrived jobs that no policy can ever start (should be
-                // unreachable: `submit` bounds every job by the machine).
+                // Arrived jobs that no policy can ever start (unreachable:
+                // `submit` bounds every job by the machine and refuses
+                // arrivals the clock never reaches).
                 return Err(NscError::Workload(
                     "park wedged: jobs waiting, nothing running, no arrivals".into(),
                 ));
@@ -274,125 +296,91 @@ impl MachinePark {
         Ok(ParkReport::assemble(policy.label(), self.cube.nodes(), reports, &usage, audited))
     }
 
-    /// Lease sub-cubes for an admitted batch and host-execute all of its
-    /// jobs concurrently on scoped threads sharing the park session.
-    fn start_batch(&mut self, admitted: &[JobId], now: f64) -> Vec<RunningJob> {
-        struct Lease {
-            id: JobId,
-            subcube: SubCube,
-            cube: HypercubeConfig,
-            payload: Arc<dyn JobPayload>,
-            nodes: Vec<NodeSim>,
-            before: Vec<PerfCounters>,
-            /// The session clone this lease compiles through (shared
-            /// kernel cache, private certificate log) and the log it
-            /// records into — so certificates attribute to jobs even
-            /// though the whole batch shares one compile cache.
-            session: Session,
-            certs: nsc_core::CertificateLog,
-        }
-
-        let mut leases: Vec<Lease> = admitted
-            .iter()
-            .map(|&id| {
-                let job: &Job = self.queue.job(id);
-                let subcube = self
-                    .alloc
-                    .allocate(job.dim)
-                    .expect("the admission probe guaranteed this allocation fits");
-                // The lease is a hypercube of the job's dimension with the
-                // machine's router model. Nodes are wiped (fresh planes —
-                // tenant isolation) but keep their lifetime counters.
-                let cube = HypercubeConfig { dimension: job.dim, router: self.cube.router };
-                let (nodes, before): (Vec<NodeSim>, Vec<PerfCounters>) = subcube
-                    .members()
-                    .map(|nid| {
-                        let old = self.slots[nid.index()]
-                            .take()
-                            .expect("disjoint sub-cubes never share a slot");
-                        let mut fresh = self.session.node();
-                        fresh.counters = old.counters;
-                        (fresh, old.counters)
-                    })
-                    .unzip();
-                let payload = Arc::clone(job.payload());
-                let (session, certs) = self.session.with_certificate_log();
-                Lease { id, subcube, cube, payload, nodes, before, session, certs }
-            })
-            .collect();
-        for lease in &leases {
-            self.queue.mark_running(lease.id);
-        }
-
-        // Host-execute the whole batch concurrently; each thread owns its
-        // leased nodes and compiles through its lease's session clone —
-        // one shared kernel cache, one certificate log per job.
-        let mut results: Vec<Option<LeaseResult>> = (0..leases.len()).map(|_| None).collect();
-        // The vendored scope is std-backed: a child panic re-panics out of
-        // scope() itself, so every slot is filled on the Ok path.
-        let _ = crossbeam::thread::scope(|scope| {
-            for (lease, slot) in leases.iter_mut().zip(results.iter_mut()) {
-                let payload = Arc::clone(&lease.payload);
-                let session = lease.session.clone();
-                let cube = lease.cube;
-                let nodes = std::mem::take(&mut lease.nodes);
-                scope.spawn(move |_| {
-                    let mut system = NscSystem::from_nodes(cube, nodes);
-                    let outcome = payload.run(&session, &mut system);
-                    let (nodes, _comm_ns) = system.into_nodes();
-                    *slot = Some((nodes, outcome));
-                });
+    /// Host-execute every waiting job on a worker pool: each worker,
+    /// the calling thread included, takes the next job in submission
+    /// order until none are left.
+    fn execute_waiting(&self) -> HashMap<JobId, Executed> {
+        let waiting = self.queue.arrived_waiting(f64::INFINITY);
+        // Never more workers than the park has nodes, so a one-node park
+        // stays serial and its compile-cache counters stay exact.
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(self.cube.nodes())
+            .min(waiting.len());
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            // Relaxed: the counter only hands out indices; the results
+            // travel back through the join.
+            while let Some(&id) = waiting.get(next.fetch_add(1, Ordering::Relaxed)) {
+                done.push((id, self.execute(id)));
             }
-        });
-
-        leases
-            .into_iter()
-            .zip(results)
-            .map(|(lease, result)| {
-                let (nodes, mut outcome) = result.expect("every spawned lease fills its slot");
-                // Stamp every certificate the lease's compiles emitted
-                // with the sub-cube it ran inside, so the verifier can
-                // check route containment against the lease.
-                if let Ok(o) = &mut outcome {
-                    let stamp = LeaseCert {
-                        base: lease.subcube.base.0 as u64,
-                        dimension: lease.subcube.dimension,
-                    };
-                    o.certificates = lease
-                        .certs
-                        .drain()
-                        .into_iter()
-                        .map(|c| Arc::new(c.with_lease(stamp.clone())))
-                        .collect();
-                }
-                // The job's usage is the counter delta the park measured on
-                // its leased nodes; its simulated duration is the
-                // critical-path node (compute + unhidden communication).
-                let mut counters = PerfCounters::default();
-                let mut simulated_seconds = 0.0f64;
-                for (node, before) in nodes.iter().zip(&lease.before) {
-                    let delta = node.counters.since(before);
-                    counters.absorb(&delta);
-                    simulated_seconds =
-                        simulated_seconds.max(delta.seconds_with_comm(self.clock_hz));
-                }
-                RunningJob {
-                    id: lease.id,
-                    subcube: lease.subcube,
-                    started_at: now,
-                    end: now + simulated_seconds,
-                    nodes,
-                    counters,
-                    simulated_seconds,
-                    outcome,
-                }
-            })
-            .collect()
+            done
+        };
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut executed: HashMap<JobId, Executed> = work().into_iter().collect();
+            for helper in helpers {
+                executed.extend(helper.join().expect("payload panics are caught in `execute`"));
+            }
+            executed
+        })
     }
 
-    /// Return a completed lease's nodes and sub-cube, spot-audit its
-    /// certificates when the policy selects it, and write its report.
-    /// A rejected certificate fails the whole run.
+    /// Run one job on a fresh standalone machine of its dimension with
+    /// the park's router model — exactly what its lease will be.
+    fn execute(&self, id: JobId) -> Executed {
+        let job = self.queue.job(id);
+        let cube = HypercubeConfig { dimension: job.dim, router: self.cube.router };
+        let mut system = NscSystem::new(cube, self.session.kb());
+        // One shared kernel cache, one certificate log per job — so
+        // certificates attribute to jobs even though concurrent jobs
+        // share the compile cache.
+        let (session, certs) = self.session.with_certificate_log();
+        let ran = catch_unwind(AssertUnwindSafe(|| job.payload().run(&session, &mut system)));
+        let outcome = match ran {
+            Ok(Ok(mut outcome)) => {
+                outcome.certificates = certs.drain();
+                Ok(outcome)
+            }
+            Ok(Err(e)) => Err(e.to_string()),
+            Err(panic) => {
+                Err(format!("job {id} ('{}') panicked: {}", job.name(), panic_message(&*panic)))
+            }
+        };
+        // The job's usage is what its fresh nodes' counters reached; its
+        // simulated duration is the critical-path node (compute +
+        // unhidden communication).
+        let mut counters = PerfCounters::default();
+        let mut simulated_seconds = 0.0f64;
+        for node in system.nodes() {
+            counters.absorb(&node.counters);
+            simulated_seconds =
+                simulated_seconds.max(node.counters.seconds_with_comm(self.clock_hz));
+        }
+        Executed { counters, simulated_seconds, outcome }
+    }
+
+    /// Allocate an admitted job its sub-cube and stamp every certificate
+    /// its compiles emitted with that lease, so the verifier can check
+    /// route containment against it.
+    fn lease(&mut self, id: JobId, mut run: Executed, now: f64) -> RunningJob {
+        let dim = self.queue.job(id).dim;
+        let subcube =
+            self.alloc.allocate(dim).expect("the admission probe guaranteed this allocation fits");
+        self.queue.mark_running(id);
+        if let Ok(outcome) = &mut run.outcome {
+            let stamp = LeaseCert { base: subcube.base.0 as u64, dimension: subcube.dimension };
+            for cert in &mut outcome.certificates {
+                *cert = Arc::new(cert.with_lease(stamp.clone()));
+            }
+        }
+        RunningJob { id, subcube, started_at: now, end: now + run.simulated_seconds, run }
+    }
+
+    /// Free a completed lease's sub-cube, spot-audit its certificates
+    /// when the policy selects it, and write its report. A rejected
+    /// certificate fails the whole run.
     fn finish(
         &mut self,
         done: RunningJob,
@@ -400,21 +388,18 @@ impl MachinePark {
         usage: &mut HashMap<String, (usize, f64)>,
         audited: &mut (usize, usize),
     ) -> Result<JobReport, NscError> {
-        for (nid, node) in done.subcube.members().zip(done.nodes) {
-            debug_assert!(self.slots[nid.index()].is_none());
-            self.slots[nid.index()] = Some(node);
-        }
         self.alloc.free(done.subcube);
         self.queue.mark_done(done.id);
 
         let job = self.queue.job(done.id);
-        let node_seconds = done.subcube.nodes() as f64 * done.simulated_seconds;
+        let Executed { counters, simulated_seconds, outcome } = done.run;
+        let node_seconds = done.subcube.nodes() as f64 * simulated_seconds;
         *share.entry(job.tenant.clone()).or_insert(0.0) += node_seconds;
         let entry = usage.entry(job.tenant.clone()).or_insert((0, 0.0));
         entry.0 += 1;
         entry.1 += node_seconds;
 
-        let (residual, error) = match done.outcome {
+        let (residual, error) = match outcome {
             Ok(outcome) => {
                 if self.audits(done.id) {
                     // Independent re-check: only the certificate bytes and
@@ -441,7 +426,7 @@ impl MachinePark {
                 self.outcomes.insert(done.id, outcome);
                 (residual, None)
             }
-            Err(e) => (f64::NAN, Some(e.to_string())),
+            Err(e) => (f64::NAN, Some(e)),
         };
         Ok(JobReport {
             id: done.id,
@@ -453,9 +438,9 @@ impl MachinePark {
             started_at: done.started_at,
             finished_at: done.end,
             queue_wait: done.started_at - job.submit_at,
-            simulated_seconds: done.simulated_seconds,
-            counters: done.counters,
-            mflops: done.counters.mflops(self.clock_hz),
+            simulated_seconds,
+            counters,
+            mflops: counters.mflops(self.clock_hz),
             residual,
             error,
         })
@@ -466,5 +451,14 @@ impl MachinePark {
     /// `None` before the job completes, and for jobs that failed.
     pub fn outcome(&self, id: JobId) -> Option<&JobOutcome> {
         self.outcomes.get(&id)
+    }
+}
+
+/// The message a caught panic carried, for the failed job's report.
+fn panic_message(panic: &(dyn Any + Send)) -> &str {
+    match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+        (Some(msg), _) => msg,
+        (_, Some(msg)) => msg,
+        _ => "a non-string panic payload",
     }
 }

@@ -1,16 +1,20 @@
 //! The park's contract, end to end: a mixed multi-tenant job stream on
 //! one machine, every job bit-identical to a standalone run at the same
 //! sub-cube size; deterministic reports; backfill demonstrably ahead of
-//! FIFO on a mix it can exploit.
+//! FIFO on a mix it can exploit; failures, panics included, confined to
+//! their own jobs; host execution spread over every CPU.
 
 use nsc_cfd::grid::manufactured_problem;
 use nsc_cfd::{
     CavityWorkload, DistributedJacobiWorkload, DistributedMultigridWorkload,
     DistributedSorWorkload, MgOptions, PartitionSpec,
 };
-use nsc_core::Session;
-use nsc_park::{Job, JobPayload, MachinePark, SchedPolicy};
+use nsc_core::{NscError, Session};
+use nsc_park::{Job, JobOutcome, JobPayload, MachinePark, SchedPolicy};
 use nsc_sim::NscSystem;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn jacobi(n: usize) -> DistributedJacobiWorkload {
     let (u0, f, _) = manufactured_problem(n);
@@ -224,4 +228,95 @@ fn failed_jobs_release_capacity_and_report_errors() {
     let good_report = report.job(good).expect("good job reported");
     assert!(good_report.error.is_none());
     assert!(park.outcome(good).is_some());
+}
+
+/// An arrival time the park clock never reaches is refused at
+/// submission: queued, it would wedge the run once every other job had
+/// executed, discarding all of their reports.
+#[test]
+fn non_finite_arrivals_are_refused_at_submission() {
+    let mut park = MachinePark::new(Session::nsc_1988(), 0);
+    let good = park.submit(Job::new("ada", 0, jacobi(5))).unwrap();
+    for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let err = park.submit(Job::new("eve", 0, jacobi(5)).arriving_at(t)).unwrap_err();
+        assert!(matches!(&err, NscError::Workload(m) if m.contains("distributed-jacobi")), "{err}");
+    }
+    // A batch with one such job queues nothing.
+    let batch =
+        [Job::new("ada", 0, jacobi(5)), Job::new("eve", 0, jacobi(5)).arriving_at(f64::NAN)];
+    let err = park.submit_batch(batch).unwrap_err();
+    assert!(err.to_string().contains("nothing was queued"), "{err}");
+
+    let report = park.run(SchedPolicy::Fifo).expect("only finite arrivals were queued");
+    assert_eq!(report.jobs.len(), 1);
+    assert!(report.job(good).unwrap().error.is_none());
+}
+
+/// A payload that panics fails its own job with the panic's message and
+/// the usage its nodes reached; the run goes on, and a later job on the
+/// same session — same compile cache, same certificate machinery — is
+/// still bit-identical to its standalone run.
+#[test]
+fn a_panicking_payload_fails_its_job_not_the_run() {
+    let mut park = MachinePark::new(Session::nsc_1988(), 0);
+    let bad = park
+        .submit(Job::new("eve", 0, |session: &Session, system: &mut NscSystem| {
+            jacobi(5).run(session, system)?;
+            panic!("synthetic panic")
+        }))
+        .unwrap();
+    let good = park.submit(Job::new("ada", 0, jacobi(5))).unwrap();
+
+    let report = park.run(SchedPolicy::Fifo).expect("a panicking payload fails only its job");
+    assert_eq!(report.failed, 1);
+    let bad_report = report.job(bad).unwrap();
+    assert_eq!(bad_report.error.as_deref(), Some("job 0 ('custom') panicked: synthetic panic"));
+    assert!(bad_report.counters.flops > 0, "the work done before the panic is metered");
+    assert!(park.outcome(bad).is_none());
+
+    let reference = standalone(&jacobi(5), 0);
+    let got = park.outcome(good).expect("the honest job completed");
+    assert_eq!(got.residual.to_bits(), reference.residual.to_bits());
+    assert!(got.grid.iter().zip(&reference.grid).all(|(a, b)| a.to_bits() == b.to_bits()));
+    assert!(!got.certificates.is_empty(), "the honest job still collects its certificates");
+}
+
+/// A dimension-`dim` job whose payload records the most payloads ever in
+/// flight at once. It holds for 20 ms, and up to 2 s longer until
+/// `expected` payloads have overlapped, so a worker thread that starts
+/// late cannot hide.
+fn probe(dim: u32, in_flight: &Arc<AtomicUsize>, peak: &Arc<AtomicUsize>, expected: usize) -> Job {
+    let (in_flight, peak) = (Arc::clone(in_flight), Arc::clone(peak));
+    let payload = move |_: &Session, _: &mut NscSystem| -> Result<JobOutcome, NscError> {
+        let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        peak.fetch_max(now, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(20));
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while peak.load(Ordering::SeqCst) < expected && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        in_flight.fetch_sub(1, Ordering::SeqCst);
+        Ok(JobOutcome::new(0.0, Vec::new()))
+    };
+    Job::new("probe", dim, payload)
+}
+
+/// Host execution runs ahead of the schedule on one worker per CPU, up
+/// to one per park node: four whole-machine jobs on a 2-node park still
+/// execute two at a time on a 2-CPU host, while a 1-node park runs its
+/// jobs strictly one after another.
+#[test]
+fn the_pool_uses_every_cpu_and_a_one_node_park_stays_serial() {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for (dim, expected) in [(1, cpus.min(2)), (0, 1)] {
+        let in_flight = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let mut park = MachinePark::new(Session::nsc_1988(), dim);
+        for _ in 0..4 {
+            park.submit(probe(dim, &in_flight, &peak, expected)).unwrap();
+        }
+        let report = park.run(SchedPolicy::Fifo).expect("probe jobs succeed");
+        assert_eq!(report.failed, 0);
+        assert_eq!(peak.load(Ordering::SeqCst), expected, "dimension-{dim} park on {cpus} CPUs");
+    }
 }

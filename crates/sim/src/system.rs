@@ -43,41 +43,6 @@ impl NscSystem {
         NscSystem { cube, nodes, comm_ns: 0, comm_window: None }
     }
 
-    /// A system over *existing* nodes — the machine-park lease path.
-    ///
-    /// An aligned sub-cube of a hypercube is itself a hypercube: local
-    /// address `i` of the sub-cube is physical node `base | i`, and the
-    /// XOR distance between two members never touches the shared high
-    /// bits, so hop counts (and therefore every router charge) inside
-    /// the leased system equal those same messages on the full machine.
-    /// That is what lets a job service carve one big `NscSystem` into
-    /// disjoint sub-systems, run them concurrently from different
-    /// threads, and still report figures identical to standalone runs of
-    /// the same cube size. Counters and memory travel with the nodes:
-    /// lifetime accounting continues across leases.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `nodes.len() == cube.nodes()`.
-    pub fn from_nodes(cube: HypercubeConfig, nodes: Vec<NodeSim>) -> Self {
-        assert_eq!(
-            nodes.len(),
-            cube.nodes(),
-            "a dimension-{} system wants {} nodes",
-            cube.dimension,
-            cube.nodes()
-        );
-        NscSystem { cube, nodes, comm_ns: 0, comm_window: None }
-    }
-
-    /// Tear the system down into its nodes plus the serialized
-    /// communication time it accumulated — the return half of a
-    /// machine-park lease ([`NscSystem::from_nodes`] is the lend half).
-    /// Node counters keep everything the lease charged.
-    pub fn into_nodes(self) -> (Vec<NodeSim>, u64) {
-        (self.nodes, self.comm_ns)
-    }
-
     /// Open an overlappable communication window: until
     /// [`NscSystem::close_comm_window`], each listed node may hide up to
     /// its budget of message nanoseconds under compute it has already
