@@ -10,7 +10,7 @@
 //! legality without touching the engine.
 //!
 //! The seal is FNV-1a (128-bit) over a canonical byte encoding of the
-//! certificate's serialized value tree (with the seal field cleared), so
+//! certificate's serialized event stream (with the seal field cleared), so
 //! the certificate can be stored, shipped as JSON, and re-verified
 //! byte-for-byte later. Digests from `nsc_diagram::Document` are `u128`s
 //! on the engine side; they travel here as 32-digit lowercase hex
@@ -274,17 +274,17 @@ pub struct CompileCertificate {
 }
 
 impl CompileCertificate {
-    /// The canonical byte encoding the seal covers: a type-tagged,
-    /// length-prefixed walk of the serialized value tree with the seal
-    /// field cleared. Field order is declaration order (the derive
-    /// serializer emits it deterministically), so equal certificates
-    /// have equal canonical bytes.
+    /// The canonical byte encoding the seal covers: the serializer's
+    /// event stream with the seal field cleared, type-tagged and
+    /// length-prefixed as it is emitted. Field order is declaration order
+    /// (the derive serializer emits it deterministically), so equal
+    /// certificates have equal canonical bytes.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut unsealed = self.clone();
         unsealed.seal = String::new();
-        let mut out = Vec::with_capacity(1024);
-        canon_value(&unsealed.to_value(), &mut out);
-        out
+        let mut sink = CanonSink(Vec::with_capacity(4096));
+        unsealed.serialize_into(&mut sink);
+        sink.0
     }
 
     /// The seal this certificate's current contents hash to.
@@ -337,50 +337,48 @@ pub(crate) fn fnv128(bytes: &[u8]) -> u128 {
     h
 }
 
-/// Canonical encoding of a serialized value tree: one tag byte per node,
-/// little-endian fixed-width scalars, u64 length prefixes on strings,
-/// arrays and objects.
-fn canon_value(v: &serde::Value, out: &mut Vec<u8>) {
-    match v {
-        serde::Value::Null => out.push(0),
-        serde::Value::Bool(b) => {
-            out.push(1);
-            out.push(*b as u8);
-        }
-        serde::Value::Int(i) => {
-            out.push(2);
-            out.extend(i.to_le_bytes());
-        }
-        serde::Value::UInt(u) => {
-            out.push(3);
-            out.extend(u.to_le_bytes());
-        }
-        serde::Value::Float(f) => {
-            out.push(4);
-            out.extend(f.to_bits().to_le_bytes());
-        }
-        serde::Value::Str(s) => {
-            out.push(5);
-            out.extend((s.len() as u64).to_le_bytes());
-            out.extend(s.as_bytes());
-        }
-        serde::Value::Array(a) => {
-            out.push(6);
-            out.extend((a.len() as u64).to_le_bytes());
-            for item in a {
-                canon_value(item, out);
-            }
-        }
-        serde::Value::Object(fields) => {
-            out.push(7);
-            out.extend((fields.len() as u64).to_le_bytes());
-            for (key, value) in fields {
-                out.push(5);
-                out.extend((key.len() as u64).to_le_bytes());
-                out.extend(key.as_bytes());
-                canon_value(value, out);
-            }
-        }
+/// The seal's canonical encoding, appended as the events arrive: one tag
+/// byte per value (0 null, 1 bool, 2 int, 3 uint, 4 float, 5 string,
+/// 6 array, 7 object), little-endian scalars and float bits, `u64`
+/// length prefixes on strings and containers. Object keys are encoded as
+/// strings, tag `5` included.
+struct CanonSink(Vec<u8>);
+
+impl CanonSink {
+    fn tagged(&mut self, tag: u8, bytes: &[u8]) {
+        self.0.push(tag);
+        self.0.extend_from_slice(bytes);
+    }
+}
+
+impl serde::Sink for CanonSink {
+    fn null(&mut self) {
+        self.0.push(0);
+    }
+    fn bool(&mut self, v: bool) {
+        self.tagged(1, &[v as u8]);
+    }
+    fn int(&mut self, v: i64) {
+        self.tagged(2, &v.to_le_bytes());
+    }
+    fn uint(&mut self, v: u64) {
+        self.tagged(3, &v.to_le_bytes());
+    }
+    fn float(&mut self, v: f64) {
+        self.tagged(4, &v.to_bits().to_le_bytes());
+    }
+    fn str(&mut self, v: &str) {
+        self.tagged(5, &(v.len() as u64).to_le_bytes());
+        self.0.extend_from_slice(v.as_bytes());
+    }
+    fn array(&mut self, len: usize) {
+        self.tagged(6, &(len as u64).to_le_bytes());
+    }
+    fn object(&mut self, len: usize) {
+        self.tagged(7, &(len as u64).to_le_bytes());
+    }
+    fn key(&mut self, k: &str) {
+        self.str(k);
     }
 }
 

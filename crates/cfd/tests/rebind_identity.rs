@@ -88,8 +88,12 @@ fn cached_shape_compile_equals_from_scratch_compile() {
 
     // And the programs genuinely differ from the base compile — the
     // patch really rebound the constant.
-    let base = warm.compile(&mut damped_sweep(geo, true, omega_base)).unwrap();
+    let mut base_doc = damped_sweep(geo, true, omega_base);
+    let base = warm.compile(&mut base_doc).unwrap();
     assert_ne!(base.program(), patched.program(), "omega must land in the program");
+    // That recompile is a hit, which reads its shape from the cache.
+    assert_eq!(warm.cache_stats().hits, 1);
+    assert_eq!(base.shape_digest(), base_doc.shape_digest());
 
     // Run-level identity on top of program-level identity.
     let state = problem(5, 4, 4);

@@ -40,6 +40,9 @@ use std::sync::{Arc, Mutex};
 /// pipeline emitted (the rebind base for the family's certificates).
 #[derive(Debug)]
 struct CacheEntry {
+    /// The document's shape digest. Equal digests mean equal shapes, so a
+    /// hit reads its shape here instead of hashing the document again.
+    shape: u128,
     output: GenOutput,
     warnings: Vec<Diagnostic>,
     kernel: Arc<CompiledKernel>,
@@ -186,11 +189,11 @@ impl KernelCache {
         self.inner.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn insert(&self, digest: u128, shape: u128, entry: Arc<CacheEntry>) {
+    fn insert(&self, digest: u128, entry: Arc<CacheEntry>) {
         self.inner.entries.lock().expect("cache lock").insert(digest, entry.clone());
         // First compile of a shape becomes the rebind base for the whole
         // family; later members keep rebinding from it.
-        self.inner.shapes.lock().expect("cache lock").entry(shape).or_insert(entry);
+        self.inner.shapes.lock().expect("cache lock").entry(entry.shape).or_insert(entry);
     }
 }
 
@@ -389,16 +392,16 @@ impl Session {
     /// The document is mutated in place by binding (exactly what the
     /// interactive environment does before generation). The digest is
     /// taken *after* binding, so documents that bind identically share a
-    /// cache slot. On a hit, check, codegen and kernel analysis are all
-    /// skipped and the cached program (with its kernel) is returned. On a
-    /// miss whose [`Document::shape_digest`] matches a previous compile —
-    /// a parameter-sweep member differing only in constants — the cached
-    /// program is rebound instead: its preloads are re-patched and only
-    /// the kernel re-specializes, skipping check and codegen. The global
-    /// check runs exactly once per distinct document *shape*: generation
-    /// reuses this stage's verdict instead of re-checking internally, and
-    /// rebinding reuses the base compile's warnings (constants cannot
-    /// change the check verdict).
+    /// cache slot. On a hit, the shape digest, check, codegen and kernel
+    /// analysis are all skipped and the cached program (with its kernel)
+    /// is returned. On a miss whose [`Document::shape_digest`] matches a
+    /// previous compile — a parameter-sweep member differing only in
+    /// constants — the cached program is rebound instead: its preloads
+    /// are re-patched and only the kernel re-specializes, skipping check
+    /// and codegen. The global check runs exactly once per distinct
+    /// document *shape*: generation reuses this stage's verdict instead of
+    /// re-checking internally, and rebinding reuses the base compile's
+    /// warnings (constants cannot change the check verdict).
     pub fn compile(&self, doc: &mut Document) -> Result<CompiledProgram, NscError> {
         self.auto_bind(doc)?;
         if !self.fast_path {
@@ -418,7 +421,6 @@ impl Session {
             return Ok(CompiledProgram { output, warnings, kernel: None, shape, certificate });
         }
         let digest = doc.digest();
-        let shape = doc.shape_digest();
         if let Some(hit) = self.kernels.lookup(digest) {
             self.kernels.note_hit();
             // Same document, same microcode: the cached certificate holds,
@@ -430,10 +432,11 @@ impl Session {
                 output: hit.output.clone(),
                 warnings: hit.warnings.clone(),
                 kernel: Some(hit.kernel.clone()),
-                shape,
+                shape: hit.shape,
                 certificate,
             });
         }
+        let shape = doc.shape_digest();
         if let Some(base) = self.kernels.lookup_shape(shape) {
             // Same shape, different constants: re-patch the preloads and
             // re-specialize the kernel. Patching only fails on a shape
@@ -457,13 +460,14 @@ impl Session {
                 ));
                 self.record_certificate(certificate.clone());
                 let entry = Arc::new(CacheEntry {
+                    shape,
                     output,
                     warnings,
                     kernel,
                     certificate: certificate.clone(),
                 });
                 self.kernels.note_rebind();
-                self.kernels.insert(digest, shape, entry.clone());
+                self.kernels.insert(digest, entry.clone());
                 return Ok(CompiledProgram {
                     output: entry.output.clone(),
                     warnings: entry.warnings.clone(),
@@ -486,9 +490,14 @@ impl Session {
             Some(&kernel),
         ));
         self.record_certificate(certificate.clone());
-        let entry =
-            Arc::new(CacheEntry { output, warnings, kernel, certificate: certificate.clone() });
-        self.kernels.insert(digest, shape, entry.clone());
+        let entry = Arc::new(CacheEntry {
+            shape,
+            output,
+            warnings,
+            kernel,
+            certificate: certificate.clone(),
+        });
+        self.kernels.insert(digest, entry.clone());
         Ok(CompiledProgram {
             output: entry.output.clone(),
             warnings: entry.warnings.clone(),

@@ -279,9 +279,12 @@ impl Document {
     /// kernel-cache key: equal digests mean the documents compile to the
     /// same program.
     ///
-    /// FNV-1a (128-bit) over the serialized value tree, with every node
-    /// shape tagged so differently-shaped trees cannot collide by byte
-    /// coincidence.
+    /// FNV-1a (128-bit) over the serializer's event stream, hashed as the
+    /// events arrive, with no value tree built. Every event is tagged so
+    /// differently-shaped documents cannot collide by byte coincidence.
+    /// The byte encoding is the tagged, length-prefixed one a walk of the
+    /// serialized [`serde::Value`] tree would produce; cache keys depend
+    /// on it, so the workspace's `digest_stability` test pins it.
     pub fn digest(&self) -> u128 {
         let mut stripped = self.clone();
         stripped.layouts.clear();
@@ -310,59 +313,69 @@ impl Document {
     }
 }
 
-/// FNV-1a over an already-stripped document's value tree.
+/// FNV-1a over an already-stripped document's event stream.
 fn semantic_digest(stripped: &Document) -> u128 {
-    let mut h: u128 = 0x6c62272e07bb014262b821756295c58d;
-    digest_value(&stripped.to_value(), &mut h);
-    h
+    let mut sink = DigestSink(0x6c62272e07bb014262b821756295c58d);
+    stripped.serialize_into(&mut sink);
+    sink.0
 }
 
-fn digest_bytes(h: &mut u128, bytes: &[u8]) {
-    const PRIME: u128 = 0x0000000001000000000000000000013B;
-    for &b in bytes {
-        *h ^= b as u128;
-        *h = h.wrapping_mul(PRIME);
+/// The digest's byte encoding, hashed as the events arrive: one tag byte
+/// per value (0 null, 1 bool, 2 int, 3 uint, 4 float, 5 string, 6 array,
+/// 7 object), little-endian scalars and float bits, `u64` length
+/// prefixes on strings and containers. Object keys are length-prefixed
+/// but untagged.
+struct DigestSink(u128);
+
+impl DigestSink {
+    fn bytes(&mut self, bytes: &[u8]) {
+        const PRIME: u128 = 0x0000000001000000000000000000013B;
+        for &b in bytes {
+            self.0 ^= b as u128;
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+    }
+
+    fn len(&mut self, len: usize) {
+        self.bytes(&(len as u64).to_le_bytes());
     }
 }
 
-fn digest_value(v: &serde::Value, h: &mut u128) {
-    use serde::Value;
-    match v {
-        Value::Null => digest_bytes(h, &[0]),
-        Value::Bool(b) => digest_bytes(h, &[1, *b as u8]),
-        Value::Int(i) => {
-            digest_bytes(h, &[2]);
-            digest_bytes(h, &i.to_le_bytes());
-        }
-        Value::UInt(u) => {
-            digest_bytes(h, &[3]);
-            digest_bytes(h, &u.to_le_bytes());
-        }
-        Value::Float(f) => {
-            digest_bytes(h, &[4]);
-            digest_bytes(h, &f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            digest_bytes(h, &[5]);
-            digest_bytes(h, &(s.len() as u64).to_le_bytes());
-            digest_bytes(h, s.as_bytes());
-        }
-        Value::Array(items) => {
-            digest_bytes(h, &[6]);
-            digest_bytes(h, &(items.len() as u64).to_le_bytes());
-            for item in items {
-                digest_value(item, h);
-            }
-        }
-        Value::Object(entries) => {
-            digest_bytes(h, &[7]);
-            digest_bytes(h, &(entries.len() as u64).to_le_bytes());
-            for (k, val) in entries {
-                digest_bytes(h, &(k.len() as u64).to_le_bytes());
-                digest_bytes(h, k.as_bytes());
-                digest_value(val, h);
-            }
-        }
+impl serde::Sink for DigestSink {
+    fn null(&mut self) {
+        self.bytes(&[0]);
+    }
+    fn bool(&mut self, v: bool) {
+        self.bytes(&[1, v as u8]);
+    }
+    fn int(&mut self, v: i64) {
+        self.bytes(&[2]);
+        self.bytes(&v.to_le_bytes());
+    }
+    fn uint(&mut self, v: u64) {
+        self.bytes(&[3]);
+        self.bytes(&v.to_le_bytes());
+    }
+    fn float(&mut self, v: f64) {
+        self.bytes(&[4]);
+        self.bytes(&v.to_bits().to_le_bytes());
+    }
+    fn str(&mut self, v: &str) {
+        self.bytes(&[5]);
+        self.len(v.len());
+        self.bytes(v.as_bytes());
+    }
+    fn array(&mut self, len: usize) {
+        self.bytes(&[6]);
+        self.len(len);
+    }
+    fn object(&mut self, len: usize) {
+        self.bytes(&[7]);
+        self.len(len);
+    }
+    fn key(&mut self, k: &str) {
+        self.len(k.len());
+        self.bytes(k.as_bytes());
     }
 }
 
