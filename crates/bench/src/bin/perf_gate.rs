@@ -85,8 +85,10 @@ struct Baseline {
 const TOLERATED_DROP: f64 = 0.20;
 
 /// The kernel fast path must beat the interpreter's host wall-clock by at
-/// least this factor on the gate workload (Jacobi 64^3 @ 8 nodes).
-const REQUIRED_KERNEL_SPEEDUP: f64 = 5.0;
+/// least this factor on the gate workload (Jacobi 64^3 @ 8 nodes): the
+/// lowest of 26 runs on a 2-vCPU Xeon host with chunked stage evaluation
+/// (8.9x; the rest 9.3–14x) less 30%, rounded down to a half.
+const REQUIRED_KERNEL_SPEEDUP: f64 = 6.0;
 
 /// On the benchmark ensemble sweep, at least this fraction of compiles
 /// must be served from the session cache (full digest hits plus preload

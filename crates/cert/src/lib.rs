@@ -1,7 +1,7 @@
 //! # nsc-cert — run certificates and the independent fail-closed verifier
 //!
 //! The engine's compile pipeline (`nsc_core::Session::compile`) is a lot
-//! of trusted code: binder, 29-rule checker, code generator, kernel
+//! of trusted code: binder, 30-rule checker, code generator, kernel
 //! specializer. With the park and ensemble layers batching hundreds of
 //! jobs per session, a wrong-but-plausible compile silently poisons
 //! every member of a sweep — and the members are too numerous to re-run.

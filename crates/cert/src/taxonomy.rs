@@ -2,7 +2,7 @@
 //! compile pipeline enforces and every obligation the certificate
 //! verifier re-checks.
 //!
-//! The checker's 29 diagram rules (`C001`–`C029`) and the verifier's 16
+//! The checker's 30 diagram rules (`C001`–`C030`) and the verifier's 16
 //! certificate obligations (`V001`–`V016`) share this enum so the stable
 //! ids live in exactly one place: `nsc_checker::RuleCode::code()`
 //! delegates here, and [`fn@crate::verify`] reports violations as
@@ -53,7 +53,7 @@ impl fmt::Display for ConstraintCategory {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // each variant is documented by describe()
 pub enum ConstraintKind {
-    // Checker rules (diagram legality), C001..C029.
+    // Checker rules (diagram legality), C001..C030.
     UnboundIcon,
     DuplicateBinding,
     NoSuchResource,
@@ -83,6 +83,7 @@ pub enum ConstraintKind {
     BindingKindMismatch,
     SduSourceKind,
     InactiveUnit,
+    DanglingWire,
     // Verifier obligations (certificate legality), V001..V016.
     SealIntegrity,
     DocDigestBinding,
@@ -104,7 +105,7 @@ pub enum ConstraintKind {
 
 impl ConstraintKind {
     /// Every constraint, checker rules first, in id order.
-    pub const ALL: [ConstraintKind; 45] = [
+    pub const ALL: [ConstraintKind; 46] = [
         ConstraintKind::UnboundIcon,
         ConstraintKind::DuplicateBinding,
         ConstraintKind::NoSuchResource,
@@ -134,6 +135,7 @@ impl ConstraintKind {
         ConstraintKind::BindingKindMismatch,
         ConstraintKind::SduSourceKind,
         ConstraintKind::InactiveUnit,
+        ConstraintKind::DanglingWire,
         ConstraintKind::SealIntegrity,
         ConstraintKind::DocDigestBinding,
         ConstraintKind::ShapeDigestBinding,
@@ -186,6 +188,7 @@ impl ConstraintKind {
             BindingKindMismatch => "C027",
             SduSourceKind => "C028",
             InactiveUnit => "C029",
+            DanglingWire => "C030",
             SealIntegrity => "V001",
             DocDigestBinding => "V002",
             ShapeDigestBinding => "V003",
@@ -217,9 +220,8 @@ impl ConstraintKind {
             | CacheCapacity | FuCensusBound | SduTapBound | SduDelayBound | PlaneDmaBound
             | CacheDmaBound => Cat::Capacity,
             SinkDrivenTwice | ArityMismatch | DmaMissing | StreamLenMismatch | CycleDetected
-            | DeadOutput | NoStore | SelfLoop | UnusedIcon | SduSourceKind | InactiveUnit => {
-                Cat::Dataflow
-            }
+            | DeadOutput | NoStore | SelfLoop | UnusedIcon | SduSourceKind | InactiveUnit
+            | DanglingWire => Cat::Dataflow,
             DanglingControlRef | UnwrittenCondition => Cat::Control,
             SealIntegrity | DocDigestBinding | ShapeDigestBinding | CertWellFormed
             | CensusTotals | FlopWindowBound => Cat::Certificate,
@@ -261,6 +263,7 @@ impl ConstraintKind {
             BindingKindMismatch => "ALS icon bound to a physical ALS of a different kind",
             SduSourceKind => "shift/delay unit fed by something other than memory or cache",
             InactiveUnit => "a unit is wired or programmed on an inactive pad",
+            DanglingWire => "a wire names an icon the pipeline does not hold",
             SealIntegrity => "certificate bytes must hash to the recorded seal",
             DocDigestBinding => "certificate must bind to the expected document digest",
             ShapeDigestBinding => "certificate must bind to the expected shape digest",
@@ -305,7 +308,7 @@ mod tests {
         assert_eq!(set.len(), ConstraintKind::ALL.len());
         let checker: Vec<&&str> = ids.iter().filter(|i| i.starts_with('C')).collect();
         let verifier: Vec<&&str> = ids.iter().filter(|i| i.starts_with('V')).collect();
-        assert_eq!(checker.len(), 29, "the 29 historical checker rules");
+        assert_eq!(checker.len(), 30, "the 30 checker rules");
         assert_eq!(verifier.len(), 16, "the 16 certificate obligations");
         for (n, id) in checker.iter().enumerate() {
             assert_eq!(***id, format!("C{:03}", n + 1));

@@ -11,6 +11,7 @@ use nsc_cfd::{
 use nsc_core::Session;
 use nsc_sim::{PerfCounters, RunOptions};
 use proptest::prelude::*;
+use std::ops::RangeInclusive;
 
 /// A deterministic, interesting test problem (no two words alike, signs
 /// and magnitudes mixed) on an `nx * ny * nz` grid.
@@ -153,19 +154,30 @@ fn distinct_documents_get_distinct_cache_entries() {
 /// An arbitrary slab geometry with a non-empty list of arbitrary (even
 /// overlapping) output windows inside it: the raw draws are reduced into
 /// the geometry so every window satisfies `start + len <= nz`, `len >= 1`.
+/// Half the cases are small slabs. The other half are slabs of 32–40
+/// square layers whose windows each leave out at most two layers at
+/// either end, so every window streams several kernel chunks and chunk
+/// boundaries cut through every stage of the sweep.
 fn arb_case() -> impl Strategy<Value = (usize, usize, usize, bool, Vec<SweepWindow>)> {
-    (
-        3usize..=6,
-        3usize..=5,
-        (3usize..=7, any::<bool>()),
-        prop::collection::vec((0usize..64, 0usize..64, 0u64..4), 1..=3),
-    )
-        .prop_map(|(nx, ny, (nz, even), raw)| {
+    prop_oneof![slab_case(3..=6, 3..=5, 3..=7, false), slab_case(32..=40, 32..=40, 9..=12, true)]
+}
+
+fn slab_case(
+    nx: RangeInclusive<usize>,
+    ny: RangeInclusive<usize>,
+    nz: RangeInclusive<usize>,
+    long: bool,
+) -> impl Strategy<Value = (usize, usize, usize, bool, Vec<SweepWindow>)> {
+    (nx, ny, (nz, any::<bool>()), prop::collection::vec((0usize..64, 0usize..64, 0u64..4), 1..=3))
+        .prop_map(move |(nx, ny, (nz, even), raw)| {
             let windows = raw
                 .into_iter()
-                .map(|(s, l, slot)| {
-                    let start = s % nz;
-                    SweepWindow { start, len: 1 + l % (nz - start), slot }
+                .map(|(s, l, slot)| match long {
+                    false => {
+                        let start = s % nz;
+                        SweepWindow { start, len: 1 + l % (nz - start), slot }
+                    }
+                    true => SweepWindow { start: s % 3, len: nz - s % 3 - l % 3, slot },
                 })
                 .collect();
             (nx, ny, nz, even, windows)

@@ -111,6 +111,10 @@ pub enum RuleCode {
     /// C029: a unit is wired or programmed on a pad the checker cannot
     /// attribute to an active unit.
     InactiveUnit,
+    /// C030: a wire names an icon the pipeline does not hold, or an icon
+    /// is filed under an id other than its own (only a corrupted or
+    /// hand-edited saved document can do either).
+    DanglingWire,
 }
 
 impl RuleCode {
@@ -150,6 +154,7 @@ impl RuleCode {
             BindingKindMismatch => ConstraintKind::BindingKindMismatch,
             SduSourceKind => ConstraintKind::SduSourceKind,
             InactiveUnit => ConstraintKind::InactiveUnit,
+            DanglingWire => ConstraintKind::DanglingWire,
         }
     }
 
@@ -242,6 +247,7 @@ mod tests {
             BindingKindMismatch,
             SduSourceKind,
             InactiveUnit,
+            DanglingWire,
         ];
         let set: std::collections::HashSet<_> = all.iter().map(|r| r.code()).collect();
         assert_eq!(set.len(), all.len());

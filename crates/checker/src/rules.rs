@@ -29,6 +29,7 @@ pub fn check_pipeline_with(
     decls: Option<&Declarations>,
 ) -> Vec<Diagnostic> {
     let mut cx = Ctx { kb, d, stage, decls, diags: Vec::new() };
+    cx.rule_wire_endpoints();
     cx.rule_bindings();
     cx.rule_overcommit();
     cx.rule_sink_single_driver();
@@ -205,6 +206,41 @@ impl<'a> Ctx<'a> {
                     })
             })
             .collect()
+    }
+
+    // ------------------------------------------------------------------
+    // C030: every wire end and icon entry names a real icon
+    // ------------------------------------------------------------------
+
+    fn rule_wire_endpoints(&mut self) {
+        // The editor cannot build either shape; a saved document can carry
+        // both, and the code generator resolves wire ends by icon id.
+        let misfiled: Vec<IconId> = self
+            .d
+            .icons()
+            .filter(|i| !self.d.icon(i.id).is_some_and(|found| std::ptr::eq(found, *i)))
+            .map(|i| i.id)
+            .collect();
+        for id in misfiled {
+            self.err(
+                RuleCode::DanglingWire,
+                Subject::Icon(id),
+                format!("{id} is filed under another id, so wires naming {id} miss it"),
+            );
+        }
+        let dangling: Vec<(nsc_diagram::ConnId, nsc_diagram::PadLoc)> = self
+            .d
+            .connections()
+            .flat_map(|c| [c.from, c.to].map(|end| (c.id, end)))
+            .filter(|(_, end)| self.d.icon(end.icon).is_none())
+            .collect();
+        for (id, end) in dangling {
+            self.err(
+                RuleCode::DanglingWire,
+                Subject::Connection(id),
+                format!("{end} names an icon this pipeline does not have"),
+            );
+        }
     }
 
     // ------------------------------------------------------------------

@@ -362,7 +362,8 @@ fn source_ref(
     loc: PadLoc,
     unit_to_fu: &BTreeMap<(IconId, u8), FuId>,
 ) -> Result<SourceRef, GenError> {
-    let icon = d.icon(loc.icon).expect("checked");
+    let icon =
+        d.icon(loc.icon).ok_or_else(|| GenError::Unsupported(format!("{loc} names no icon")))?;
     Ok(match (icon.kind, loc.pad) {
         (IconKind::Als { .. }, PadRef::FuOut { pos }) => {
             let fu = unit_to_fu
@@ -382,7 +383,8 @@ fn sink_ref(
     loc: PadLoc,
     unit_to_fu: &BTreeMap<(IconId, u8), FuId>,
 ) -> Result<SinkRef, GenError> {
-    let icon = d.icon(loc.icon).expect("checked");
+    let icon =
+        d.icon(loc.icon).ok_or_else(|| GenError::Unsupported(format!("{loc} names no icon")))?;
     Ok(match (icon.kind, loc.pad) {
         (IconKind::Als { .. }, PadRef::FuIn { pos, port }) => {
             let fu = unit_to_fu

@@ -14,11 +14,25 @@
 //! analysis once per instruction: it computes each source's validity
 //! window, the completion-interrupt cycle, and every counter except the
 //! exception count analytically, then lowers the datapath to a plan of
-//! flat element loops (strided bulk reads, one vectorizable loop per
-//! functional unit, strided bulk writes). Executing the plan produces
+//! element streams ("slots": one per DMA read and one per functional
+//! unit) joined by flat loops — strided bulk reads, one vectorizable loop
+//! per functional unit, strided bulk writes. Executing the plan produces
 //! **bit-identical** memory effects, counters and source traces to the
 //! interpreter — including the simulated clock-cycle charge — at a small
 //! fraction of the host cost.
+//!
+//! Like the machine's pipelines, a plan streams: it runs every read,
+//! stage and write one *chunk* of elements at a time, so an instruction's
+//! intermediate streams stay in the host's cache instead of each filling
+//! a whole-window buffer before the next stage reads it. A consumer reads
+//! its operand at a fixed offset ahead (a shift/delay tap reaches up to
+//! two grid planes ahead; a write may `skip` warm-up elements), so each
+//! slot's producer runs a precomputed *lead* ahead of the chunk position,
+//! and each slot keeps only the elements some consumer still has to read.
+//! The chunk is a fixed live-word budget divided among the plan's slots,
+//! so an instruction's live set stays near `slots × chunk` plus the
+//! leads, whatever its window length; an instruction shorter than one
+//! chunk runs as a single step.
 //!
 //! Instructions whose behaviour cannot be proven equivalent statically
 //! (wire cycles, DMA ranges that overlap within the instruction,
@@ -39,6 +53,7 @@ use crate::memory::NodeMemory;
 use nsc_arch::{FuOp, KnowledgeBase, SinkRef, SourceRef};
 use nsc_microcode::{FuInputSel, MicroInstruction, MicroProgram, WriteMode};
 use std::collections::HashMap;
+use std::ops::Range;
 
 // ---------------------------------------------------------------------
 // plan data model
@@ -78,11 +93,47 @@ fn intersect(a: Win, b: Win) -> Option<Win> {
     }
 }
 
-/// Storage target of a DMA transfer.
+/// Storage target of a DMA transfer. A cache's buffer is the low bit of
+/// the field, as [`crate::memory::DataCache`] addresses it, so two
+/// transfers into one buffer always compare equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Store {
     Plane(usize),
     Cache(usize, u8),
+}
+
+/// Live words a chunk step aims to keep in the host's cache, all of a
+/// plan's slots together (512 KiB of `f64`, comfortably inside a per-core
+/// L2). A plan's chunk is this budget divided among its streaming slots.
+const CHUNK_LIVE_WORDS: usize = 1 << 16;
+
+/// The smallest chunk, however many slots share the budget: below about
+/// this many elements the per-step dispatch of every read, stage and
+/// write costs more than the cache saves.
+const MIN_CHUNK: usize = 2048;
+
+/// One element stream of a plan: a DMA read's or a functional unit's.
+#[derive(Debug, Clone, Copy)]
+struct SlotPlan {
+    /// Elements the stream holds once the instruction completes.
+    len: usize,
+    /// How far the producer runs ahead of the chunk position: the deepest
+    /// reach of any consumer, where a stage reading the slot at `offset`
+    /// reaches `offset` plus its own lead, and a stream write reaches its
+    /// `skip`. Zero for a slot nothing reads.
+    lead: usize,
+    /// The shallowest such reach: once the chunk position is `pos`, no
+    /// consumer reads an element before `pos + tail` again. `usize::MAX`
+    /// for a slot nothing reads.
+    tail: usize,
+}
+
+impl SlotPlan {
+    /// The chunk step that produces element `idx`, as its position: the
+    /// step from `pos` to `next` is the one with `pos <= due < next`.
+    fn due(&self, idx: usize) -> usize {
+        idx.saturating_sub(self.lead)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -91,13 +142,12 @@ struct ReadPlan {
     store: Store,
     base: i64,
     stride: i64,
-    count: usize,
 }
 
 /// Where a functional-unit operand's element `k` comes from.
 #[derive(Debug, Clone)]
 enum Arg {
-    /// `streams[slot][k + offset]`.
+    /// Element `k + offset` of stream `slot`.
     Stream { slot: usize, offset: usize },
     /// A register-file constant.
     Lit(f64),
@@ -109,20 +159,32 @@ enum Arg {
 struct StagePlan {
     out_slot: usize,
     op: FuOp,
+    /// The unit's register-file constant: `MulAddConst`'s addend and a
+    /// feedback accumulator's preload.
     const_val: f64,
-    preload: f64,
-    n: usize,
     a: Arg,
     b: Arg,
     uses_acc: bool,
 }
 
+/// A stream-mode DMA: store elements `skip .. skip + count` of `slot`.
 #[derive(Debug, Clone)]
-enum WritePlan {
-    /// A stream-mode DMA: store `streams[slot][skip .. skip + count]`.
-    Stream { store: Store, base: i64, stride: i64, slot: usize, skip: usize, count: usize },
-    /// A `LastOnly` scalar capture: store `streams[slot][idx]` at `base`.
-    Last { store: Store, base: i64, slot: usize, idx: usize },
+struct WritePlan {
+    store: Store,
+    base: i64,
+    stride: i64,
+    slot: usize,
+    skip: usize,
+    count: usize,
+}
+
+/// A `LastOnly` scalar capture: store `streams[slot][idx]` at `base`.
+#[derive(Debug, Clone)]
+struct LastPlan {
+    store: Store,
+    base: i64,
+    slot: usize,
+    idx: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -134,11 +196,16 @@ struct TracePlan {
 
 #[derive(Debug, Clone)]
 struct PipelinePlan {
-    slots: usize,
+    slots: Vec<SlotPlan>,
     reads: Vec<ReadPlan>,
     stages: Vec<StagePlan>,
     writes: Vec<WritePlan>,
+    lasts: Vec<LastPlan>,
     trace: Vec<TracePlan>,
+    /// Elements each chunk step advances the position by.
+    chunk: usize,
+    /// The chunk position at which every slot and write is complete.
+    span: usize,
     /// Cycles the lockstep loop would execute (completion cycle + 1).
     executed_cycles: u64,
     flops: u64,
@@ -453,7 +520,7 @@ fn plan_instruction(kb: &KnowledgeBase, ins: &MicroInstruction) -> Option<InstrP
             let code = kb.source_code(SourceRef::CacheRead(nsc_arch::CacheId(i as u8)))?;
             reads.push((
                 code,
-                Store::Cache(i, d.buffer),
+                Store::Cache(i, d.buffer & 1),
                 d.offset as i64,
                 d.stride as i64,
                 d.count as u64,
@@ -479,7 +546,7 @@ fn plan_instruction(kb: &KnowledgeBase, ins: &MicroInstruction) -> Option<InstrP
         if d.enabled {
             writes.push(WriteSpec {
                 driver: driver_code(SinkRef::CacheWrite(nsc_arch::CacheId(i as u8))),
-                store: Store::Cache(i, d.buffer),
+                store: Store::Cache(i, d.buffer & 1),
                 base: d.offset as i64,
                 stride: d.stride as i64,
                 count: d.count as u64,
@@ -493,12 +560,14 @@ fn plan_instruction(kb: &KnowledgeBase, ins: &MicroInstruction) -> Option<InstrP
         return Some(InstrPlan { n_sources, body: PlanBody::Idle });
     }
 
-    // --- memory hazards the flat plan cannot reproduce ---
+    // --- memory hazards the chunked plan cannot reproduce ---
     // The interpreter interleaves reads and stream writes cycle by cycle;
-    // the plan reads everything first and writes afterwards. That is only
-    // equivalent when the address ranges are disjoint. (`LastOnly`
-    // captures finalize after the loop in both models, so they need no
-    // check against reads or stream writes.)
+    // the plan interleaves them a chunk at a time, with a producer running
+    // its lead ahead of the writes. The two orders only agree because
+    // these refusals keep every stream write's range disjoint from each
+    // read of the same store and from every other stream write: keep
+    // them. (`LastOnly` captures are stored after the last stream write in
+    // both models, so they need no check against reads or stream writes.)
     let range = |base: i64, stride: i64, count: u64| -> (i64, i64) {
         let last = base + (count as i64 - 1) * stride;
         (base.min(last), base.max(last))
@@ -607,10 +676,14 @@ fn plan_instruction(kb: &KnowledgeBase, ins: &MicroInstruction) -> Option<InstrP
     let executed = term + 1;
 
     // --- lower to the flat plan ---
+    let mut slots = vec![SlotPlan { len: 0, lead: 0, tail: usize::MAX }; n_reads + fus.len()];
     let read_plans: Vec<ReadPlan> = reads
         .iter()
         .enumerate()
-        .map(|(i, r)| ReadPlan { slot: i, store: r.1, base: r.2, stride: r.3, count: r.4 as usize })
+        .map(|(i, r)| {
+            slots[i].len = r.4 as usize;
+            ReadPlan { slot: i, store: r.1, base: r.2, stride: r.3 }
+        })
         .collect();
 
     let mut stages: Vec<StagePlan> = Vec::new();
@@ -639,12 +712,11 @@ fn plan_instruction(kb: &KnowledgeBase, ins: &MicroInstruction) -> Option<InstrP
         let a = lower(&ma);
         let b = if spec.op.arity() == 2 { lower(&mb) } else { Arg::Lit(0.0) };
         let uses_acc = matches!(a, Arg::Acc) || (spec.op.arity() == 2 && matches!(b, Arg::Acc));
+        slots[n_reads + j].len = n as usize;
         stages.push(StagePlan {
             out_slot: n_reads + j,
             op: spec.op,
             const_val: spec.const_val,
-            preload: spec.const_val,
-            n: n as usize,
             a,
             b,
             uses_acc,
@@ -652,6 +724,7 @@ fn plan_instruction(kb: &KnowledgeBase, ins: &MicroInstruction) -> Option<InstrP
     }
 
     let mut write_plans: Vec<WritePlan> = Vec::new();
+    let mut lasts: Vec<LastPlan> = Vec::new();
     let mut elements_stored: u64 = 0;
     for (w, dw) in writes.iter().zip(&write_windows) {
         match w.mode {
@@ -660,7 +733,7 @@ fn plan_instruction(kb: &KnowledgeBase, ins: &MicroInstruction) -> Option<InstrP
                     continue;
                 }
                 let (_, slot) = dw.expect("checked above");
-                write_plans.push(WritePlan::Stream {
+                write_plans.push(WritePlan {
                     store: w.store,
                     base: w.base,
                     stride: w.stride,
@@ -676,16 +749,39 @@ fn plan_instruction(kb: &KnowledgeBase, ins: &MicroInstruction) -> Option<InstrP
                 if n == 0 {
                     continue;
                 }
-                write_plans.push(WritePlan::Last {
-                    store: w.store,
-                    base: w.base,
-                    slot,
-                    idx: n as usize - 1,
-                });
+                lasts.push(LastPlan { store: w.store, base: w.base, slot, idx: n as usize - 1 });
                 elements_stored += 1;
             }
         }
     }
+
+    // --- leads: how far each producer runs ahead of the chunk position ---
+    // Consumers come after their producers in stage order, so walking the
+    // writes and then the stages backwards settles each stage's own lead
+    // before it is passed on to the slots it reads.
+    let reach = |slot: &mut SlotPlan, by: usize| {
+        slot.lead = slot.lead.max(by);
+        slot.tail = slot.tail.min(by);
+    };
+    for w in &write_plans {
+        reach(&mut slots[w.slot], w.skip);
+    }
+    for st in stages.iter().rev() {
+        let lead = slots[st.out_slot].lead;
+        for arg in [&st.a, &st.b] {
+            if let Arg::Stream { slot, offset } = *arg {
+                reach(&mut slots[slot], lead + offset);
+            }
+        }
+    }
+    let streaming = slots.iter().filter(|s| s.len > 0).count().max(1);
+    let chunk = (CHUNK_LIVE_WORDS / streaming).max(MIN_CHUNK);
+    let span = slots
+        .iter()
+        .map(|s| s.len.saturating_sub(s.lead))
+        .chain(write_plans.iter().map(|w| w.count))
+        .max()
+        .unwrap_or(0);
 
     // --- the debugger trace: last valid value per source ---
     let mut trace: Vec<TracePlan> = Vec::new();
@@ -709,11 +805,14 @@ fn plan_instruction(kb: &KnowledgeBase, ins: &MicroInstruction) -> Option<InstrP
     Some(InstrPlan {
         n_sources,
         body: PlanBody::Pipeline(Box::new(PipelinePlan {
-            slots: n_reads + fus.len(),
+            slots,
             reads: read_plans,
             stages,
             writes: write_plans,
+            lasts,
             trace,
+            chunk,
+            span,
             executed_cycles: executed,
             flops,
             elements_streamed: reads.iter().map(|r| r.4).sum(),
@@ -757,12 +856,64 @@ impl Store {
     }
 }
 
-/// The element buffers a node lends its kernel runs: one per plan slot,
-/// kept across instructions and runs. They hold no simulated state — each
-/// instruction empties the slots it uses before reading any — so a clone
-/// starts empty instead of copying them.
+/// One slot's stream while an instruction runs: elements `base .. end`,
+/// held in `buf`.
 #[derive(Debug, Default)]
-pub(crate) struct StreamBuffers(Vec<Vec<f64>>);
+struct Slot {
+    buf: Vec<f64>,
+    /// Stream index of `buf[0]`.
+    base: usize,
+    /// Elements produced so far.
+    end: usize,
+    /// A feedback stage's accumulator, carried from one chunk to the next.
+    acc: f64,
+}
+
+impl Slot {
+    /// Stream elements `from .. to`.
+    fn get(&self, from: usize, to: usize) -> &[f64] {
+        &self.buf[from - self.base..to - self.base]
+    }
+
+    /// Stream element `idx`.
+    fn at(&self, idx: usize) -> f64 {
+        self.buf[idx - self.base]
+    }
+
+    /// Start the slot's share of the chunk step from `pos` to `next`: the
+    /// range of elements the caller must now append. First the slot drops
+    /// the elements no consumer reads again, but only once they are at
+    /// least as many as the live ones after them: moving the live part
+    /// down that rarely costs at most one copy per element, and holds the
+    /// buffer below twice the slot's lead plus a chunk.
+    fn advance(&mut self, plan: &SlotPlan, pos: usize, next: usize) -> Range<usize> {
+        let to = plan.len.min(next + plan.lead);
+        if to <= self.end {
+            return self.end..self.end;
+        }
+        let keep = self.end.min(pos.saturating_add(plan.tail));
+        let (dead, live) = (keep - self.base, self.end - keep);
+        if dead > 0 && dead >= live {
+            self.buf.copy_within(dead.., 0);
+            self.buf.truncate(live);
+            self.base = keep;
+        }
+        let from = self.end;
+        self.end = to;
+        from..to
+    }
+}
+
+/// The element buffers a node lends its kernel runs — one per plan slot —
+/// and the `LastOnly` values an instruction captures, kept across
+/// instructions and runs. They hold no simulated state: each instruction
+/// empties the slots it uses before reading any, so a clone starts empty
+/// instead of copying them.
+#[derive(Debug, Default)]
+pub(crate) struct StreamBuffers {
+    slots: Vec<Slot>,
+    lasts: Vec<f64>,
+}
 
 impl Clone for StreamBuffers {
     fn clone(&self) -> Self {
@@ -770,16 +921,21 @@ impl Clone for StreamBuffers {
     }
 }
 
-impl StreamBuffers {
-    /// The first `slots` buffers, emptied (capacity kept).
-    fn cleared(&mut self, slots: usize) -> &mut [Vec<f64>] {
-        if self.0.len() < slots {
-            self.0.resize_with(slots, Vec::new);
-        }
-        let streams = &mut self.0[..slots];
-        streams.iter_mut().for_each(Vec::clear);
-        streams
+/// The first `p.slots.len()` slots, emptied, each with room for the most
+/// it ever holds: its whole stream, or twice its lead plus a chunk (see
+/// [`Slot::advance`]). A chunk step therefore never reallocates.
+fn prepare<'b>(slots: &'b mut Vec<Slot>, p: &PipelinePlan) -> &'b mut [Slot] {
+    if slots.len() < p.slots.len() {
+        slots.resize_with(p.slots.len(), Slot::default);
     }
+    let slots = &mut slots[..p.slots.len()];
+    for (slot, plan) in slots.iter_mut().zip(&p.slots) {
+        slot.buf.clear();
+        slot.buf.reserve_exact(plan.len.min(2 * plan.lead + p.chunk));
+        slot.base = 0;
+        slot.end = 0;
+    }
+    slots
 }
 
 /// One vectorizable element loop: the operation dispatch is hoisted out of
@@ -819,60 +975,89 @@ fn run_loop(
     }
 }
 
-fn eval_stage(stage: &StagePlan, streams: &mut [Vec<f64>], exceptions: &mut u64) {
-    let mut out = std::mem::take(&mut streams[stage.out_slot]);
-    out.clear();
-    out.reserve(stage.n);
-    if stage.uses_acc {
+/// Stage `st`'s share of the chunk step from `pos` to `next`: the
+/// elements its slot gains, computed from operand slots that earlier
+/// reads and stages have already run far enough ahead. Non-finite results
+/// are counted while the chunk is still in cache.
+fn eval_chunk(
+    st: &StagePlan,
+    plan: &SlotPlan,
+    slots: &mut [Slot],
+    pos: usize,
+    next: usize,
+    exceptions: &mut u64,
+) {
+    enum Side<'s> {
+        S(&'s [f64]),
+        C(f64),
+        Acc,
+    }
+    let range = slots[st.out_slot].advance(plan, pos, next);
+    let (from, n) = (range.start, range.len());
+    if n == 0 {
+        return;
+    }
+    // A stage never reads its own slot (that would be a wire cycle, which
+    // the planner refuses), so it can be lifted out while the operands
+    // are borrowed.
+    let mut out = std::mem::take(&mut slots[st.out_slot]);
+    let operands = &*slots;
+    let side = |arg: &Arg| -> Side<'_> {
+        match arg {
+            Arg::Stream { slot, offset } => {
+                Side::S(operands[*slot].get(from + offset, from + offset + n))
+            }
+            Arg::Lit(v) => Side::C(*v),
+            Arg::Acc => Side::Acc,
+        }
+    };
+    let (a, b) = (side(&st.a), side(&st.b));
+    let (op, cv, buf) = (st.op, st.const_val, &mut out.buf);
+    if st.uses_acc {
         // Feedback reductions are inherently sequential: fold with the
-        // accumulator, updating it on every result like the interpreter.
-        let fetch = |arg: &Arg, k: usize, acc: f64, streams: &[Vec<f64>]| -> f64 {
-            match arg {
-                Arg::Stream { slot, offset } => streams[*slot][k + offset],
-                Arg::Lit(v) => *v,
-                Arg::Acc => acc,
+        // accumulator, updating it on every result like the interpreter,
+        // and carry it to the next chunk.
+        let fetch = |s: &Side, k: usize, acc: f64| -> f64 {
+            match s {
+                Side::S(v) => v[k],
+                Side::C(c) => *c,
+                Side::Acc => acc,
             }
         };
-        let mut acc = stage.preload;
-        for k in 0..stage.n {
-            let x = fetch(&stage.a, k, acc, streams);
-            let y = fetch(&stage.b, k, acc, streams);
-            let r = stage.op.apply(x, y, stage.const_val);
+        let mut acc = if from == 0 { cv } else { out.acc };
+        for k in 0..n {
+            let r = op.apply(fetch(&a, k, acc), fetch(&b, k, acc), cv);
             if !r.is_finite() {
                 *exceptions += 1;
             }
             acc = r;
-            out.push(r);
+            buf.push(r);
         }
+        out.acc = acc;
     } else {
-        enum Side<'s> {
-            S(&'s [f64]),
-            C(f64),
+        match (a, b) {
+            (Side::S(a), Side::S(b)) => run_loop(op, cv, n, |k| a[k], |k| b[k], buf),
+            (Side::S(a), Side::C(b)) => run_loop(op, cv, n, |k| a[k], |_| b, buf),
+            (Side::C(a), Side::S(b)) => run_loop(op, cv, n, |_| a, |k| b[k], buf),
+            (Side::C(a), Side::C(b)) => run_loop(op, cv, n, |_| a, |_| b, buf),
+            (Side::Acc, _) | (_, Side::Acc) => unreachable!("feedback stages fold above"),
         }
-        let side = |arg: &Arg| -> Side<'_> {
-            match arg {
-                Arg::Stream { slot, offset } => {
-                    Side::S(&streams[*slot][*offset..*offset + stage.n])
-                }
-                Arg::Lit(v) => Side::C(*v),
-                Arg::Acc => unreachable!("acc handled above"),
-            }
-        };
-        let (op, cv, n) = (stage.op, stage.const_val, stage.n);
-        match (side(&stage.a), side(&stage.b)) {
-            (Side::S(a), Side::S(b)) => run_loop(op, cv, n, |k| a[k], |k| b[k], &mut out),
-            (Side::S(a), Side::C(b)) => run_loop(op, cv, n, |k| a[k], |_| b, &mut out),
-            (Side::C(a), Side::S(b)) => run_loop(op, cv, n, |_| a, |k| b[k], &mut out),
-            (Side::C(a), Side::C(b)) => run_loop(op, cv, n, |_| a, |_| b, &mut out),
-        }
-        *exceptions += out.iter().filter(|r| !r.is_finite()).count() as u64;
+        *exceptions += buf[buf.len() - n..].iter().filter(|r| !r.is_finite()).count() as u64;
     }
-    streams[stage.out_slot] = out;
+    slots[st.out_slot] = out;
 }
 
 /// Execute a specialized instruction: bit-identical memory effects,
-/// counters and (when requested) trace to `execute_instruction`. The
-/// element streams run through `buffers`, the executing node's own.
+/// counters and (when requested) trace to `execute_instruction`.
+///
+/// The plan runs in chunk steps: each step advances the chunk position by
+/// the plan's chunk and brings every read and stage slot up to that
+/// position plus its lead, in dependency order, then stores what the
+/// stream writes can now take. Elements the trace or a `LastOnly` capture
+/// wants are taken in the step that produces them; the captures are
+/// stored after the last step, behind every stream write, as the
+/// interpreter stores them. The element streams run through `buffers`,
+/// the executing node's own.
 pub(crate) fn run_plan(
     plan: &InstrPlan,
     mem: &mut NodeMemory,
@@ -883,34 +1068,60 @@ pub(crate) fn run_plan(
     counters.cycles += SETUP_CYCLES;
     counters.instructions += 1;
     counters.completion_interrupts += 1;
+    let mut last = if want_trace { vec![None; plan.n_sources] } else { Vec::new() };
     let p = match &plan.body {
-        PlanBody::Idle => {
-            return SourceTrace {
-                last: if want_trace { vec![None; plan.n_sources] } else { Vec::new() },
-            }
-        }
+        PlanBody::Idle => return SourceTrace { last },
         PlanBody::Pipeline(p) => p,
     };
 
-    let streams = buffers.cleared(p.slots);
-    for r in &p.reads {
-        r.store.read_into(mem, r.base, r.stride, r.count, &mut streams[r.slot]);
-    }
-
+    let slots = prepare(&mut buffers.slots, p);
+    let lasts = &mut buffers.lasts;
+    lasts.clear();
+    lasts.resize(p.lasts.len(), 0.0);
     let mut exceptions: u64 = 0;
-    for stage in &p.stages {
-        eval_stage(stage, streams, &mut exceptions);
-    }
-
-    for w in &p.writes {
-        if let WritePlan::Stream { store, base, stride, slot, skip, count } = *w {
-            store.write_from(mem, base, stride, &streams[slot][skip..skip + count]);
+    let mut pos = 0;
+    loop {
+        let next = pos + p.chunk;
+        for r in &p.reads {
+            let slot = &mut slots[r.slot];
+            let range = slot.advance(&p.slots[r.slot], pos, next);
+            if !range.is_empty() {
+                let base = r.base + range.start as i64 * r.stride;
+                r.store.read_into(mem, base, r.stride, range.len(), &mut slot.buf);
+            }
+        }
+        for st in &p.stages {
+            eval_chunk(st, &p.slots[st.out_slot], slots, pos, next, &mut exceptions);
+        }
+        for w in &p.writes {
+            let (from, to) = (w.count.min(pos), w.count.min(next));
+            if from < to {
+                let vals = slots[w.slot].get(w.skip + from, w.skip + to);
+                w.store.write_from(mem, w.base + from as i64 * w.stride, w.stride, vals);
+            }
+        }
+        let taken = |slot: usize, idx: usize| {
+            (pos..next).contains(&p.slots[slot].due(idx)).then(|| slots[slot].at(idx))
+        };
+        for (l, v) in p.lasts.iter().zip(lasts.iter_mut()) {
+            if let Some(x) = taken(l.slot, l.idx) {
+                *v = x;
+            }
+        }
+        if want_trace {
+            for t in &p.trace {
+                if let Some(x) = taken(t.slot, t.idx) {
+                    last[t.code as usize] = Some(x);
+                }
+            }
+        }
+        pos = next;
+        if pos >= p.span {
+            break;
         }
     }
-    for w in &p.writes {
-        if let WritePlan::Last { store, base, slot, idx } = *w {
-            store.write_one(mem, base, streams[slot][idx]);
-        }
+    for (l, &v) in p.lasts.iter().zip(lasts.iter()) {
+        l.store.write_one(mem, l.base, v);
     }
 
     counters.cycles += p.executed_cycles;
@@ -918,16 +1129,6 @@ pub(crate) fn run_plan(
     counters.elements_streamed += p.elements_streamed;
     counters.elements_stored += p.elements_stored;
     counters.exceptions += exceptions;
-
-    let last = if want_trace {
-        let mut last = vec![None; plan.n_sources];
-        for t in &p.trace {
-            last[t.code as usize] = Some(streams[t.slot][t.idx]);
-        }
-        last
-    } else {
-        Vec::new()
-    };
     SourceTrace { last }
 }
 
@@ -942,9 +1143,31 @@ mod tests {
         KnowledgeBase::nsc_1988()
     }
 
-    /// Run `ins` through both paths on identical memory; assert the plan
-    /// exists and that counters, traces and the probed ranges agree to the
-    /// bit.
+    /// The chunk sizes every identity case runs at besides the plan's
+    /// own: one element per step, and small sizes that put chunk
+    /// boundaries at every offset of a short stream.
+    const FORCED_CHUNKS: [usize; 4] = [1, 2, 3, 7];
+
+    fn pipeline(plan: &InstrPlan) -> Option<&PipelinePlan> {
+        match &plan.body {
+            PlanBody::Idle => None,
+            PlanBody::Pipeline(p) => Some(p),
+        }
+    }
+
+    /// `plan` with its chunk forced to `chunk` elements.
+    fn with_chunk(plan: &InstrPlan, chunk: usize) -> InstrPlan {
+        let mut plan = plan.clone();
+        if let PlanBody::Pipeline(p) = &mut plan.body {
+            p.chunk = chunk;
+        }
+        plan
+    }
+
+    /// Run `ins` through the interpreter and, at the plan's own chunk and
+    /// at every forced one, through the kernel, each on identical fresh
+    /// memory; assert the plan exists and that counters, traces and the
+    /// probed ranges agree to the bit.
     fn assert_identical(
         kb: &KnowledgeBase,
         ins: &MicroInstruction,
@@ -952,33 +1175,38 @@ mod tests {
         probes: &[(Store, i64, usize)],
     ) {
         let mut mem_i = NodeMemory::new(kb.config());
-        let mut mem_k = NodeMemory::new(kb.config());
         init(&mut mem_i);
-        init(&mut mem_k);
         let mut c_i = PerfCounters::default();
-        let mut c_k = PerfCounters::default();
-
         let trace_i = execute_instruction(kb, ins, &mut mem_i, &mut c_i).expect("interpreter runs");
         let plan = plan_instruction(kb, ins).expect("instruction specializes");
-        let trace_k = run_plan(&plan, &mut mem_k, &mut c_k, &mut StreamBuffers::default(), true);
-
-        assert_eq!(c_i, c_k, "counters must match exactly");
+        let own = pipeline(&plan).map_or(1, |p| p.chunk);
         let bits = |t: &SourceTrace| -> Vec<Option<u64>> {
             t.last.iter().map(|v| v.map(f64::to_bits)).collect()
         };
-        assert_eq!(bits(&trace_i), bits(&trace_k), "traces must match");
-        for &(store, base, len) in probes {
-            for k in 0..len {
-                let addr = base + k as i64;
-                let (vi, vk) = match store {
-                    Store::Plane(p) => {
-                        (mem_i.planes[p].read(addr as u64), mem_k.planes[p].read(addr as u64))
-                    }
-                    Store::Cache(c, b) => {
-                        (mem_i.caches[c].read(b, addr as u64), mem_k.caches[c].read(b, addr as u64))
-                    }
-                };
-                assert_eq!(vi.to_bits(), vk.to_bits(), "{store:?} @ {addr}");
+        for chunk in std::iter::once(own).chain(FORCED_CHUNKS) {
+            let mut mem_k = NodeMemory::new(kb.config());
+            init(&mut mem_k);
+            let mut c_k = PerfCounters::default();
+            let plan = with_chunk(&plan, chunk);
+            let trace_k =
+                run_plan(&plan, &mut mem_k, &mut c_k, &mut StreamBuffers::default(), true);
+
+            assert_eq!(c_i, c_k, "chunk {chunk}: counters must match exactly");
+            assert_eq!(bits(&trace_i), bits(&trace_k), "chunk {chunk}: traces must match");
+            for &(store, base, len) in probes {
+                for k in 0..len {
+                    let addr = base + k as i64;
+                    let (vi, vk) = match store {
+                        Store::Plane(p) => {
+                            (mem_i.planes[p].read(addr as u64), mem_k.planes[p].read(addr as u64))
+                        }
+                        Store::Cache(c, b) => (
+                            mem_i.caches[c].read(b, addr as u64),
+                            mem_k.caches[c].read(b, addr as u64),
+                        ),
+                    };
+                    assert_eq!(vi.to_bits(), vk.to_bits(), "chunk {chunk}: {store:?} @ {addr}");
+                }
             }
         }
     }
@@ -1127,6 +1355,179 @@ mod tests {
         );
     }
 
+    /// Words of one grid plane (32 × 32) in the long instruction.
+    const PLANE: usize = 1024;
+    /// Elements the long instruction streams: more than four default
+    /// chunks of its nine streaming slots.
+    const LONG: usize = 4 * (CHUNK_LIVE_WORDS / 9) + 1500;
+
+    /// One instruction spanning several default chunks, with everything a
+    /// chunk boundary can cut through. `u = p0[0 .. LONG + 2 PLANE]` enters
+    /// SDU0, whose taps lag it by nothing, one plane and two planes:
+    /// - `s = (u[k] + u[k + 2P]) - u[k + P + 3]` (F0, F1) goes to `p1`,
+    ///   skipping its first 3 elements;
+    /// - `s × c0[..]` (F2; the cache read is the shorter stream) goes to
+    ///   `p3`, skipping 5;
+    /// - `r = 1 / d` (F3), with `d` read backwards from every second word
+    ///   of `p2`, goes to `p4`, and `r[k + 3] - r[k]` (F5, through a
+    ///   register-file queue) to `p5`, so `r` keeps a three-element tail
+    ///   from one chunk step to the next;
+    /// - `max |s|`, a feedback fold (F4), is captured at `c1[5]`.
+    fn long_instruction(kb: &KnowledgeBase) -> MicroInstruction {
+        let (n, p) = (LONG as u32, PLANE as u16);
+        let mut ins = MicroInstruction::empty(kb);
+        *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, n + 2 * p as u32);
+        *ins.plane_rd_mut(PlaneId(2)) =
+            PlaneDmaField { base: 2 * n - 1, stride: -2, ..PlaneDmaField::contiguous(0, n) };
+        *ins.cache_rd_mut(CacheId(0)) = CacheDmaField {
+            enabled: true,
+            offset: 0,
+            stride: 1,
+            count: 8192,
+            skip: 0,
+            buffer: 0,
+            mode: WriteMode::Stream,
+        };
+        *ins.sdu_mut(SduId(0)) = SduField::with_delays(&[0, p, 2 * p]);
+        *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Add);
+        *ins.fu_mut(FuId(1)) = FuField::active(FuOp::Sub);
+        *ins.fu_mut(FuId(2)) = FuField::active(FuOp::Mul);
+        *ins.fu_mut(FuId(3)) = FuField::active(FuOp::Recip);
+        *ins.fu_mut(FuId(4)) = FuField {
+            enabled: true,
+            op: FuOp::MaxAbs,
+            in_a: FuInputSel::Switch,
+            in_b: FuInputSel::Feedback(0),
+            const_slot: 0,
+            preload: Some(0.0),
+        };
+        *ins.fu_mut(FuId(5)) = FuField {
+            enabled: true,
+            op: FuOp::Sub,
+            in_a: FuInputSel::Switch,
+            in_b: FuInputSel::Queue(3),
+            const_slot: 0,
+            preload: None,
+        };
+        *ins.plane_wr_mut(PlaneId(1)) =
+            PlaneDmaField { skip: 3, ..PlaneDmaField::contiguous(0, n - 3) };
+        *ins.plane_wr_mut(PlaneId(3)) =
+            PlaneDmaField { skip: 5, ..PlaneDmaField::contiguous(0, 4000) };
+        *ins.plane_wr_mut(PlaneId(4)) = PlaneDmaField::contiguous(0, n);
+        *ins.plane_wr_mut(PlaneId(5)) = PlaneDmaField::contiguous(0, n - 10);
+        *ins.cache_wr_mut(CacheId(1)) = CacheDmaField::scalar_capture(5);
+        let routes = [
+            (SourceRef::PlaneRead(PlaneId(0)), SinkRef::SduIn(SduId(0))),
+            (SourceRef::SduTap(SduId(0), 0), SinkRef::FuIn(FuId(0), InPort::A)),
+            (SourceRef::SduTap(SduId(0), 2), SinkRef::FuIn(FuId(0), InPort::B)),
+            (SourceRef::Fu(FuId(0)), SinkRef::FuIn(FuId(1), InPort::A)),
+            (SourceRef::SduTap(SduId(0), 1), SinkRef::FuIn(FuId(1), InPort::B)),
+            (SourceRef::Fu(FuId(1)), SinkRef::FuIn(FuId(2), InPort::A)),
+            (SourceRef::CacheRead(CacheId(0)), SinkRef::FuIn(FuId(2), InPort::B)),
+            (SourceRef::PlaneRead(PlaneId(2)), SinkRef::FuIn(FuId(3), InPort::A)),
+            (SourceRef::Fu(FuId(1)), SinkRef::FuIn(FuId(4), InPort::A)),
+            (SourceRef::Fu(FuId(1)), SinkRef::PlaneWrite(PlaneId(1))),
+            (SourceRef::Fu(FuId(2)), SinkRef::PlaneWrite(PlaneId(3))),
+            (SourceRef::Fu(FuId(3)), SinkRef::PlaneWrite(PlaneId(4))),
+            (SourceRef::Fu(FuId(3)), SinkRef::FuIn(FuId(5), InPort::A)),
+            (SourceRef::Fu(FuId(3)), SinkRef::FuIn(FuId(5), InPort::B)),
+            (SourceRef::Fu(FuId(5)), SinkRef::PlaneWrite(PlaneId(5))),
+            (SourceRef::Fu(FuId(4)), SinkRef::CacheWrite(CacheId(1))),
+        ];
+        for (from, to) in routes {
+            ins.switch.route(kb, from, to);
+        }
+        ins
+    }
+
+    /// The long instruction's inputs. `d` is zero on the last element
+    /// each default chunk step gives `r` and NaN on the first of the next
+    /// (a step ends `r`'s lead past a multiple of the chunk), so `1 / d`
+    /// raises its infinities and NaNs exactly on the chunk boundaries.
+    fn long_inputs(mem: &mut NodeMemory, chunk: usize, lead: usize) {
+        let u: Vec<f64> =
+            (0..LONG + 2 * PLANE).map(|i| (i * 7919 % 1000) as f64 / 8.0 - 60.0).collect();
+        mem.planes[0].write_slice(0, &u);
+        for k in 0..LONG {
+            let d = match (k + chunk - lead) % chunk {
+                0 if k > lead => f64::NAN,
+                r if r == chunk - 1 && k >= lead => 0.0,
+                _ => (k % 97) as f64 - 48.5,
+            };
+            mem.planes[2].write((2 * LONG - 1 - 2 * k) as u64, d);
+        }
+        for i in 0..8192 {
+            mem.caches[0].write(0, i, 1.0 + (i % 13) as f64 / 4.0);
+        }
+    }
+
+    #[test]
+    fn a_long_instruction_is_identical_across_chunk_boundaries() {
+        let kb = kb();
+        let ins = long_instruction(&kb);
+        let plan = plan_instruction(&kb, &ins).expect("instruction specializes");
+        let p = pipeline(&plan).expect("a pipeline");
+        assert!(LONG >= 3 * p.chunk, "{LONG} elements span three chunks of {}", p.chunk);
+        let recip = p.slots[p.reads.len() + 3];
+        assert_eq!((recip.lead, recip.tail), (3, 0), "r keeps a three-element tail");
+        assert_eq!(p.slots[0].lead, 2 * PLANE + 5, "u leads by two planes plus the write skip");
+        let chunk = p.chunk;
+        assert_identical(
+            &kb,
+            &ins,
+            |m| long_inputs(m, chunk, recip.lead),
+            &[
+                (Store::Plane(1), 0, LONG),
+                (Store::Plane(3), 0, 4000),
+                (Store::Plane(4), 0, LONG),
+                (Store::Plane(5), 0, LONG - 10),
+                (Store::Cache(1, 0), 5, 1),
+            ],
+        );
+    }
+
+    #[test]
+    fn a_long_instruction_streams_through_a_bounded_live_set() {
+        // Run the long instruction on a node, then hold the node's stream
+        // buffers to the chunked live bound: slots × chunk plus each slot's
+        // lead, times two for the slack a slot's dead prefix may reach
+        // before its live part moves down. Whole-window evaluation would
+        // need every stream's full length, far past the bound.
+        use crate::node::{NodeSim, RunOptions};
+        let kb = kb();
+        let ins = long_instruction(&kb);
+        let plan = plan_instruction(&kb, &ins).expect("instruction specializes");
+        let p = pipeline(&plan).expect("a pipeline");
+        let mut b = nsc_microcode::ProgramBuilder::new(&kb, "long");
+        b.push(ins);
+        let prog = b.finish();
+        let kernel = CompiledKernel::compile(&kb, &prog);
+
+        let mut node = NodeSim::new(kb.clone());
+        long_inputs(&mut node.mem, p.chunk, p.slots[p.reads.len() + 3].lead);
+        let mut interp = node.clone();
+        let opts = RunOptions { trace: true, ..Default::default() };
+        let got = node.run_program_with_kernel(&prog, Some(&kernel), &opts).expect("runs");
+        let want = interp.run_program(&prog, &opts).expect("interprets");
+        assert_eq!(node.counters, interp.counters);
+        assert!(node.counters.exceptions >= 8, "1 / d raised its boundary exceptions");
+        let bits = |s: &crate::node::RunStats| -> Vec<Vec<Option<u64>>> {
+            s.traces
+                .iter()
+                .map(|(_, t)| t.last.iter().map(|v| v.map(f64::to_bits)).collect())
+                .collect()
+        };
+        assert_eq!(bits(&got), bits(&want));
+
+        let streaming: Vec<&SlotPlan> = p.slots.iter().filter(|s| s.len > 0).collect();
+        let leads: usize = streaming.iter().map(|s| s.lead).sum();
+        let bound = 2 * (streaming.len() * p.chunk + leads);
+        let whole: usize = streaming.iter().map(|s| s.len).sum();
+        assert!(bound < whole, "bound {bound} must be tighter than whole windows ({whole})");
+        let held: usize = node.streams.slots.iter().map(|s| s.buf.capacity()).sum();
+        assert!(held <= bound, "stream buffers hold {held} words; the chunked bound is {bound}");
+    }
+
     #[test]
     fn constant_fed_capture_uses_the_drain_bound_identically() {
         // A LastOnly capture fed by a constant-operand FU never drops its
@@ -1227,6 +1628,29 @@ mod tests {
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::idle();
         *ins.plane_wr_mut(PlaneId(0)) = PlaneDmaField::contiguous(8, 16);
         ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(0)));
+        assert!(plan_instruction(&kb, &ins).is_none());
+    }
+
+    #[test]
+    fn overlapping_ranges_in_one_cache_buffer_fall_back() {
+        // Buffer fields 0 and 2 both address a cache's first buffer, so a
+        // write through one over a read through the other is a hazard.
+        let kb = kb();
+        let mut ins = MicroInstruction::empty(&kb);
+        *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Copy);
+        let dma = |offset, buffer| CacheDmaField {
+            enabled: true,
+            offset,
+            stride: 1,
+            count: 16,
+            skip: 0,
+            buffer,
+            mode: WriteMode::Stream,
+        };
+        *ins.cache_rd_mut(CacheId(0)) = dma(0, 0);
+        *ins.cache_wr_mut(CacheId(0)) = dma(8, 2);
+        ins.switch.route(&kb, SourceRef::CacheRead(CacheId(0)), SinkRef::FuIn(FuId(0), InPort::A));
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::CacheWrite(CacheId(0)));
         assert!(plan_instruction(&kb, &ins).is_none());
     }
 

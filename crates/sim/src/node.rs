@@ -66,7 +66,7 @@ pub struct NodeSim {
     loop_counters: [u32; 16],
     /// The kernel's element buffers, reused by every specialized
     /// instruction this node runs; not copied by `clone`.
-    streams: StreamBuffers,
+    pub(crate) streams: StreamBuffers,
 }
 
 impl NodeSim {

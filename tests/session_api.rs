@@ -3,10 +3,12 @@
 //! variant whose `source()` chain reaches the producing crate's error.
 
 use nsc::arch::{AlsKind, PlaneId};
+use nsc::checker::RuleCode;
 use nsc::codegen::GenError;
 use nsc::diagram::{Document, IconKind};
 use nsc::env::{DiagnosticSet, NscError, Session};
 use nsc::sim::RunOptions;
+use serde::{Deserialize, Serialize, Value};
 use std::error::Error;
 
 mod common;
@@ -88,4 +90,49 @@ fn the_compiled_program_runs_and_reports_per_run_counters() {
     assert_eq!(first.counters.instructions, 1);
     assert_eq!(second.counters.instructions, 1, "delta, not lifetime total");
     assert_eq!(node.counters.instructions, 2, "the node still accumulates");
+}
+
+/// The node `path` names in a value tree: object keys, or array indices.
+fn node<'v>(v: &'v mut Value, path: &[&str]) -> &'v mut Value {
+    path.iter().fold(v, |v, key| match v {
+        Value::Object(entries) => {
+            &mut entries.iter_mut().find(|(k, _)| k == key).unwrap_or_else(|| panic!("{key}")).1
+        }
+        Value::Array(items) => &mut items[key.parse::<usize>().expect("an index")],
+        other => panic!("{key} in a {}", other.kind()),
+    })
+}
+
+#[test]
+fn a_saved_document_with_a_dangling_wire_is_an_error_not_a_panic() {
+    // Loading a saved document parses its JSON into this value tree and
+    // deserializes the tree, so editing the tree replays what a corrupted
+    // or hand-edited save loads as. Two shapes used to get past the
+    // checker: a wire whose end names no icon (the code generator then
+    // panicked), and an icon filed under a key other than its own id
+    // (which could compile to a program that reads nothing).
+    let saved = scale_doc(2.0, 0).to_value();
+    let mut shapes = Vec::new();
+    for (conn, end, missing) in [("0", "from", 3), ("0", "from", 99), ("1", "to", 7)] {
+        let mut v = saved.clone();
+        *node(&mut v, &["pipelines", "0", "connections", conn, end, "icon"]) = Value::Int(missing);
+        shapes.push((format!("wire {conn} {end} missing icon{missing}"), v));
+    }
+    for (key, id) in [("0", 3), ("0", 1), ("1", 7), ("2", 0)] {
+        let mut v = saved.clone();
+        *node(&mut v, &["pipelines", "0", "icons", key, "id"]) = Value::Int(id);
+        shapes.push((format!("icon filed under {key} claims id {id}"), v));
+    }
+    let session = Session::nsc_1988();
+    for (shape, v) in shapes {
+        let mut doc = Document::from_value(&v).unwrap_or_else(|e| panic!("{shape}: loads: {e}"));
+        let err = session.compile(&mut doc).expect_err(&shape);
+        let NscError::CheckFailed(ref diags) = err else {
+            panic!("{shape}: expected CheckFailed, got {err:?}");
+        };
+        assert!(
+            diags.diagnostics().iter().any(|d| d.rule == RuleCode::DanglingWire),
+            "{shape}: {err}"
+        );
+    }
 }
