@@ -305,12 +305,6 @@ impl SubCubeAllocator {
         self.free[dim as usize].push(base);
     }
 
-    /// Alias of [`SubCubeAllocator::free`], kept for the embedding
-    /// drivers that pair `allocate` with `release`.
-    pub fn release(&mut self, sc: SubCube) {
-        self.free(sc);
-    }
-
     /// Nodes currently unallocated.
     pub fn free_nodes(&self) -> usize {
         self.free.iter().enumerate().map(|(k, list)| list.len() << k).sum()
@@ -590,9 +584,9 @@ mod tests {
         let b = alloc.allocate(1).expect("2 nodes");
         let c = alloc.allocate(2).expect("4 nodes");
         assert_eq!(alloc.free_nodes(), 0);
-        alloc.release(a);
-        alloc.release(b);
-        alloc.release(c);
+        alloc.free(a);
+        alloc.free(b);
+        alloc.free(c);
         assert_eq!(alloc.free_nodes(), 8);
         let whole = alloc.allocate(3).expect("buddies re-merged to the full cube");
         assert_eq!(whole.base, NodeId(0));

@@ -27,13 +27,13 @@ use crate::diagrams::{
     build_ftcs_transport_document, build_jacobi2d_sweep_document_windows, Jacobi2dGeometry,
     PLANE_G, PLANE_MASK, PLANE_U0, PLANE_U1, PLANE_W0, PLANE_W1, PLANE_WC, RESIDUAL_CACHE,
 };
-use crate::distributed::{check_same_machine, measure_system_run, run_on_nodes};
+use crate::distributed::{check_partition_fits, check_same_machine, measure_system_run};
 use crate::grid::{Grid2, PaddedField};
 use crate::host::{ftcs_update_tree, FtcsCoeffs};
 use crate::overlap::{CompiledSweep, SweepEngine, SweepIo};
 use crate::partition::{read_slabs, GridShape, HaloSpec, Partition, PartitionSpec};
 use nsc_arch::NodeId;
-use nsc_core::{CompiledProgram, NscError, Session, Workload};
+use nsc_core::{run_lanes, CompiledProgram, NscError, Session, Workload};
 use nsc_sim::{NscSystem, PerfCounters, RunOptions};
 
 /// Outcome of one distributed Poisson solve.
@@ -122,6 +122,11 @@ impl Poisson2dSolver {
     /// exchanges until `max |update| < tol` (checked once per pair, like
     /// the serial document) or `max_pairs` is exhausted, then gather the
     /// iterate back into `u`.
+    ///
+    /// `u` and `f` must be grids of the size the solver was compiled for,
+    /// and `system` must hold every node the partition uses; otherwise the
+    /// solve is refused with [`NscError::Workload`] before any plane is
+    /// written.
     pub fn solve(
         &self,
         system: &mut NscSystem,
@@ -130,8 +135,21 @@ impl Poisson2dSolver {
         tol: f64,
         max_pairs: u32,
     ) -> Result<PoissonSolveStats, NscError> {
-        assert_eq!((u.nx, u.ny), (self.nx, self.ny), "solver compiled for another grid");
-        assert_eq!((f.nx, f.ny), (self.nx, self.ny), "right-hand side grid differs");
+        let words = self.nx * self.ny;
+        for (name, g) in [("iterate", &*u), ("right-hand side", f)] {
+            if (g.nx, g.ny, g.data.len()) != (self.nx, self.ny, words) {
+                return Err(NscError::Workload(format!(
+                    "the {name} is a {}x{} grid of {} words, but the solver was compiled \
+                     for {}x{}",
+                    g.nx,
+                    g.ny,
+                    g.data.len(),
+                    self.nx,
+                    self.ny
+                )));
+            }
+        }
+        check_partition_fits(self.partition.as_ref(), system)?;
         // g = -h²f, as the pipeline computes (sum - g)/4.
         let h2 = u.h * u.h;
         let g_global: Vec<f64> = f.data.iter().map(|&v| -h2 * v).collect();
@@ -213,9 +231,9 @@ impl VorticityTransport {
     /// part concurrently, and gather the advanced vorticity back.
     ///
     /// `partition` must cut the plane into the parts the transport was
-    /// compiled for — the same count, each of the same local shape — or
-    /// the step is refused with [`NscError::Workload`] before anything
-    /// runs.
+    /// compiled for — the same count, each of the same local shape — and
+    /// `system` must hold every node it uses, or the step is refused with
+    /// [`NscError::Workload`] before anything runs.
     pub fn step(
         &self,
         system: &mut NscSystem,
@@ -234,6 +252,7 @@ impl VorticityTransport {
                 self.programs.len()
             )));
         }
+        check_partition_fits(partition, system)?;
         let psi_slabs = partition.scatter(&psi.data);
         let w_slabs = partition.scatter(&omega.data);
         for (p, (ps, ws)) in parts.iter().zip(psi_slabs.iter().zip(&w_slabs)) {
@@ -246,7 +265,7 @@ impl VorticityTransport {
         }
         let lanes: Vec<_> =
             partition.node_pool().into_iter().zip(self.programs.iter().map(|(_, p)| p)).collect();
-        run_on_nodes(system, &lanes, &RunOptions::default())?;
+        run_lanes(system.nodes_mut(), &lanes, &RunOptions::default())?;
         let locals = read_slabs(partition, system, PLANE_W1);
         omega.data = partition.gather(&locals);
         Ok(())
@@ -493,6 +512,41 @@ mod tests {
 
     fn system(dim: u32, session: &Session) -> NscSystem {
         NscSystem::new(HypercubeConfig::new(dim), session.kb())
+    }
+
+    /// Each node's counters and resident plane pages: what a refused
+    /// call must leave as it found it.
+    fn footprint(sys: &NscSystem) -> Vec<(PerfCounters, Vec<usize>)> {
+        let pages =
+            |n: &nsc_sim::NodeSim| n.mem.planes.iter().map(|p| p.resident_pages()).collect();
+        sys.nodes().iter().map(|n| (n.counters, pages(n))).collect()
+    }
+
+    #[test]
+    fn poisson_solve_refuses_foreign_grids_and_small_systems_untouched() {
+        let session = Session::nsc_1988();
+        let mut sys = system(1, &session);
+        let solver = Poisson2dSolver::new(&session, &mut sys, 9, 9).expect("compiles");
+        let f = Grid2::new(9, 9);
+        let before = footprint(&sys);
+        let mut other = Grid2::new(11, 11);
+        let err = solver.solve(&mut sys, &mut other, &Grid2::new(11, 11), 0.0, 2).unwrap_err();
+        assert!(matches!(err, NscError::Workload(_)), "{err:?}");
+        let err = solver.solve(&mut sys, &mut Grid2::new(9, 9), &other, 0.0, 2).unwrap_err();
+        assert!(matches!(err, NscError::Workload(_)), "{err:?}");
+        let mut short = Grid2::new(9, 9);
+        short.data.pop();
+        let err = solver.solve(&mut sys, &mut short, &f, 0.0, 2).unwrap_err();
+        assert!(matches!(err, NscError::Workload(_)), "{err:?}");
+        assert_eq!(footprint(&sys), before, "a refused solve writes nothing");
+
+        // The solver spans two nodes; a one-node system lacks node 1.
+        let mut small = system(0, &session);
+        let before = footprint(&small);
+        let err = solver.solve(&mut small, &mut Grid2::new(9, 9), &f, 0.0, 2).unwrap_err();
+        assert!(matches!(err, NscError::Workload(_)), "{err:?}");
+        assert_eq!(footprint(&small), before, "a refused solve writes nothing");
+        assert!(solver.solve(&mut sys, &mut Grid2::new(9, 9), &f, 0.0, 2).is_ok());
     }
 
     #[test]

@@ -30,8 +30,8 @@ use crate::host::FtcsCoeffs;
 use crate::partition::SweepWindow;
 use nsc_arch::{AlsKind, CacheId, FuOp, InPort, PlaneId};
 use nsc_diagram::{
-    ControlNode, ConvergenceCond, DmaAttrs, Document, FuAssign, IconId, IconKind, InputSpec,
-    PadLoc, PadRef, PipelineDiagram, VarDecl,
+    ControlNode, ConvergenceCond, DmaAttrs, Document, FuAssign, IconId, IconKind, PadLoc, PadRef,
+    PipelineDiagram, VarDecl,
 };
 
 /// Memory-plane roles of the Jacobi program.
@@ -975,10 +975,11 @@ fn alloc_unit_slots(d: &mut PipelineDiagram, needed: usize) -> Vec<(IconId, u8)>
     slots
 }
 
-/// A compute-bound kernel for the subset ablation: Horner evaluation of a
-/// degree-`coeffs.len()-1` polynomial over a `count`-element stream, split
-/// into instructions of at most `stages_per_instr` Horner stages (the full
-/// machine fits them all in one; a singlets-only machine cannot).
+/// A compute-bound kernel for the subset ablation: Horner evaluation of
+/// the degree-`coeffs.len()-1` polynomial `y = Σ coeffs[i]·x^i` over a
+/// `count`-element stream, split into instructions of at most
+/// `stages_per_instr` Horner stages (the full machine fits them all in
+/// one; a singlets-only machine cannot).
 ///
 /// Plane 0 holds x; plane 1 receives y; plane 2 stages intermediates.
 pub fn build_chebyshev_document(count: u64, coeffs: &[f64], stages_per_instr: usize) -> Document {
@@ -1000,7 +1001,14 @@ pub fn build_chebyshev_document(count: u64, coeffs: &[f64], stages_per_instr: us
         let pid = doc.add_pipeline(format!("horner chunk {ci}"));
         let d = doc.pipeline_mut(pid).unwrap();
         d.stream_len = count;
-        let mem_x = d.add_icon(IconKind::memory());
+        // The first chunk opens with the leading stage, which scales the
+        // streamed x by the constant coeffs[n-1] and so reads no x copy.
+        let lead = usize::from(first);
+        // x fan-out tree: each COPY unit feeds up to 3 Horner muls plus
+        // the next copy. A chunk holding only the leading stage has none,
+        // and no x memory icon either.
+        let n_copies = (chunk.len() - lead).div_ceil(3);
+        let mem_x = (n_copies > 0).then(|| d.add_icon(IconKind::memory()));
         let mem_in = d.add_icon(IconKind::memory());
         let mem_out = d.add_icon(IconKind::memory());
         let in_var = if first {
@@ -1012,10 +1020,7 @@ pub fn build_chebyshev_document(count: u64, coeffs: &[f64], stages_per_instr: us
         };
         let out_var = if last || ci % 2 == 1 { "y" } else { "t" };
 
-        // x fan-out tree: each COPY unit feeds up to 3 Horner muls plus
-        // the next copy.
         let n_units = chunk.len() * 2; // mul + add-const per stage
-        let n_copies = chunk.len().div_ceil(3);
         let needed = n_units + n_copies;
         let als = alloc_unit_slots(d, needed);
         let copies = &als[..n_copies];
@@ -1025,7 +1030,7 @@ pub fn build_chebyshev_document(count: u64, coeffs: &[f64], stages_per_instr: us
         for (i, &(icon, pos)) in copies.iter().enumerate() {
             d.assign_fu(icon, pos, FuAssign::unary(FuOp::Copy)).unwrap();
             let from = if i == 0 {
-                PadLoc::new(mem_x, PadRef::Io)
+                PadLoc::new(mem_x.expect("a chunk with copies reads x"), PadRef::Io)
             } else {
                 let (pi, pp) = copies[i - 1];
                 PadLoc::new(pi, PadRef::FuOut { pos: pp })
@@ -1041,27 +1046,29 @@ pub fn build_chebyshev_document(count: u64, coeffs: &[f64], stages_per_instr: us
         for (si, &c) in chunk.iter().enumerate() {
             let (mi, mp) = units[2 * si];
             let (ai, ap) = units[2 * si + 1];
-            d.assign_fu(mi, mp, FuAssign::binary(FuOp::Mul)).unwrap();
-            let add_c = if first && si == 0 {
-                // First stage folds the leading coefficient: acc was x, so
-                // compute c_top*x + c_next via mul-by-const then add-const.
-                FuAssign { op: FuOp::Add, in_a: InputSpec::Wire, in_b: InputSpec::Constant(c) }
+            // The leading stage's acc is x itself, so it computes
+            // coeffs[n-1]*x + c; every later stage computes acc*x + c.
+            let mul = if si < lead {
+                FuAssign::with_const(FuOp::Mul, coeffs[coeffs.len() - 1])
             } else {
-                FuAssign { op: FuOp::Add, in_a: InputSpec::Wire, in_b: InputSpec::Constant(c) }
+                FuAssign::binary(FuOp::Mul)
             };
-            d.assign_fu(ai, ap, add_c).unwrap();
+            d.assign_fu(mi, mp, mul).unwrap();
+            d.assign_fu(ai, ap, FuAssign::with_const(FuOp::Add, c)).unwrap();
             d.connect(
                 acc_src,
                 PadLoc::new(mi, PadRef::FuIn { pos: mp, port: InPort::A }),
                 acc_attrs.take(),
             )
             .unwrap();
-            d.connect(
-                x_src[si / 3],
-                PadLoc::new(mi, PadRef::FuIn { pos: mp, port: InPort::B }),
-                None,
-            )
-            .unwrap();
+            if si >= lead {
+                d.connect(
+                    x_src[(si - lead) / 3],
+                    PadLoc::new(mi, PadRef::FuIn { pos: mp, port: InPort::B }),
+                    None,
+                )
+                .unwrap();
+            }
             d.connect(
                 PadLoc::new(mi, PadRef::FuOut { pos: mp }),
                 PadLoc::new(ai, PadRef::FuIn { pos: ap, port: InPort::A }),
@@ -1074,9 +1081,6 @@ pub fn build_chebyshev_document(count: u64, coeffs: &[f64], stages_per_instr: us
             .unwrap();
         pids.push(pid);
     }
-    // Scale the very first stage by the leading coefficient: fold it by
-    // declaring the first mul's B operand... (kept simple: the leading
-    // coefficient is applied by the caller scaling x or accepted as 1).
     doc.control = Some(ControlNode::Seq(pids.into_iter().map(ControlNode::Pipeline).collect()));
     doc
 }
@@ -1221,6 +1225,49 @@ mod tests {
         let diags = check_doc(&mut split, &kb);
         assert!(!has_errors(&diags), "errors: {diags:#?}");
         assert_eq!(split.pipeline_count(), 2, "five-stage chunks");
+    }
+
+    #[test]
+    fn horner_document_evaluates_its_polynomial() {
+        use nsc_core::Session;
+        use nsc_sim::RunOptions;
+        // The reference order: acc = c[n-1]; acc = acc*x + c[i] downwards.
+        let horner = |coeffs: &[f64], x: f64| {
+            let (top, rest) = coeffs.split_last().unwrap();
+            rest.iter().rev().fold(*top, |acc, &c| acc * x + c)
+        };
+        let xs = [0.5, 1.0, 2.0, 3.0];
+        let quad = [0.5, -0.25, 3.0];
+        let long = [1.0, -0.5, 0.25, -0.125, 0.0625, 1.5, -2.5];
+        let cases: [(&[f64], usize); 7] = [
+            (&quad, 2),       // one chunk
+            (&quad, 1),       // chunk 0 holds only the leading stage
+            (&[0.5, 2.0], 1), // a linear polynomial: the leading stage alone
+            (&long, 6),
+            (&long, 3), // two chunks
+            (&long, 2), // three chunks
+            (&long, 1),
+        ];
+        for (coeffs, stages) in cases {
+            let doc = build_chebyshev_document(xs.len() as u64, coeffs, stages);
+            for fast in [true, false] {
+                let session = Session::nsc_1988().with_fast_path(fast);
+                let prog = session.compile(&mut doc.clone()).expect("the document compiles");
+                let mut node = session.node();
+                node.mem.plane_mut(PlaneId(0)).write_slice(0, &xs);
+                prog.run(&mut node, &RunOptions::default()).expect("runs");
+                let y = node.mem.plane(PlaneId(1)).read_vec(0, xs.len() as u64);
+                for (&x, y) in xs.iter().zip(y) {
+                    let want = horner(coeffs, x);
+                    assert_eq!(
+                        y.to_bits(),
+                        want.to_bits(),
+                        "{coeffs:?} by {stages}, fast {fast}, x {x}"
+                    );
+                }
+            }
+        }
+        assert_eq!(xs.map(|x| horner(&quad, x)), [1.125, 3.25, 12.0, 26.75]);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::host::{sor_sweep_host_layers, JacobiHostState};
 use crate::nsc_run::load_problem;
 use crate::overlap::{SweepEngine, SweepIo};
 use crate::partition::{read_slabs, GridShape, HaloSpec, Part, Partition, PartitionSpec};
-use nsc_core::{run_lanes, CompiledProgram, NscError, Session, Workload};
+use nsc_core::{NscError, Session, Workload};
 use nsc_sim::{NscSystem, PerfCounters, RunOptions};
 
 /// Wrap each part's slab words (ghosts included) as a [`Grid3`] on the
@@ -63,6 +63,22 @@ pub(crate) fn check_same_machine(session: &Session, system: &NscSystem) -> Resul
     Ok(())
 }
 
+/// Refuse a system that lacks a node the partition places a part on —
+/// before any plane is written.
+pub(crate) fn check_partition_fits(
+    partition: &dyn Partition,
+    system: &NscSystem,
+) -> Result<(), NscError> {
+    let nodes = system.node_count();
+    match partition.parts().iter().find(|p| p.node.index() >= nodes) {
+        Some(p) => Err(NscError::Workload(format!(
+            "the partition places a part on node {}, but the system has {nodes} node(s)",
+            p.node
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Per-run system metrics derived from a counter snapshot taken before
 /// the run: per-node deltas, their overlap-aware aggregate, and the
 /// achieved rate.
@@ -86,22 +102,6 @@ pub(crate) fn measure_system_run(system: &NscSystem, before: &[PerfCounters]) ->
     let aggregate_mflops =
         if simulated_seconds > 0.0 { total.flops as f64 / simulated_seconds / 1e6 } else { 0.0 };
     SystemRunMetrics { per_node, total, simulated_seconds, aggregate_mflops }
-}
-
-/// Run one distributed step's `(node, program)` lanes on `system`'s nodes
-/// through [`run_lanes`], attributing a failure to the hypercube node it
-/// happened on.
-pub(crate) fn run_on_nodes(
-    system: &mut NscSystem,
-    lanes: &[(usize, &CompiledProgram)],
-    opts: &RunOptions,
-) -> Result<(), NscError> {
-    run_lanes(system.nodes_mut(), lanes, opts).map(drop).map_err(|e| match e {
-        NscError::Batch { doc, source } => {
-            NscError::on_node(nsc_arch::NodeId(lanes[doc].0 as u16), *source)
-        }
-        other => other,
-    })
 }
 
 /// Outcome of a distributed Jacobi solve.

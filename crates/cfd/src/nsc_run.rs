@@ -11,9 +11,7 @@ use crate::diagrams::{
 };
 use crate::grid::Grid3;
 use crate::host::JacobiHostState;
-use nsc_codegen::GenOutput;
 use nsc_core::{NscError, Session};
-use nsc_diagram::Document;
 use nsc_sim::{NodeSim, PerfCounters, RunOptions};
 
 /// Outcome of a simulated Jacobi solve.
@@ -45,12 +43,6 @@ pub fn load_problem(node: &mut NodeSim, state: &JacobiHostState, variant: Jacobi
             node.mem.plane_mut(nsc_arch::PlaneId(PLANE_COPY0 + i)).write_slice(0, &state.u.words);
         }
     }
-}
-
-/// Bind, check and generate microcode for a document on this node's
-/// machine.
-pub fn prepare(node: &NodeSim, doc: &mut Document) -> Result<GenOutput, NscError> {
-    Session::from_kb(node.kb.clone()).compile(doc).map(|c| c.output)
 }
 
 /// Solve the `n^3` manufactured problem on a simulated node, compiling

@@ -86,10 +86,10 @@
 
 use crate::certify::{halo_routes, window_coverage};
 use crate::diagrams::RESIDUAL_CACHE;
-use crate::distributed::run_on_nodes;
+use crate::distributed::check_partition_fits;
 use crate::partition::{host_halo_exchange, HaloSpec, Part, Partition, SweepSplit, SweepWindow};
 use nsc_arch::{NodeId, PlaneId};
-use nsc_core::{CompiledProgram, NscError, Session};
+use nsc_core::{run_lanes, CompiledProgram, NscError, Session};
 use nsc_diagram::Document;
 use nsc_sim::{NscSystem, RunOptions};
 use std::ops::Range;
@@ -264,7 +264,8 @@ impl<'p> SweepEngine<'p> {
     ///
     /// Returns the message nanoseconds hidden under the interior phase
     /// (always 0 in synchronized mode). A sweep compiled by an engine of
-    /// the other mode or over a different part count is refused with
+    /// the other mode or over a different part count, or a system lacking
+    /// one of the partition's nodes, is refused with
     /// [`NscError::Workload`] before anything runs.
     pub fn sweep(
         &self,
@@ -285,9 +286,10 @@ impl<'p> SweepEngine<'p> {
                 self.pool.len()
             )));
         }
+        check_partition_fits(self.partition, system)?;
         if !self.overlap {
             let lanes: Vec<_> = self.pool.iter().copied().zip(&sweep.fused).collect();
-            run_on_nodes(system, &lanes, opts)?;
+            run_lanes(system.nodes_mut(), &lanes, opts)?;
             self.partition.halo_exchange(system, io.write, 1, &self.halo);
             return Ok(0);
         }
@@ -297,7 +299,7 @@ impl<'p> SweepEngine<'p> {
         }
         let before: Vec<u64> =
             self.pool.iter().map(|&i| system.nodes()[i].counters.cycles).collect();
-        run_on_nodes(system, &self.lanes(&sweep.interior), opts)?;
+        run_lanes(system.nodes_mut(), &self.lanes(&sweep.interior), opts)?;
         // The interior window: what each pool node just spent computing, in
         // ns. Message time the exchange charges a node hides up to it.
         let clock = system.nodes()[0].kb.config().clock_hz;
@@ -315,7 +317,7 @@ impl<'p> SweepEngine<'p> {
             self.partition.halo_exchange(system, io.read, 1, &self.overlap_spec);
         }
         let hidden = system.close_comm_window();
-        run_on_nodes(system, &self.lanes(&sweep.shell), opts)?;
+        run_lanes(system.nodes_mut(), &self.lanes(&sweep.shell), opts)?;
         self.combine_residuals(system);
         Ok(hidden)
     }
@@ -376,9 +378,9 @@ impl<'p> SweepEngine<'p> {
         // Run one compute phase concurrently across parts; each part
         // covers the listed windows of its split.
         let phase = |slabs: &mut [Vec<f64>], res: &mut [f64], shell: bool| {
-            let _ = crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for ((pi, slab), r) in slabs.iter_mut().enumerate().zip(res.iter_mut()) {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let windows: Vec<SweepWindow> = if shell {
                             splits[pi].shell_windows()
                         } else {
@@ -394,10 +396,10 @@ impl<'p> SweepEngine<'p> {
 
         if !self.overlap {
             // Legacy: full sweeps concurrently, then one full exchange.
-            let _ = crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for ((pi, slab), r) in slabs.iter_mut().enumerate().zip(res.iter_mut()) {
                     let layers = 0..parts[pi].spans[axis].local_len();
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         *r = compute(pi, layers, slab);
                     });
                 }
@@ -523,6 +525,29 @@ mod tests {
             assert!(matches!(err, NscError::Workload(_)), "{err:?}");
         }
         assert_eq!(big.aggregate_counters().instructions, 0);
+    }
+
+    #[test]
+    fn a_system_lacking_a_partition_node_is_refused_untouched() {
+        let session = Session::nsc_1988();
+        let big = NscSystem::new(HypercubeConfig::new(2), session.kb());
+        let four = StripPartition::new(GridShape::volume3d(8, 8, 8), big.cube).unwrap();
+        for overlap in [false, true] {
+            let engine = SweepEngine::new(&four, HaloSpec::stencil(), overlap);
+            let sweep = engine.compile(&session, even_sweep).expect("compiles");
+            let mut small = NscSystem::new(HypercubeConfig::new(1), session.kb());
+            for io in [SweepIo::first(PLANE_U0, PLANE_U1), SweepIo::steady(PLANE_U1, PLANE_U0)] {
+                let err = engine.sweep(&mut small, &sweep, io, &RunOptions::default()).unwrap_err();
+                assert!(matches!(err, NscError::Workload(_)), "overlap {overlap}: {err:?}");
+            }
+            for node in small.nodes() {
+                assert_eq!(node.counters, Default::default(), "overlap {overlap}: nothing ran");
+                assert!(
+                    node.mem.planes.iter().all(|p| p.resident_pages() == 0),
+                    "no plane written"
+                );
+            }
+        }
     }
 
     #[test]

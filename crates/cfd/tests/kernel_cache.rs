@@ -85,15 +85,15 @@ fn recompiling_an_identical_document_hits_the_cache() {
     let state = problem(5, 4, 4);
     let whole = [SweepWindow::whole(4)];
     let first = run_sweep(&session, geo, true, &whole, &state, true);
-    assert_eq!(session.kernel_cache().misses(), 1);
-    assert_eq!(session.kernel_cache().hits(), 0);
+    assert_eq!(session.cache_stats().misses, 1);
+    assert_eq!(session.cache_stats().hits, 0);
     // A second, independently built copy of the same document: same
     // digest, so the cached kernel and generated program are reused —
     // and reproduce the first run exactly.
     let second = run_sweep(&session, geo, true, &whole, &state, true);
-    assert_eq!(session.kernel_cache().misses(), 1, "recompile must not rebuild");
-    assert_eq!(session.kernel_cache().hits(), 1, "recompile must hit");
-    assert_eq!(session.kernel_cache().len(), 1);
+    assert_eq!(session.cache_stats().misses, 1, "recompile must not rebuild");
+    assert_eq!(session.cache_stats().hits, 1, "recompile must hit");
+    assert_eq!(session.cache_stats().entries, 1);
     assert_bit_equal(&first, &second, "cached recompile");
 }
 
@@ -127,9 +127,9 @@ fn distinct_documents_get_distinct_cache_entries() {
     let whole_run = run_sweep(&session, geo, true, &whole, &state, true);
     let odd_run = run_sweep(&session, geo, false, &whole, &state, true);
     let split_run = run_sweep(&session, geo, true, &split, &state, true);
-    assert_eq!(session.kernel_cache().len(), 3, "three documents, three entries");
-    assert_eq!(session.kernel_cache().misses(), 3);
-    assert_eq!(session.kernel_cache().hits(), 0);
+    assert_eq!(session.cache_stats().entries, 3, "three documents, three entries");
+    assert_eq!(session.cache_stats().misses, 3);
+    assert_eq!(session.cache_stats().hits, 0);
 
     // The windowed even sweep covers the same layers as the fused one:
     // identical plane bits prove the cache did not cross-serve kernels
@@ -147,8 +147,8 @@ fn distinct_documents_get_distinct_cache_entries() {
     // Recompiling each now hits its own entry.
     run_sweep(&session, geo, true, &whole, &state, true);
     run_sweep(&session, geo, false, &whole, &state, true);
-    assert_eq!(session.kernel_cache().len(), 3);
-    assert_eq!(session.kernel_cache().hits(), 2);
+    assert_eq!(session.cache_stats().entries, 3);
+    assert_eq!(session.cache_stats().hits, 2);
 }
 
 /// An arbitrary slab geometry with a non-empty list of arbitrary (even

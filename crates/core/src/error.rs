@@ -93,25 +93,15 @@ pub enum NscError {
         /// The configured budget.
         limit: u64,
     },
-    /// A failure attributed to one document of a batch (or one lane of a
-    /// [`crate::run_lanes`] call); the underlying error is the `source()`.
-    Batch {
-        /// Index of the failing document in the submitted batch (or of the
-        /// failing lane).
-        doc: usize,
-        /// What went wrong with it.
-        source: Box<NscError>,
-    },
-    /// A failure attributed to one node of a distributed run; the
-    /// underlying error is the `source()`.
+    /// A failure attributed to one node of a distributed run (the lowest
+    /// failing lane of a [`crate::run_lanes`] call, or the part whose
+    /// document failed to compile); the underlying error is the `source()`.
     NodeFailed {
         /// The hypercube node that failed.
         node: NodeId,
         /// What went wrong on it.
         source: Box<NscError>,
     },
-    /// A batch was submitted with documents but no nodes to run them on.
-    EmptyPool,
     /// A lane handed to [`crate::run_lanes`] named a node that is out of
     /// range or already taken by an earlier lane; nothing ran.
     BadLane {
@@ -120,10 +110,6 @@ pub enum NscError {
         /// The node it named.
         node: usize,
     },
-    /// A batch worker thread panicked. Unreachable with the std-backed
-    /// scoped-thread pool (child panics propagate), kept so the driver has
-    /// no panicking path of its own.
-    WorkerPanic,
     /// A workload's own preconditions failed (mismatched grids, bad
     /// parameters) before any document was built.
     Workload(String),
@@ -139,11 +125,6 @@ pub enum NscError {
 }
 
 impl NscError {
-    /// Wrap an error as a per-document batch failure.
-    pub fn in_batch(doc: usize, source: NscError) -> Self {
-        NscError::Batch { doc, source: Box::new(source) }
-    }
-
     /// Wrap an error as a per-node distributed-run failure.
     pub fn on_node(node: NodeId, source: NscError) -> Self {
         NscError::NodeFailed { node, source: Box::new(source) }
@@ -171,13 +152,10 @@ impl fmt::Display for NscError {
             NscError::MaxInstructions { executed, limit } => {
                 write!(f, "instruction budget exhausted: {executed} executed (limit {limit})")
             }
-            NscError::Batch { doc, source } => write!(f, "batch document {doc}: {source}"),
             NscError::NodeFailed { node, source } => write!(f, "node {node}: {source}"),
-            NscError::EmptyPool => write!(f, "batch submitted with no nodes to run on"),
             NscError::BadLane { lane, node } => {
                 write!(f, "lane {lane} names node {node}, which is out of range or repeated")
             }
-            NscError::WorkerPanic => write!(f, "a batch worker thread panicked"),
             NscError::Workload(msg) => write!(f, "workload rejected: {msg}"),
             NscError::ShapeMismatch { expected, got } => write!(
                 f,
@@ -195,13 +173,9 @@ impl Error for NscError {
             NscError::BindFailed(d) | NscError::CheckFailed(d) => Some(d),
             NscError::Gen(e) => Some(e),
             NscError::Exec(e) => Some(e),
-            NscError::Batch { source, .. } | NscError::NodeFailed { source, .. } => {
-                Some(source.as_ref())
-            }
+            NscError::NodeFailed { source, .. } => Some(source.as_ref()),
             NscError::MaxInstructions { .. }
-            | NscError::EmptyPool
             | NscError::BadLane { .. }
-            | NscError::WorkerPanic
             | NscError::Workload(_)
             | NscError::ShapeMismatch { .. } => None,
         }
@@ -250,16 +224,6 @@ mod tests {
         assert_eq!(set.len(), 1);
 
         assert!(NscError::MaxInstructions { executed: 7, limit: 7 }.source().is_none());
-    }
-
-    #[test]
-    fn batch_errors_chain_to_the_per_document_failure() {
-        let inner = NscError::from(GenError::EmptyProgram);
-        let e = NscError::in_batch(4, inner);
-        assert!(e.to_string().contains("batch document 4"));
-        let level1 = e.source().unwrap().downcast_ref::<NscError>().unwrap();
-        assert!(matches!(level1, NscError::Gen(GenError::EmptyProgram)));
-        assert!(level1.source().unwrap().downcast_ref::<GenError>().is_some());
     }
 
     #[test]

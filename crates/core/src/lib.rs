@@ -67,10 +67,9 @@
 //!
 //! [`run_lanes`] runs compiled programs on many nodes at once, one
 //! (node, program) lane per node — the one node-run driver, which the
-//! distributed solvers and [`Session::run_batch`] (many documents
-//! round-robin across a pool of nodes) build on; the [`Workload`] trait
-//! packages whole solver problems (see `nsc-cfd`'s Jacobi/SOR/multigrid
-//! workloads) behind the session.
+//! distributed solvers build on; the [`Workload`] trait packages whole
+//! solver problems (see `nsc-cfd`'s Jacobi/SOR/multigrid workloads)
+//! behind the session.
 
 #![warn(missing_docs)]
 
@@ -84,6 +83,5 @@ pub use self::debugger::{DebugFrame, DebugReport};
 pub use self::environment::VisualEnvironment;
 pub use self::error::{DiagnosticSet, NscError};
 pub use self::session::{
-    run_lanes, BatchReport, CacheStats, CertificateLog, CompiledProgram, KernelCache, RunReport,
-    Session, Workload,
+    run_lanes, CacheStats, CertificateLog, CompiledProgram, RunReport, Session, Workload,
 };

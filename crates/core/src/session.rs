@@ -16,14 +16,11 @@
 //!
 //! [`run_lanes`] is the one driver that runs compiled programs on many
 //! nodes at once: the first node on the calling thread, every other node
-//! on a crossbeam scoped thread of its own; the distributed solvers and
-//! [`Session::run_batch`] (compile many documents, run them round-robin
-//! across a pool of nodes, aggregate the per-run counters) are built on
-//! it.
+//! on a scoped thread of its own; the distributed solvers are built on it.
 
 use crate::certify::build_certificate;
 use crate::error::NscError;
-use nsc_arch::{KnowledgeBase, MachineConfig};
+use nsc_arch::{KnowledgeBase, MachineConfig, NodeId};
 use nsc_cert::{digest_hex, CompileCertificate, CompilePath};
 use nsc_checker::{diag, Checker, Diagnostic};
 use nsc_codegen::GenOutput;
@@ -35,171 +32,40 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One cached compilation: the generator output plus the host fast-path
-/// kernel specialized from it and the compile certificate the full
-/// pipeline emitted (the rebind base for the family's certificates).
-#[derive(Debug)]
-struct CacheEntry {
-    /// The document's shape digest. Equal digests mean equal shapes, so a
-    /// hit reads its shape here instead of hashing the document again.
-    shape: u128,
-    output: GenOutput,
-    warnings: Vec<Diagnostic>,
-    kernel: Arc<CompiledKernel>,
-    certificate: Arc<CompileCertificate>,
-}
-
-/// The session's compile cache, keyed by [`Document::digest`] with a
-/// secondary index keyed by [`Document::shape_digest`].
-///
-/// A digest hit returns the cached microcode *and* the pre-specialized
-/// [`CompiledKernel`], skipping check, codegen and kernel analysis
-/// entirely — the compile-once/run-many shape Jacobi iterations, V-cycle
-/// smoothing passes and ensemble re-runs all have. A digest *miss* whose
-/// shape digest matches a previous compile takes the rebind fast path
-/// instead: the cached program is cloned, its functional-unit preloads are
-/// re-patched to the new document's constants, and only kernel
-/// specialization re-runs — check and codegen are skipped. Exactly one of
-/// [`KernelCache::hits`], [`KernelCache::rebinds`] or
-/// [`KernelCache::misses`] ticks per compile. The cache is shared by
-/// clones of its [`Session`] (it is an `Arc` internally) and is safe to
-/// use from many threads.
-///
-/// ```
-/// use nsc_arch::{AlsKind, FuOp, InPort, MachineConfig, PlaneId};
-/// use nsc_core::Session;
-/// use nsc_diagram::{DmaAttrs, Document, FuAssign, IconKind, PadLoc, PadRef};
-/// use nsc_sim::RunOptions;
-///
-/// # fn main() -> Result<(), nsc_core::NscError> {
-/// // Draw: plane 0 -> (x * 2) -> plane 1.
-/// let mut doc = Document::new("double");
-/// let pid = doc.add_pipeline("double");
-/// let d = doc.pipeline_mut(pid).unwrap();
-/// d.stream_len = 4;
-/// let src = d.add_icon(IconKind::Memory { plane: Some(PlaneId(0)) });
-/// let als = d.add_icon(IconKind::als(AlsKind::Singlet));
-/// let dst = d.add_icon(IconKind::Memory { plane: Some(PlaneId(1)) });
-/// d.connect(
-///     PadLoc::new(src, PadRef::Io),
-///     PadLoc::new(als, PadRef::FuIn { pos: 0, port: InPort::A }),
-///     Some(DmaAttrs::at_address(0)),
-/// )?;
-/// d.assign_fu(als, 0, FuAssign::with_const(FuOp::Mul, 2.0))?;
-/// d.connect(
-///     PadLoc::new(als, PadRef::FuOut { pos: 0 }),
-///     PadLoc::new(dst, PadRef::Io),
-///     Some(DmaAttrs::at_address(0)),
-/// )?;
-///
-/// // Compile once, run many: iterations 2 and 3 hit the kernel cache.
-/// let session = Session::new(MachineConfig::nsc_1988());
-/// let mut node = session.node();
-/// for _ in 0..3 {
-///     let compiled = session.compile(&mut doc)?;
-///     compiled.run(&mut node, &RunOptions::default())?;
-/// }
-/// assert_eq!(session.kernel_cache().misses(), 1, "first compile populates");
-/// assert_eq!(session.kernel_cache().hits(), 2, "re-compiles are cache hits");
-/// assert_eq!(session.kernel_cache().len(), 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct KernelCache {
-    inner: Arc<CacheInner>,
-}
-
+/// The session's compile cache: every fast-path compile keyed by
+/// [`Document::digest`], with a secondary index keyed by
+/// [`Document::shape_digest`] holding each shape's first compile (the
+/// rebind base for the whole family). Exactly one of `hits`, `rebinds` or
+/// `misses` ticks per fast-path compile.
 #[derive(Debug, Default)]
-struct CacheInner {
-    entries: Mutex<HashMap<u128, Arc<CacheEntry>>>,
-    shapes: Mutex<HashMap<u128, Arc<CacheEntry>>>,
+struct KernelCache {
+    entries: Mutex<HashMap<u128, Arc<CompiledProgram>>>,
+    shapes: Mutex<HashMap<u128, Arc<CompiledProgram>>>,
     hits: AtomicU64,
     rebinds: AtomicU64,
     misses: AtomicU64,
 }
 
 impl KernelCache {
-    /// Number of distinct documents cached.
-    pub fn len(&self) -> usize {
-        self.inner.entries.lock().expect("cache lock").len()
+    fn lookup(&self, digest: u128) -> Option<Arc<CompiledProgram>> {
+        self.entries.lock().expect("cache lock").get(&digest).cloned()
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    fn lookup_shape(&self, shape: u128) -> Option<Arc<CompiledProgram>> {
+        self.shapes.lock().expect("cache lock").get(&shape).cloned()
     }
 
-    /// Number of distinct document *shapes* cached (the rebind index).
-    pub fn shape_count(&self) -> usize {
-        self.inner.shapes.lock().expect("cache lock").len()
-    }
-
-    /// Compiles served whole from the cache (same document digest).
-    pub fn hits(&self) -> u64 {
-        self.inner.hits.load(Ordering::Relaxed)
-    }
-
-    /// Compiles served through the rebind fast path: a new document digest
-    /// whose shape matched a cached compile, so only the functional-unit
-    /// preloads were re-patched and the kernel re-specialized.
-    pub fn rebinds(&self) -> u64 {
-        self.inner.rebinds.load(Ordering::Relaxed)
-    }
-
-    /// Compiles that ran the full pipeline and populated the cache.
-    pub fn misses(&self) -> u64 {
-        self.inner.misses.load(Ordering::Relaxed)
-    }
-
-    /// Statistics snapshot ([`Session::cache_stats`] re-exports this).
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits(),
-            rebinds: self.rebinds(),
-            misses: self.misses(),
-            entries: self.len(),
-            shapes: self.shape_count(),
-        }
-    }
-
-    /// Drop every cached entry, in both indexes (statistics are kept).
-    pub fn clear(&self) {
-        self.inner.entries.lock().expect("cache lock").clear();
-        self.inner.shapes.lock().expect("cache lock").clear();
-    }
-
-    fn lookup(&self, digest: u128) -> Option<Arc<CacheEntry>> {
-        self.inner.entries.lock().expect("cache lock").get(&digest).cloned()
-    }
-
-    fn lookup_shape(&self, shape: u128) -> Option<Arc<CacheEntry>> {
-        self.inner.shapes.lock().expect("cache lock").get(&shape).cloned()
-    }
-
-    fn note_hit(&self) {
-        self.inner.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_rebind(&self) {
-        self.inner.rebinds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_miss(&self) {
-        self.inner.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn insert(&self, digest: u128, entry: Arc<CacheEntry>) {
-        self.inner.entries.lock().expect("cache lock").insert(digest, entry.clone());
+    fn insert(&self, digest: u128, program: Arc<CompiledProgram>) {
+        self.entries.lock().expect("cache lock").insert(digest, program.clone());
         // First compile of a shape becomes the rebind base for the whole
         // family; later members keep rebinding from it.
-        self.inner.shapes.lock().expect("cache lock").entry(entry.shape).or_insert(entry);
+        self.shapes.lock().expect("cache lock").entry(program.shape).or_insert(program);
     }
 }
 
-/// A serializable snapshot of [`KernelCache`] counters — what ensemble
-/// reports and the CI perf gate consume instead of reaching into the
-/// cache's internals.
+/// A serializable snapshot of a [`Session`]'s compile-cache counters
+/// ([`Session::cache_stats`]) — what ensemble reports and the CI perf
+/// gate consume.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CacheStats {
     /// Compiles served whole from the cache.
@@ -266,12 +132,12 @@ impl CertificateLog {
 ///
 /// Cheap to construct (one knowledge-base clone, reused by every stage)
 /// and freely cloneable; every stage takes `&self`, so one session can
-/// compile documents from many threads. Clones share the [`KernelCache`],
+/// compile documents from many threads. Clones share the compile cache,
 /// so a document compiled through any clone is a cache hit for all.
 #[derive(Debug, Clone)]
 pub struct Session {
     checker: Checker,
-    kernels: KernelCache,
+    cache: Arc<KernelCache>,
     fast_path: bool,
     cert_log: Option<CertificateLog>,
 }
@@ -286,7 +152,7 @@ impl Session {
     pub fn from_kb(kb: KnowledgeBase) -> Self {
         Session {
             checker: Checker::new(kb),
-            kernels: KernelCache::default(),
+            cache: Arc::default(),
             fast_path: true,
             cert_log: None,
         }
@@ -309,11 +175,6 @@ impl Session {
     /// Whether compiles specialize host kernels and use the cache.
     pub fn fast_path(&self) -> bool {
         self.fast_path
-    }
-
-    /// The digest-keyed compile cache.
-    pub fn kernel_cache(&self) -> &KernelCache {
-        &self.kernels
     }
 
     /// A clone of this session with a fresh [`CertificateLog`] attached,
@@ -386,8 +247,8 @@ impl Session {
     }
 
     /// The full front half of the Figure 3 loop: bind, check, generate —
-    /// then specialize the host fast-path kernel, all behind the
-    /// digest-keyed [`KernelCache`].
+    /// then specialize the host fast-path kernel, all behind the session's
+    /// digest-keyed compile cache.
     ///
     /// The document is mutated in place by binding (exactly what the
     /// interactive environment does before generation). The digest is
@@ -401,114 +262,54 @@ impl Session {
     /// and codegen. The global check runs exactly once per distinct
     /// document *shape*: generation reuses this stage's verdict instead of
     /// re-checking internally, and rebinding reuses the base compile's
-    /// warnings (constants cannot change the check verdict).
+    /// warnings (constants cannot change the check verdict). With the fast
+    /// path off the cache is neither read nor filled and every compile
+    /// runs the full pipeline.
     pub fn compile(&self, doc: &mut Document) -> Result<CompiledProgram, NscError> {
         self.auto_bind(doc)?;
-        if !self.fast_path {
-            let warnings = self.check(doc)?;
-            let output = nsc_codegen::generate_prechecked(self.kb(), doc)?;
-            let digest = doc.digest();
-            let shape = doc.shape_digest();
-            let certificate = Arc::new(build_certificate(
-                self.kb().config(),
-                digest,
-                shape,
-                CompilePath::Full,
-                &output,
-                None,
-            ));
-            self.record_certificate(certificate.clone());
-            return Ok(CompiledProgram { output, warnings, kernel: None, shape, certificate });
-        }
         let digest = doc.digest();
-        if let Some(hit) = self.kernels.lookup(digest) {
-            self.kernels.note_hit();
+        let hit = if self.fast_path { self.cache.lookup(digest) } else { None };
+        if let Some(hit) = hit {
+            self.cache.hits.fetch_add(1, Ordering::Relaxed);
             // Same document, same microcode: the cached certificate holds,
             // restamped so the audit trail shows this compile was a hit.
-            let certificate =
+            let mut program = (*hit).clone();
+            program.certificate =
                 Arc::new(hit.certificate.with_path(CompilePath::CacheHit, digest_hex(digest)));
-            self.record_certificate(certificate.clone());
-            return Ok(CompiledProgram {
-                output: hit.output.clone(),
-                warnings: hit.warnings.clone(),
-                kernel: Some(hit.kernel.clone()),
-                shape: hit.shape,
-                certificate,
-            });
+            self.record_certificate(program.certificate.clone());
+            return Ok(program);
         }
         let shape = doc.shape_digest();
-        if let Some(base) = self.kernels.lookup_shape(shape) {
-            // Same shape, different constants: re-patch the preloads and
-            // re-specialize the kernel. Patching only fails on a shape
-            // collision (distinct structures, equal 128-bit digest) — fall
-            // through to the full pipeline in that case, which is always
-            // correct, merely slower.
-            let mut output = base.output.clone();
-            if rebind_preloads(doc, &mut output).is_ok() {
-                let kernel = Arc::new(CompiledKernel::compile(self.kb(), &output.program));
-                let warnings = base.warnings.clone();
-                // The census is re-read from the *rebound* microcode, so
-                // the certificate vouches for what actually runs, not for
-                // the base member it was patched from.
-                let certificate = Arc::new(build_certificate(
-                    self.kb().config(),
-                    digest,
-                    shape,
-                    CompilePath::Rebind,
-                    &output,
-                    Some(&kernel),
-                ));
-                self.record_certificate(certificate.clone());
-                let entry = Arc::new(CacheEntry {
-                    shape,
-                    output,
-                    warnings,
-                    kernel,
-                    certificate: certificate.clone(),
-                });
-                self.kernels.note_rebind();
-                self.kernels.insert(digest, entry.clone());
-                return Ok(CompiledProgram {
-                    output: entry.output.clone(),
-                    warnings: entry.warnings.clone(),
-                    kernel: Some(entry.kernel.clone()),
-                    shape,
-                    certificate: entry.certificate.clone(),
-                });
+        // Same shape, different constants: re-patch the base's preloads.
+        // Patching only fails on a shape collision (distinct structures,
+        // equal 128-bit digest) — the full pipeline then runs instead,
+        // which is always correct, merely slower.
+        let base = if self.fast_path { self.cache.lookup_shape(shape) } else { None };
+        let rebound = base
+            .and_then(|base| Some((rebind_preloads(doc, &base.output)?, base.warnings.clone())));
+        let (path, output, warnings) = match rebound {
+            Some((output, warnings)) => {
+                self.cache.rebinds.fetch_add(1, Ordering::Relaxed);
+                (CompilePath::Rebind, output, warnings)
             }
+            None => {
+                if self.fast_path {
+                    self.cache.misses.fetch_add(1, Ordering::Relaxed);
+                }
+                let warnings = self.check(doc)?;
+                (CompilePath::Full, nsc_codegen::generate_prechecked(self.kb(), doc)?, warnings)
+            }
+        };
+        let program = self.seal(digest, shape, path, output, warnings);
+        self.record_certificate(program.certificate.clone());
+        if self.fast_path {
+            self.cache.insert(digest, Arc::new(program.clone()));
         }
-        self.kernels.note_miss();
-        let warnings = self.check(doc)?;
-        let output = nsc_codegen::generate_prechecked(self.kb(), doc)?;
-        let kernel = Arc::new(CompiledKernel::compile(self.kb(), &output.program));
-        let certificate = Arc::new(build_certificate(
-            self.kb().config(),
-            digest,
-            shape,
-            CompilePath::Full,
-            &output,
-            Some(&kernel),
-        ));
-        self.record_certificate(certificate.clone());
-        let entry = Arc::new(CacheEntry {
-            shape,
-            output,
-            warnings,
-            kernel,
-            certificate: certificate.clone(),
-        });
-        self.kernels.insert(digest, entry.clone());
-        Ok(CompiledProgram {
-            output: entry.output.clone(),
-            warnings: entry.warnings.clone(),
-            kernel: Some(entry.kernel.clone()),
-            shape,
-            certificate,
-        })
+        Ok(program)
     }
 
     /// Rebind a compiled program's constant icons to a new document of the
-    /// same shape, without consulting or populating the [`KernelCache`].
+    /// same shape, without consulting or populating the compile cache.
     ///
     /// `doc` is bound in place, its shape is required to equal `base`'s
     /// ([`NscError::ShapeMismatch`] otherwise), and the result is `base`'s
@@ -528,33 +329,43 @@ impl Session {
     ) -> Result<CompiledProgram, NscError> {
         self.auto_bind(doc)?;
         let shape = doc.shape_digest();
+        let mismatch = NscError::ShapeMismatch { expected: base.shape, got: shape };
         if shape != base.shape {
-            return Err(NscError::ShapeMismatch { expected: base.shape, got: shape });
+            return Err(mismatch);
         }
-        let mut output = base.output.clone();
         // Equal shape digests with a failing patch means a digest
         // collision between genuinely different structures.
-        rebind_preloads(doc, &mut output)
-            .map_err(|_| NscError::ShapeMismatch { expected: base.shape, got: shape })?;
-        let kernel = if self.fast_path {
-            Some(Arc::new(CompiledKernel::compile(self.kb(), &output.program)))
-        } else {
-            None
-        };
+        let output = rebind_preloads(doc, &base.output).ok_or(mismatch)?;
+        Ok(self.seal(doc.digest(), shape, CompilePath::Rebind, output, base.warnings.clone()))
+    }
+
+    /// The one place a compile's product is built: specialize the host
+    /// kernel (fast path only) and seal the certificate over the microcode
+    /// that actually runs — for a rebind, the *re-patched* microcode, not
+    /// the base member it was patched from.
+    fn seal(
+        &self,
+        digest: u128,
+        shape: u128,
+        path: CompilePath,
+        output: GenOutput,
+        warnings: Vec<Diagnostic>,
+    ) -> CompiledProgram {
+        let kernel =
+            self.fast_path.then(|| Arc::new(CompiledKernel::compile(self.kb(), &output.program)));
         let certificate = Arc::new(build_certificate(
             self.kb().config(),
-            doc.digest(),
+            digest,
             shape,
-            CompilePath::Rebind,
+            path,
             &output,
             kernel.as_deref(),
         ));
-        Ok(CompiledProgram { output, warnings: base.warnings.clone(), kernel, shape, certificate })
+        CompiledProgram { output, warnings, kernel, shape, certificate }
     }
 
-    /// Snapshot of the kernel cache's counters — hit/rebind/miss counts
-    /// and sizes — for reports and gates that must not reach into the
-    /// cache's internals.
+    /// Snapshot of the compile cache's counters — hit/rebind/miss counts
+    /// and sizes — for reports and gates.
     ///
     /// The three counters partition compiles exactly: every
     /// [`Session::compile`] through the fast path ticks exactly one of
@@ -564,92 +375,88 @@ impl Session {
     /// same fact travels in the certificate: `CompileCertificate::
     /// compile_path` is `CacheHit`, `Rebind` or `Full` respectively, so an
     /// audit can tell a rebind-path compile from a full compile for any
-    /// single job, while these counters give the aggregate.
+    /// single job, while these counters give the aggregate. The cache is
+    /// shared by clones of the session and is safe to use from many
+    /// threads.
+    ///
+    /// ```
+    /// use nsc_arch::{AlsKind, FuOp, InPort, MachineConfig, PlaneId};
+    /// use nsc_core::Session;
+    /// use nsc_diagram::{DmaAttrs, Document, FuAssign, IconKind, PadLoc, PadRef};
+    /// use nsc_sim::RunOptions;
+    ///
+    /// # fn main() -> Result<(), nsc_core::NscError> {
+    /// // Draw: plane 0 -> (x * 2) -> plane 1.
+    /// let mut doc = Document::new("double");
+    /// let pid = doc.add_pipeline("double");
+    /// let d = doc.pipeline_mut(pid).unwrap();
+    /// d.stream_len = 4;
+    /// let src = d.add_icon(IconKind::Memory { plane: Some(PlaneId(0)) });
+    /// let als = d.add_icon(IconKind::als(AlsKind::Singlet));
+    /// let dst = d.add_icon(IconKind::Memory { plane: Some(PlaneId(1)) });
+    /// d.connect(
+    ///     PadLoc::new(src, PadRef::Io),
+    ///     PadLoc::new(als, PadRef::FuIn { pos: 0, port: InPort::A }),
+    ///     Some(DmaAttrs::at_address(0)),
+    /// )?;
+    /// d.assign_fu(als, 0, FuAssign::with_const(FuOp::Mul, 2.0))?;
+    /// d.connect(
+    ///     PadLoc::new(als, PadRef::FuOut { pos: 0 }),
+    ///     PadLoc::new(dst, PadRef::Io),
+    ///     Some(DmaAttrs::at_address(0)),
+    /// )?;
+    ///
+    /// // Compile once, run many: iterations 2 and 3 hit the compile cache.
+    /// let session = Session::new(MachineConfig::nsc_1988());
+    /// let mut node = session.node();
+    /// for _ in 0..3 {
+    ///     let compiled = session.compile(&mut doc)?;
+    ///     compiled.run(&mut node, &RunOptions::default())?;
+    /// }
+    /// let stats = session.cache_stats();
+    /// assert_eq!(stats.misses, 1, "first compile populates");
+    /// assert_eq!(stats.hits, 2, "re-compiles are cache hits");
+    /// assert_eq!(stats.entries, 1);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn cache_stats(&self) -> CacheStats {
-        self.kernels.stats()
-    }
-
-    /// Compile many documents and execute them across a pool of nodes.
-    ///
-    /// Document `i` runs on node `i % nodes.len()`. The batch runs in
-    /// rounds of one document per node through [`run_lanes`], so distinct
-    /// nodes run concurrently while each node executes its documents in
-    /// submission order, never interleaved.
-    ///
-    /// A *compile* failure aborts before anything executes, leaving every
-    /// node untouched. A *runtime* failure cancels the not-yet-started
-    /// remainder of the batch (programs already in flight on other nodes
-    /// finish their run), and the lowest-indexed failure is reported as
-    /// [`NscError::Batch`]; nodes that completed work before the
-    /// cancellation keep their memory and counters, so reuse the pool
-    /// after an error only if the documents write disjoint state. On
-    /// success the [`BatchReport`] carries one [`RunReport`] per document
-    /// plus pool-level aggregate counters.
-    pub fn run_batch(
-        &self,
-        docs: &mut [Document],
-        nodes: &mut [NodeSim],
-        opts: &RunOptions,
-    ) -> Result<BatchReport, NscError> {
-        if docs.is_empty() {
-            return Ok(BatchReport::default());
+        let c = &self.cache;
+        CacheStats {
+            hits: c.hits.load(Ordering::Relaxed),
+            rebinds: c.rebinds.load(Ordering::Relaxed),
+            misses: c.misses.load(Ordering::Relaxed),
+            entries: c.entries.lock().expect("cache lock").len(),
+            shapes: c.shapes.lock().expect("cache lock").len(),
         }
-        if nodes.is_empty() {
-            return Err(NscError::EmptyPool);
-        }
-        let compiled = docs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, d)| self.compile(d).map_err(|e| NscError::in_batch(i, e)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let width = nodes.len();
-        let mut report = BatchReport::default();
-        for (round, progs) in compiled.chunks(width).enumerate() {
-            let lanes: Vec<(usize, &CompiledProgram)> = progs.iter().enumerate().collect();
-            let runs = run_lanes(nodes, &lanes, opts).map_err(|e| match e {
-                NscError::Batch { doc, source } => {
-                    NscError::Batch { doc: round * width + doc, source }
-                }
-                other => other,
-            })?;
-            report.runs.extend(runs);
-        }
-        // A node's documents run sequentially (counters accumulate); the
-        // nodes themselves overlap in time (counters absorb).
-        let mut per_node = vec![PerfCounters::default(); width.min(report.runs.len())];
-        for (i, run) in report.runs.iter().enumerate() {
-            per_node[i % width].accumulate(&run.counters);
-        }
-        for node in &per_node {
-            report.total.absorb(node);
-        }
-        report.nodes_used = per_node.len();
-        Ok(report)
     }
 }
 
 /// Re-patch a generated program's functional-unit preloads to `doc`'s
 /// constants and feedback seeds, instruction slot by instruction slot
-/// through the generator's diagram back-references.
+/// through the generator's diagram back-references, returning the patched
+/// copy of `base`.
 ///
 /// Constants lower *only* into `FuField::preload` (the generator rejects
 /// units whose operands both carry values, so each unit has at most one),
 /// which is what makes this equivalent to recompiling: everything else in
 /// the program — routing, compensation, DMA, loop sequencing — is
 /// value-independent. Slots without a back-reference (loop headers and
-/// tails) carry no units and are skipped. Fails only when `doc` does not
-/// actually match the program's structure (a shape-digest collision).
-fn rebind_preloads(doc: &Document, output: &mut GenOutput) -> Result<(), ()> {
-    for (slot, map) in output.maps.iter().enumerate() {
+/// tails) carry no units and are skipped. Returns `None` only when `doc`
+/// does not actually match the program's structure (a shape-digest
+/// collision).
+fn rebind_preloads(doc: &Document, base: &GenOutput) -> Option<GenOutput> {
+    let mut output = base.clone();
+    for (slot, map) in base.maps.iter().enumerate() {
         let Some(map) = map else { continue };
-        let diagram = doc.pipeline(map.pipeline).ok_or(())?;
+        let diagram = doc.pipeline(map.pipeline)?;
         for (icon, pos, assign) in diagram.fu_assigns() {
             let Some(value) = assign.preload_value() else { continue };
-            let fu = *map.unit_to_fu.get(&(icon, pos)).ok_or(())?;
+            let fu = *map.unit_to_fu.get(&(icon, pos))?;
             output.program.instrs[slot].fu_mut(fu).preload = Some(value);
         }
     }
-    Ok(())
+    Some(output)
 }
 
 /// Run compiled programs on nodes: the one driver every caller that
@@ -664,8 +471,8 @@ fn rebind_preloads(doc: &Document, output: &mut GenOutput) -> Result<(), ()> {
 /// disjoint sub-cubes of one system can each drive only their own nodes.
 /// Returns one [`RunReport`] per lane, in lane order. Every lane runs to
 /// completion even when another fails; the lowest failing lane's error is
-/// then reported as [`NscError::Batch`] with `doc` equal to the lane
-/// index. A panicking lane panics this call once every lane has finished.
+/// then reported as [`NscError::NodeFailed`] naming that lane's node. A
+/// panicking lane panics this call once every lane has finished.
 pub fn run_lanes(
     nodes: &mut [NodeSim],
     lanes: &[(usize, &CompiledProgram)],
@@ -678,23 +485,24 @@ pub fn run_lanes(
         let sim = free.get_mut(node).and_then(Option::take);
         work.push((sim.ok_or(NscError::BadLane { lane, node })?, prog));
     }
-    let mut slots: Vec<Option<Result<RunReport, NscError>>> = lanes.iter().map(|_| None).collect();
-    let mut work = work.into_iter().zip(slots.iter_mut());
-    if let Some(((node, prog), slot)) = work.next() {
-        let _ = crossbeam::thread::scope(|scope| {
-            for ((node, prog), slot) in work {
-                scope.spawn(move |_| *slot = Some(prog.run(node, opts)));
-            }
-            *slot = Some(prog.run(node, opts));
-        });
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(lane, slot)| match slot {
-            Some(run) => run.map_err(|e| NscError::in_batch(lane, e)),
-            None => Err(NscError::WorkerPanic),
-        })
+    let mut work = work.into_iter();
+    let Some((first, first_prog)) = work.next() else {
+        return Ok(Vec::new());
+    };
+    let runs = std::thread::scope(|scope| {
+        let spawned: Vec<_> =
+            work.map(|(node, prog)| scope.spawn(move || prog.run(node, opts))).collect();
+        let mut runs = vec![first_prog.run(first, opts)];
+        // A lane's panic resumes here; the scope still joins every other
+        // lane before it leaves the call.
+        runs.extend(
+            spawned.into_iter().map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+        );
+        runs
+    });
+    runs.into_iter()
+        .zip(lanes)
+        .map(|(run, &(node, _))| run.map_err(|e| NscError::on_node(NodeId(node as u16), e)))
         .collect()
 }
 
@@ -774,31 +582,6 @@ pub struct RunReport {
     pub counters: PerfCounters,
     /// Achieved MFLOPS of this run at the node's clock.
     pub mflops: f64,
-}
-
-/// Outcome of a [`Session::run_batch`] call.
-#[derive(Debug, Clone, Default)]
-pub struct BatchReport {
-    /// Per-document reports, in submission order.
-    pub runs: Vec<RunReport>,
-    /// Pool-level aggregate: work sums across all runs; elapsed cycles are
-    /// the busiest node's total (nodes overlap in time).
-    pub total: PerfCounters,
-    /// Nodes that actually received work.
-    pub nodes_used: usize,
-}
-
-impl BatchReport {
-    /// Aggregate achieved MFLOPS of the pool at a clock rate.
-    pub fn mflops(&self, clock_hz: u64) -> f64 {
-        self.total.mflops(clock_hz)
-    }
-
-    /// Per-document counters, in submission order — what document `i`
-    /// alone charged its node (already a delta, not a lifetime total).
-    pub fn document_counters(&self) -> impl Iterator<Item = &PerfCounters> + '_ {
-        self.runs.iter().map(|r| &r.counters)
-    }
 }
 
 /// A reusable problem that knows how to run itself through a [`Session`].

@@ -1,10 +1,7 @@
-//! `Session::run_batch`: many compiled documents executed across a pool
-//! of nodes in one call, with per-run reports and aggregated counters —
-//! the acceptance gate for the batch session driver — and `run_lanes`,
-//! the one driver that runs compiled programs on nodes, beneath it.
+//! `run_lanes`, the one driver that runs compiled programs on nodes: lane
+//! placement, per-lane reports, failure attribution and panics.
 
-use nsc::arch::{MachineConfig, PlaneId};
-use nsc::diagram::Document;
+use nsc::arch::{MachineConfig, NodeId, PlaneId};
 use nsc::env::{run_lanes, NscError, Session};
 use nsc::sim::{ExecError, RunOptions};
 use std::error::Error;
@@ -13,81 +10,18 @@ mod common;
 use common::scale_doc;
 
 #[test]
-fn five_documents_run_across_two_nodes_in_one_call() {
-    let session = Session::nsc_1988();
-    // Document i multiplies by (i+1) and writes to its own address.
-    let mut docs: Vec<Document> =
-        (0..5).map(|i| scale_doc((i + 1) as f64, 100 * i as u64)).collect();
-    let mut nodes = vec![session.node(), session.node()];
-    for node in &mut nodes {
-        node.mem.plane_mut(PlaneId(0)).write_slice(0, &[1.0, 2.0, 3.0]);
-    }
-
-    let report = session.run_batch(&mut docs, &mut nodes, &RunOptions::default()).expect("batch");
-
-    assert_eq!(report.runs.len(), 5, "one report per document, in order");
-    assert_eq!(report.nodes_used, 2);
-    // Round-robin: document i ran on node i % 2; its output is at its own
-    // address on that node's plane 1.
-    for i in 0..5u64 {
-        let k = (i + 1) as f64;
-        let plane = nodes[(i % 2) as usize].mem.plane(PlaneId(1));
-        assert_eq!(plane.read_vec(100 * i, 3), vec![k, 2.0 * k, 3.0 * k], "document {i} output");
-    }
-    // Aggregation: work sums across all five runs; elapsed cycles are the
-    // busiest node's sequential total, which is less than the grand sum.
-    assert_eq!(report.total.instructions, 5);
-    let work_sum: u64 = report.runs.iter().map(|r| r.counters.flops).sum();
-    assert_eq!(report.total.flops, work_sum);
-    let cycle_sum: u64 = report.runs.iter().map(|r| r.counters.cycles).sum();
-    assert!(report.total.cycles < cycle_sum, "parallel nodes overlap in time");
-    assert!(report.runs.iter().all(|r| r.counters.cycles > 0));
-    assert!(report.mflops(session.kb().config().clock_hz) > 0.0);
-}
-
-#[test]
-fn a_failing_document_aborts_the_batch_with_its_index() {
-    let session = Session::nsc_1988();
-    let mut docs = vec![scale_doc(1.0, 0), scale_doc(2.0, 100), Document::new("empty")];
-    let mut nodes = vec![session.node(), session.node()];
-    let err = session.run_batch(&mut docs, &mut nodes, &RunOptions::default()).unwrap_err();
-    let NscError::Batch { doc, ref source } = err else {
-        panic!("expected Batch, got {err:?}");
-    };
-    assert_eq!(doc, 2, "the empty document is the culprit");
-    assert!(matches!(**source, NscError::Gen(_)));
-}
-
-#[test]
-fn a_runtime_failure_reports_the_lowest_failing_document() {
-    let session = Session::nsc_1988();
-    let mut docs: Vec<Document> = (0..4).map(|i| scale_doc(1.0, 100 * i as u64)).collect();
-    // One node makes the failure order deterministic: its queue runs in
-    // submission order, document 0 trips the zero instruction budget, and
-    // the cancellation skips the other three.
-    let mut nodes = vec![session.node()];
-    let opts = RunOptions { max_instructions: 0, ..Default::default() };
-    let err = session.run_batch(&mut docs, &mut nodes, &opts).unwrap_err();
-    let NscError::Batch { doc, ref source } = err else {
-        panic!("expected Batch, got {err:?}");
-    };
-    assert_eq!(doc, 0);
-    assert!(matches!(**source, NscError::MaxInstructions { .. }));
-    assert_eq!(nodes[0].counters.instructions, 0, "nothing ran to completion");
-}
-
-#[test]
 fn empty_inputs_are_handled_without_threads() {
     let session = Session::nsc_1988();
-    let report = session
-        .run_batch(&mut [], &mut [session.node()], &RunOptions::default())
-        .expect("empty batch");
-    assert!(report.runs.is_empty());
-    assert_eq!(report.nodes_used, 0);
+    let prog = session.compile(&mut scale_doc(2.0, 0)).expect("compiles");
+    // No lanes, no work: nothing runs.
+    let mut nodes = vec![session.node()];
+    let runs = run_lanes(&mut nodes, &[], &RunOptions::default()).expect("no lanes");
+    assert!(runs.is_empty());
+    assert_eq!(nodes[0].counters.instructions, 0);
 
-    let mut docs = vec![scale_doc(1.0, 0)];
-    let err = session.run_batch(&mut docs, &mut [], &RunOptions::default()).unwrap_err();
-    assert!(matches!(err, NscError::EmptyPool));
+    // A lane but no nodes to run it on.
+    let err = run_lanes(&mut [], &[(0, &prog)], &RunOptions::default()).unwrap_err();
+    assert_eq!(err, NscError::BadLane { lane: 0, node: 0 });
 }
 
 #[test]
@@ -112,11 +46,6 @@ fn an_explicit_pool_drives_only_its_own_nodes() {
     assert_eq!(nodes[1].mem.plane(PlaneId(1)).read_vec(0, 3), vec![3.0, 3.0, 3.0]);
     assert_eq!(nodes[0].counters.instructions, 0, "outside the pool");
     assert_eq!(nodes[3].counters.instructions, 0, "outside the pool");
-
-    // No lanes, no work: nothing runs.
-    let runs = run_lanes(&mut nodes, &[], &RunOptions::default()).expect("no lanes");
-    assert!(runs.is_empty());
-    assert_eq!(nodes[0].counters.instructions, 0);
 }
 
 #[test]
@@ -150,20 +79,20 @@ fn the_lowest_failing_lane_is_named_and_chains_to_the_executor_error() {
     let mut nodes = vec![session.node(), session.node(), small.node(), small.node()];
     let lanes: Vec<_> = (0..4).map(|i| (i, &prog)).collect();
     let err = run_lanes(&mut nodes, &lanes, &RunOptions::default()).unwrap_err();
-    let NscError::Batch { doc, ref source } = err else {
-        panic!("expected Batch, got {err:?}");
+    let NscError::NodeFailed { node, ref source } = err else {
+        panic!("expected NodeFailed, got {err:?}");
     };
-    assert_eq!(doc, 2, "the lowest failing lane reports");
+    assert_eq!(node, NodeId(2), "the lowest failing lane reports its node");
     assert!(matches!(**source, NscError::Exec(ExecError::BadProgram(_))), "{source:?}");
     let level1 = err.source().unwrap().downcast_ref::<NscError>().expect("lane error");
     assert!(level1.source().unwrap().downcast_ref::<ExecError>().is_some());
     assert!(nodes[0].counters.instructions > 0 && nodes[1].counters.instructions > 0);
 
-    // The same failure on every lane: lane 0 reports.
+    // The same failure on every lane: lane 0 reports, naming its node.
     let mut small_nodes = vec![small.node(), small.node()];
     let lanes = [(1, &prog), (0, &prog)];
     let err = run_lanes(&mut small_nodes, &lanes, &RunOptions::default()).unwrap_err();
-    assert!(matches!(err, NscError::Batch { doc: 0, .. }), "{err:?}");
+    assert!(matches!(err, NscError::NodeFailed { node: NodeId(1), .. }), "{err:?}");
 }
 
 #[test]
@@ -199,12 +128,12 @@ fn a_single_lane_runs_exactly_like_compiled_program_run() {
         );
     }
 
-    // A failing single lane is still reported as lane 0, with nothing run.
+    // A failing single lane still names its node, with nothing run.
     let mut fresh = vec![session.node()];
     let budgetless = RunOptions { max_instructions: 0, ..Default::default() };
     let err = run_lanes(&mut fresh, &[(0, &prog)], &budgetless).unwrap_err();
-    let NscError::Batch { doc: 0, ref source } = err else {
-        panic!("expected Batch {{ doc: 0, .. }}, got {err:?}");
+    let NscError::NodeFailed { node: NodeId(0), ref source } = err else {
+        panic!("expected NodeFailed {{ node: N0, .. }}, got {err:?}");
     };
     assert!(matches!(**source, NscError::MaxInstructions { .. }), "{source:?}");
     assert_eq!(fresh[0].counters.instructions, 0);
@@ -252,19 +181,4 @@ fn a_lane_repeating_a_node_is_an_error() {
         .expect_err("node 1 is named twice");
     assert_eq!(err, NscError::BadLane { lane: 2, node: 1 });
     assert!(nodes.iter().all(|n| n.counters.instructions == 0), "nothing ran");
-}
-
-#[test]
-fn a_pool_larger_than_the_batch_leaves_spare_nodes_idle() {
-    let session = Session::nsc_1988();
-    let mut docs = vec![scale_doc(3.0, 0), scale_doc(4.0, 0)];
-    let mut nodes: Vec<_> = (0..4).map(|_| session.node()).collect();
-    for node in &mut nodes {
-        node.mem.plane_mut(PlaneId(0)).write_slice(0, &[1.0, 1.0, 1.0]);
-    }
-    let report = session.run_batch(&mut docs, &mut nodes, &RunOptions::default()).expect("batch");
-    assert_eq!(report.runs.len(), 2);
-    assert_eq!(report.nodes_used, 2);
-    assert_eq!(nodes[2].counters.instructions, 0, "spare nodes untouched");
-    assert_eq!(nodes[3].counters.instructions, 0);
 }
