@@ -11,7 +11,7 @@ fn report_scaling() {
     // The gate-sized problem: big enough that compute dominates the
     // 10 us/hop + 100 ns/word router charges.
     let n = 64;
-    let points: Vec<_> = (0..=3u32).map(|dim| strong_scaling_point(dim, n, 1, false)).collect();
+    let points: Vec<_> = (0..=3u32).map(|dim| strong_scaling_point(dim, n, 1)).collect();
     eprintln!("strong scaling, jacobi {n}^3, 1 ping-pong pair:");
     eprintln!("  nodes   aggregate MFLOPS   simulated ms   speedup");
     let base = points[0].aggregate_mflops;
@@ -36,7 +36,7 @@ fn bench(c: &mut Criterion) {
     for dim in 0..=3u32 {
         let nodes = 1usize << dim;
         c.bench_with_input(BenchmarkId::new("distributed_jacobi_pair_32", nodes), &dim, |b, &d| {
-            b.iter(|| strong_scaling_point(d, 32, 1, false))
+            b.iter(|| strong_scaling_point(d, 32, 1))
         });
     }
 }

@@ -2,14 +2,16 @@
 //!
 //! Measures the *simulated* performance figures (bit-deterministic across
 //! host machines: cycle counters plus the pinned router model), writes
-//! them as JSON, and compares against the committed baseline, failing when
-//! any figure drops more than 20%.
+//! them as JSON, and compares against the committed baseline bit for bit,
+//! failing on any moved figure — an intended move is committed with
+//! `--write-baseline`.
 //!
-//! The one exception to "simulated figures only" is the `host` section:
-//! wall-clock measurements of the compiled-kernel fast path against the
-//! interpreter. Those are machine-dependent, so the baseline copy is
-//! informational; the gate instead enforces the *freshly measured*
-//! kernel-vs-interpreter speedup (a property of the code, not the host).
+//! The exceptions to "simulated figures only" are the `host` section
+//! (wall-clock of the compiled-kernel fast path against the interpreter)
+//! and the `cert` section's two wall-clock fields. Those are
+//! machine-dependent, so the baseline copy is informational; the gate
+//! instead enforces the *freshly measured* kernel and audit speedups (a
+//! property of the code, not the host).
 //!
 //! ```text
 //! perf_gate --write out.json                        # emit current figures
@@ -24,7 +26,7 @@ use nsc_bench::{
     CertPoint, EnsemblePoint, HostPoint, ParkPoint, ScalingPoint,
 };
 use nsc_park::SchedPolicy;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::process::ExitCode;
 
 /// Where the committed baseline lives (relative to the repo root, which
@@ -43,20 +45,12 @@ struct Baseline {
     cavity: Vec<CavityPoint>,
     /// Distributed multigrid on 17^3, two V-cycles, at 1/4/8 nodes.
     multigrid: Vec<ScalingPoint>,
-    /// Distributed Jacobi 64^3 at 8 nodes through the *overlapped* sweep
-    /// engine (halo exchange hidden under interior compute). The gate
-    /// asserts this is strictly faster than the synchronized 8-node run.
-    jacobi_overlap_8: ScalingPoint,
-    /// Distributed multigrid 17^3 at 8 nodes, overlapped smoothing; same
-    /// strictly-faster-than-synchronized assertion.
-    multigrid_overlap_8: ScalingPoint,
     /// The machine-park benchmark job mix (4-node park: a running 2-node
     /// job, a blocked whole-machine job, a 1-node stream behind it)
     /// under plain FIFO — the reference backfill must beat.
     park_fifo: ParkPoint,
     /// The same mix under backfill. The gate asserts backfill strictly
-    /// beats FIFO on utilization AND throughput, and gates both figures
-    /// against this baseline.
+    /// beats FIFO on utilization AND throughput.
     park_backfill: ParkPoint,
     /// Twelve 1-node jobs saturating the 4-node park: the scheduler's
     /// small-job-stream throughput (jobs per simulated second) and the
@@ -65,7 +59,7 @@ struct Baseline {
     /// The ensemble engine's benchmark sweep (12-member Reynolds×steps
     /// cavity study): members/second with the 4-node park saturated,
     /// plus the compile-cache hit rate of a serial run — the gate holds
-    /// the rate at an absolute floor on top of the relative gates.
+    /// the rate at an absolute floor on top of the exact comparison.
     ensemble: EnsemblePoint,
     /// Host wall-clock of the kernel fast path vs the interpreter on
     /// Jacobi 64^3 @ 8 nodes. Machine-dependent, so the committed copy is
@@ -73,16 +67,20 @@ struct Baseline {
     /// speedup, never a comparison against this snapshot.
     host: HostPoint,
     /// Certificate-audit throughput: the independent verifier re-checking
-    /// the Jacobi gate workload's certificates. Host wall-clock like
-    /// `host`, so the committed copy is informational — the gate enforces
-    /// the freshly measured audit speedup (auditing must be orders of
-    /// magnitude cheaper than re-running).
+    /// the Jacobi gate workload's certificates. The certificate and
+    /// obligation counts are deterministic and compare exactly; the rate
+    /// and speedup are host wall-clock like `host`, so their committed
+    /// copy is informational — the gate enforces the freshly measured
+    /// audit speedup (auditing must be orders of magnitude cheaper than
+    /// re-running).
     cert: CertPoint,
 }
 
-/// Simulated figures never flake, but they may legitimately improve; only
-/// a drop beyond this fraction fails the gate.
-const TOLERATED_DROP: f64 = 0.20;
+/// The wall-clock fields, as paths into the figure set: measured on
+/// whatever host runs the gate, so never compared with the baseline.
+/// Every other field is simulated or counted and must match it bit for
+/// bit.
+const WALL_CLOCK: [&str; 3] = ["host", "cert.certs_per_second", "cert.audit_speedup"];
 
 /// The kernel fast path must beat the interpreter's host wall-clock by at
 /// least this factor on the gate workload (Jacobi 64^3 @ 8 nodes): the
@@ -104,11 +102,9 @@ const REQUIRED_AUDIT_SPEEDUP: f64 = 10.0;
 fn measure() -> Baseline {
     Baseline {
         jacobi_mflops: jacobi_node_mflops(12),
-        strong_scaling: (0..=3u32).map(|dim| strong_scaling_point(dim, 64, 1, false)).collect(),
-        cavity: [0u32, 2].iter().map(|&dim| cavity_point(dim, 17, 2, false)).collect(),
-        multigrid: [0u32, 2, 3].iter().map(|&dim| multigrid_point(dim, 17, 2, false)).collect(),
-        jacobi_overlap_8: strong_scaling_point(3, 64, 1, true),
-        multigrid_overlap_8: multigrid_point(3, 17, 2, true),
+        strong_scaling: (0..=3u32).map(|dim| strong_scaling_point(dim, 64, 1)).collect(),
+        cavity: [0u32, 2].iter().map(|&dim| cavity_point(dim, 17, 2)).collect(),
+        multigrid: [0u32, 2, 3].iter().map(|&dim| multigrid_point(dim, 17, 2)).collect(),
         park_fifo: park_mixed_point(SchedPolicy::Fifo),
         park_backfill: park_mixed_point(SchedPolicy::Backfill),
         park_small_stream: park_small_stream_point(),
@@ -120,127 +116,63 @@ fn measure() -> Baseline {
     }
 }
 
-fn check(current: &Baseline, baseline: &Baseline) -> Result<(), String> {
-    let mut failures = Vec::new();
-    let mut gate = |name: String, now: f64, then: f64, unit: &str| {
-        let floor = then * (1.0 - TOLERATED_DROP);
-        let verdict = if now >= floor { "ok" } else { "REGRESSED" };
-        eprintln!(
-            "  {name:<32} {now:>12.1} {unit} (baseline {then:>12.1}, floor {floor:>12.1}) {verdict}"
-        );
-        if now < floor {
-            failures.push(name);
+/// Append `path: baseline -> now` to `moved` for every field of `now`
+/// (the figures just measured) that differs from `then` (the baseline),
+/// floats compared bit for bit, skipping the [`WALL_CLOCK`] fields.
+fn moved_figures(path: &str, now: &Value, then: &Value, moved: &mut Vec<String>) {
+    if WALL_CLOCK.contains(&path) {
+        return;
+    }
+    let child = |key: &str| if path.is_empty() { key.to_string() } else { format!("{path}.{key}") };
+    match (now, then) {
+        (Value::Object(a), Value::Object(b))
+            if a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.0 == y.0) =>
+        {
+            for ((key, x), (_, y)) in a.iter().zip(b) {
+                moved_figures(&child(key), x, y, moved);
+            }
         }
-    };
-    gate("jacobi 12^3 serial".into(), current.jacobi_mflops, baseline.jacobi_mflops, "MFLOPS");
-    let same_nodes = |c: &[ScalingPoint], b: &[ScalingPoint]| {
-        c.len() == b.len() && c.iter().zip(b).all(|(x, y)| x.nodes == y.nodes)
-    };
-    if !same_nodes(&current.strong_scaling, &baseline.strong_scaling)
-        || !same_nodes(&current.multigrid, &baseline.multigrid)
-        || current.cavity.len() != baseline.cavity.len()
-        || current.cavity.iter().zip(&baseline.cavity).any(|(c, b)| c.nodes != b.nodes)
-    {
-        return Err("baseline shape changed: refresh it with perf_gate --write-baseline".into());
+        (Value::Array(a), Value::Array(b)) if a.len() == b.len() => {
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                moved_figures(&format!("{path}[{i}]"), x, y, moved);
+            }
+        }
+        _ => {
+            let same = match (now, then) {
+                (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+                _ => now == then,
+            };
+            if !same {
+                let show = |v: &Value| serde_json::to_string(v).expect("figures serialize");
+                moved.push(format!("{path}: {} -> {}", show(then), show(now)));
+            }
+        }
     }
-    for (c, b) in current.strong_scaling.iter().zip(&baseline.strong_scaling) {
-        gate(
-            format!("distributed 64^3 @ {} nodes", c.nodes),
-            c.aggregate_mflops,
-            b.aggregate_mflops,
-            "MFLOPS",
-        );
+}
+
+fn check(current: &Baseline, baseline: &Baseline) -> Result<(), String> {
+    let mut moved = Vec::new();
+    let to_value = |b: &Baseline| serde_json::to_value(b).expect("figures serialize");
+    moved_figures("", &to_value(current), &to_value(baseline), &mut moved);
+    for m in &moved {
+        eprintln!("  MOVED {m}");
     }
-    for (c, b) in current.cavity.iter().zip(&baseline.cavity) {
-        // Time per step gates as a rate so "bigger is better" holds.
-        gate(
-            format!("cavity 17^2 @ {} nodes", c.nodes),
-            1.0 / c.seconds_per_step,
-            1.0 / b.seconds_per_step,
-            "steps/s",
-        );
+    if moved.is_empty() {
+        eprintln!("  every simulated figure matches the baseline bit for bit");
     }
-    for (c, b) in current.multigrid.iter().zip(&baseline.multigrid) {
-        gate(
-            format!("multigrid 17^3 @ {} nodes", c.nodes),
-            c.aggregate_mflops,
-            b.aggregate_mflops,
-            "MFLOPS",
-        );
+    let mut failures = Vec::new();
+    if !moved.is_empty() {
+        failures.push(format!(
+            "{} figure(s) moved from the baseline (commit an intended move with \
+             perf_gate --write-baseline)",
+            moved.len()
+        ));
     }
-    for (name, c, b) in [
-        ("jacobi 64^3 @ 8 overlapped", &current.jacobi_overlap_8, &baseline.jacobi_overlap_8),
-        (
-            "multigrid 17^3 @ 8 overlapped",
-            &current.multigrid_overlap_8,
-            &baseline.multigrid_overlap_8,
-        ),
-    ] {
-        // Simulated time gates as a rate so "bigger is better" holds.
-        gate(name.into(), 1.0 / c.simulated_seconds, 1.0 / b.simulated_seconds, "runs/s");
-    }
-    // Machine-park scheduler figures: the backfill mix and the
-    // small-job stream gate against the committed baseline.
-    gate(
-        "park mix backfill util".into(),
-        100.0 * current.park_backfill.utilization,
-        100.0 * baseline.park_backfill.utilization,
-        "%",
-    );
-    gate(
-        "park mix backfill throughput".into(),
-        current.park_backfill.jobs_per_second,
-        baseline.park_backfill.jobs_per_second,
-        "jobs/s",
-    );
-    gate(
-        "park small-job stream".into(),
-        current.park_small_stream.jobs_per_second,
-        baseline.park_small_stream.jobs_per_second,
-        "jobs/s",
-    );
-    gate(
-        "park small-job stream util".into(),
-        100.0 * current.park_small_stream.utilization,
-        100.0 * baseline.park_small_stream.utilization,
-        "%",
-    );
-    // Ensemble figures: throughput and utilization gate against the
-    // committed baseline like every simulated figure; the cache hit
-    // rate holds an absolute floor further down.
-    gate(
-        "ensemble saturated throughput".into(),
-        current.ensemble.members_per_second,
-        baseline.ensemble.members_per_second,
-        "mem/s",
-    );
-    gate(
-        "ensemble park utilization".into(),
-        100.0 * current.ensemble.utilization,
-        100.0 * baseline.ensemble.utilization,
-        "%",
-    );
     // The acceptance bars are absolute, not relative to the baseline.
     let one = current.strong_scaling.first().map(|p| p.aggregate_mflops).unwrap_or(0.0);
     let eight = current.strong_scaling.last().map(|p| p.aggregate_mflops).unwrap_or(0.0);
     if eight < 4.0 * one {
         failures.push(format!("8-node scaling {eight:.1} < 4x 1-node {one:.1}"));
-    }
-    // Overlap must *strictly* beat synchronization at 8 nodes: hiding the
-    // halo exchange under interior compute is the whole point.
-    let sync_jacobi_8 = current.strong_scaling.last().map(|p| p.simulated_seconds).unwrap_or(0.0);
-    if current.jacobi_overlap_8.simulated_seconds >= sync_jacobi_8 {
-        failures.push(format!(
-            "overlapped jacobi 64^3 @ 8 ({:.5}s) not faster than synchronized ({sync_jacobi_8:.5}s)",
-            current.jacobi_overlap_8.simulated_seconds
-        ));
-    }
-    let sync_mg_8 = current.multigrid.last().map(|p| p.simulated_seconds).unwrap_or(0.0);
-    if current.multigrid_overlap_8.simulated_seconds >= sync_mg_8 {
-        failures.push(format!(
-            "overlapped multigrid 17^3 @ 8 ({:.5}s) not faster than synchronized ({sync_mg_8:.5}s)",
-            current.multigrid_overlap_8.simulated_seconds
-        ));
     }
     // Backfill must *strictly* beat FIFO on the mix, on both
     // utilization and throughput: looking past a blocked queue head is
@@ -305,7 +237,7 @@ fn check(current: &Baseline, baseline: &Baseline) -> Result<(), String> {
     if failures.is_empty() {
         Ok(())
     } else {
-        Err(format!("{} figure(s) regressed: {}", failures.len(), failures.join(", ")))
+        Err(failures.join("; "))
     }
 }
 
@@ -335,16 +267,6 @@ fn summary_markdown(current: &Baseline) -> String {
             p.nodes, p.aggregate_mflops, p.simulated_seconds
         ));
     }
-    let jo = &current.jacobi_overlap_8;
-    let mo = &current.multigrid_overlap_8;
-    md.push_str(&format!(
-        "| jacobi 64^3 overlapped | {} | {:.1} | {:.5} |\n",
-        jo.nodes, jo.aggregate_mflops, jo.simulated_seconds
-    ));
-    md.push_str(&format!(
-        "| multigrid 17^3 overlapped | {} | {:.1} | {:.5} |\n",
-        mo.nodes, mo.aggregate_mflops, mo.simulated_seconds
-    ));
     md.push_str("\n### Machine park (4-node park, simulated scheduler figures)\n\n");
     md.push_str("| stream | policy | jobs | utilization | jobs/s | makespan |\n");
     md.push_str("|---|---|---:|---:|---:|---:|\n");
@@ -400,9 +322,9 @@ fn summary_markdown(current: &Baseline) -> String {
 }
 
 /// The `--help` text. Spells out what `--write-baseline` does to the
-/// machine-dependent `host` section, because a refreshed baseline is a
+/// machine-dependent wall-clock fields, because a refreshed baseline is a
 /// committed artifact: everything else in it is bit-deterministic, the
-/// `host` numbers are whatever machine ran the refresh.
+/// wall-clock numbers are whatever machine ran the refresh.
 fn usage() -> String {
     format!(
         "perf_gate: the CI performance-regression gate over simulated figures.
@@ -411,36 +333,38 @@ usage: perf_gate [--check <baseline.json>] [--write <out.json>]
                  [--write-baseline [path]] [--summary <markdown.md>] [--help]
 
   --check <baseline.json>   Measure the current figures and compare them
-                            against the committed baseline; any simulated
-                            figure more than {drop:.0}% below its baseline
-                            fails the gate. Also enforces the absolute
-                            bars: 8-node scaling, overlap strictly faster
-                            than synchronized, backfill strictly above
-                            FIFO on park utilization and throughput, an
-                            ensemble compile-cache hit rate of at least
-                            {hit}, a freshly measured kernel speedup
-                            of at least {speedup:.1}x over the
-                            interpreter, and a freshly measured
+                            with the committed baseline bit for bit; any
+                            moved figure fails the gate and is named
+                            (every field except the wall-clock ones:
+                            {wall}). Also enforces the absolute bars:
+                            8-node scaling of at least 4x, backfill
+                            strictly above FIFO on park utilization and
+                            throughput, an ensemble compile-cache hit
+                            rate of at least {hit}, a freshly measured
+                            kernel speedup of at least {speedup:.1}x over
+                            the interpreter, and a freshly measured
                             certificate-audit speedup of at least
                             {audit:.0}x over re-running the workload.
   --write <out.json>        Write the measured figures as JSON.
   --summary <markdown.md>   Append a markdown figure table (CI passes
                             $GITHUB_STEP_SUMMARY).
   --write-baseline [path]   Refresh the committed baseline in place
-                            (default {path}).
+                            (default {path}); commit it with a change
+                            that moves a figure on purpose.
 
 refresh semantics of --write-baseline:
-  Every figure except the `host` section is simulated and
+  Every figure except the wall-clock ones is simulated or counted and
   bit-deterministic, so a refresh records the same numbers on any
-  machine and the {drop:.0}% drop tolerance is meaningful. The `host`
-  section is different: it is wall-clock, so a refresh overwrites it
-  with measurements of *whatever machine ran the refresh*. That is fine
-  — the committed `host` numbers are informational only. The gate never
-  compares them against a baseline; the only host-side requirement is
-  the freshly measured kernel-vs-interpreter speedup (at least
-  {speedup:.1}x), which is a property of the code, not of the runner.
-  There is no need to refresh the baseline from any particular machine.",
-        drop = TOLERATED_DROP * 100.0,
+  machine and the exact comparison is meaningful. The wall-clock fields
+  are different: a refresh overwrites them with measurements of
+  *whatever machine ran the refresh*. That is fine — their committed
+  values are informational only. The gate never compares them against
+  a baseline; the only host-side requirements are the freshly measured
+  kernel-vs-interpreter speedup (at least {speedup:.1}x) and audit
+  speedup (at least {audit:.0}x), which are properties of the code, not
+  of the runner. There is no need to refresh the baseline from any
+  particular machine.",
+        wall = WALL_CLOCK.join(", "),
         speedup = REQUIRED_KERNEL_SPEEDUP,
         hit = ENSEMBLE_HIT_RATE_FLOOR,
         audit = REQUIRED_AUDIT_SPEEDUP,
@@ -505,12 +429,34 @@ fn main() -> ExitCode {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
         let baseline: Baseline = serde_json::from_str(&text).expect("baseline parses");
-        eprintln!("checking against {path} (tolerated drop {:.0}%):", TOLERATED_DROP * 100.0);
+        eprintln!("checking against {path} (exact):");
         if let Err(msg) = check(&current, &baseline) {
             eprintln!("FAIL: {msg}");
             return ExitCode::FAILURE;
         }
-        eprintln!("all figures within tolerance");
+        eprintln!("all figures match the baseline and clear their bars");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn moved_figures_compares_bits_and_skips_only_wall_clock_fields() {
+        let parse = |s: &str| serde_json::from_str::<Value>(s).expect("parses");
+        let then = parse(
+            r#"{"a": [0.1, 0.0], "host": {"x": 1.0}, "cert": {"certs": 6, "audit_speedup": 90.0}}"#,
+        );
+        let now = parse(
+            r#"{"a": [0.1, -0.0], "host": {"x": 2.0}, "cert": {"certs": 7, "audit_speedup": 75.0}}"#,
+        );
+        let mut moved = Vec::new();
+        moved_figures("", &now, &then, &mut moved);
+        assert_eq!(moved, ["a[1]: 0.0 -> -0.0", "cert.certs: 6 -> 7"]);
+        moved.clear();
+        moved_figures("", &then, &parse(r#"{"a": [0.1], "host": {}, "cert": {}}"#), &mut moved);
+        assert_eq!(moved.len(), 2, "a changed shape names the whole field: {moved:?}");
+    }
 }

@@ -3,9 +3,9 @@
 //!
 //! Everything here reports **simulated** figures (cycle counters and the
 //! router model), which are bit-deterministic across host machines — that
-//! is what makes the CI regression gate flake-free: a >20% drop in
-//! simulated MFLOPS is a real modelling or codegen regression, never a
-//! noisy runner.
+//! is what makes the CI regression gate flake-free and exact: any moved
+//! simulated figure is a real modelling or codegen change, never a noisy
+//! runner.
 
 use nsc_cfd::grid::manufactured_problem;
 use nsc_cfd::nsc_run::run_jacobi_on_node;
@@ -30,20 +30,11 @@ pub struct ScalingPoint {
 
 /// Run the distributed Jacobi workload for a fixed number of ping-pong
 /// pairs on a `2^dim`-node cube and report the simulated aggregate rate.
-/// `overlap` runs the latency-hidden sweep engine instead of the
-/// synchronized compute-then-exchange loop.
-pub fn strong_scaling_point(dim: u32, n: usize, pairs: u32, overlap: bool) -> ScalingPoint {
+pub fn strong_scaling_point(dim: u32, n: usize, pairs: u32) -> ScalingPoint {
     let session = Session::nsc_1988();
     let mut sys = NscSystem::new(nsc_arch::HypercubeConfig::new(dim), session.kb());
     let (u0, f, _) = manufactured_problem(n);
-    let w = DistributedJacobiWorkload {
-        u0,
-        f,
-        tol: 0.0,
-        max_pairs: pairs,
-        partition: nsc_cfd::PartitionSpec::Strip,
-        overlap,
-    };
+    let w = DistributedJacobiWorkload::new(u0, f, 0.0, pairs, nsc_cfd::PartitionSpec::Strip);
     let run = w.execute(&session, &mut sys).expect("distributed jacobi runs");
     ScalingPoint {
         nodes: sys.node_count(),
@@ -76,12 +67,11 @@ pub struct CavityPoint {
 /// Run the cavity for a fixed number of time steps on a `2^dim`-node cube
 /// and report the simulated time per step. Deterministic: the per-step
 /// ψ-solve sweep counts are fixed by the (simulated) convergence history.
-pub fn cavity_point(dim: u32, n: usize, steps: usize, overlap: bool) -> CavityPoint {
+pub fn cavity_point(dim: u32, n: usize, steps: usize) -> CavityPoint {
     let session = Session::nsc_1988();
     let mut sys = NscSystem::new(nsc_arch::HypercubeConfig::new(dim), session.kb());
     let mut w = CavityWorkload::new(n, 50.0, steps);
     w.psi_tol = 1e-6;
-    w.overlap = overlap;
     let run = w.execute(&session, &mut sys).expect("cavity runs");
     CavityPoint {
         nodes: sys.node_count(),
@@ -92,8 +82,7 @@ pub fn cavity_point(dim: u32, n: usize, steps: usize, overlap: bool) -> CavityPo
 
 /// Run the distributed multigrid workload for a fixed number of V-cycles
 /// on a `2^dim`-node cube and report the simulated aggregate rate.
-/// `overlap` hides the smoother's halo exchanges under interior compute.
-pub fn multigrid_point(dim: u32, n: usize, cycles: usize, overlap: bool) -> ScalingPoint {
+pub fn multigrid_point(dim: u32, n: usize, cycles: usize) -> ScalingPoint {
     let session = Session::nsc_1988();
     let mut sys = NscSystem::new(nsc_arch::HypercubeConfig::new(dim), session.kb());
     let (u0, f, _) = manufactured_problem(n);
@@ -103,7 +92,6 @@ pub fn multigrid_point(dim: u32, n: usize, cycles: usize, overlap: bool) -> Scal
         tol: 0.0,
         max_cycles: cycles,
         opts: MgOptions::default(),
-        overlap,
     };
     let run = w.execute(&session, &mut sys).expect("distributed multigrid runs");
     ScalingPoint {
@@ -146,14 +134,7 @@ pub fn host_comparison_point(dim: u32, n: usize, pairs: u32, reps: usize) -> Hos
             if fast { Session::nsc_1988() } else { Session::nsc_1988().with_fast_path(false) };
         let mut sys = NscSystem::new(nsc_arch::HypercubeConfig::new(dim), session.kb());
         let (u0, f, _) = manufactured_problem(n);
-        let w = DistributedJacobiWorkload {
-            u0,
-            f,
-            tol: 0.0,
-            max_pairs: pairs,
-            partition: nsc_cfd::PartitionSpec::Strip,
-            overlap: false,
-        };
+        let w = DistributedJacobiWorkload::new(u0, f, 0.0, pairs, nsc_cfd::PartitionSpec::Strip);
         let start = std::time::Instant::now();
         let run = w.execute(&session, &mut sys).expect("distributed jacobi runs");
         (start.elapsed().as_secs_f64(), run)
@@ -215,14 +196,7 @@ fn park_point_from(report: &nsc_park::ParkReport) -> ParkPoint {
 /// `pairs` ping-pong pairs) — deterministic duration for the park mixes.
 fn fixed_jacobi(n: usize, pairs: u32) -> DistributedJacobiWorkload {
     let (u0, f, _) = manufactured_problem(n);
-    DistributedJacobiWorkload {
-        u0,
-        f,
-        tol: 0.0,
-        max_pairs: pairs,
-        partition: nsc_cfd::PartitionSpec::Auto,
-        overlap: false,
-    }
+    DistributedJacobiWorkload::new(u0, f, 0.0, pairs, nsc_cfd::PartitionSpec::Auto)
 }
 
 /// The benchmark job mix the scheduler baselines are committed against,
@@ -237,14 +211,8 @@ pub fn park_mixed_point(policy: nsc_park::SchedPolicy) -> ParkPoint {
     let mut park = nsc_park::MachinePark::new(Session::nsc_1988(), 2);
     park.submit(Job::new("ada", 1, fixed_jacobi(8, 40))).expect("fits");
     let (u0, f, _) = manufactured_problem(17);
-    let mg = DistributedMultigridWorkload {
-        u0,
-        f,
-        tol: 0.0,
-        max_cycles: 2,
-        opts: MgOptions::default(),
-        overlap: false,
-    };
+    let mg =
+        DistributedMultigridWorkload { u0, f, tol: 0.0, max_cycles: 2, opts: MgOptions::default() };
     park.submit(Job::new("mary", 2, mg)).expect("fits");
     for _ in 0..4 {
         park.submit(Job::new("grace", 0, fixed_jacobi(6, 10))).expect("fits");

@@ -228,8 +228,9 @@ pub struct CoverageCert {
     pub owned_start: u64,
     /// Owned layers along the overlap axis.
     pub owned_len: u64,
-    /// The split's windows (interior + boundary shells, or the single
-    /// fused window).
+    /// The split's windows: the interior and the boundary shells the
+    /// sweep compiled (one merged shell window for a slab too thin to
+    /// have an interior).
     pub windows: Vec<WindowSpan>,
 }
 

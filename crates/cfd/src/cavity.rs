@@ -31,7 +31,7 @@ use crate::distributed::{check_partition_fits, check_same_machine, measure_syste
 use crate::grid::{Grid2, PaddedField};
 use crate::host::{ftcs_update_tree, FtcsCoeffs};
 use crate::overlap::{CompiledSweep, SweepEngine, SweepIo};
-use crate::partition::{read_slabs, GridShape, HaloSpec, Partition, PartitionSpec};
+use crate::partition::{read_slabs, GridShape, Partition, PartitionSpec};
 use nsc_arch::NodeId;
 use nsc_core::{run_lanes, CompiledProgram, NscError, Session, Workload};
 use nsc_sim::{NscSystem, PerfCounters, RunOptions};
@@ -57,7 +57,6 @@ pub struct Poisson2dSolver {
     even: CompiledSweep,
     odd: CompiledSweep,
     members: Vec<NodeId>,
-    overlap: bool,
 }
 
 impl Poisson2dSolver {
@@ -71,24 +70,23 @@ impl Poisson2dSolver {
         nx: usize,
         ny: usize,
     ) -> Result<Self, NscError> {
-        Self::with_partition(session, system, nx, ny, PartitionSpec::Auto, false)
+        Self::with_partition(session, system, nx, ny, PartitionSpec::Auto)
     }
 
-    /// [`Poisson2dSolver::new`] with an explicit decomposition choice and
-    /// overlap mode (`overlap` hides each sweep's halo exchange under its
-    /// interior pipelines — see [`SweepEngine`]).
+    /// [`Poisson2dSolver::new`] with an explicit decomposition choice.
+    /// Every sweep hides its halo exchange under its interior pipelines
+    /// (see [`SweepEngine`]).
     pub fn with_partition(
         session: &Session,
         system: &mut NscSystem,
         nx: usize,
         ny: usize,
         spec: PartitionSpec,
-        overlap: bool,
     ) -> Result<Self, NscError> {
         check_same_machine(session, system)?;
         let partition = spec.build(GridShape::plane2d(nx, ny), system.cube, true)?;
         let (even, odd) = {
-            let engine = SweepEngine::new(partition.as_ref(), HaloSpec::stencil(), overlap);
+            let engine = SweepEngine::stencil(partition.as_ref());
             let build = |parity: bool| {
                 move |p: &crate::partition::Part, windows: &[crate::partition::SweepWindow]| {
                     let (lnx, lny, _) = p.local_shape();
@@ -109,7 +107,7 @@ impl Poisson2dSolver {
             system.node_mut(p.node).mem.plane_mut(PLANE_MASK).write_slice(0, &mask.words);
         }
         let members = partition.member_nodes();
-        Ok(Poisson2dSolver { partition, nx, ny, even, odd, members, overlap })
+        Ok(Poisson2dSolver { partition, nx, ny, even, odd, members })
     }
 
     /// The decomposition (for reporting and tests).
@@ -135,20 +133,8 @@ impl Poisson2dSolver {
         tol: f64,
         max_pairs: u32,
     ) -> Result<PoissonSolveStats, NscError> {
-        let words = self.nx * self.ny;
-        for (name, g) in [("iterate", &*u), ("right-hand side", f)] {
-            if (g.nx, g.ny, g.data.len()) != (self.nx, self.ny, words) {
-                return Err(NscError::Workload(format!(
-                    "the {name} is a {}x{} grid of {} words, but the solver was compiled \
-                     for {}x{}",
-                    g.nx,
-                    g.ny,
-                    g.data.len(),
-                    self.nx,
-                    self.ny
-                )));
-            }
-        }
+        u.check_shape("iterate", self.nx, self.ny)?;
+        f.check_shape("right-hand side", self.nx, self.ny)?;
         check_partition_fits(self.partition.as_ref(), system)?;
         // g = -h²f, as the pipeline computes (sum - g)/4.
         let h2 = u.h * u.h;
@@ -168,7 +154,7 @@ impl Poisson2dSolver {
             mem.plane_mut(PLANE_U1).write_slice(0, &padded_u.words);
         }
 
-        let engine = SweepEngine::new(self.partition.as_ref(), HaloSpec::stencil(), self.overlap);
+        let engine = SweepEngine::stencil(self.partition.as_ref());
         let opts = RunOptions::default();
         let mut pairs = 0u64;
         let mut residual = f64::INFINITY;
@@ -231,8 +217,9 @@ impl VorticityTransport {
     /// part concurrently, and gather the advanced vorticity back.
     ///
     /// `partition` must cut the plane into the parts the transport was
-    /// compiled for — the same count, each of the same local shape — and
-    /// `system` must hold every node it uses, or the step is refused with
+    /// compiled for — the same count, each of the same local shape — `psi`
+    /// and `omega` must be grids of the partition's plane, and `system`
+    /// must hold every node it uses, or the step is refused with
     /// [`NscError::Workload`] before anything runs.
     pub fn step(
         &self,
@@ -252,6 +239,9 @@ impl VorticityTransport {
                 self.programs.len()
             )));
         }
+        let shape = partition.shape();
+        psi.check_shape("stream function", shape.nx, shape.ny)?;
+        omega.check_shape("vorticity", shape.nx, shape.ny)?;
         check_partition_fits(partition, system)?;
         let psi_slabs = partition.scatter(&psi.data);
         let w_slabs = partition.scatter(&omega.data);
@@ -321,9 +311,6 @@ pub struct CavityWorkload {
     /// How to cut the plane across the cube (`Auto` resolves to 2-D
     /// blocks when the cube has both torus axes to offer).
     pub partition: PartitionSpec,
-    /// Hide each ψ-sweep's halo exchange under its interior pipelines
-    /// (see [`SweepEngine`]); bit-identical to the synchronized mode.
-    pub overlap: bool,
 }
 
 impl CavityWorkload {
@@ -339,7 +326,6 @@ impl CavityWorkload {
             psi_tol: 1e-8,
             psi_max_pairs: 20_000,
             partition: PartitionSpec::Auto,
-            overlap: false,
         }
     }
 
@@ -444,14 +430,8 @@ impl Workload<NscSystem> for CavityWorkload {
                 self.re, self.dt
             )));
         }
-        let solver = Poisson2dSolver::with_partition(
-            session,
-            system,
-            self.n,
-            self.n,
-            self.partition,
-            self.overlap,
-        )?;
+        let solver =
+            Poisson2dSolver::with_partition(session, system, self.n, self.n, self.partition)?;
         let mut psi = Grid2::new(self.n, self.n);
         let mut omega = Grid2::new(self.n, self.n);
         let coeffs = FtcsCoeffs::new(psi.h, self.re, self.dt);
@@ -604,8 +584,8 @@ mod tests {
         let coeffs = FtcsCoeffs::new(psi.h, w.re, w.dt);
         for (dim, spec) in [(0u32, PartitionSpec::Strip), (2, PartitionSpec::Block)] {
             let mut sys = system(dim, &session);
-            let solver = Poisson2dSolver::with_partition(&session, &mut sys, n, n, spec, false)
-                .expect("compiles");
+            let solver =
+                Poisson2dSolver::with_partition(&session, &mut sys, n, n, spec).expect("compiles");
             let transport =
                 VorticityTransport::new(&session, solver.partition(), coeffs).expect("compiles");
             let mut got = omega.clone();
@@ -680,25 +660,18 @@ mod tests {
         w.psi_tol = 1e-6;
         let mut sys1 = system(0, &session);
         let a = w.execute(&session, &mut sys1).expect("1-node run");
-        for overlap in [false, true] {
-            w.overlap = overlap;
-            let mut sys4 = system(2, &session);
-            let b = w.execute(&session, &mut sys4).expect("4-node run");
-            for (x, y) in a.psi.data.iter().zip(&b.psi.data) {
-                assert_eq!(x.to_bits(), y.to_bits(), "ψ differs (overlap {overlap})");
-            }
-            for (x, y) in a.omega.data.iter().zip(&b.omega.data) {
-                assert_eq!(x.to_bits(), y.to_bits(), "ω differs (overlap {overlap})");
-            }
-            assert_eq!(a.psi_pairs, b.psi_pairs, "identical convergence history");
-            // The 4-node run paid for its halos; overlapped, it hid some.
-            assert!(b.total.comm_ns > 0 && a.total.comm_ns == 0);
-            assert_eq!(
-                b.per_node.iter().any(|c| c.comm_hidden_ns > 0),
-                overlap,
-                "hidden time iff overlapped"
-            );
+        let mut sys4 = system(2, &session);
+        let b = w.execute(&session, &mut sys4).expect("4-node run");
+        for (x, y) in a.psi.data.iter().zip(&b.psi.data) {
+            assert_eq!(x.to_bits(), y.to_bits(), "ψ differs");
         }
+        for (x, y) in a.omega.data.iter().zip(&b.omega.data) {
+            assert_eq!(x.to_bits(), y.to_bits(), "ω differs");
+        }
+        assert_eq!(a.psi_pairs, b.psi_pairs, "identical convergence history");
+        // The 4-node run paid for its halos and hid some of them.
+        assert!(b.total.comm_ns > 0 && a.total.comm_ns == 0);
+        assert!(b.per_node.iter().any(|c| c.comm_hidden_ns > 0), "some halo time hid");
     }
 
     #[test]

@@ -18,21 +18,19 @@
 //! halos still travel through the router (charging the same communication
 //! model), and the blocks converge to the same discrete solution.
 //!
-//! Both workloads execute through the shared
-//! [`SweepEngine`]: their `overlap` knob
-//! switches between the legacy synchronized choreography (compute, then
-//! exchange) and the latency-hidden one (interior pipelines concurrent
-//! with the halo sendrecvs, boundary shells after).
+//! Both workloads execute through the shared [`SweepEngine`]: every
+//! sweep runs its interior concurrently with the halo sendrecvs, then its
+//! boundary shells against the fresh ghosts.
 
 use crate::diagrams::{
     build_jacobi_sweep_document_windows, JacobiGeometry, JacobiVariant, PLANE_U0, PLANE_U1,
     RESIDUAL_CACHE,
 };
-use crate::grid::Grid3;
+use crate::grid::{check_problem, Grid3};
 use crate::host::{sor_sweep_host_layers, JacobiHostState};
 use crate::nsc_run::load_problem;
 use crate::overlap::{SweepEngine, SweepIo};
-use crate::partition::{read_slabs, GridShape, HaloSpec, Part, Partition, PartitionSpec};
+use crate::partition::{read_slabs, GridShape, Part, Partition, PartitionSpec};
 use nsc_core::{NscError, Session, Workload};
 use nsc_sim::{NscSystem, PerfCounters, RunOptions};
 
@@ -146,11 +144,19 @@ pub struct DistributedJacobiWorkload {
     /// How to cut the grid (`Auto` resolves to strips: a tall iteration
     /// grid has the lowest surface-to-volume along its slowest axis).
     pub partition: PartitionSpec,
-    /// Hide halo latency: split every sweep into interior and
-    /// boundary-shell pipelines and exchange ghosts concurrently with the
-    /// interior phase (see [`SweepEngine`]). Bit-identical to the
-    /// synchronized mode; strictly faster whenever parts have interiors.
+    /// Must be `true`, which [`DistributedJacobiWorkload::new`] sets:
+    /// every sweep hides its halo exchange under its interior pipelines
+    /// (see [`SweepEngine`]). `execute` refuses `false` before any plane
+    /// is written.
     pub overlap: bool,
+}
+
+impl DistributedJacobiWorkload {
+    /// Solve `u0`/`f` to `tol`, or for at most `max_pairs` sweep pairs,
+    /// cut across the cube as `partition` says.
+    pub fn new(u0: Grid3, f: Grid3, tol: f64, max_pairs: u32, partition: PartitionSpec) -> Self {
+        DistributedJacobiWorkload { u0, f, tol, max_pairs, partition, overlap: true }
+    }
 }
 
 impl Workload<NscSystem> for DistributedJacobiWorkload {
@@ -166,8 +172,13 @@ impl Workload<NscSystem> for DistributedJacobiWorkload {
         system: &mut NscSystem,
     ) -> Result<DistributedJacobiRun, NscError> {
         check_same_machine(session, system)?;
-        if (self.u0.nx, self.u0.ny, self.u0.nz) != (self.f.nx, self.f.ny, self.f.nz) {
-            return Err(NscError::Workload("iterate and right-hand side grids differ".into()));
+        check_problem(&self.u0, &self.f)?;
+        if !self.overlap {
+            return Err(NscError::Workload(
+                "distributed Jacobi always overlaps its halo exchange with interior compute; \
+                 build it with DistributedJacobiWorkload::new (or overlap: true)"
+                    .into(),
+            ));
         }
         let shape = GridShape::volume3d(self.u0.nx, self.u0.ny, self.u0.nz);
         let partition = self.partition.build(shape, system.cube, false)?;
@@ -182,7 +193,7 @@ impl Workload<NscSystem> for DistributedJacobiWorkload {
             let state = JacobiHostState::new(lu0, lf);
             load_problem(system.node_mut(p.node), &state, JacobiVariant::Full);
         }
-        let engine = SweepEngine::new(partition.as_ref(), HaloSpec::stencil(), self.overlap);
+        let engine = SweepEngine::stencil(partition.as_ref());
         let build = |even: bool| {
             move |p: &Part, windows: &[crate::partition::SweepWindow]| {
                 let (lnx, lny, lnz) = p.local_shape();
@@ -205,8 +216,8 @@ impl Workload<NscSystem> for DistributedJacobiWorkload {
         while pairs < u64::from(self.max_pairs) && !converged {
             // Even sweep (u0 -> u1): the scatter loaded fresh ghosts, so
             // the very first sweep exchanges nothing; later pairs refresh
-            // u0's ghosts (written by the previous odd sweep) during —
-            // or, synchronized, after — the sweep.
+            // u0's ghosts (written by the previous odd sweep) while the
+            // interior computes.
             let even_io = if pairs == 0 {
                 SweepIo::first(PLANE_U0, PLANE_U1)
             } else {
@@ -281,16 +292,10 @@ pub struct DistributedSorWorkload {
     pub tol: f64,
     /// Cap on sweeps.
     pub max_sweeps: usize,
-    /// How to cut the grid.
+    /// How to cut the grid. Each sweep phases through the
+    /// [`SweepEngine`] (interior first, then boundary shells against
+    /// fresh ghosts; see [`SweepEngine::host_sweep`]).
     pub partition: PartitionSpec,
-    /// Phase each sweep through the overlapped engine (interior first,
-    /// then boundary shells against fresh ghosts). Host compute spends no
-    /// simulated node time, so nothing hides; the phase split reorders
-    /// the in-place updates — a different Gauss-Seidel ordering with
-    /// different iterates and convergence history, converging to the
-    /// same fixed point — and the written faces travel one exchange
-    /// later.
-    pub overlap: bool,
 }
 
 impl DistributedSorWorkload {
@@ -301,15 +306,7 @@ impl DistributedSorWorkload {
     /// off the stability map.
     pub fn manufactured(n: usize, omega: f64, tol: f64, max_sweeps: usize) -> Self {
         let (u0, f, _) = crate::grid::manufactured_problem(n);
-        DistributedSorWorkload {
-            u0,
-            f,
-            omega,
-            tol,
-            max_sweeps,
-            partition: PartitionSpec::Auto,
-            overlap: false,
-        }
+        DistributedSorWorkload { u0, f, omega, tol, max_sweeps, partition: PartitionSpec::Auto }
     }
 }
 
@@ -331,16 +328,14 @@ impl Workload<NscSystem> for DistributedSorWorkload {
                 self.omega
             )));
         }
-        if (self.u0.nx, self.u0.ny, self.u0.nz) != (self.f.nx, self.f.ny, self.f.nz) {
-            return Err(NscError::Workload("iterate and right-hand side grids differ".into()));
-        }
+        check_problem(&self.u0, &self.f)?;
         let shape = GridShape::volume3d(self.u0.nx, self.u0.ny, self.u0.nz);
         let partition = self.partition.build(shape, system.cube, false)?;
         let members = partition.member_nodes();
         let parts = partition.parts();
         let fs = local_grids3(partition.as_ref(), &self.f);
         let mut slabs = partition.scatter(&self.u0.data);
-        let engine = SweepEngine::new(partition.as_ref(), HaloSpec::stencil(), self.overlap);
+        let engine = SweepEngine::stencil(partition.as_ref());
 
         let comm_before = system.comm_ns;
         let omega = self.omega;
@@ -362,7 +357,7 @@ impl Workload<NscSystem> for DistributedSorWorkload {
             // One phased sweep: halos travel through the router between
             // the engine's phases (staged from and pulled back into the
             // host slabs).
-            let block_res = engine.host_sweep(system, PLANE_U0, &mut slabs, sweeps == 0, relax);
+            let block_res = engine.host_sweep(system, PLANE_U0, &mut slabs, sweeps == 0, relax)?;
             // Global convergence test through the butterfly reduction.
             for (p, r) in parts.iter().zip(&block_res) {
                 system.node_mut(p.node).mem.cache_mut(RESIDUAL_CACHE).write(0, 0, *r);
@@ -411,58 +406,45 @@ mod tests {
             host_res = jacobi_sweep_host(&mut host);
         }
         let host_u = host.current();
-        let mut sync_seconds = None;
 
-        // Strips on a 4-node ring AND blocks on a 2x2 torus, synchronized
-        // AND latency-hidden: all four must reproduce the serial bits
-        // exactly.
-        for (spec, overlap) in [
-            (PartitionSpec::Strip, false),
-            (PartitionSpec::Strip, true),
-            (PartitionSpec::Block, false),
-            (PartitionSpec::Block, true),
-        ] {
+        // Strips on a 4-node ring AND blocks on a 2x2 torus: both must
+        // reproduce the serial bits exactly.
+        for spec in [PartitionSpec::Strip, PartitionSpec::Block] {
             let mut sys = system(2, &session);
-            let w = DistributedJacobiWorkload {
-                u0: u0.clone(),
-                f: f.clone(),
-                tol: 0.0,
-                max_pairs: 3,
-                partition: spec,
-                overlap,
-            };
+            let w = DistributedJacobiWorkload::new(u0.clone(), f.clone(), 0.0, 3, spec);
             let run = w.execute(&session, &mut sys).expect("runs");
             assert_eq!(run.sweeps, 6);
             assert!(!run.converged);
             for (a, b) in run.u.data.iter().zip(&host_u.data) {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{spec:?} (overlap {overlap}) and serial sweeps must agree"
-                );
+                assert_eq!(a.to_bits(), b.to_bits(), "{spec:?} and serial sweeps must agree");
             }
-            assert_eq!(
-                run.residual.to_bits(),
-                host_res.to_bits(),
-                "global max matches {spec:?} (overlap {overlap})"
-            );
-            // Communication happened and was charged per node.
+            assert_eq!(run.residual.to_bits(), host_res.to_bits(), "global max matches {spec:?}");
+            // Communication happened, was charged per node, and some of
+            // it hid under the interior pipelines.
             assert!(run.per_node.iter().all(|c| c.comm_ns > 0), "{spec:?}");
+            assert!(
+                run.per_node.iter().any(|c| c.comm_hidden_ns > 0),
+                "{spec:?}: halos must hide some time"
+            );
             assert!(run.aggregate_mflops > 0.0);
-            if overlap {
-                assert!(
-                    run.per_node.iter().any(|c| c.comm_hidden_ns > 0),
-                    "{spec:?}: overlapped halos must hide some time"
-                );
-                assert!(
-                    run.simulated_seconds < sync_seconds.unwrap(),
-                    "{spec:?}: hidden latency must shorten the run"
-                );
-            } else {
-                assert!(run.per_node.iter().all(|c| c.comm_hidden_ns == 0), "{spec:?}");
-                sync_seconds = Some(run.simulated_seconds);
-            }
         }
+    }
+
+    #[test]
+    fn distributed_jacobi_refuses_overlap_off_before_writing_a_plane() {
+        let (u0, f, _) = manufactured_problem(8);
+        let session = Session::nsc_1988();
+        let mut sys = system(1, &session);
+        let mut w = DistributedJacobiWorkload::new(u0, f, 0.0, 1, PartitionSpec::Auto);
+        w.overlap = false;
+        let err = w.execute(&session, &mut sys).unwrap_err();
+        assert!(matches!(err, NscError::Workload(_)), "{err:?}");
+        for node in sys.nodes() {
+            assert_eq!(node.counters, PerfCounters::default(), "nothing ran");
+            assert!(node.mem.planes.iter().all(|p| p.resident_pages() == 0), "no plane written");
+        }
+        w.overlap = true;
+        assert!(w.execute(&session, &mut sys).is_ok());
     }
 
     #[test]
@@ -471,14 +453,7 @@ mod tests {
         let (u0, f, exact) = manufactured_problem(n);
         let session = Session::nsc_1988();
         let mut sys = system(1, &session);
-        let w = DistributedJacobiWorkload {
-            u0,
-            f,
-            tol: 1e-9,
-            max_pairs: 2000,
-            partition: PartitionSpec::Auto,
-            overlap: true,
-        };
+        let w = DistributedJacobiWorkload::new(u0, f, 1e-9, 2000, PartitionSpec::Auto);
         let run = w.execute(&session, &mut sys).expect("runs");
         assert!(run.converged, "residual {}", run.residual);
         assert!(run.u.linf_diff(&exact) < 0.1, "err {}", run.u.linf_diff(&exact));
@@ -493,14 +468,7 @@ mod tests {
         revised.name = "revised".into();
         let mut alien =
             NscSystem::new(HypercubeConfig::new(1), nsc_core::Session::new(revised).kb());
-        let w = DistributedJacobiWorkload {
-            u0,
-            f,
-            tol: 0.0,
-            max_pairs: 1,
-            partition: PartitionSpec::Auto,
-            overlap: false,
-        };
+        let w = DistributedJacobiWorkload::new(u0, f, 0.0, 1, PartitionSpec::Auto);
         assert!(matches!(w.execute(&session, &mut alien), Err(NscError::Workload(_))));
 
         // 6 planes across 8 nodes cannot give every node 3 local planes.
@@ -525,11 +493,7 @@ mod tests {
         let sref = serial.execute(&session, &mut node).expect("serial runs");
         assert!(sref.converged);
 
-        for (spec, overlap) in [
-            (PartitionSpec::Strip, false),
-            (PartitionSpec::Strip, true),
-            (PartitionSpec::Block, true),
-        ] {
+        for spec in [PartitionSpec::Strip, PartitionSpec::Block] {
             let mut sys = system(2, &session);
             let w = DistributedSorWorkload {
                 u0: u0.clone(),
@@ -538,7 +502,6 @@ mod tests {
                 tol: 1e-10,
                 max_sweeps: 20_000,
                 partition: spec,
-                overlap,
             };
             let run = w.execute(&session, &mut sys).expect("runs");
             assert!(run.converged, "{spec:?} residual {}", run.residual);
@@ -564,7 +527,6 @@ mod tests {
             tol: 1e-8,
             max_sweeps: 5,
             partition: PartitionSpec::Auto,
-            overlap: false,
         };
         assert!(matches!(w.execute(&session, &mut sys), Err(NscError::Workload(_))));
     }

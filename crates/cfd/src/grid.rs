@@ -8,7 +8,36 @@
 //! arrays use the same padded layout so their streams pair with the
 //! stencil's centre tap (see `nsc-codegen`'s lag analysis).
 
+use nsc_core::NscError;
 use rand::Rng;
+
+/// The shape check every solver entry point runs before it writes
+/// anything: refuse a grid (named `what` in the error) whose `data`
+/// length disagrees with its dimensions `dims`.
+fn check_words(what: &str, dims: &[usize], words: usize) -> Result<(), NscError> {
+    let want: usize = dims.iter().product();
+    if words == want {
+        return Ok(());
+    }
+    let dims: Vec<String> = dims.iter().map(ToString::to_string).collect();
+    Err(NscError::Workload(format!(
+        "the {what} is a {} grid but holds {words} words, not {want}",
+        dims.join("x")
+    )))
+}
+
+/// Refuse an iterate and right-hand side of different dimensions, or
+/// either grid's `data` length disagreeing with its dimensions.
+pub(crate) fn check_problem(u0: &Grid3, f: &Grid3) -> Result<(), NscError> {
+    if (u0.nx, u0.ny, u0.nz) != (f.nx, f.ny, f.nz) {
+        return Err(NscError::Workload(format!(
+            "the iterate is {}x{}x{} but the right-hand side is {}x{}x{}",
+            u0.nx, u0.ny, u0.nz, f.nx, f.ny, f.nz
+        )));
+    }
+    check_words("iterate", &[u0.nx, u0.ny, u0.nz], u0.data.len())?;
+    check_words("right-hand side", &[f.nx, f.ny, f.nz], f.data.len())
+}
 
 /// A 3-D scalar field on a uniform grid, unpadded.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,6 +204,18 @@ impl Grid2 {
             }
         }
         m
+    }
+
+    /// Refuse this grid (named `what` in the error) unless it is an
+    /// `nx x ny` grid holding `nx·ny` words.
+    pub(crate) fn check_shape(&self, what: &str, nx: usize, ny: usize) -> Result<(), NscError> {
+        if (self.nx, self.ny) != (nx, ny) {
+            return Err(NscError::Workload(format!(
+                "the {what} is a {}x{} grid, not {nx}x{ny}",
+                self.nx, self.ny
+            )));
+        }
+        check_words(what, &[nx, ny], self.data.len())
     }
 
     /// Max-norm of the difference against another grid.

@@ -38,12 +38,12 @@
 //!   slab and run concurrently across the cube (bit-identical to the
 //!   serial sweeps), and the block-SOR host baseline with router-charged
 //!   halos — both decomposition-agnostic over the [`Partition`] trait;
-//! * [`overlap`] — the **overlapped sweep engine** every distributed
-//!   workload runs through: each sweep splits into an interior pipeline
-//!   (no ghost dependency) and boundary-shell pipelines per halo face,
-//!   and the halo sendrecvs travel concurrently with the interior
+//! * [`overlap`] — the **sweep engine** every distributed workload runs
+//!   through, with one choreography: each sweep splits into an interior
+//!   pipeline (no ghost dependency) and boundary-shell pipelines per halo
+//!   face, and the halo sendrecvs travel concurrently with the interior
 //!   phase, charging each node only the non-overlapped remainder —
-//!   bit-identical to the fused sweep, strictly faster at scale;
+//!   bit-identical to a whole-slab sweep on every owned point;
 //! * [`cavity`] — the lid-driven cavity (vorticity–stream-function, after
 //!   Matyka physics/0407002), whose per-step stream-function Poisson
 //!   solve *and* vorticity transport run through the distributed 2-D

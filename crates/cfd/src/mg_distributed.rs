@@ -34,7 +34,7 @@ use crate::diagrams::{
     PLANE_U1, RESIDUAL_CACHE,
 };
 use crate::distributed::{check_same_machine, measure_system_run};
-use crate::grid::{Grid3, PaddedField};
+use crate::grid::{check_problem, Grid3, PaddedField};
 use crate::multigrid::{
     full_weight_at, lap_at, prolong_value, restrict, vcycle_level, MgOptions, MgStats,
 };
@@ -56,8 +56,6 @@ struct DistLevel {
     part: BlockPartition,
     even: CompiledSweep,
     odd: CompiledSweep,
-    /// Whether the level's sweeps run latency-hidden.
-    overlap: bool,
     /// Aligned-padded interior masks, one per block (static per level).
     masks: Vec<Vec<f64>>,
 }
@@ -95,7 +93,6 @@ fn build_levels(
     n0: usize,
     h0: f64,
     omega: f64,
-    overlap: bool,
 ) -> Result<Vec<DistLevel>, NscError> {
     let torus = system.cube.torus2d_near_square();
     let mut part = BlockPartition::new(GridShape::volume3d(n0, n0, n0), torus)?;
@@ -104,7 +101,7 @@ fn build_levels(
     let mut levels = Vec::new();
     loop {
         let (even, odd) = {
-            let engine = SweepEngine::new(&part, HaloSpec::stencil(), overlap);
+            let engine = SweepEngine::stencil(&part);
             let build = |parity: bool| {
                 move |p: &crate::partition::Part, windows: &[crate::partition::SweepWindow]| {
                     let (lnx, lny, lnz) = p.local_shape();
@@ -127,7 +124,7 @@ fn build_levels(
                 PaddedField::aligned(&local.interior_mask()).words
             })
             .collect();
-        levels.push(DistLevel { n, h, part: part.clone(), even, odd, overlap, masks });
+        levels.push(DistLevel { n, h, part: part.clone(), even, odd, masks });
         let nc = n.div_ceil(2);
         if nc <= 3 {
             break;
@@ -145,9 +142,11 @@ fn build_levels(
 }
 
 /// Run `sweeps` machine-resident damped-Jacobi sweeps on a level: stage
-/// the block fields into the node planes, refresh ghosts, ping-pong the
-/// compiled sweep pair with a face exchange after every sweep, and read
-/// the smoothed slabs (fresh ghosts included) back.
+/// the block fields into the node planes, ping-pong the compiled sweep
+/// pair (each sweep refreshes the ghosts it reads while its interior
+/// computes — so sweep 0 also refreshes ghosts left stale by
+/// prolongation), refresh the last sweep's faces, and read the smoothed
+/// slabs (fresh ghosts included) back.
 fn machine_smooth(
     level: &DistLevel,
     system: &mut NscSystem,
@@ -157,10 +156,9 @@ fn machine_smooth(
 ) -> Result<(), NscError> {
     let part = &level.part;
     let parts = part.parts();
-    let halo = HaloSpec::stencil();
     if sweeps == 0 {
         // Nothing to smooth, but callers still rely on fresh ghosts.
-        host_halo_exchange(part, system, PLANE_U0, u_slabs, &halo);
+        host_halo_exchange(part, system, PLANE_U0, u_slabs, &HaloSpec::stencil());
         return Ok(());
     }
     let h2 = level.h * level.h;
@@ -177,12 +175,7 @@ fn machine_smooth(
         mem.plane_mut(PLANE_G).write_slice(0, &padded_g.words);
         mem.plane_mut(PLANE_MASK).write_slice(0, &level.masks[pi]);
     }
-    let engine = SweepEngine::new(part, halo, level.overlap);
-    if !level.overlap {
-        // Ghosts may be stale after prolongation: refresh before the first
-        // read (the overlapped mode folds this into sweep 0's exchange).
-        part.halo_exchange(system, PLANE_U0, 1, &halo);
-    }
+    let engine = SweepEngine::stencil(part);
     let opts = RunOptions::default();
     for s in 0..sweeps {
         let (sweep, io) = if s % 2 == 0 {
@@ -193,11 +186,9 @@ fn machine_smooth(
         engine.sweep(system, sweep, io, &opts)?;
     }
     let final_plane = if sweeps.is_multiple_of(2) { PLANE_U0 } else { PLANE_U1 };
-    if level.overlap {
-        // The last sweep's faces never travelled; the slab readback below
-        // hands ghosts to the host transfer operators, so refresh now.
-        engine.refresh(system, final_plane);
-    }
+    // The last sweep's faces never travelled; the slab readback below
+    // hands ghosts to the host transfer operators, so refresh now.
+    engine.refresh(system, final_plane);
     for (dst, src) in u_slabs.iter_mut().zip(read_slabs(part, system, final_plane)) {
         *dst = src;
     }
@@ -429,9 +420,6 @@ pub struct DistributedMultigridWorkload {
     pub max_cycles: usize,
     /// Cycle shape and smoothing parameters.
     pub opts: MgOptions,
-    /// Hide halo latency inside every machine-resident smoothing sweep
-    /// (see [`SweepEngine`]); bit-identical to the synchronized mode.
-    pub overlap: bool,
 }
 
 impl DistributedMultigridWorkload {
@@ -448,7 +436,6 @@ impl DistributedMultigridWorkload {
             tol,
             max_cycles,
             opts: MgOptions { omega, ..MgOptions::default() },
-            overlap: false,
         }
     }
 }
@@ -473,10 +460,8 @@ impl Workload<NscSystem> for DistributedMultigridWorkload {
                 self.u0.nx, self.u0.ny, self.u0.nz
             )));
         }
-        if (self.u0.nx, self.u0.ny, self.u0.nz) != (self.f.nx, self.f.ny, self.f.nz) {
-            return Err(NscError::Workload("iterate and right-hand side grids differ".into()));
-        }
-        let levels = build_levels(session, system, n, self.u0.h, self.opts.omega, self.overlap)?;
+        check_problem(&self.u0, &self.f)?;
+        let levels = build_levels(session, system, n, self.u0.h, self.opts.omega)?;
         let before: Vec<PerfCounters> = system.nodes().iter().map(|nd| nd.counters).collect();
 
         let mut u_slabs = levels[0].part.scatter(&self.u0.data);
@@ -548,7 +533,7 @@ mod tests {
         let serial = serial_run(n, tol, 25);
         assert!(serial.converged);
         let session = Session::nsc_1988();
-        for (dim, overlap) in [(0u32, false), (0, true), (2, true), (3, false), (3, true)] {
+        for dim in [0u32, 2, 3] {
             let (u0, f, _) = manufactured_problem(n);
             let mut sys = system(dim, &session);
             let w = DistributedMultigridWorkload {
@@ -557,7 +542,6 @@ mod tests {
                 tol,
                 max_cycles: 25,
                 opts: MgOptions::default(),
-                overlap,
             };
             let run = w.execute(&session, &mut sys).expect("distributed multigrid runs");
             assert!(run.converged, "{} nodes: residual {}", sys.node_count(), run.residual);
@@ -580,11 +564,9 @@ mod tests {
             if dim > 0 {
                 assert!(run.total.comm_ns > 0, "halos cost router time");
                 assert!(run.distributed_levels >= 2, "coarse levels stay distributed");
-            }
-            if dim > 0 && overlap {
                 assert!(
                     run.per_node.iter().any(|c| c.comm_hidden_ns > 0),
-                    "overlapped smoothing must hide some halo time"
+                    "smoothing must hide some halo time"
                 );
             }
             assert!(run.per_node.iter().all(|c| c.flops > 0), "every node smoothed");
@@ -603,7 +585,6 @@ mod tests {
             tol: 1e-8,
             max_cycles: 5,
             opts: MgOptions::default(),
-            overlap: false,
         };
         assert!(matches!(w.execute(&session, &mut sys), Err(NscError::Workload(_))));
     }
@@ -615,8 +596,7 @@ mod tests {
         // agglomerates.
         let session = Session::nsc_1988();
         let sys = system(3, &session);
-        let levels =
-            build_levels(&session, &sys, 17, 1.0 / 16.0, 0.8, false).expect("levels build");
+        let levels = build_levels(&session, &sys, 17, 1.0 / 16.0, 0.8).expect("levels build");
         assert!(levels.len() >= 2, "only {} distributed levels", levels.len());
         assert_eq!(levels[0].n, 17);
         assert_eq!(levels[1].n, 9);

@@ -9,7 +9,7 @@ use crate::diagrams::{
     build_jacobi_document, JacobiGeometry, JacobiVariant, PLANE_COPY0, PLANE_G, PLANE_MASK,
     PLANE_U0, RESIDUAL_CACHE,
 };
-use crate::grid::Grid3;
+use crate::grid::{check_problem, Grid3};
 use crate::host::JacobiHostState;
 use nsc_core::{NscError, Session};
 use nsc_sim::{NodeSim, PerfCounters, RunOptions};
@@ -75,12 +75,7 @@ pub fn run_jacobi(
             u0.nx, u0.ny, u0.nz
         )));
     }
-    if (u0.nx, u0.ny, u0.nz) != (f.nx, f.ny, f.nz) {
-        return Err(NscError::Workload(format!(
-            "iterate is {}x{}x{} but the right-hand side is {}x{}x{}",
-            u0.nx, u0.ny, u0.nz, f.nx, f.ny, f.nz
-        )));
-    }
+    check_problem(u0, f)?;
     let n = u0.nx;
     let state = JacobiHostState::new(u0, f);
     load_problem(node, &state, variant);

@@ -1,5 +1,5 @@
-//! The overlapped sweep engine: one shared driver for every distributed
-//! stencil solver, hiding halo latency under interior compute.
+//! The sweep engine: one shared driver for every distributed stencil
+//! solver, hiding halo latency under interior compute.
 //!
 //! The Navier-Stokes Computer's premise is keeping 640 MFLOPS of
 //! pipelines busy while the hypercube moves data, yet a naive distributed
@@ -15,8 +15,8 @@
 //! (see [`Part::overlap_split`]); the windowed document builders
 //! ([`crate::diagrams::build_jacobi_sweep_document_windows`] and
 //! friends) turn each window into its own pipeline instruction over the
-//! *same* operation tree, so the split is bit-identical to the fused
-//! sweep on every owned point. A sweep step then runs as
+//! *same* operation tree, so the split is bit-identical to a whole-slab
+//! sweep on every owned point. Every sweep step runs as
 //!
 //! 1. synchronously exchange the faces the stream layout cannot overlap
 //!    (the block decomposition's column axis);
@@ -30,10 +30,10 @@
 //! 3. finish the boundary shells, which read the freshly exchanged
 //!    ghosts.
 //!
-//! With `overlap` off the engine reproduces the legacy synchronized
-//! choreography (fused sweep, then exchange) cycle for cycle, so the two
-//! modes are directly comparable — the perf gate asserts the overlapped
-//! 8-node figures are strictly faster.
+//! A step exchanges the ghosts of the plane it *reads*; the plane it
+//! writes keeps stale ghosts until the next step that reads it (or
+//! [`SweepEngine::refresh`]). This is the only choreography: Jacobi,
+//! block SOR, multigrid smoothing and the cavity's ψ-solve all run it.
 //!
 //! Host-resident block solvers (block SOR) run the same choreography
 //! through [`SweepEngine::host_sweep`], with the compute phases as host
@@ -45,7 +45,7 @@
 //! use nsc_cfd::nsc_run::load_problem;
 //! use nsc_cfd::host::JacobiHostState;
 //! use nsc_cfd::grid::manufactured_problem;
-//! use nsc_cfd::{GridShape, HaloSpec, JacobiVariant, Partition, StripPartition, SweepEngine, SweepIo};
+//! use nsc_cfd::{GridShape, JacobiVariant, Partition, StripPartition, SweepEngine, SweepIo};
 //! use nsc_core::Session;
 //! use nsc_sim::{NscSystem, RunOptions};
 //!
@@ -68,7 +68,7 @@
 //!
 //! // Compile the even sweep split into interior + boundary shells, then
 //! // run it with the u1-halo exchange hidden under the interior phase.
-//! let engine = SweepEngine::new(&strips, HaloSpec::stencil(), true);
+//! let engine = SweepEngine::stencil(&strips);
 //! let even = engine.compile(&session, |p, windows| {
 //!     let (nx, ny, nz) = p.local_shape();
 //!     build_jacobi_sweep_document_windows(JacobiGeometry::slab(nx, ny, nz), true, windows)
@@ -96,8 +96,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// The plane roles of one sweep step: which plane it reads (whose ghosts
-/// the overlapped exchange refreshes mid-step) and which it writes (what
-/// the synchronized mode exchanges afterwards).
+/// the step's exchange refreshes while the interior computes) and which
+/// it writes (whose ghosts stay stale until the next step reads it).
 #[derive(Debug, Clone, Copy)]
 pub struct SweepIo {
     /// The plane the sweep reads.
@@ -106,7 +106,7 @@ pub struct SweepIo {
     pub write: PlaneId,
     /// Whether the read plane's ghost layers are already fresh (true for
     /// the first sweep after a scatter, which loads ghosts host-side) —
-    /// the overlapped mode then skips the exchange entirely.
+    /// the step then skips the exchange entirely.
     pub fresh_ghosts: bool,
 }
 
@@ -123,37 +123,35 @@ impl SweepIo {
     }
 }
 
-/// A sweep compiled for one engine: either the fused program per part
-/// (synchronized mode) or the interior/boundary-shell pair per part
-/// (overlapped mode). Build one with [`SweepEngine::compile`]; a sweep
-/// only runs on an engine of the mode and part count that compiled it
+/// A sweep compiled for one engine: the interior/boundary-shell program
+/// pair per part. Build one with [`SweepEngine::compile`]; a sweep only
+/// runs on an engine of the part count that compiled it
 /// ([`SweepEngine::sweep`] refuses any other with an [`NscError`]).
 #[derive(Debug)]
 pub struct CompiledSweep {
-    /// Synchronized mode: the whole-slab program, one per part.
-    fused: Vec<CompiledProgram>,
-    /// Overlapped mode: the interior window program per part (`None` for
-    /// slabs too thin to have one).
+    /// The interior window program per part (`None` for slabs too thin
+    /// to have one).
     interior: Vec<Option<CompiledProgram>>,
-    /// Overlapped mode: the boundary-shell program per part (`None` for
-    /// parts with no ghost faces along the overlap axis).
+    /// The boundary-shell program per part (`None` for parts with no
+    /// ghost faces along the overlap axis).
     shell: Vec<Option<CompiledProgram>>,
 }
 
-/// The shared overlapped sweep engine (see the module docs).
+/// The shared sweep engine (see the module docs).
 ///
-/// An engine binds a [`Partition`], a [`HaloSpec`] and an `overlap`
-/// mode; [`SweepEngine::compile`] turns a windowed document builder into
-/// a [`CompiledSweep`] (every part's documents through the session's
-/// compile cache), and
-/// [`SweepEngine::sweep`] runs one latency-hidden (or legacy
-/// synchronized) sweep step.
+/// An engine binds a [`Partition`] and a [`HaloSpec`];
+/// [`SweepEngine::compile`] turns a windowed document builder into a
+/// [`CompiledSweep`] (every part's documents through the session's
+/// compile cache), and [`SweepEngine::sweep`] runs one latency-hidden
+/// sweep step.
 #[derive(Debug)]
 pub struct SweepEngine<'p> {
     partition: &'p dyn Partition,
     halo: HaloSpec,
+    /// False only for an engine built with `new(.., false)`, which
+    /// refuses every call.
     overlap: bool,
-    /// The window split per part (overlap mode).
+    /// The window split per part.
     splits: Vec<SweepSplit>,
     /// The part nodes, in partition order.
     pool: Vec<usize>,
@@ -164,9 +162,19 @@ pub struct SweepEngine<'p> {
 }
 
 impl<'p> SweepEngine<'p> {
+    /// An engine over `partition` refreshing one ghost layer per face —
+    /// the reach of every stencil in this crate.
+    pub fn stencil(partition: &'p dyn Partition) -> Self {
+        Self::new(partition, HaloSpec::stencil(), true)
+    }
+
     /// An engine over `partition` refreshing the ghosts `halo` describes.
-    /// With `overlap` false every sweep runs the legacy synchronized
-    /// choreography bit- and cycle-identically.
+    /// `overlap` must be true: `new(p, HaloSpec::stencil(), true)` is
+    /// exactly [`SweepEngine::stencil`]. There is no synchronized
+    /// choreography, so an engine built with `false` refuses
+    /// [`compile`](Self::compile), [`sweep`](Self::sweep) and
+    /// [`host_sweep`](Self::host_sweep) with [`NscError::Workload`]
+    /// before anything runs.
     pub fn new(partition: &'p dyn Partition, halo: HaloSpec, overlap: bool) -> Self {
         let axis = partition.shape().overlap_axis();
         let splits = partition.parts().iter().map(|p| p.overlap_split(axis, &halo)).collect();
@@ -181,9 +189,16 @@ impl<'p> SweepEngine<'p> {
         }
     }
 
-    /// Whether this engine overlaps communication with compute.
-    pub fn overlap(&self) -> bool {
-        self.overlap
+    /// Refuse every call on an engine built with `overlap` false.
+    fn check_overlap(&self) -> Result<(), NscError> {
+        if self.overlap {
+            return Ok(());
+        }
+        Err(NscError::Workload(
+            "a sweep engine always overlaps its halo exchange with interior compute; \
+             build it with SweepEngine::stencil (or overlap = true)"
+                .into(),
+        ))
     }
 
     /// The partition the engine drives.
@@ -191,38 +206,32 @@ impl<'p> SweepEngine<'p> {
         self.partition
     }
 
-    /// Compile one sweep for this engine's mode. `build` constructs the
-    /// windowed document for a part — typically one of the
-    /// `*_document_windows` builders on the part's local geometry. Every
-    /// per-part document compiles through [`Session::compile`], so the
-    /// session's `KernelCache` decides reuse: parts whose builders produce
-    /// identical documents (the middle strips of a balanced decomposition)
-    /// and repeated `compile` calls on the same engine (the even/odd
-    /// sweeps of every V-cycle level, or a re-run) are cache hits that skip
-    /// codegen entirely. Compile failures are attributed to the part's
-    /// node.
+    /// Compile one sweep. `build` constructs the windowed document for a
+    /// part — typically one of the `*_document_windows` builders on the
+    /// part's local geometry — once for the part's interior window and
+    /// once for its boundary shells. Every per-part document compiles
+    /// through [`Session::compile`], so the session's `KernelCache`
+    /// decides reuse: parts whose builders produce identical documents
+    /// (the middle strips of a balanced decomposition) and repeated
+    /// `compile` calls on the same engine (the even/odd sweeps of every
+    /// V-cycle level, or a re-run) are cache hits that skip codegen
+    /// entirely. Compile failures are attributed to the part's node.
     pub fn compile(
         &self,
         session: &Session,
         build: impl Fn(&Part, &[SweepWindow]) -> Document,
     ) -> Result<CompiledSweep, NscError> {
+        self.check_overlap()?;
         let compile_windows = |p: &Part, windows: &[SweepWindow]| {
             session.compile(&mut build(p, windows)).map_err(|e| NscError::on_node(p.node, e))
         };
 
-        let mut fused = Vec::new();
         let mut interior = Vec::new();
         let mut shell = Vec::new();
-        let axis = self.partition.shape().overlap_axis();
         for (p, split) in self.partition.parts().iter().zip(&self.splits) {
-            if self.overlap {
-                interior.push(split.interior.map(|w| compile_windows(p, &[w])).transpose()?);
-                let shells = split.shell_windows();
-                shell.push((!shells.is_empty()).then(|| compile_windows(p, &shells)).transpose()?);
-            } else {
-                let whole = SweepWindow::whole(p.spans[axis].local_len());
-                fused.push(compile_windows(p, &[whole])?);
-            }
+            interior.push(split.interior.map(|w| compile_windows(p, &[w])).transpose()?);
+            let shells = split.shell_windows();
+            shell.push((!shells.is_empty()).then(|| compile_windows(p, &shells)).transpose()?);
         }
         // Staple the engine's topology claims — every halo route and the
         // window tiling of each part's owned layers — onto the sweep's
@@ -230,41 +239,29 @@ impl<'p> SweepEngine<'p> {
         // certificate per compile call describes the whole sweep: the
         // per-part programs share machine limits and the topology is a
         // property of the partition, not of any one part.
-        let base = if self.overlap {
-            interior.iter().flatten().chain(shell.iter().flatten()).next()
-        } else {
-            fused.first()
-        };
-        if let Some(prog) = base {
+        if let Some(prog) = interior.iter().flatten().chain(shell.iter().flatten()).next() {
             let cert = prog.certificate().with_topology(
                 halo_routes(self.partition, &self.halo),
                 window_coverage(self.partition, &self.splits),
             );
             session.record_certificate(Arc::new(cert));
         }
-        Ok(CompiledSweep { fused, interior, shell })
+        Ok(CompiledSweep { interior, shell })
     }
 
-    /// Run one sweep step.
-    ///
-    /// Synchronized mode: run the fused programs concurrently across the
-    /// pool, then exchange the *written* plane's halo faces — exactly the
-    /// legacy "run pool, then halo_exchange" loop body.
-    ///
-    /// Overlapped mode: exchange the non-overlappable faces of the *read*
-    /// plane, launch the interior pipelines while the overlap axis's
-    /// faces travel (charging each node only the non-overlapped
+    /// Run one sweep step: exchange the non-overlappable faces of the
+    /// *read* plane, launch the interior pipelines while the overlap
+    /// axis's faces travel (charging each node only the non-overlapped
     /// remainder), finish the boundary shells against the fresh ghosts,
     /// and fold the per-window residual scalars into cache slot 0 (a
-    /// sequencer-local combine; the value is bit-identical to the fused
-    /// reduction because `max` is associative). The written plane's
-    /// ghosts stay stale until the *next* step's overlapped exchange — or
+    /// sequencer-local combine; the value is bit-identical to a
+    /// whole-slab reduction because `max` is associative). The written
+    /// plane's ghosts stay stale until the *next* step's exchange — or
     /// [`SweepEngine::refresh`], for the final sweep of a run whose slabs
     /// are read back with ghosts.
     ///
-    /// Returns the message nanoseconds hidden under the interior phase
-    /// (always 0 in synchronized mode). A sweep compiled by an engine of
-    /// the other mode or over a different part count, or a system lacking
+    /// Returns the message nanoseconds hidden under the interior phase.
+    /// A sweep compiled over a different part count, or a system lacking
     /// one of the partition's nodes, is refused with
     /// [`NscError::Workload`] before anything runs.
     pub fn sweep(
@@ -274,25 +271,16 @@ impl<'p> SweepEngine<'p> {
         io: SweepIo,
         opts: &RunOptions,
     ) -> Result<u64, NscError> {
-        let (mode, compiled) = if self.overlap {
-            ("overlapped", sweep.interior.len())
-        } else {
-            ("synchronized", sweep.fused.len())
-        };
-        if compiled != self.pool.len() {
+        self.check_overlap()?;
+        if sweep.interior.len() != self.pool.len() {
             return Err(NscError::Workload(format!(
-                "a {mode} engine over {} parts cannot run a sweep holding {compiled} {mode} \
-                 programs; compile the sweep with this engine",
-                self.pool.len()
+                "an engine over {} parts cannot run a sweep compiled over {}; compile the \
+                 sweep with this engine",
+                self.pool.len(),
+                sweep.interior.len()
             )));
         }
         check_partition_fits(self.partition, system)?;
-        if !self.overlap {
-            let lanes: Vec<_> = self.pool.iter().copied().zip(&sweep.fused).collect();
-            run_lanes(system.nodes_mut(), &lanes, opts)?;
-            self.partition.halo_exchange(system, io.write, 1, &self.halo);
-            return Ok(0);
-        }
 
         if !io.fresh_ghosts && self.sync_spec.wants_any() {
             self.partition.halo_exchange(system, io.read, 1, &self.sync_spec);
@@ -333,9 +321,9 @@ impl<'p> SweepEngine<'p> {
     }
 
     /// Synchronously refresh all of `plane`'s halo faces — the tail
-    /// exchange an overlapped run needs before host code reads slabs back
-    /// with their ghost layers (the multigrid smoother's contract).
-    /// Returns the slowest per-node communication time in nanoseconds.
+    /// exchange a run needs before host code reads slabs back with their
+    /// ghost layers (the multigrid smoother's contract). Returns the
+    /// slowest per-node communication time in nanoseconds.
     pub fn refresh(&self, system: &mut NscSystem, plane: PlaneId) -> u64 {
         self.partition.halo_exchange(system, plane, 1, &self.halo)
     }
@@ -345,21 +333,20 @@ impl<'p> SweepEngine<'p> {
     /// `compute(part, layers, slab)` updates the slab's given local
     /// layers in place and returns its residual contribution.
     ///
-    /// Synchronized mode sweeps every part's full slab concurrently and
-    /// then host-exchanges the halo faces (the legacy choreography, bit
-    /// for bit). Overlapped mode exchanges the non-overlappable faces,
-    /// computes the interiors, exchanges the overlap axis's faces, then
-    /// computes the shells — the same phase order as the compiled path.
-    /// Host compute spends no simulated node time, so nothing hides; the
-    /// value of the overlapped mode here is the shared choreography (and
-    /// one fewer exchange per run, since the written faces travel lazily).
-    /// Note the phase split reorders a Gauss-Seidel sweep's updates
-    /// (interior before shells), which is a genuinely different update
-    /// ordering — shell cells read current-sweep interior values instead
-    /// of previous-sweep ones — so iterates and convergence histories
-    /// differ between modes; only the fixed point (the discrete
-    /// solution) is shared. Returns the per-part residuals (max over
-    /// phases — order-independent, so the synchronized value is exact).
+    /// The phases follow [`SweepEngine::sweep`]: exchange the
+    /// non-overlappable faces, compute the interiors, exchange the overlap
+    /// axis's faces, then compute the shells. Host compute spends no
+    /// simulated node time, so nothing hides; the written faces travel
+    /// lazily, with the next step's exchange. The phase split orders a
+    /// Gauss-Seidel sweep's updates interior first, so shell cells read
+    /// current-sweep interior values: the iterates differ from one
+    /// whole-slab sweep's, while the fixed point (the discrete solution)
+    /// is the same. Returns the per-part residuals (max over phases).
+    ///
+    /// `slabs` must hold one slab of [`Part::local_words`] words per part,
+    /// in partition order, and `system` every node the partition uses;
+    /// otherwise the step is refused with [`NscError::Workload`] before
+    /// anything runs.
     pub fn host_sweep(
         &self,
         system: &mut NscSystem,
@@ -367,11 +354,21 @@ impl<'p> SweepEngine<'p> {
         slabs: &mut [Vec<f64>],
         fresh_ghosts: bool,
         compute: impl Fn(usize, Range<usize>, &mut Vec<f64>) -> f64 + Send + Sync,
-    ) -> Vec<f64> {
+    ) -> Result<Vec<f64>, NscError> {
+        self.check_overlap()?;
         let parts = self.partition.parts();
-        assert_eq!(slabs.len(), parts.len(), "one slab per part");
+        let one_slab_per_part = slabs.len() == parts.len()
+            && parts.iter().zip(slabs.iter()).all(|(p, s)| s.len() == p.local_words());
+        if !one_slab_per_part {
+            return Err(NscError::Workload(format!(
+                "a host sweep over {} parts wants one slab of each part's local words per \
+                 part, got {} slab(s)",
+                parts.len(),
+                slabs.len()
+            )));
+        }
+        check_partition_fits(self.partition, system)?;
         let mut res = vec![0.0f64; parts.len()];
-        let axis = self.partition.shape().overlap_axis();
         let splits = &self.splits;
         let compute = &compute;
 
@@ -394,20 +391,6 @@ impl<'p> SweepEngine<'p> {
             });
         };
 
-        if !self.overlap {
-            // Legacy: full sweeps concurrently, then one full exchange.
-            std::thread::scope(|scope| {
-                for ((pi, slab), r) in slabs.iter_mut().enumerate().zip(res.iter_mut()) {
-                    let layers = 0..parts[pi].spans[axis].local_len();
-                    scope.spawn(move || {
-                        *r = compute(pi, layers, slab);
-                    });
-                }
-            });
-            host_halo_exchange(self.partition, system, plane, slabs, &self.halo);
-            return res;
-        }
-
         if !fresh_ghosts && self.sync_spec.wants_any() {
             host_halo_exchange(self.partition, system, plane, slabs, &self.sync_spec);
         }
@@ -416,12 +399,12 @@ impl<'p> SweepEngine<'p> {
             host_halo_exchange(self.partition, system, plane, slabs, &self.overlap_spec);
         }
         phase(slabs, &mut res, true);
-        res
+        Ok(res)
     }
 
     /// Fold each part's per-window residual scalars into cache slot 0 —
     /// what the convergence butterfly reads. A node-local sequencer
-    /// combine: no router time is charged. Bit-identical to the fused
+    /// combine: no router time is charged. Bit-identical to a whole-slab
     /// reduction (a max of maxes over the same values).
     fn combine_residuals(&self, system: &mut NscSystem) {
         for (p, split) in self.partition.parts().iter().zip(&self.splits) {
@@ -450,16 +433,17 @@ mod tests {
         build_jacobi_sweep_document_windows, JacobiGeometry, JacobiVariant, PLANE_U0, PLANE_U1,
     };
     use crate::grid::{manufactured_problem, Grid3};
-    use crate::host::JacobiHostState;
+    use crate::host::{jacobi_sweep_host, JacobiHostState};
     use crate::nsc_run::load_problem;
-    use crate::partition::{GridShape, StripPartition};
+    use crate::partition::{BlockPartition, GridShape, StripPartition};
     use nsc_arch::HypercubeConfig;
     use nsc_core::Session;
+    use std::cell::RefCell;
 
-    fn load_strips(strips: &StripPartition, system: &mut NscSystem, u0: &Grid3, f: &Grid3) {
-        let us = strips.scatter(&u0.data);
-        let fs = strips.scatter(&f.data);
-        for (p, (lu, lf)) in strips.parts().iter().zip(us.iter().zip(&fs)) {
+    fn load_parts(parts: &dyn Partition, system: &mut NscSystem, u0: &Grid3, f: &Grid3) {
+        let us = parts.scatter(&u0.data);
+        let fs = parts.scatter(&f.data);
+        for (p, (lu, lf)) in parts.parts().iter().zip(us.iter().zip(&fs)) {
             let (nx, ny, nz) = p.local_shape();
             let wrap = |d: &[f64]| Grid3 { nx, ny, nz, h: u0.h, data: d.to_vec() };
             let state = JacobiHostState::new(&wrap(lu), &wrap(lf));
@@ -472,39 +456,72 @@ mod tests {
         build_jacobi_sweep_document_windows(JacobiGeometry::slab(nx, ny, nz), true, windows)
     }
 
-    /// Compile the even sweep of an 8^3 problem striped over a 2-node
-    /// cube with an engine of mode `compiled_overlap`, then hand it to an
-    /// engine of mode `run_overlap`.
-    fn run_across_modes(compiled_overlap: bool, run_overlap: bool) -> Result<u64, NscError> {
+    #[test]
+    fn an_engine_built_without_overlap_refuses_every_call_untouched() {
         let (u0, f, _) = manufactured_problem(8);
         let session = Session::nsc_1988();
         let mut system = NscSystem::new(HypercubeConfig::new(1), session.kb());
         let strips = StripPartition::new(GridShape::volume3d(8, 8, 8), system.cube).unwrap();
-        load_strips(&strips, &mut system, &u0, &f);
-        let sweep = SweepEngine::new(&strips, HaloSpec::stencil(), compiled_overlap)
-            .compile(&session, even_sweep)
-            .expect("compiles");
-        let engine = SweepEngine::new(&strips, HaloSpec::stencil(), run_overlap);
+        load_parts(&strips, &mut system, &u0, &f);
+        let loaded: Vec<_> = system.nodes().iter().map(|n| n.counters).collect();
+        let refused = SweepEngine::new(&strips, HaloSpec::stencil(), false);
+
+        let err = refused.compile(&session, even_sweep).unwrap_err();
+        assert!(matches!(err, NscError::Workload(_)), "{err:?}");
+        let sweep = SweepEngine::stencil(&strips).compile(&session, even_sweep).expect("compiles");
         let io = SweepIo::first(PLANE_U0, PLANE_U1);
-        let result = engine.sweep(&mut system, &sweep, io, &RunOptions::default());
-        if result.is_err() {
-            assert_eq!(system.aggregate_counters().instructions, 0, "refused before running");
+        let err = refused.sweep(&mut system, &sweep, io, &RunOptions::default()).unwrap_err();
+        assert!(matches!(err, NscError::Workload(_)), "{err:?}");
+        let mut slabs = strips.scatter(&u0.data);
+        let before = slabs.clone();
+        let err = refused
+            .host_sweep(&mut system, PLANE_U0, &mut slabs, false, |_, _, _| 1.0)
+            .unwrap_err();
+        assert!(matches!(err, NscError::Workload(_)), "{err:?}");
+        assert_eq!(slabs, before, "no slab written");
+        let after: Vec<_> = system.nodes().iter().map(|n| n.counters).collect();
+        assert_eq!(after, loaded, "nothing ran and nothing was exchanged");
+
+        let engine = SweepEngine::new(&strips, HaloSpec::stencil(), true);
+        assert!(engine.sweep(&mut system, &sweep, io, &RunOptions::default()).is_ok());
+    }
+
+    #[test]
+    fn a_sweep_certificate_claims_exactly_the_windows_it_compiled() {
+        let session = Session::nsc_1988();
+        let cube = HypercubeConfig::new(2);
+        let shape = GridShape::volume3d(9, 9, 9);
+        let strips = StripPartition::new(shape, cube).unwrap();
+        let blocks = BlockPartition::new(shape, cube.torus2d_near_square()).unwrap();
+        for partition in [&strips as &dyn Partition, &blocks] {
+            let (logged, log) = session.with_certificate_log();
+            let handed: RefCell<Vec<(u64, SweepWindow)>> = RefCell::default();
+            SweepEngine::stencil(partition)
+                .compile(&logged, |p, windows| {
+                    let node = u64::from(p.node.0);
+                    handed.borrow_mut().extend(windows.iter().map(|&w| (node, w)));
+                    even_sweep(p, windows)
+                })
+                .expect("compiles");
+            let certs = log.drain();
+            let topology: Vec<_> = certs.iter().filter(|c| !c.coverage.is_empty()).collect();
+            assert_eq!(topology.len(), 1, "one topology certificate per compile call");
+            let coverage = &topology[0].coverage;
+            assert_eq!(coverage.len(), partition.parts().len());
+            let handed = handed.into_inner();
+            for c in coverage {
+                let mut claimed: Vec<_> =
+                    c.windows.iter().map(|w| (w.start, w.len, u64::from(w.slot))).collect();
+                let mut compiled: Vec<_> = handed
+                    .iter()
+                    .filter(|(node, _)| *node == c.node)
+                    .map(|(_, w)| (w.start as u64, w.len as u64, w.slot))
+                    .collect();
+                claimed.sort_unstable();
+                compiled.sort_unstable();
+                assert_eq!(claimed, compiled, "part {} on node {}", c.part, c.node);
+            }
         }
-        result
-    }
-
-    #[test]
-    fn a_synchronized_engine_refuses_an_overlapped_sweep() {
-        let err = run_across_modes(true, false).expect_err("mode mismatch");
-        assert!(matches!(err, NscError::Workload(_)), "{err:?}");
-        assert_eq!(run_across_modes(false, false), Ok(0), "its own mode still runs");
-    }
-
-    #[test]
-    fn an_overlapped_engine_refuses_a_synchronized_sweep() {
-        let err = run_across_modes(false, true).expect_err("mode mismatch");
-        assert!(matches!(err, NscError::Workload(_)), "{err:?}");
-        assert!(run_across_modes(true, true).is_ok(), "its own mode still runs");
     }
 
     #[test]
@@ -515,15 +532,11 @@ mod tests {
         let two = StripPartition::new(shape, system.cube).unwrap();
         let mut big = NscSystem::new(HypercubeConfig::new(2), session.kb());
         let four = StripPartition::new(shape, big.cube).unwrap();
-        for overlap in [false, true] {
-            let sweep = SweepEngine::new(&two, HaloSpec::stencil(), overlap)
-                .compile(&session, even_sweep)
-                .expect("compiles");
-            let engine = SweepEngine::new(&four, HaloSpec::stencil(), overlap);
-            let io = SweepIo::first(PLANE_U0, PLANE_U1);
-            let err = engine.sweep(&mut big, &sweep, io, &RunOptions::default()).unwrap_err();
-            assert!(matches!(err, NscError::Workload(_)), "{err:?}");
-        }
+        let sweep = SweepEngine::stencil(&two).compile(&session, even_sweep).expect("compiles");
+        let engine = SweepEngine::stencil(&four);
+        let io = SweepIo::first(PLANE_U0, PLANE_U1);
+        let err = engine.sweep(&mut big, &sweep, io, &RunOptions::default()).unwrap_err();
+        assert!(matches!(err, NscError::Workload(_)), "{err:?}");
         assert_eq!(big.aggregate_counters().instructions, 0);
     }
 
@@ -532,29 +545,27 @@ mod tests {
         let session = Session::nsc_1988();
         let big = NscSystem::new(HypercubeConfig::new(2), session.kb());
         let four = StripPartition::new(GridShape::volume3d(8, 8, 8), big.cube).unwrap();
-        for overlap in [false, true] {
-            let engine = SweepEngine::new(&four, HaloSpec::stencil(), overlap);
-            let sweep = engine.compile(&session, even_sweep).expect("compiles");
-            let mut small = NscSystem::new(HypercubeConfig::new(1), session.kb());
-            for io in [SweepIo::first(PLANE_U0, PLANE_U1), SweepIo::steady(PLANE_U1, PLANE_U0)] {
-                let err = engine.sweep(&mut small, &sweep, io, &RunOptions::default()).unwrap_err();
-                assert!(matches!(err, NscError::Workload(_)), "overlap {overlap}: {err:?}");
-            }
-            for node in small.nodes() {
-                assert_eq!(node.counters, Default::default(), "overlap {overlap}: nothing ran");
-                assert!(
-                    node.mem.planes.iter().all(|p| p.resident_pages() == 0),
-                    "no plane written"
-                );
-            }
+        let engine = SweepEngine::stencil(&four);
+        let sweep = engine.compile(&session, even_sweep).expect("compiles");
+        let mut small = NscSystem::new(HypercubeConfig::new(1), session.kb());
+        for io in [SweepIo::first(PLANE_U0, PLANE_U1), SweepIo::steady(PLANE_U1, PLANE_U0)] {
+            let err = engine.sweep(&mut small, &sweep, io, &RunOptions::default()).unwrap_err();
+            assert!(matches!(err, NscError::Workload(_)), "{err:?}");
+        }
+        let mut slabs = four.scatter(&[0.0; 512]);
+        let err =
+            engine.host_sweep(&mut small, PLANE_U0, &mut slabs, false, |_, _, _| 0.0).unwrap_err();
+        assert!(matches!(err, NscError::Workload(_)), "{err:?}");
+        for node in small.nodes() {
+            assert_eq!(node.counters, Default::default(), "nothing ran");
+            assert!(node.mem.planes.iter().all(|p| p.resident_pages() == 0), "no plane written");
         }
     }
 
     #[test]
-    fn overlapped_and_synchronized_sweeps_agree_bit_for_bit_and_hide_time() {
+    fn overlapped_sweeps_match_the_host_mirror_bit_for_bit_and_hide_time() {
         let (u0, f, _) = manufactured_problem(9);
         let session = Session::nsc_1988();
-        let shape = GridShape::volume3d(9, 9, 9);
         let opts = RunOptions::default();
         let build = |even: bool| {
             move |p: &Part, windows: &[SweepWindow]| {
@@ -562,35 +573,30 @@ mod tests {
                 build_jacobi_sweep_document_windows(JacobiGeometry::slab(nx, ny, nz), even, windows)
             }
         };
+        let mut host = JacobiHostState::new(&u0, &f);
+        jacobi_sweep_host(&mut host);
+        let host_r = jacobi_sweep_host(&mut host);
+        let host_u = host.current();
 
-        let mut runs = Vec::new();
-        for overlap in [false, true] {
-            let mut system = NscSystem::new(HypercubeConfig::new(2), session.kb());
-            let strips = StripPartition::new(shape, system.cube).expect("decomposes");
-            load_strips(&strips, &mut system, &u0, &f);
-            let engine = SweepEngine::new(&strips, HaloSpec::stencil(), overlap);
-            let even = engine.compile(&session, build(true)).expect("compiles");
-            let odd = engine.compile(&session, build(false)).expect("compiles");
-            let mut hidden = 0;
-            hidden += engine
-                .sweep(&mut system, &even, SweepIo::first(PLANE_U0, PLANE_U1), &opts)
-                .expect("even");
-            hidden += engine
-                .sweep(&mut system, &odd, SweepIo::steady(PLANE_U1, PLANE_U0), &opts)
-                .expect("odd");
-            let residual = system.node(strips.parts()[1].node).mem.cache(RESIDUAL_CACHE).read(0, 0);
-            // Gather the owned points and the per-node residual slot 0.
-            let slabs = crate::partition::read_slabs(&strips, &system, PLANE_U0);
-            runs.push((strips.gather(&slabs), residual, hidden, system.simulated_seconds()));
+        let mut system = NscSystem::new(HypercubeConfig::new(2), session.kb());
+        let strips = StripPartition::new(GridShape::volume3d(9, 9, 9), system.cube).unwrap();
+        load_parts(&strips, &mut system, &u0, &f);
+        let engine = SweepEngine::stencil(&strips);
+        let even = engine.compile(&session, build(true)).expect("compiles");
+        let odd = engine.compile(&session, build(false)).expect("compiles");
+        let first = engine
+            .sweep(&mut system, &even, SweepIo::first(PLANE_U0, PLANE_U1), &opts)
+            .expect("even");
+        assert_eq!(first, 0, "fresh ghosts: the first sweep exchanges nothing");
+        let hidden = engine
+            .sweep(&mut system, &odd, SweepIo::steady(PLANE_U1, PLANE_U0), &opts)
+            .expect("odd");
+        assert!(hidden > 0, "the odd sweep's exchange must hide under its interior");
+        let slabs = crate::partition::read_slabs(&strips, &system, PLANE_U0);
+        for (a, b) in strips.gather(&slabs).iter().zip(&host_u.data) {
+            assert_eq!(a.to_bits(), b.to_bits(), "split sweep diverged from the host mirror");
         }
-        let (sync_u, sync_r, sync_hidden, sync_secs) = &runs[0];
-        let (over_u, over_r, over_hidden, over_secs) = &runs[1];
-        for (a, b) in sync_u.iter().zip(over_u) {
-            assert_eq!(a.to_bits(), b.to_bits(), "split sweep diverged from fused");
-        }
-        assert_eq!(sync_r.to_bits(), over_r.to_bits(), "combined residual differs");
-        assert_eq!(*sync_hidden, 0, "synchronized mode hides nothing");
-        assert!(*over_hidden > 0, "the odd sweep's exchange must hide under its interior");
-        assert!(over_secs < sync_secs, "hidden latency must shorten the simulated run");
+        let (r, _) = system.pool_max_cache_scalar(&strips.member_nodes(), RESIDUAL_CACHE, 0);
+        assert_eq!(r.to_bits(), host_r.to_bits(), "combined residual differs");
     }
 }

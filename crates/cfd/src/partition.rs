@@ -264,7 +264,8 @@ impl SweepWindow {
     /// Residual slot of the high boundary shell.
     pub const HI_SLOT: u64 = 2;
 
-    /// The window covering all `layers` of a slab (the fused sweep).
+    /// The window covering all `layers` of a slab (a single-instruction
+    /// sweep, as the serial documents run).
     pub fn whole(layers: usize) -> Self {
         SweepWindow { start: 0, len: layers, slot: 0 }
     }

@@ -14,7 +14,7 @@
 //!   dominates multigrid's machine time).
 
 use crate::diagrams::JacobiVariant;
-use crate::grid::Grid3;
+use crate::grid::{check_problem, Grid3};
 use crate::host::{residual_linf, sor_sweep_host};
 use crate::multigrid::{vcycle, MgOptions, MgStats};
 use crate::nsc_run::{run_jacobi, JacobiRun};
@@ -101,9 +101,7 @@ impl Workload for SorWorkload {
                 self.omega
             )));
         }
-        if (self.u0.nx, self.u0.ny, self.u0.nz) != (self.f.nx, self.f.ny, self.f.nz) {
-            return Err(NscError::Workload("iterate and right-hand side grids differ".into()));
-        }
+        check_problem(&self.u0, &self.f)?;
         let mut u = self.u0.clone();
         let mut residual = residual_linf(&u, &self.f);
         let mut sweeps = 0;
@@ -166,9 +164,7 @@ impl Workload for MultigridWorkload {
                 self.u0.nx, self.u0.ny, self.u0.nz
             )));
         }
-        if (self.u0.nx, self.u0.ny, self.u0.nz) != (self.f.nx, self.f.ny, self.f.nz) {
-            return Err(NscError::Workload("iterate and right-hand side grids differ".into()));
-        }
+        check_problem(&self.u0, &self.f)?;
         let mut u = self.u0.clone();
         let stats = vcycle(&mut u, &self.f, self.tol, self.max_cycles, &self.opts);
         let residual = stats.residual_history.last().copied().unwrap_or(f64::INFINITY);

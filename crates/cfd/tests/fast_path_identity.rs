@@ -40,36 +40,27 @@ fn assert_grids_bit_equal(a: &[f64], b: &[f64], what: &str) {
 fn distributed_jacobi_is_bit_identical_with_and_without_kernels() {
     let (fast, interp) = session_pair();
     for dim in 0..=3u32 {
-        for overlap in [false, true] {
-            let (u0, f, _) = manufactured_problem(12);
-            let w = DistributedJacobiWorkload {
-                u0,
-                f,
-                tol: 0.0,
-                max_pairs: 2,
-                partition: PartitionSpec::Auto,
-                overlap,
-            };
-            let a = w.execute(&fast, &mut system(dim, &fast)).expect("kernel run");
-            let b = w.execute(&interp, &mut system(dim, &interp)).expect("interpreted run");
-            let tag = format!("jacobi dim {dim} overlap {overlap}");
-            assert_grids_bit_equal(&a.u.data, &b.u.data, &tag);
-            assert_eq!(a.residual.to_bits(), b.residual.to_bits(), "{tag}: residual");
-            assert_eq!(a.sweeps, b.sweeps, "{tag}: sweeps");
-            assert_eq!(a.converged, b.converged, "{tag}: converged");
-            assert_eq!(a.per_node, b.per_node, "{tag}: per-node counters");
-            assert_eq!(a.total, b.total, "{tag}: aggregate counters");
-            assert_eq!(
-                a.simulated_seconds.to_bits(),
-                b.simulated_seconds.to_bits(),
-                "{tag}: simulated time"
-            );
-            assert_eq!(
-                a.aggregate_mflops.to_bits(),
-                b.aggregate_mflops.to_bits(),
-                "{tag}: simulated MFLOPS"
-            );
-        }
+        let (u0, f, _) = manufactured_problem(12);
+        let w = DistributedJacobiWorkload::new(u0, f, 0.0, 2, PartitionSpec::Auto);
+        let a = w.execute(&fast, &mut system(dim, &fast)).expect("kernel run");
+        let b = w.execute(&interp, &mut system(dim, &interp)).expect("interpreted run");
+        let tag = format!("jacobi dim {dim}");
+        assert_grids_bit_equal(&a.u.data, &b.u.data, &tag);
+        assert_eq!(a.residual.to_bits(), b.residual.to_bits(), "{tag}: residual");
+        assert_eq!(a.sweeps, b.sweeps, "{tag}: sweeps");
+        assert_eq!(a.converged, b.converged, "{tag}: converged");
+        assert_eq!(a.per_node, b.per_node, "{tag}: per-node counters");
+        assert_eq!(a.total, b.total, "{tag}: aggregate counters");
+        assert_eq!(
+            a.simulated_seconds.to_bits(),
+            b.simulated_seconds.to_bits(),
+            "{tag}: simulated time"
+        );
+        assert_eq!(
+            a.aggregate_mflops.to_bits(),
+            b.aggregate_mflops.to_bits(),
+            "{tag}: simulated MFLOPS"
+        );
     }
     // The fast twin really compiled kernels; the reference twin never did.
     assert!(fast.cache_stats().misses > 0, "the fast session must have built kernels");
@@ -89,7 +80,6 @@ fn distributed_sor_is_bit_identical_with_and_without_kernels() {
             tol: 0.0,
             max_sweeps: 3,
             partition: PartitionSpec::Auto,
-            overlap: dim % 2 == 1,
         };
         let a = w.execute(&fast, &mut system(dim, &fast)).expect("kernel run");
         let b = w.execute(&interp, &mut system(dim, &interp)).expect("interpreted run");
@@ -114,7 +104,6 @@ fn distributed_multigrid_is_bit_identical_with_and_without_kernels() {
             tol: 0.0,
             max_cycles: 2,
             opts: MgOptions::default(),
-            overlap: true,
         };
         let a = w.execute(&fast, &mut system(dim, &fast)).expect("kernel run");
         let b = w.execute(&interp, &mut system(dim, &interp)).expect("interpreted run");
@@ -142,7 +131,6 @@ fn cavity_is_bit_identical_with_and_without_kernels() {
     for dim in 0..=3u32 {
         let mut w = CavityWorkload::new(9, 10.0, 2);
         w.psi_tol = 1e-6;
-        w.overlap = true;
         let a = w.execute(&fast, &mut system(dim, &fast)).expect("kernel run");
         let b = w.execute(&interp, &mut system(dim, &interp)).expect("interpreted run");
         let tag = format!("cavity dim {dim}");

@@ -85,14 +85,8 @@ struct RunningJob {
 /// use nsc_park::{Job, MachinePark, SchedPolicy};
 ///
 /// let (u0, f, _) = nsc_cfd::grid::manufactured_problem(5);
-/// let jacobi = nsc_cfd::DistributedJacobiWorkload {
-///     u0,
-///     f,
-///     tol: 1e-3,
-///     max_pairs: 50,
-///     partition: nsc_cfd::PartitionSpec::Auto,
-///     overlap: false,
-/// };
+/// let auto = nsc_cfd::PartitionSpec::Auto;
+/// let jacobi = nsc_cfd::DistributedJacobiWorkload::new(u0, f, 1e-3, 50, auto);
 ///
 /// let mut park = MachinePark::new(Session::nsc_1988(), 1); // 2 nodes
 /// park.submit(Job::new("ada", 0, jacobi.clone()))?;

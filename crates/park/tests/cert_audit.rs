@@ -12,14 +12,7 @@ use std::sync::Arc;
 
 fn jacobi(n: usize) -> DistributedJacobiWorkload {
     let (u0, f, _) = manufactured_problem(n);
-    DistributedJacobiWorkload {
-        u0,
-        f,
-        tol: 1e-3,
-        max_pairs: 50,
-        partition: PartitionSpec::Auto,
-        overlap: false,
-    }
+    DistributedJacobiWorkload::new(u0, f, 1e-3, 50, PartitionSpec::Auto)
 }
 
 #[test]

@@ -18,14 +18,7 @@ use std::time::{Duration, Instant};
 
 fn jacobi(n: usize) -> DistributedJacobiWorkload {
     let (u0, f, _) = manufactured_problem(n);
-    DistributedJacobiWorkload {
-        u0,
-        f,
-        tol: 1e-3,
-        max_pairs: 200,
-        partition: PartitionSpec::Auto,
-        overlap: false,
-    }
+    DistributedJacobiWorkload::new(u0, f, 1e-3, 200, PartitionSpec::Auto)
 }
 
 fn sor(n: usize) -> DistributedSorWorkload {
@@ -37,20 +30,12 @@ fn sor(n: usize) -> DistributedSorWorkload {
         tol: 1e-3,
         max_sweeps: 200,
         partition: PartitionSpec::Auto,
-        overlap: false,
     }
 }
 
 fn multigrid(n: usize) -> DistributedMultigridWorkload {
     let (u0, f, _) = manufactured_problem(n);
-    DistributedMultigridWorkload {
-        u0,
-        f,
-        tol: 1e-8,
-        max_cycles: 25,
-        opts: MgOptions::default(),
-        overlap: false,
-    }
+    DistributedMultigridWorkload { u0, f, tol: 1e-8, max_cycles: 25, opts: MgOptions::default() }
 }
 
 fn cavity(n: usize) -> CavityWorkload {

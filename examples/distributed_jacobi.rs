@@ -5,11 +5,10 @@
 //! concurrently on real threads, ghost planes move through the hyperspace
 //! router between sweeps (full-duplex sendrecv per strip boundary), and
 //! the convergence test is a butterfly max-reduction of the per-node
-//! residuals. The `overlap` rows run the overlapped sweep engine: each
-//! sweep splits into interior and boundary-shell pipelines and the halo
-//! exchange hides under the interior phase, so only its non-overlapped
-//! remainder shows up as communication time. The distributed iterate is
-//! bit-identical to the serial one in every row.
+//! residuals. Each sweep splits into interior and boundary-shell
+//! pipelines and the halo exchange hides under the interior phase, so
+//! only its non-overlapped remainder shows up as communication time. The
+//! distributed iterate is bit-identical to the serial one in every row.
 //!
 //! Run with: `cargo run --release --example distributed_jacobi`
 
@@ -25,29 +24,18 @@ fn main() {
     let clock = session.kb().config().clock_hz;
 
     println!("distributed Jacobi, {n}^3 Poisson, tol 1e-9:\n");
-    println!(
-        "nodes   part    overlap   sweeps   aggregate MFLOPS   simulated s   comm share   error"
-    );
+    println!("nodes   part    sweeps   aggregate MFLOPS   simulated s   comm share   error");
     let mut serial_u: Option<Vec<u64>> = None;
-    for (dim, spec, overlap) in [
-        (0, PartitionSpec::Strip, false),
-        (1, PartitionSpec::Strip, false),
-        (2, PartitionSpec::Strip, false),
-        (2, PartitionSpec::Block, false),
-        (3, PartitionSpec::Strip, false),
-        (3, PartitionSpec::Strip, true),
-        (3, PartitionSpec::Block, false),
-        (3, PartitionSpec::Block, true),
+    for (dim, spec) in [
+        (0, PartitionSpec::Strip),
+        (1, PartitionSpec::Strip),
+        (2, PartitionSpec::Strip),
+        (2, PartitionSpec::Block),
+        (3, PartitionSpec::Strip),
+        (3, PartitionSpec::Block),
     ] {
         let mut sys = NscSystem::new(HypercubeConfig::new(dim), session.kb());
-        let w = DistributedJacobiWorkload {
-            u0: u0.clone(),
-            f: f.clone(),
-            tol: 1e-9,
-            max_pairs: 2000,
-            partition: spec,
-            overlap,
-        };
+        let w = DistributedJacobiWorkload::new(u0.clone(), f.clone(), 1e-9, 2000, spec);
         let run = w.execute(&session, &mut sys).expect("distributed solve");
         assert!(run.converged, "did not converge at {} nodes", sys.node_count());
         let comm_s: f64 = run
@@ -56,10 +44,9 @@ fn main() {
             .map(|c| c.seconds_with_comm(clock) - c.seconds(clock))
             .fold(0.0, f64::max);
         println!(
-            "{:>5}   {:<5}   {:>7}   {:>6}   {:>16.1}   {:>11.4}   {:>9.1}%   {:.3e}",
+            "{:>5}   {:<5}   {:>6}   {:>16.1}   {:>11.4}   {:>9.1}%   {:.3e}",
             sys.node_count(),
             format!("{spec:?}").to_lowercase(),
-            if overlap { "on" } else { "off" },
             run.sweeps,
             run.aggregate_mflops,
             run.simulated_seconds,

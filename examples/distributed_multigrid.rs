@@ -13,9 +13,8 @@
 //!
 //! The distributed solve is **bit-identical** to the serial
 //! `MultigridWorkload` — iterate and residual history — at every cube
-//! size and in both execution modes, which this example asserts: the
-//! `overlap` column runs the smoother through the overlapped sweep
-//! engine, hiding each face exchange under the interior pipelines.
+//! size, which this example asserts. The smoother hides each face
+//! exchange under its interior pipelines.
 //!
 //! Run with: `cargo run --release --example distributed_multigrid`
 
@@ -51,52 +50,39 @@ fn main() {
         sref.u.linf_diff(&exact)
     );
 
-    println!("nodes   torus   overlap   dist levels   cycles   aggregate MFLOPS   simulated ms");
+    println!("nodes   torus   dist levels   cycles   aggregate MFLOPS   simulated ms");
     for dim in 0..=3u32 {
-        let mut sync_ms = f64::INFINITY;
-        for overlap in [false, true] {
-            let mut sys = NscSystem::new(HypercubeConfig::new(dim), session.kb());
-            let torus = sys.cube.torus2d_near_square();
-            let w = DistributedMultigridWorkload {
-                u0: u0.clone(),
-                f: f.clone(),
-                tol,
-                max_cycles: 25,
-                opts: MgOptions::default(),
-                overlap,
-            };
-            let run = w.execute(&session, &mut sys).expect("distributed multigrid");
-            assert!(run.converged, "did not converge at {} nodes", sys.node_count());
-            println!(
-                "{:>5}   {:>2}x{:<2}   {:>7}   {:>11}   {:>6}   {:>16.1}   {:>12.3}",
-                sys.node_count(),
-                torus.rows(),
-                torus.cols(),
-                if overlap { "on" } else { "off" },
-                run.distributed_levels,
-                run.stats.cycles,
-                run.aggregate_mflops,
-                run.simulated_seconds * 1e3,
-            );
-            if overlap {
-                assert!(
-                    dim == 0 || run.simulated_seconds * 1e3 < sync_ms,
-                    "overlap must beat the synchronized time on a real cube"
-                );
-            } else {
-                sync_ms = run.simulated_seconds * 1e3;
-            }
+        let mut sys = NscSystem::new(HypercubeConfig::new(dim), session.kb());
+        let torus = sys.cube.torus2d_near_square();
+        let w = DistributedMultigridWorkload {
+            u0: u0.clone(),
+            f: f.clone(),
+            tol,
+            max_cycles: 25,
+            opts: MgOptions::default(),
+        };
+        let run = w.execute(&session, &mut sys).expect("distributed multigrid");
+        assert!(run.converged, "did not converge at {} nodes", sys.node_count());
+        println!(
+            "{:>5}   {:>2}x{:<2}   {:>11}   {:>6}   {:>16.1}   {:>12.3}",
+            sys.node_count(),
+            torus.rows(),
+            torus.cols(),
+            run.distributed_levels,
+            run.stats.cycles,
+            run.aggregate_mflops,
+            run.simulated_seconds * 1e3,
+        );
 
-            // The acceptance bar: bit-identical to the serial workload,
-            // down to the residual history, in both modes.
-            assert_eq!(run.stats.cycles, sref.stats.cycles);
-            for (a, b) in run.u.data.iter().zip(&sref.u.data) {
-                assert_eq!(a.to_bits(), b.to_bits(), "iterate diverged from serial");
-            }
-            for (a, b) in run.stats.residual_history.iter().zip(&sref.stats.residual_history) {
-                assert_eq!(a.to_bits(), b.to_bits(), "residual history diverged");
-            }
+        // The acceptance bar: bit-identical to the serial workload, down
+        // to the residual history.
+        assert_eq!(run.stats.cycles, sref.stats.cycles);
+        for (a, b) in run.u.data.iter().zip(&sref.u.data) {
+            assert_eq!(a.to_bits(), b.to_bits(), "iterate diverged from serial");
+        }
+        for (a, b) in run.stats.residual_history.iter().zip(&sref.stats.residual_history) {
+            assert_eq!(a.to_bits(), b.to_bits(), "residual history diverged");
         }
     }
-    println!("\nall cube sizes and both modes agree bit-for-bit with the serial V-cycle.");
+    println!("\nall cube sizes agree bit-for-bit with the serial V-cycle.");
 }

@@ -23,14 +23,7 @@ use nsc::park::{Job, MachinePark, ParkReport, SchedPolicy};
 fn submit_stream(park: &mut MachinePark) -> Vec<nsc::park::JobId> {
     let jacobi = |n: usize, pairs: u32| {
         let (u0, f, _) = manufactured_problem(n);
-        DistributedJacobiWorkload {
-            u0,
-            f,
-            tol: 0.0,
-            max_pairs: pairs,
-            partition: PartitionSpec::Auto,
-            overlap: false,
-        }
+        DistributedJacobiWorkload::new(u0, f, 0.0, pairs, PartitionSpec::Auto)
     };
     let (u0, f, _) = manufactured_problem(6);
     let sor = DistributedSorWorkload {
@@ -40,7 +33,6 @@ fn submit_stream(park: &mut MachinePark) -> Vec<nsc::park::JobId> {
         tol: 1e-3,
         max_sweeps: 200,
         partition: PartitionSpec::Auto,
-        overlap: false,
     };
     let (u0, f, _) = manufactured_problem(17);
     let multigrid = DistributedMultigridWorkload {
@@ -49,7 +41,6 @@ fn submit_stream(park: &mut MachinePark) -> Vec<nsc::park::JobId> {
         tol: 1e-8,
         max_cycles: 25,
         opts: MgOptions::default(),
-        overlap: false,
     };
     let mut cavity = CavityWorkload::new(9, 10.0, 5);
     cavity.psi_tol = 1e-6;

@@ -23,14 +23,7 @@ fn expected(session: &Session) -> Expected {
 
 fn jacobi(n: usize) -> DistributedJacobiWorkload {
     let (u0, f, _) = manufactured_problem(n);
-    DistributedJacobiWorkload {
-        u0,
-        f,
-        tol: 1e-3,
-        max_pairs: 50,
-        partition: PartitionSpec::Auto,
-        overlap: false,
-    }
+    DistributedJacobiWorkload::new(u0, f, 1e-3, 50, PartitionSpec::Auto)
 }
 
 fn sor(n: usize) -> DistributedSorWorkload {
@@ -42,20 +35,12 @@ fn sor(n: usize) -> DistributedSorWorkload {
         tol: 1e-3,
         max_sweeps: 50,
         partition: PartitionSpec::Auto,
-        overlap: false,
     }
 }
 
 fn multigrid(n: usize) -> DistributedMultigridWorkload {
     let (u0, f, _) = manufactured_problem(n);
-    DistributedMultigridWorkload {
-        u0,
-        f,
-        tol: 1e-8,
-        max_cycles: 5,
-        opts: MgOptions::default(),
-        overlap: false,
-    }
+    DistributedMultigridWorkload { u0, f, tol: 1e-8, max_cycles: 5, opts: MgOptions::default() }
 }
 
 fn cavity(n: usize) -> CavityWorkload {

@@ -28,14 +28,7 @@ fn eight_node_distributed_jacobi_matches_the_serial_solution() {
     assert!(sref.converged);
 
     let mut sys = NscSystem::new(HypercubeConfig::new(3), session.kb()); // 8 nodes
-    let dist = DistributedJacobiWorkload {
-        u0,
-        f,
-        tol,
-        max_pairs: 2000,
-        partition: nsc::cfd::PartitionSpec::Auto,
-        overlap: true,
-    };
+    let dist = DistributedJacobiWorkload::new(u0, f, tol, 2000, nsc::cfd::PartitionSpec::Auto);
     let run = dist.execute(&session, &mut sys).expect("distributed solve");
     assert!(run.converged, "residual {}", run.residual);
 
