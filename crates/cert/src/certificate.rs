@@ -9,20 +9,18 @@
 //! the overlap split — everything [`fn@crate::verify`] needs to re-check
 //! legality without touching the engine.
 //!
-//! The seal is FNV-1a (128-bit) over a canonical byte encoding of the
-//! certificate's serialized event stream (with the seal field cleared), so
-//! the certificate can be stored, shipped as JSON, and re-verified
-//! byte-for-byte later. Digests from `nsc_diagram::Document` are `u128`s
-//! on the engine side; they travel here as 32-digit lowercase hex
-//! strings ([`digest_hex`]), the portable form every serializer in the
-//! workspace can carry.
+//! The seal is the word-wise 128-bit hash of the certificate's
+//! serialized event stream with the seal field cleared
+//! ([`serde::WordHasher`], the hash `nsc_diagram::Document::digest` uses),
+//! so the certificate can be stored, shipped as JSON, and re-verified
+//! later. The sealed `format` field names the seal's hash: format 2 is
+//! the word-wise hash; format-1 certificates were sealed with byte-wise
+//! FNV-1a-128, and the verifier refuses them. Digests from
+//! `nsc_diagram::Document` are `u128`s on the engine side; they travel
+//! here as 32-digit lowercase hex strings ([`digest_hex`]), the portable
+//! form every serializer in the workspace can carry.
 
 use serde::{Deserialize, Serialize};
-
-/// FNV-1a 128-bit offset basis.
-const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-/// FNV-1a 128-bit prime.
-const FNV_PRIME: u128 = 0x0000000001000000000000000000013B;
 
 /// A `u128` digest in its portable form: 32 lowercase hex digits.
 pub fn digest_hex(d: u128) -> String {
@@ -249,6 +247,10 @@ pub struct LeaseCert {
 /// [`CompileCertificate::sealed`]; check it with [`fn@crate::verify`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompileCertificate {
+    /// The certificate format, and so the hash its seal uses:
+    /// [`CompileCertificate::FORMAT`] for every certificate this crate
+    /// seals. The seal covers it.
+    pub format: u32,
     /// [`digest_hex`] of the compiled document's full content digest.
     pub doc_digest: String,
     /// [`digest_hex`] of the document's shape digest (preload values
@@ -270,33 +272,33 @@ pub struct CompileCertificate {
     pub coverage: Vec<CoverageCert>,
     /// The sub-cube lease, when the park stamped one.
     pub lease: Option<LeaseCert>,
-    /// FNV-1a 128 seal over the canonical bytes with this field empty.
+    /// [`digest_hex`] of the hash of every other field (this one empty).
     pub seal: String,
 }
 
 impl CompileCertificate {
-    /// The canonical byte encoding the seal covers: the serializer's
-    /// event stream with the seal field cleared, type-tagged and
-    /// length-prefixed as it is emitted. Field order is declaration order
-    /// (the derive serializer emits it deterministically), so equal
-    /// certificates have equal canonical bytes.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut unsealed = self.clone();
-        unsealed.seal = String::new();
-        let mut sink = CanonSink(Vec::with_capacity(4096));
-        unsealed.serialize_into(&mut sink);
-        sink.0
-    }
+    /// The format this crate seals and [`fn@crate::verify`] accepts: 2,
+    /// the word-wise seal. Format 1 was the byte-wise FNV-1a-128 seal.
+    pub const FORMAT: u32 = 2;
 
-    /// The seal this certificate's current contents hash to.
+    /// The seal this certificate's current contents hash to: the
+    /// serializer's event stream, with the seal field empty, streamed
+    /// straight into the hash. Field order is declaration order (the
+    /// derive serializer emits it deterministically), so equal
+    /// certificates have equal seals.
     pub fn compute_seal(&self) -> String {
-        digest_hex(fnv128(&self.canonical_bytes()))
+        let mut unsealed = self.clone();
+        unsealed.seal.clear();
+        digest_hex(serde::hash128(&unsealed))
     }
 
-    /// Consume the certificate and stamp its seal. Call after every
-    /// mutation — a stale seal is a verification failure by design.
+    /// Consume the certificate, stamp the current [`CompileCertificate::FORMAT`]
+    /// and seal it. Call after every mutation — a stale seal is a
+    /// verification failure by design.
     pub fn sealed(mut self) -> Self {
-        self.seal = self.compute_seal();
+        self.format = Self::FORMAT;
+        self.seal.clear();
+        self.seal = digest_hex(serde::hash128(&self));
         self
     }
 
@@ -328,67 +330,13 @@ impl CompileCertificate {
     }
 }
 
-/// FNV-1a 128 over a byte string.
-pub(crate) fn fnv128(bytes: &[u8]) -> u128 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u128;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// The seal's canonical encoding, appended as the events arrive: one tag
-/// byte per value (0 null, 1 bool, 2 int, 3 uint, 4 float, 5 string,
-/// 6 array, 7 object), little-endian scalars and float bits, `u64`
-/// length prefixes on strings and containers. Object keys are encoded as
-/// strings, tag `5` included.
-struct CanonSink(Vec<u8>);
-
-impl CanonSink {
-    fn tagged(&mut self, tag: u8, bytes: &[u8]) {
-        self.0.push(tag);
-        self.0.extend_from_slice(bytes);
-    }
-}
-
-impl serde::Sink for CanonSink {
-    fn null(&mut self) {
-        self.0.push(0);
-    }
-    fn bool(&mut self, v: bool) {
-        self.tagged(1, &[v as u8]);
-    }
-    fn int(&mut self, v: i64) {
-        self.tagged(2, &v.to_le_bytes());
-    }
-    fn uint(&mut self, v: u64) {
-        self.tagged(3, &v.to_le_bytes());
-    }
-    fn float(&mut self, v: f64) {
-        self.tagged(4, &v.to_bits().to_le_bytes());
-    }
-    fn str(&mut self, v: &str) {
-        self.tagged(5, &(v.len() as u64).to_le_bytes());
-        self.0.extend_from_slice(v.as_bytes());
-    }
-    fn array(&mut self, len: usize) {
-        self.tagged(6, &(len as u64).to_le_bytes());
-    }
-    fn object(&mut self, len: usize) {
-        self.tagged(7, &(len as u64).to_le_bytes());
-    }
-    fn key(&mut self, k: &str) {
-        self.str(k);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn tiny_cert() -> CompileCertificate {
         CompileCertificate {
+            format: CompileCertificate::FORMAT,
             doc_digest: digest_hex(1),
             shape_digest: digest_hex(2),
             compile_path: CompilePath::Full,

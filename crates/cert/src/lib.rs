@@ -10,9 +10,9 @@
 //! engine emits a compact [`CompileCertificate`] for every compile —
 //! resource census against the machine limits, kernel validity windows,
 //! the e-cube route of every halo message, a window-coverage proof for
-//! the overlap split — sealed with FNV-1a 128 and bound to the
-//! document's content digest. [`fn@verify`] is the small, auditable other
-//! half: it re-checks every obligation from the certificate alone,
+//! the overlap split — sealed with a word-wise 128-bit hash and bound to
+//! the document's content digest. [`fn@verify`] is the small, auditable
+//! other half: it re-checks every obligation from the certificate alone,
 //! re-deriving the routing and tiling math independently, and rejects on
 //! the first failure. Nothing in this crate links against the checker,
 //! the code generator or the simulator; the only shared vocabulary is
@@ -36,6 +36,7 @@
 //!     max_sdu_taps: 8, rf_words: 64, clock_hz: 20_000_000,
 //! };
 //! let cert = CompileCertificate {
+//!     format: CompileCertificate::FORMAT,
 //!     doc_digest: digest_hex(0x1234),
 //!     shape_digest: digest_hex(0x5678),
 //!     compile_path: CompilePath::Full,

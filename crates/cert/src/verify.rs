@@ -72,7 +72,8 @@ macro_rules! demand {
 /// #     caches: 16, cache_buffers: 2, cache_words_per_buffer: 8192, sdu_units: 2,
 /// #     sdu_taps_per_unit: 4, sdu_buffer_words: 16384, max_sdu_taps: 8, rf_words: 64,
 /// #     clock_hz: 20_000_000 };
-/// # let cert = CompileCertificate { doc_digest: digest_hex(1), shape_digest: digest_hex(2),
+/// # let cert = CompileCertificate { format: CompileCertificate::FORMAT,
+/// #     doc_digest: digest_hex(1), shape_digest: digest_hex(2),
 /// #     compile_path: CompilePath::Full, machine, census: ResourceCensus::default(),
 /// #     windows: vec![], routes: vec![], coverage: vec![], lease: None,
 /// #     seal: String::new() }.sealed();
@@ -90,14 +91,18 @@ pub fn verify(cert: &CompileCertificate, expected: &Expected) -> Result<VerifyRe
     let mut n = 0usize;
     use ConstraintKind as K;
 
-    // V001 — the seal covers every other obligation's inputs.
+    // V001 — the seal covers every other obligation's inputs, under the
+    // one format whose hash this verifier recomputes.
+    let recomputed = cert.compute_seal();
     demand!(
         n,
-        cert.seal == cert.compute_seal(),
+        cert.format == CompileCertificate::FORMAT && cert.seal == recomputed,
         K::SealIntegrity,
-        "seal {} does not match canonical bytes ({})",
+        "format {} certificate sealed {}: this verifier reads format {}, whose seal is {}",
+        cert.format,
         cert.seal,
-        cert.compute_seal()
+        CompileCertificate::FORMAT,
+        recomputed
     );
 
     // V002/V003 — digest binding: well-formed, and equal to what the
@@ -464,6 +469,7 @@ mod tests {
 
     fn honest() -> CompileCertificate {
         CompileCertificate {
+            format: CompileCertificate::FORMAT,
             doc_digest: digest_hex(0xabc),
             shape_digest: digest_hex(0xdef),
             compile_path: CompilePath::Full,

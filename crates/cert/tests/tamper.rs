@@ -32,6 +32,7 @@ fn machine() -> MachineLimits {
 /// a lease, and a three-window coverage proof.
 fn honest() -> CompileCertificate {
     CompileCertificate {
+        format: CompileCertificate::FORMAT,
         doc_digest: digest_hex(0xabc),
         shape_digest: digest_hex(0xdef),
         compile_path: CompilePath::Full,
@@ -196,6 +197,19 @@ const FORGERIES: usize = 17;
 fn honest_certificate_is_accepted() {
     let report = verify(&honest(), &Expected::default()).expect("honest certificate verifies");
     assert!(report.obligations > 20);
+}
+
+#[test]
+fn a_resealed_certificate_of_another_format_trips_the_seal() {
+    for format in [1, 3] {
+        let mut cert = honest();
+        cert.format = format;
+        // Resealed by hand: `sealed()` would stamp the current format back.
+        cert.seal = cert.compute_seal();
+        let v = verify(&cert, &Expected::default()).unwrap_err();
+        assert_eq!(v.kind, ConstraintKind::SealIntegrity, "format {format}");
+        assert!(v.detail.contains(&format!("format {format} ")), "{}", v.detail);
+    }
 }
 
 proptest! {

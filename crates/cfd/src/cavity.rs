@@ -27,11 +27,11 @@ use crate::diagrams::{
     build_ftcs_transport_document, build_jacobi2d_sweep_document_windows, Jacobi2dGeometry,
     PLANE_G, PLANE_MASK, PLANE_U0, PLANE_U1, PLANE_W0, PLANE_W1, PLANE_WC, RESIDUAL_CACHE,
 };
-use crate::distributed::{check_partition_fits, check_same_machine, measure_system_run};
+use crate::distributed::{check_same_machine, measure_system_run};
 use crate::grid::{Grid2, PaddedField};
 use crate::host::{ftcs_update_tree, FtcsCoeffs};
 use crate::overlap::{CompiledSweep, SweepEngine, SweepIo};
-use crate::partition::{read_slabs, GridShape, Partition, PartitionSpec};
+use crate::partition::{check_partition_fits, read_slabs, GridShape, Partition, PartitionSpec};
 use nsc_arch::NodeId;
 use nsc_core::{run_lanes, CompiledProgram, NscError, Session, Workload};
 use nsc_sim::{NscSystem, PerfCounters, RunOptions};

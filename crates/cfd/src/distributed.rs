@@ -61,22 +61,6 @@ pub(crate) fn check_same_machine(session: &Session, system: &NscSystem) -> Resul
     Ok(())
 }
 
-/// Refuse a system that lacks a node the partition places a part on —
-/// before any plane is written.
-pub(crate) fn check_partition_fits(
-    partition: &dyn Partition,
-    system: &NscSystem,
-) -> Result<(), NscError> {
-    let nodes = system.node_count();
-    match partition.parts().iter().find(|p| p.node.index() >= nodes) {
-        Some(p) => Err(NscError::Workload(format!(
-            "the partition places a part on node {}, but the system has {nodes} node(s)",
-            p.node
-        ))),
-        None => Ok(()),
-    }
-}
-
 /// Per-run system metrics derived from a counter snapshot taken before
 /// the run: per-node deltas, their overlap-aware aggregate, and the
 /// achieved rate.

@@ -158,7 +158,7 @@ fn machine_smooth(
     let parts = part.parts();
     if sweeps == 0 {
         // Nothing to smooth, but callers still rely on fresh ghosts.
-        host_halo_exchange(part, system, PLANE_U0, u_slabs, &HaloSpec::stencil());
+        host_halo_exchange(part, system, PLANE_U0, u_slabs, &HaloSpec::stencil())?;
         return Ok(());
     }
     let h2 = level.h * level.h;
@@ -188,7 +188,7 @@ fn machine_smooth(
     let final_plane = if sweeps.is_multiple_of(2) { PLANE_U0 } else { PLANE_U1 };
     // The last sweep's faces never travelled; the slab readback below
     // hands ghosts to the host transfer operators, so refresh now.
-    engine.refresh(system, final_plane);
+    engine.refresh(system, final_plane)?;
     for (dst, src) in u_slabs.iter_mut().zip(read_slabs(part, system, final_plane)) {
         *dst = src;
     }
@@ -348,7 +348,7 @@ fn dist_vcycle(
         // Restriction reads one ghost layer of the residual across block
         // boundaries; the agglomeration branch gathers owned points only,
         // so it skips this exchange.
-        host_halo_exchange(&level.part, system, PLANE_U0, &mut r_slabs, &HaloSpec::stencil());
+        host_halo_exchange(&level.part, system, PLANE_U0, &mut r_slabs, &HaloSpec::stencil())?;
         let coarse = &levels[li + 1];
         let rc_slabs = restrict_slabs(level, coarse, &r_slabs);
         let mut ec_slabs: Vec<Vec<f64>> =
@@ -356,7 +356,7 @@ fn dist_vcycle(
         dist_vcycle(levels, li + 1, system, &mut ec_slabs, &rc_slabs, opts, fine_points, stats)?;
         // Fresh ghosts on the correction before interpolating across
         // block boundaries.
-        host_halo_exchange(&coarse.part, system, PLANE_U0, &mut ec_slabs, &HaloSpec::stencil());
+        host_halo_exchange(&coarse.part, system, PLANE_U0, &mut ec_slabs, &HaloSpec::stencil())?;
         let cparts = coarse.part.parts();
         prolong_add_slabs(level, u_slabs, |pi, ic, jc, kc| {
             ec_slabs[pi][cparts[pi].local_flat_of_global(ic, jc, kc)]

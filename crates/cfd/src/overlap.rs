@@ -86,8 +86,10 @@
 
 use crate::certify::{halo_routes, window_coverage};
 use crate::diagrams::RESIDUAL_CACHE;
-use crate::distributed::check_partition_fits;
-use crate::partition::{host_halo_exchange, HaloSpec, Part, Partition, SweepSplit, SweepWindow};
+use crate::partition::{
+    check_one_slab_per_part, check_partition_fits, host_halo_exchange, HaloSpec, Part, Partition,
+    SweepSplit, SweepWindow,
+};
 use nsc_arch::{NodeId, PlaneId};
 use nsc_core::{run_lanes, CompiledProgram, NscError, Session};
 use nsc_diagram::Document;
@@ -283,7 +285,7 @@ impl<'p> SweepEngine<'p> {
         check_partition_fits(self.partition, system)?;
 
         if !io.fresh_ghosts && self.sync_spec.wants_any() {
-            self.partition.halo_exchange(system, io.read, 1, &self.sync_spec);
+            self.partition.halo_exchange(system, io.read, 1, &self.sync_spec)?;
         }
         let before: Vec<u64> =
             self.pool.iter().map(|&i| system.nodes()[i].counters.cycles).collect();
@@ -302,7 +304,7 @@ impl<'p> SweepEngine<'p> {
             .collect();
         system.open_comm_window(&budgets);
         if !io.fresh_ghosts {
-            self.partition.halo_exchange(system, io.read, 1, &self.overlap_spec);
+            self.partition.halo_exchange(system, io.read, 1, &self.overlap_spec)?;
         }
         let hidden = system.close_comm_window();
         run_lanes(system.nodes_mut(), &self.lanes(&sweep.shell), opts)?;
@@ -323,8 +325,10 @@ impl<'p> SweepEngine<'p> {
     /// Synchronously refresh all of `plane`'s halo faces — the tail
     /// exchange a run needs before host code reads slabs back with their
     /// ghost layers (the multigrid smoother's contract). Returns the
-    /// slowest per-node communication time in nanoseconds.
-    pub fn refresh(&self, system: &mut NscSystem, plane: PlaneId) -> u64 {
+    /// slowest per-node communication time in nanoseconds. A system
+    /// lacking one of the partition's nodes is refused with
+    /// [`NscError::Workload`] before any message is charged.
+    pub fn refresh(&self, system: &mut NscSystem, plane: PlaneId) -> Result<u64, NscError> {
         self.partition.halo_exchange(system, plane, 1, &self.halo)
     }
 
@@ -356,19 +360,9 @@ impl<'p> SweepEngine<'p> {
         compute: impl Fn(usize, Range<usize>, &mut Vec<f64>) -> f64 + Send + Sync,
     ) -> Result<Vec<f64>, NscError> {
         self.check_overlap()?;
-        let parts = self.partition.parts();
-        let one_slab_per_part = slabs.len() == parts.len()
-            && parts.iter().zip(slabs.iter()).all(|(p, s)| s.len() == p.local_words());
-        if !one_slab_per_part {
-            return Err(NscError::Workload(format!(
-                "a host sweep over {} parts wants one slab of each part's local words per \
-                 part, got {} slab(s)",
-                parts.len(),
-                slabs.len()
-            )));
-        }
+        check_one_slab_per_part(self.partition, slabs)?;
         check_partition_fits(self.partition, system)?;
-        let mut res = vec![0.0f64; parts.len()];
+        let mut res = vec![0.0f64; slabs.len()];
         let splits = &self.splits;
         let compute = &compute;
 
@@ -392,11 +386,11 @@ impl<'p> SweepEngine<'p> {
         };
 
         if !fresh_ghosts && self.sync_spec.wants_any() {
-            host_halo_exchange(self.partition, system, plane, slabs, &self.sync_spec);
+            host_halo_exchange(self.partition, system, plane, slabs, &self.sync_spec)?;
         }
         phase(slabs, &mut res, false);
         if !fresh_ghosts {
-            host_halo_exchange(self.partition, system, plane, slabs, &self.overlap_spec);
+            host_halo_exchange(self.partition, system, plane, slabs, &self.overlap_spec)?;
         }
         phase(slabs, &mut res, true);
         Ok(res)

@@ -378,14 +378,16 @@ pub trait Partition: std::fmt::Debug + Send + Sync {
     /// through the router, reading and writing the field stored in `plane`
     /// with `front_pad` pad units before the slab data. Returns the
     /// slowest per-node communication time of the step in nanoseconds
-    /// (messages between disjoint node pairs overlap).
+    /// (messages between disjoint node pairs overlap). A system lacking
+    /// one of the partition's nodes is refused with [`NscError::Workload`]
+    /// before any message is charged.
     fn halo_exchange(
         &self,
         system: &mut NscSystem,
         plane: PlaneId,
         front_pad: usize,
         spec: &HaloSpec,
-    ) -> u64;
+    ) -> Result<u64, NscError>;
 
     /// The *pad unit* of a part: the warm-up block size of its stencil
     /// stream — one local xy-plane for volume grids, one local row for
@@ -468,6 +470,41 @@ pub trait Partition: std::fmt::Debug + Send + Sync {
     }
 }
 
+/// Refuse a system that lacks a node the partition places a part on —
+/// before any plane is written or any message charged.
+pub(crate) fn check_partition_fits(
+    partition: &dyn Partition,
+    system: &NscSystem,
+) -> Result<(), NscError> {
+    let nodes = system.node_count();
+    match partition.parts().iter().find(|p| p.node.index() >= nodes) {
+        Some(p) => Err(NscError::Workload(format!(
+            "the partition places a part on node {}, but the system has {nodes} node(s)",
+            p.node
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Refuse host slabs that are not one slab of [`Part::local_words`] words
+/// per part, in partition order.
+pub(crate) fn check_one_slab_per_part(
+    partition: &dyn Partition,
+    slabs: &[Vec<f64>],
+) -> Result<(), NscError> {
+    let parts = partition.parts();
+    let one_slab_per_part = slabs.len() == parts.len()
+        && parts.iter().zip(slabs).all(|(p, s)| s.len() == p.local_words());
+    if one_slab_per_part {
+        return Ok(());
+    }
+    Err(NscError::Workload(format!(
+        "{} parts want one slab of each part's local words per part, got {} slab(s)",
+        parts.len(),
+        slabs.len()
+    )))
+}
+
 /// Read every part's full local slab (ghost layers included) back from
 /// `plane`, in partition order — the common readback step of every
 /// distributed driver (front pad 1, the stencil layout).
@@ -492,13 +529,20 @@ pub fn read_slabs(partition: &dyn Partition, system: &NscSystem, plane: PlaneId)
 /// block solvers (block SOR, multigrid transfer operators) pay the same
 /// communication model as the machine-resident sweeps. Returns the
 /// slowest per-node communication time in nanoseconds.
+///
+/// `slabs` must hold one slab of [`Part::local_words`] words per part, in
+/// partition order, and `system` every node the partition uses; otherwise
+/// the exchange is refused with [`NscError::Workload`] before any face is
+/// staged.
 pub fn host_halo_exchange(
     partition: &dyn Partition,
     system: &mut NscSystem,
     plane: PlaneId,
     slabs: &mut [Vec<f64>],
     spec: &HaloSpec,
-) -> u64 {
+) -> Result<u64, NscError> {
+    check_one_slab_per_part(partition, slabs)?;
+    check_partition_fits(partition, system)?;
     for (pi, p) in partition.parts().iter().enumerate() {
         for axis in 0..3 {
             let sp = p.spans[axis];
@@ -523,7 +567,7 @@ pub fn host_halo_exchange(
             }
         }
     }
-    let ns = partition.halo_exchange(system, plane, 1, spec);
+    let ns = partition.halo_exchange(system, plane, 1, spec)?;
     for (pi, p) in partition.parts().iter().enumerate() {
         for axis in 0..3 {
             let sp = p.spans[axis];
@@ -537,7 +581,7 @@ pub fn host_halo_exchange(
             }
         }
     }
-    ns
+    Ok(ns)
 }
 
 /// Copy one host-slab layer into the staged plane image.
@@ -704,10 +748,11 @@ impl Partition for StripPartition {
         plane: PlaneId,
         front_pad: usize,
         spec: &HaloSpec,
-    ) -> u64 {
+    ) -> Result<u64, NscError> {
+        check_partition_fits(self, system)?;
         let [want_lo, want_hi] = spec.faces[self.axis];
         if !(want_lo || want_hi) {
-            return 0;
+            return Ok(0);
         }
         let mut per_node = vec![0u64; self.parts.len()];
         let pw = self.pad_unit(0);
@@ -742,7 +787,7 @@ impl Partition for StripPartition {
             per_node[i] += ns;
             per_node[i + 1] += ns;
         }
-        per_node.into_iter().max().unwrap_or(0)
+        Ok(per_node.into_iter().max().unwrap_or(0))
     }
 }
 
@@ -970,11 +1015,12 @@ impl Partition for BlockPartition {
         plane: PlaneId,
         front_pad: usize,
         spec: &HaloSpec,
-    ) -> u64 {
+    ) -> Result<u64, NscError> {
+        check_partition_fits(self, system)?;
         let mut per_node = vec![0u64; self.parts.len()];
         self.exchange_axis(system, plane, front_pad, spec, self.row_axis, &mut per_node);
         self.exchange_axis(system, plane, front_pad, spec, self.col_axis, &mut per_node);
-        per_node.into_iter().max().unwrap_or(0)
+        Ok(per_node.into_iter().max().unwrap_or(0))
     }
 }
 
@@ -1177,7 +1223,7 @@ mod tests {
                 }
             }
         }
-        d.halo_exchange(sys, plane, 1, spec);
+        d.halo_exchange(sys, plane, 1, spec).expect("the system holds every part");
         let mut ghosts_checked = 0;
         for (pi, p) in d.parts().iter().enumerate() {
             let (lnx, lny, lnz) = p.local_shape();
@@ -1257,7 +1303,7 @@ mod tests {
         // Refresh only the *hi*-side ghosts along y (data flows upward
         // from each block's first owned row? No: hi face of the lower
         // boundary partner — the ghosts above the owned range).
-        d.halo_exchange(&mut sys, plane, 1, &HaloSpec::face(1, true));
+        d.halo_exchange(&mut sys, plane, 1, &HaloSpec::face(1, true)).expect("exchanges");
         let p0 = &d.parts()[0]; // row 0: has a hi ghost along y, no lo
         let (lnx, lny, _) = p0.local_shape();
         let hi_ghost = sys

@@ -2,16 +2,19 @@
 //! input, not a library invariant: every solver entry point refuses it
 //! with `NscError::Workload` before it writes a plane, runs an
 //! instruction or charges a message — it neither panics nor computes over
-//! a zero-filled tail.
+//! a zero-filled tail. So is a system lacking one of the partition's
+//! nodes, and host slabs that are not one per part, at every halo
+//! exchange entry point.
 
 use nsc_arch::HypercubeConfig;
 use nsc_cfd::diagrams::PLANE_U0;
 use nsc_cfd::grid::manufactured_problem;
 use nsc_cfd::host::FtcsCoeffs;
 use nsc_cfd::{
-    DistributedJacobiWorkload, DistributedMultigridWorkload, DistributedSorWorkload, Grid2, Grid3,
-    GridShape, JacobiVariant, JacobiWorkload, MgOptions, MultigridWorkload, Partition,
-    PartitionSpec, Poisson2dSolver, SorWorkload, StripPartition, SweepEngine, VorticityTransport,
+    host_halo_exchange, DistributedJacobiWorkload, DistributedMultigridWorkload,
+    DistributedSorWorkload, Grid2, Grid3, GridShape, HaloSpec, JacobiVariant, JacobiWorkload,
+    MgOptions, MultigridWorkload, Partition, PartitionSpec, Poisson2dSolver, SorWorkload,
+    StripPartition, SweepEngine, VorticityTransport,
 };
 use nsc_core::{NscError, Session, Workload};
 use nsc_sim::{NodeSim, NscSystem, PerfCounters};
@@ -170,4 +173,57 @@ fn serial_multigrid_refuses_a_short_grid_untouched() {
     let w = MultigridWorkload { u0, f, tol: 0.0, max_cycles: 1, opts: MgOptions::default() };
     assert_workload_error(w.execute(&session, &mut node));
     assert_eq!(node_footprint(&node), before);
+}
+
+/// Four strips of a 9³ grid, laid on a 4-node cube, and a 2-node system
+/// lacking two of the strips' nodes.
+fn strips_on_a_small_system(session: &Session) -> (StripPartition, NscSystem) {
+    let strips = StripPartition::new(GridShape::volume3d(9, 9, 9), HypercubeConfig::new(2))
+        .expect("decomposes");
+    (strips, NscSystem::new(HypercubeConfig::new(1), session.kb()))
+}
+
+#[test]
+fn refresh_refuses_a_system_lacking_a_partition_node_untouched() {
+    let session = Session::nsc_1988();
+    let (strips, mut sys) = strips_on_a_small_system(&session);
+    let before = footprint(&sys);
+    assert_workload_error(SweepEngine::stencil(&strips).refresh(&mut sys, PLANE_U0));
+    assert_eq!(footprint(&sys), before);
+}
+
+#[test]
+fn halo_exchange_refuses_a_system_lacking_a_partition_node_untouched() {
+    let session = Session::nsc_1988();
+    let (strips, mut sys) = strips_on_a_small_system(&session);
+    let before = footprint(&sys);
+    assert_workload_error(strips.halo_exchange(&mut sys, PLANE_U0, 1, &HaloSpec::stencil()));
+    assert_eq!(footprint(&sys), before);
+}
+
+#[test]
+fn host_halo_exchange_refuses_a_small_system_or_foreign_slabs_untouched() {
+    let session = Session::nsc_1988();
+    let (strips, mut small) = strips_on_a_small_system(&session);
+    let spec = HaloSpec::stencil();
+    let whole = strips.scatter(&[0.5; 729]);
+    let before = footprint(&small);
+    let mut slabs = whole.clone();
+    assert_workload_error(host_halo_exchange(&strips, &mut small, PLANE_U0, &mut slabs, &spec));
+    assert_eq!(footprint(&small), before);
+
+    // A system holding every strip, handed three slabs, then a short one.
+    let mut sys = NscSystem::new(HypercubeConfig::new(2), session.kb());
+    let before = footprint(&sys);
+    let mut three = whole[..3].to_vec();
+    assert_workload_error(host_halo_exchange(&strips, &mut sys, PLANE_U0, &mut three, &spec));
+    let mut short = whole.clone();
+    short[2].pop();
+    let kept = short.clone();
+    assert_workload_error(host_halo_exchange(&strips, &mut sys, PLANE_U0, &mut short, &spec));
+    assert_eq!((three.as_slice(), short), (&whole[..3], kept), "no slab written");
+    assert_eq!(footprint(&sys), before);
+
+    host_halo_exchange(&strips, &mut sys, PLANE_U0, &mut slabs, &spec).expect("exchanges");
+    assert_eq!(slabs, whole, "a uniform field's ghosts already hold their owners' values");
 }

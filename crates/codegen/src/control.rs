@@ -40,10 +40,11 @@ pub fn generate(kb: &KnowledgeBase, doc: &Document) -> Result<GenOutput, GenErro
 }
 
 /// Generate microcode for a document the caller has *already* passed
-/// through the whole-document global check. Skipping the redundant
-/// re-check matters to drivers that compile in bulk; on an unchecked
-/// document the lowering may surface errors in degraded form or panic,
-/// so only call this with a clean check in hand.
+/// through the whole-document global check, which this does not re-run:
+/// `Session::compile` checks once, then calls this. On an unchecked
+/// document it never panics, but it may return an error that names the
+/// symptom rather than the broken rule, or a program the checker would
+/// have refused — so only call this with a clean check in hand.
 pub fn generate_prechecked(kb: &KnowledgeBase, doc: &Document) -> Result<GenOutput, GenError> {
     // Lower every pipeline that the control flow references (or all, in
     // order, when no control flow is specified).
@@ -55,7 +56,9 @@ pub fn generate_prechecked(kb: &KnowledgeBase, doc: &Document) -> Result<GenOutp
     };
     let mut lowered: BTreeMap<PipelineId, LoweredPipeline> = BTreeMap::new();
     for id in control.referenced_pipelines() {
-        let d = doc.pipeline(id).expect("checked");
+        let d = doc.pipeline(id).ok_or_else(|| {
+            GenError::Unsupported(format!("control flow references {id}, which does not exist"))
+        })?;
         lowered.insert(id, lower_pipeline(kb, d, &doc.decls)?);
     }
 
@@ -294,16 +297,83 @@ mod tests {
         assert_eq!(out.program.instrs[3].seq.ctl, SeqCtl::DecJnz { ctr: 0, target: 1 });
     }
 
+    /// Documents the checker rejects. Lowering does not re-check, so
+    /// `generate_prechecked` sees each one unchecked: it must refuse
+    /// without panicking. `generate` checks first and names the rule.
     #[test]
-    fn dangling_control_reference_fails_generation() {
+    fn unchecked_documents_are_refused_without_panicking() {
+        use nsc_checker::RuleCode;
         let kb = kb();
-        let (mut doc, _) = doc_with_pipeline(&kb);
-        doc.control = Some(ControlNode::Pipeline(PipelineId(404)));
-        match generate(&kb, &doc) {
-            Err(GenError::CheckFailed(diags)) => {
-                assert!(diags.iter().any(|d| d.rule == nsc_checker::RuleCode::DanglingControlRef));
+        let mut cases = Vec::new();
+
+        let (mut dangling, _) = doc_with_pipeline(&kb);
+        dangling.control = Some(ControlNode::Pipeline(PipelineId(404)));
+        cases.push((dangling, RuleCode::DanglingControlRef));
+
+        let (mut stripped, pid) = doc_with_pipeline(&kb);
+        let d = stripped.pipeline_mut(pid).unwrap();
+        let wire = d.connections().next().expect("the plane read wire").id;
+        d.connection_mut(wire).unwrap().dma = None;
+        cases.push((stripped, RuleCode::DmaMissing));
+
+        let (mut unbound, pid) = doc_with_pipeline(&kb);
+        let d = unbound.pipeline_mut(pid).unwrap();
+        let idle = d.add_icon(IconKind::als(AlsKind::Singlet));
+        d.assign_fu(idle, 0, FuAssign::unary(FuOp::Abs)).unwrap();
+        cases.push((unbound, RuleCode::UnboundIcon));
+
+        // A second unit stores into the plane the pipeline already writes.
+        let (mut contended, pid) = doc_with_pipeline(&kb);
+        let d = contended.pipeline_mut(pid).unwrap();
+        let src = d.add_icon(IconKind::Memory { plane: Some(PlaneId(2)) });
+        let als = d.add_icon(IconKind::als(AlsKind::Singlet));
+        let dst = d.add_icon(IconKind::Memory { plane: Some(PlaneId(1)) });
+        nsc_checker::auto_bind(&kb, d, &Declarations::default());
+        d.connect(
+            PadLoc::new(src, PadRef::Io),
+            PadLoc::new(als, PadRef::FuIn { pos: 0, port: InPort::A }),
+            Some(DmaAttrs::at_address(0)),
+        )
+        .unwrap();
+        d.connect(
+            PadLoc::new(als, PadRef::FuOut { pos: 0 }),
+            PadLoc::new(dst, PadRef::Io),
+            Some(DmaAttrs::at_address(64)),
+        )
+        .unwrap();
+        d.assign_fu(als, 0, FuAssign::unary(FuOp::Abs)).unwrap();
+        cases.push((contended, RuleCode::PlaneContention));
+
+        // Bindings and taps lowering indexes the machine by.
+        let (mut nowhere, pid) = doc_with_pipeline(&kb);
+        let d = nowhere.pipeline_mut(pid).unwrap();
+        d.add_icon(IconKind::Memory { plane: Some(PlaneId(99)) });
+        cases.push((nowhere, RuleCode::NoSuchResource));
+        for tap in [0, 5] {
+            // Six taps on a four-tap unit, the stream read from one of them.
+            let (mut tapped, pid) = doc_with_pipeline(&kb);
+            let d = tapped.pipeline_mut(pid).unwrap();
+            let src = d.icons().next().expect("the source plane").id;
+            let sdu = d.add_icon(IconKind::sdu());
+            let dst = d.add_icon(IconKind::memory());
+            nsc_checker::auto_bind(&kb, d, &Declarations::default());
+            d.set_sdu_taps(sdu, vec![0, 1, 2, 3, 4, 5]).unwrap();
+            let into = PadLoc::new(sdu, PadRef::SduIn);
+            d.connect(PadLoc::new(src, PadRef::Io), into, Some(DmaAttrs::at_address(0))).unwrap();
+            let out = PadLoc::new(sdu, PadRef::SduTap { tap });
+            d.connect(out, PadLoc::new(dst, PadRef::Io), Some(DmaAttrs::at_address(0))).unwrap();
+            cases.push((tapped, RuleCode::SduTapCount));
+        }
+
+        for (doc, rule) in cases {
+            let lowered = generate_prechecked(&kb, &doc);
+            assert!(lowered.is_err(), "{rule:?}: lowered to {lowered:?}");
+            match generate(&kb, &doc) {
+                Err(GenError::CheckFailed(diags)) => {
+                    assert!(diags.iter().any(|d| d.rule == rule), "{rule:?}: {diags:?}");
+                }
+                other => panic!("{rule:?}: expected CheckFailed, got {other:?}"),
             }
-            other => panic!("expected CheckFailed, got {other:?}"),
         }
     }
 

@@ -12,7 +12,9 @@
 //!
 //! Lowering one pipeline diagram to one [`MicroInstruction`](nsc_microcode::MicroInstruction) involves:
 //!
-//! 1. re-running the checker globally (refusing on any error);
+//! 1. the global check, run once per document: [`generate`] runs it, and
+//!    [`generate_prechecked`] trusts a caller that already has (lowering
+//!    itself does not re-check);
 //! 2. resolving every icon's physical binding and every unit's [`FuId`](nsc_arch::FuId);
 //! 3. deriving the switch program from the connection table;
 //! 4. **timing analysis**: computing each stream's *transport lag* (pipeline
@@ -35,7 +37,7 @@ pub mod lower;
 pub mod pseudo;
 
 pub use self::control::{generate, generate_prechecked, GenOutput};
-pub use self::lower::{lower_pipeline, InstrMap, LoweredPipeline};
+pub use self::lower::InstrMap;
 pub use self::pseudo::emit_pseudocode;
 
 use nsc_checker::Diagnostic;

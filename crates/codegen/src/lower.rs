@@ -2,9 +2,8 @@
 
 use crate::GenError;
 use nsc_arch::{FuId, InPort, KnowledgeBase, SinkRef, SourceRef};
-use nsc_checker::{diag::has_errors, rules, Stage};
 use nsc_diagram::{
-    CaptureMode, Declarations, DmaAttrs, IconId, IconKind, InputSpec, PadLoc, PadRef,
+    CaptureMode, Connection, Declarations, DmaAttrs, IconId, IconKind, InputSpec, PadLoc, PadRef,
     PipelineDiagram, PipelineId,
 };
 use nsc_microcode::{
@@ -29,11 +28,11 @@ pub struct InstrMap {
 
 /// A lowered pipeline: the instruction plus its diagram back-references.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LoweredPipeline {
+pub(crate) struct LoweredPipeline {
     /// The machine instruction.
-    pub instr: MicroInstruction,
+    pub(crate) instr: MicroInstruction,
     /// Back-references for debugging and annotation.
-    pub map: InstrMap,
+    pub(crate) map: InstrMap,
 }
 
 /// Lag bookkeeping for one stream edge: `transport` counts pipeline depths
@@ -46,22 +45,39 @@ struct Lag {
 }
 
 /// Lower one diagram against the machine and document declarations.
-pub fn lower_pipeline(
+///
+/// The diagram is trusted to have passed the global check: lowering does
+/// not re-run it. A diagram that would fail it lowers to an error or to
+/// a program the checker would have refused, never to a panic.
+pub(crate) fn lower_pipeline(
     kb: &KnowledgeBase,
     d: &PipelineDiagram,
     decls: &Declarations,
 ) -> Result<LoweredPipeline, GenError> {
-    // "The checker is invoked again at this point."
-    let diags = rules::check_pipeline_with(kb, d, Stage::Global, Some(decls));
-    if has_errors(&diags) {
-        return Err(GenError::CheckFailed(
-            diags.into_iter().filter(|x| x.severity == nsc_checker::Severity::Error).collect(),
-        ));
-    }
-
     let layout = kb.layout();
     let mut ins = MicroInstruction::empty(kb);
     let mut unit_to_fu: BTreeMap<(IconId, u8), FuId> = BTreeMap::new();
+
+    // Lowering indexes the machine by each icon's binding: refuse a
+    // binding to a resource the machine lacks before any index does.
+    for icon in d.icons() {
+        let exists = match icon.kind {
+            IconKind::Als { als: Some(a), kind, .. } => {
+                layout.alss().get(a.index()).is_some_and(|phys| phys.kind == kind)
+            }
+            IconKind::Memory { plane: Some(p) } => kb.valid_plane(p),
+            IconKind::Cache { cache: Some(c) } => kb.valid_cache(c),
+            IconKind::Sdu { sdu: Some(s) } => kb.valid_sdu(s),
+            _ => true,
+        };
+        if !exists {
+            return Err(GenError::Unsupported(format!(
+                "{} is bound to a resource {} does not have",
+                icon.id,
+                kb.config().name
+            )));
+        }
+    }
 
     // ------------------------------------------------------------------
     // resolve physical units
@@ -223,6 +239,16 @@ pub fn lower_pipeline(
     for c in d.connections() {
         let source = source_ref(d, c.from, &unit_to_fu)?;
         let sink = sink_ref(d, c.to, &unit_to_fu)?;
+        if kb.source_code(source).is_none() || kb.sink_code(sink).is_none() {
+            return Err(GenError::Unsupported(format!(
+                "the switch cannot route {source} to {sink}"
+            )));
+        }
+        // Two sources into one sink is contention; never let the second
+        // wire silently replace the first.
+        if ins.switch.driver(kb, sink).is_some_and(|prev| prev != source) {
+            return Err(GenError::Unsupported(format!("{} is driven by two sources", c.to)));
+        }
         ins.switch.route(kb, source, sink);
     }
 
@@ -237,7 +263,7 @@ pub fn lower_pipeline(
         match icon.kind {
             IconKind::Memory { plane: Some(p) } => {
                 if let Some(wire) = d.outgoing(io).first() {
-                    let attrs = wire.dma.as_ref().expect("checked");
+                    let attrs = dma_attrs(wire)?;
                     let (base, stride, count) = resolve(attrs, decls, stream_len);
                     *ins.plane_rd_mut(p) = PlaneDmaField {
                         enabled: true,
@@ -249,7 +275,7 @@ pub fn lower_pipeline(
                     };
                 }
                 if let Some(wire) = d.incoming(io).first() {
-                    let attrs = wire.dma.as_ref().expect("checked");
+                    let attrs = dma_attrs(wire)?;
                     let lag = out_lags.get(&wire.from).copied().unwrap_or_default();
                     let (base, stride, count, warmup, mode) =
                         write_side(attrs, decls, stream_len, lag);
@@ -269,7 +295,7 @@ pub fn lower_pipeline(
             }
             IconKind::Cache { cache: Some(cid) } => {
                 if let Some(wire) = d.outgoing(io).first() {
-                    let attrs = wire.dma.as_ref().expect("checked");
+                    let attrs = dma_attrs(wire)?;
                     let (base, stride, count) = resolve(attrs, decls, stream_len);
                     *ins.cache_rd_mut(cid) = CacheDmaField {
                         enabled: true,
@@ -282,7 +308,7 @@ pub fn lower_pipeline(
                     };
                 }
                 if let Some(wire) = d.incoming(io).first() {
-                    let attrs = wire.dma.as_ref().expect("checked");
+                    let attrs = dma_attrs(wire)?;
                     let lag = out_lags.get(&wire.from).copied().unwrap_or_default();
                     let (base, stride, count, warmup, mode) =
                         write_side(attrs, decls, stream_len, lag);
@@ -303,6 +329,13 @@ pub fn lower_pipeline(
             }
             IconKind::Sdu { sdu: Some(sid) } => {
                 let delays = d.sdu_taps(icon.id);
+                if delays.len() > ins.sdu_mut(sid).taps.len() {
+                    return Err(GenError::Unsupported(format!(
+                        "{} programs {} taps on {sid}",
+                        icon.id,
+                        delays.len()
+                    )));
+                }
                 if !delays.is_empty() {
                     *ins.sdu_mut(sid) = SduField::with_delays(delays);
                 }
@@ -313,6 +346,13 @@ pub fn lower_pipeline(
 
     let map = InstrMap { pipeline: d.id, unit_to_fu, valid_count, write_skip: write_skip_max };
     Ok(LoweredPipeline { instr: ins, map })
+}
+
+/// The DMA attributes every storage wire carries.
+fn dma_attrs(wire: &Connection) -> Result<&DmaAttrs, GenError> {
+    wire.dma.as_ref().ok_or_else(|| {
+        GenError::Unsupported(format!("storage wire {} has no DMA attributes", wire.id))
+    })
 }
 
 /// Resolve DMA attributes to (base, stride, default count).
@@ -455,29 +495,6 @@ mod tests {
         // Switch routes both wires.
         assert_eq!(ins.switch.iter_routes(&kb).count(), 2);
         assert_eq!(low.map.valid_count, 64);
-    }
-
-    #[test]
-    fn checker_errors_block_lowering() {
-        let kb = kb();
-        let (mut d, decls) = scale_pipeline(&kb);
-        // Sabotage: second writer into the same plane.
-        let als2 = d.add_icon(IconKind::als(AlsKind::Singlet));
-        nsc_checker::auto_bind(&kb, &mut d, &decls);
-        let dst2 = d.add_icon(IconKind::Memory { plane: Some(nsc_arch::PlaneId(1)) });
-        d.connect(
-            PadLoc::new(als2, PadRef::FuOut { pos: 0 }),
-            PadLoc::new(dst2, PadRef::Io),
-            Some(DmaAttrs::at_address(999)),
-        )
-        .unwrap();
-        d.assign_fu(als2, 0, FuAssign::unary(FuOp::Abs)).unwrap();
-        match lower_pipeline(&kb, &d, &decls) {
-            Err(GenError::CheckFailed(diags)) => {
-                assert!(diags.iter().any(|x| x.rule == nsc_checker::RuleCode::PlaneContention));
-            }
-            other => panic!("expected CheckFailed, got {other:?}"),
-        }
     }
 
     #[test]

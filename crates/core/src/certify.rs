@@ -147,6 +147,7 @@ pub fn build_certificate(
     kernel: Option<&CompiledKernel>,
 ) -> CompileCertificate {
     CompileCertificate {
+        format: CompileCertificate::FORMAT,
         doc_digest: digest_hex(digest),
         shape_digest: digest_hex(shape),
         compile_path: path,

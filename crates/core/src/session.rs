@@ -260,11 +260,12 @@ impl Session {
     /// constants — the cached program is rebound instead: its preloads
     /// are re-patched and only the kernel re-specializes, skipping check
     /// and codegen. The global check runs exactly once per distinct
-    /// document *shape*: generation reuses this stage's verdict instead of
-    /// re-checking internally, and rebinding reuses the base compile's
-    /// warnings (constants cannot change the check verdict). With the fast
-    /// path off the cache is neither read nor filled and every compile
-    /// runs the full pipeline.
+    /// document *shape*: a miss runs [`Session::check`] once and hands its
+    /// verdict to `nsc_codegen::generate_prechecked`, which does not
+    /// re-check, and rebinding reuses the base compile's warnings
+    /// (constants cannot change the check verdict). With the fast path off
+    /// the cache is neither read nor filled and every compile runs the
+    /// full pipeline.
     pub fn compile(&self, doc: &mut Document) -> Result<CompiledProgram, NscError> {
         self.auto_bind(doc)?;
         let digest = doc.digest();

@@ -279,16 +279,16 @@ impl Document {
     /// kernel-cache key: equal digests mean the documents compile to the
     /// same program.
     ///
-    /// FNV-1a (128-bit) over the serializer's event stream, hashed as the
-    /// events arrive, with no value tree built. Every event is tagged so
-    /// differently-shaped documents cannot collide by byte coincidence.
-    /// The byte encoding is the tagged, length-prefixed one a walk of the
-    /// serialized [`serde::Value`] tree would produce; cache keys depend
-    /// on it, so the workspace's `digest_stability` test pins it.
+    /// The serializer's event stream, hashed as the events arrive by
+    /// [`serde::WordHasher`], eight bytes at a time and with no value tree
+    /// built. Every event is tagged and every string length-prefixed, so
+    /// differently-shaped documents cannot collide by coincidence of
+    /// encoding. Cache keys depend on the encoding and the hash, so the
+    /// workspace's `digest_stability` test pins both.
     pub fn digest(&self) -> u128 {
         let mut stripped = self.clone();
         stripped.layouts.clear();
-        semantic_digest(&stripped)
+        serde::hash128(&stripped)
     }
 
     /// A 128-bit digest of the document's *shape*: everything
@@ -309,73 +309,7 @@ impl Document {
         for p in &mut stripped.pipelines {
             p.mask_preload_values();
         }
-        semantic_digest(&stripped)
-    }
-}
-
-/// FNV-1a over an already-stripped document's event stream.
-fn semantic_digest(stripped: &Document) -> u128 {
-    let mut sink = DigestSink(0x6c62272e07bb014262b821756295c58d);
-    stripped.serialize_into(&mut sink);
-    sink.0
-}
-
-/// The digest's byte encoding, hashed as the events arrive: one tag byte
-/// per value (0 null, 1 bool, 2 int, 3 uint, 4 float, 5 string, 6 array,
-/// 7 object), little-endian scalars and float bits, `u64` length
-/// prefixes on strings and containers. Object keys are length-prefixed
-/// but untagged.
-struct DigestSink(u128);
-
-impl DigestSink {
-    fn bytes(&mut self, bytes: &[u8]) {
-        const PRIME: u128 = 0x0000000001000000000000000000013B;
-        for &b in bytes {
-            self.0 ^= b as u128;
-            self.0 = self.0.wrapping_mul(PRIME);
-        }
-    }
-
-    fn len(&mut self, len: usize) {
-        self.bytes(&(len as u64).to_le_bytes());
-    }
-}
-
-impl serde::Sink for DigestSink {
-    fn null(&mut self) {
-        self.bytes(&[0]);
-    }
-    fn bool(&mut self, v: bool) {
-        self.bytes(&[1, v as u8]);
-    }
-    fn int(&mut self, v: i64) {
-        self.bytes(&[2]);
-        self.bytes(&v.to_le_bytes());
-    }
-    fn uint(&mut self, v: u64) {
-        self.bytes(&[3]);
-        self.bytes(&v.to_le_bytes());
-    }
-    fn float(&mut self, v: f64) {
-        self.bytes(&[4]);
-        self.bytes(&v.to_bits().to_le_bytes());
-    }
-    fn str(&mut self, v: &str) {
-        self.bytes(&[5]);
-        self.len(v.len());
-        self.bytes(v.as_bytes());
-    }
-    fn array(&mut self, len: usize) {
-        self.bytes(&[6]);
-        self.len(len);
-    }
-    fn object(&mut self, len: usize) {
-        self.bytes(&[7]);
-        self.len(len);
-    }
-    fn key(&mut self, k: &str) {
-        self.len(k.len());
-        self.bytes(k.as_bytes());
+        serde::hash128(&stripped)
     }
 }
 

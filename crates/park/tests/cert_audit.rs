@@ -44,6 +44,7 @@ fn forged_certificate_fails_the_batch() {
         let machine = machine_limits(session.kb().config());
         let fus = machine.fu_count;
         let cert = CompileCertificate {
+            format: CompileCertificate::FORMAT,
             doc_digest: digest_hex(0xbad),
             shape_digest: digest_hex(0xbad),
             compile_path: CompilePath::Full,

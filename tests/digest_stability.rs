@@ -7,10 +7,15 @@
 //!
 //! * every nsc-cfd document builder, plus one expression document, is
 //!   pinned to the digest, shape digest and compiled-certificate seal it
-//!   had when the tree-walk hashers were replaced by streamed ones;
-//! * a property test compares the streamed digests and canonical bytes
-//!   with the tree walkers they replaced, kept here as oracles, over
-//!   random expression documents with arbitrary constant bit patterns;
+//!   has under the word-wise hash (certificate format 2);
+//! * a property test compares the streamed digests and seals with an
+//!   independent reference kept here: the serialized value tree written
+//!   out as a vector of words and folded in one plain loop, over random
+//!   expression documents with arbitrary constant bit patterns;
+//! * encodings that differ only in padding or tag hash apart, tens of
+//!   thousands of generated documents share no digest (nor either 64-bit
+//!   half of one), and a one-bit change to a constant flips about half of
+//!   the digest's bits;
 //! * over the corpus and a seeded batch of random expression documents,
 //!   every exit of `Session::compile` (miss, hit, rebind, interpreter
 //!   only) and `Session::rebind` seal what the public stages — bind,
@@ -34,7 +39,8 @@ use nsc::sim::CompiledKernel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Serialize, Value};
+use serde::{Serialize, Sink, Value, WordHasher};
+use std::collections::HashMap;
 
 /// The corpus, unbound: every nsc-cfd document builder and one
 /// expression document.
@@ -71,58 +77,57 @@ fn corpus(kb: &KnowledgeBase) -> Vec<Document> {
 }
 
 /// `(document name, digest, shape digest, seal)` of each bound corpus
-/// document and its full-compile certificate, recorded from the
-/// tree-walk hashers. `horner-deg3` was re-pinned when the Horner builder
-/// began feeding its leading coefficient into the first stage (its
-/// document, and so all three values, changed; the hashers did not).
+/// document and its full-compile certificate, recorded when the
+/// byte-wise FNV-1a-128 digests and seals were replaced by the word-wise
+/// hash.
 const PINNED: [(&str, &str, &str, &str); 8] = [
     (
         "jacobi3d-8x8x8",
-        "2be7f4e130d435e91bd396c771e1222d",
-        "b7167ff87b04011d9680ff473afdab65",
-        "d8903473a0269d158acb88fa1504b219",
+        "a30bbdd354dde3c235c4c540fb0b3e0f",
+        "9f05707abfb2d21f86c99fb05f56c9a2",
+        "d94d19ebad2e3f2b0560e7aa25b64936",
     ),
     (
         "jacobi3d-sweep-even-16x16x8",
-        "5aa1c3a43d15e872da4ead8baa4aeb6a",
-        "6537804750b5f5c31b2202695ea7df20",
-        "68c86d9ff38a4e854bfd7ee1be9fb8d7",
+        "b044d03acd6734ae56e5901662cd393a",
+        "94b46a13b99b11f8624300d5d89285b1",
+        "b50f38032de9716c269bf24447f01ab0",
     ),
     (
         "jacobi3d-sweep-odd-16x16x8",
-        "9a37e7e0070aec290f3f30f3c4480afd",
-        "1cc756a9890937a7ddcafaf2a129e5fb",
-        "53e55b4191f35ab5ed532dcab295826e",
+        "62037ba1f6262912990da7c019ded49e",
+        "ac8e5b9ee4d952da87c7e4becfb90626",
+        "db3871dbc0cd83f43793254f152028a2",
     ),
     (
         "jacobi3d-smooth-even-12x10x6",
-        "7fe8fa16c7edfe315e4056951bae358b",
-        "add66e428ebcc3053c96b837b8348de2",
-        "7d104992a27beb8509e6f7b4dc4b7b71",
+        "ff03ac49615068804171860213ba684f",
+        "e5d0d7f7be7913fcd11a5b8a7d47e0ed",
+        "84402eb40df7197944242bc26f2869cf",
     ),
     (
         "jacobi2d-sweep-even-32x16",
-        "bad2943edfc470aa08109383670d9d30",
-        "6b061e1be599f930c47e5b05e3b85075",
-        "ac6cc2088c805b41c8bc5aecf339df24",
+        "b9b57995a97aff7f63af5657075b3f33",
+        "6dd2eddb4cb03bf14e757a97b3a20c55",
+        "bf5ad6a7f971dc8beed985eab56ba8c1",
     ),
     (
         "cavity-ftcs-24x24",
-        "33f5c980d670fddcf6b5fb26706a4f73",
-        "8058e399f3b0446471794c328184c03a",
-        "b189749e660a710e7c6a6847996753e2",
+        "f51445c2298b8172a6a57ca2defb6e2e",
+        "295f00e7612efdb48a23e03cf4a747d2",
+        "4afdc981497194fe36661819a1abefea",
     ),
     (
         "horner-deg3",
-        "ef7d9db0249deebe2c4a74fda8bd9ef4",
-        "8e38c519d20a6bf77629bce55285fb16",
-        "faa3f2bfb6c8f8b892ed6f01fac259c4",
+        "f92000e13315c0120b223e21ed2cb15f",
+        "8ba76f24ebd4853d7714e9d325f181b8",
+        "c4b2ae677d1e1d484ea6329e0da88bb2",
     ),
     (
         "expr->y [one-per-plane]",
-        "6b4986bb010ef66946dc0638ffb3aad2",
-        "ed2d1aa26ebabb5d21f38a9a2a8ca13e",
-        "4c70f7f32738178129529d184fbc88d1",
+        "8f17dcb7d92f1e34c0eb00321ba10466",
+        "bba8cccdc7cc1e6f76491003ed0162a8",
+        "4e3ad938e6f6462654360242bc9d6ebc",
     ),
 ];
 
@@ -250,80 +255,97 @@ fn every_compile_exit_agrees_with_the_staged_pipeline() {
 }
 
 // ---------------------------------------------------------------------------
-// Oracles: the tree-walk hashers the streamed sinks replaced.
+// Oracle: the value tree written out as words and folded in one loop.
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-const FNV_PRIME: u128 = 0x0000000001000000000000000000013B;
-
-fn fnv128(bytes: &[u8]) -> u128 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| (h ^ b as u128).wrapping_mul(FNV_PRIME))
+/// A header word: the tag in the low byte, a bool or a length above it.
+fn header(tag: u64, above: usize) -> u64 {
+    tag | (above as u64) << 8
 }
 
-/// The document digest's byte encoding of a value tree: one tag per node,
-/// little-endian scalars, u64 length prefixes, object keys untagged.
-fn digest_value(v: &Value, out: &mut Vec<u8>) {
+/// A string or key: its header, then its bytes zero-padded to words.
+fn text_words(tag: u64, text: &str, out: &mut Vec<u64>) {
+    out.push(header(tag, text.len()));
+    out.extend(text.as_bytes().chunks(8).map(|chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        u64::from_le_bytes(word)
+    }));
+}
+
+/// The hash's word encoding of a value tree: tags 0 null, 1 bool, 2 int,
+/// 3 uint, 4 float, 5 string, 6 array, 7 object, 8 key; scalar payloads
+/// as one word each.
+fn value_words(v: &Value, out: &mut Vec<u64>) {
     match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => out.extend([1, *b as u8]),
-        Value::Int(i) => {
-            out.push(2);
-            out.extend(i.to_le_bytes());
-        }
-        Value::UInt(u) => {
-            out.push(3);
-            out.extend(u.to_le_bytes());
-        }
-        Value::Float(f) => {
-            out.push(4);
-            out.extend(f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(5);
-            out.extend((s.len() as u64).to_le_bytes());
-            out.extend(s.as_bytes());
-        }
+        Value::Null => out.push(header(0, 0)),
+        Value::Bool(b) => out.push(header(1, *b as usize)),
+        Value::Int(i) => out.extend([header(2, 0), *i as u64]),
+        Value::UInt(u) => out.extend([header(3, 0), *u]),
+        Value::Float(f) => out.extend([header(4, 0), f.to_bits()]),
+        Value::Str(s) => text_words(5, s, out),
         Value::Array(items) => {
-            out.push(6);
-            out.extend((items.len() as u64).to_le_bytes());
-            items.iter().for_each(|item| digest_value(item, out));
+            out.push(header(6, items.len()));
+            items.iter().for_each(|item| value_words(item, out));
         }
         Value::Object(entries) => {
-            out.push(7);
-            out.extend((entries.len() as u64).to_le_bytes());
+            out.push(header(7, entries.len()));
             for (k, val) in entries {
-                out.extend((k.len() as u64).to_le_bytes());
-                out.extend(k.as_bytes());
-                digest_value(val, out);
+                text_words(8, k, out);
+                value_words(val, out);
             }
         }
     }
 }
 
-/// The seal's canonical encoding: as [`digest_value`], but object keys
-/// carry the string tag `5`.
-fn canon_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Array(items) => {
-            out.push(6);
-            out.extend((items.len() as u64).to_le_bytes());
-            items.iter().for_each(|item| canon_value(item, out));
-        }
-        Value::Object(entries) => {
-            out.push(7);
-            out.extend((entries.len() as u64).to_le_bytes());
-            for (k, val) in entries {
-                out.push(5);
-                out.extend((k.len() as u64).to_le_bytes());
-                out.extend(k.as_bytes());
-                canon_value(val, out);
-            }
-        }
-        scalar => digest_value(scalar, out),
-    }
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let p = a as u128 * b as u128;
+    p as u64 ^ (p >> 64) as u64
 }
 
-/// The tree-walk digest: the document's value tree with the display
+/// The hash of a word vector, with no block buffer: in every four words
+/// (the last four padded with zeros), lanes 0 and 1 fold the first pair
+/// and lanes 2 and 3 the second, each under its own key; then a final
+/// mix takes the lanes and the word count.
+fn oracle_hash(words: &[u64]) -> u128 {
+    let mut lanes = [
+        0x243f_6a88_85a3_08d3u64,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    let keys = [
+        0x4528_21e6_38d0_1377u64,
+        0xbe54_66cf_34e9_0c6c,
+        0xc0ac_29b7_c97c_50dd,
+        0x3f84_d5b5_b547_0917,
+    ];
+    for quad in words.chunks(4) {
+        let word = |i: usize| quad.get(i).copied().unwrap_or(0);
+        for (lane, (&key, pair)) in lanes.iter_mut().zip(keys.iter().zip([0, 0, 2, 2])) {
+            *lane = fold_mul(word(pair) ^ *lane, word(pair + 1) ^ lane.rotate_left(32) ^ key);
+        }
+    }
+    let [l0, l1, l2, l3] = lanes;
+    let n = words.len() as u64;
+    let [k0, k1, k2, k3] = [
+        0x9216_d5d9_8979_fb1bu64,
+        0xd131_0ba6_98df_b5ac,
+        0x2ffd_72db_d01a_dfb7,
+        0xb8e1_afed_6a26_7e96,
+    ];
+    let (m0, m1) = (fold_mul(l0 ^ k0, l2 ^ n ^ k1), fold_mul(l1 ^ k2, l3 ^ n ^ k3));
+    let (lo, hi) = (fold_mul(m0 ^ k1, m1 ^ k2), fold_mul(m1 ^ k3, m0 ^ k0));
+    (hi as u128) << 64 | lo as u128
+}
+
+fn oracle_value_hash(v: &Value) -> u128 {
+    let mut words = Vec::new();
+    value_words(v, &mut words);
+    oracle_hash(&words)
+}
+
+/// The reference digest: the document's value tree with the display
 /// layouts emptied (and, for the shape, every preload masked).
 fn oracle_digest(doc: &Document, shape: bool) -> u128 {
     let mut doc = doc.clone();
@@ -336,19 +358,14 @@ fn oracle_digest(doc: &Document, shape: bool) -> u128 {
     let Value::Object(mut fields) = doc.to_value() else { panic!("a document is an object") };
     let layouts = fields.iter_mut().find(|(k, _)| k == "layouts").expect("layouts field");
     layouts.1 = Value::Object(Vec::new());
-    let mut bytes = Vec::new();
-    digest_value(&Value::Object(fields), &mut bytes);
-    fnv128(&bytes)
+    oracle_value_hash(&Value::Object(fields))
 }
 
-/// The tree-walk canonical bytes: the certificate's value tree with the
-/// seal cleared.
-fn oracle_canonical_bytes(cert: &CompileCertificate) -> Vec<u8> {
+/// The reference seal: the certificate's value tree with the seal cleared.
+fn oracle_seal(cert: &CompileCertificate) -> String {
     let mut unsealed = cert.clone();
     unsealed.seal.clear();
-    let mut out = Vec::new();
-    canon_value(&unsealed.to_value(), &mut out);
-    out
+    digest_hex(oracle_value_hash(&unsealed.to_value()))
 }
 
 /// A constant: half the time any bit pattern (NaN payloads, subnormals,
@@ -423,8 +440,213 @@ proptest! {
         prop_assert_eq!(doc.shape_digest(), oracle_digest(&doc, true), "shape, seed {}", seed);
         let compiled = session.compile(&mut doc).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let cert = compiled.certificate();
-        let bytes = cert.canonical_bytes();
-        prop_assert_eq!(&bytes, &oracle_canonical_bytes(cert), "canonical bytes, seed {}", seed);
-        prop_assert_eq!(cert.seal.clone(), digest_hex(fnv128(&bytes)), "seal, seed {}", seed);
+        prop_assert_eq!(cert.seal.clone(), oracle_seal(cert), "seal, seed {}", seed);
     }
+}
+
+/// Every fill of the hasher's block, and a stream that ends on each: a
+/// string and an array of every length up to three blocks.
+#[test]
+fn streams_of_every_length_match_the_oracle() {
+    for len in 0..200usize {
+        let text: String = (0..len).map(|i| char::from(b'a' + (i % 26) as u8)).collect();
+        let items = Value::Array((0..len as i64).map(Value::Int).collect());
+        for v in [Value::Str(text), items] {
+            assert_eq!(serde::hash128(&v), oracle_value_hash(&v), "{} of {len}", v.kind());
+        }
+    }
+}
+
+/// The hash of the events `emit` streams.
+fn hash_events(emit: impl Fn(&mut WordHasher)) -> u128 {
+    let mut hasher = WordHasher::new();
+    emit(&mut hasher);
+    hasher.finish()
+}
+
+fn assert_all_distinct(what: &str, hashes: &[u128]) {
+    for (i, a) in hashes.iter().enumerate() {
+        for (j, b) in hashes.iter().enumerate().skip(i + 1) {
+            assert_ne!(a, b, "{what}: encodings {i} and {j} collide");
+        }
+    }
+}
+
+#[test]
+fn encodings_that_differ_only_in_padding_or_tag_hash_apart() {
+    let padded = [
+        hash_events(|h| h.str("a")),
+        hash_events(|h| h.str("a\0")),
+        hash_events(|h| h.str("a\0\0\0\0\0\0\0")),
+    ];
+    assert_all_distinct("zero padding", &padded);
+    let empty = [hash_events(|h| h.array(0)), hash_events(|h| h.object(0))];
+    assert_all_distinct("empty containers", &empty);
+    let zeros = [
+        hash_events(|h| h.int(0)),
+        hash_events(|h| h.uint(0)),
+        hash_events(|h| h.float(0.0)),
+        hash_events(|h| h.null()),
+    ];
+    assert_all_distinct("zero scalars", &zeros);
+    let names = [hash_events(|h| h.key("k")), hash_events(|h| h.str("k"))];
+    assert_all_distinct("key vs string", &names);
+}
+
+/// How one generated document is built: enough to rebuild it when two
+/// digests collide, to tell a repeat from a collision.
+#[derive(Debug, Clone, Copy)]
+enum Generated {
+    Sweep {
+        nx: usize,
+        ny: usize,
+        nz: usize,
+        even: bool,
+        three: bool,
+    },
+    Horner {
+        count: u64,
+        degree: usize,
+        stages: usize,
+    },
+    Random {
+        seed: u64,
+    },
+    /// Constant `which` of Horner degree `degree` moved `ulps` ulps up.
+    Ulp {
+        degree: usize,
+        which: usize,
+        ulps: u64,
+    },
+}
+
+fn horner(count: u64, degree: usize, stages: usize) -> Document {
+    let coeffs: Vec<f64> = (0..=degree).map(|i| 0.5 + i as f64 * 0.25).collect();
+    build_chebyshev_document(count, &coeffs, stages)
+}
+
+/// Every preload (constant or feedback seed) of a document, in order.
+fn preloads(doc: &Document) -> Vec<(nsc::diagram::PipelineId, nsc::diagram::IconId, u8, FuAssign)> {
+    let mut out = Vec::new();
+    for p in doc.pipelines() {
+        for (icon, pos, a) in p.fu_assigns() {
+            if a.preload_value().is_some() {
+                out.push((p.id, icon, pos, *a));
+            }
+        }
+    }
+    out
+}
+
+/// `doc` with the bits of preload `which` passed through `edit`.
+fn with_preload(doc: &Document, which: usize, edit: impl Fn(u64) -> u64) -> Document {
+    let edit = |spec: InputSpec| match spec {
+        InputSpec::Constant(v) => InputSpec::Constant(f64::from_bits(edit(v.to_bits()))),
+        InputSpec::Feedback { init } => {
+            InputSpec::Feedback { init: f64::from_bits(edit(init.to_bits())) }
+        }
+        other => other,
+    };
+    let (pipeline, icon, pos, a) = preloads(doc)[which];
+    let mut out = doc.clone();
+    let d = out.pipeline_mut(pipeline).expect("listed pipeline");
+    d.assign_fu(icon, pos, FuAssign { op: a.op, in_a: edit(a.in_a), in_b: edit(a.in_b) })
+        .expect("an assigned unit");
+    out
+}
+
+impl Generated {
+    fn build(self, kb: &KnowledgeBase) -> Document {
+        match self {
+            Generated::Sweep { nx, ny, nz, even, three } => {
+                let windows = if three {
+                    vec![
+                        SweepWindow { start: 0, len: 1, slot: SweepWindow::LO_SLOT },
+                        SweepWindow { start: 1, len: nz - 2, slot: 0 },
+                        SweepWindow { start: nz - 1, len: 1, slot: SweepWindow::HI_SLOT },
+                    ]
+                } else {
+                    vec![SweepWindow::whole(nz)]
+                };
+                build_jacobi_sweep_document_windows(
+                    JacobiGeometry::slab(nx, ny, nz),
+                    even,
+                    &windows,
+                )
+            }
+            Generated::Horner { count, degree, stages } => horner(count, degree, stages),
+            Generated::Random { seed } => random_document(seed, kb),
+            Generated::Ulp { degree, which, ulps } => {
+                with_preload(&horner(64, degree, 1), which, |bits| bits + ulps)
+            }
+        }
+    }
+}
+
+#[test]
+fn generated_documents_share_no_digest_nor_either_half() {
+    let kb = KnowledgeBase::nsc_1988();
+    let mut family = Vec::new();
+    let sizes = 3..11;
+    let geometries = sizes.clone().flat_map(|x| {
+        let sizes = sizes.clone();
+        sizes.clone().flat_map(move |y| sizes.clone().map(move |z| (x, y, z)))
+    });
+    for (nx, ny, nz) in geometries {
+        for (even, three) in [(true, false), (false, false), (true, true), (false, true)] {
+            family.push(Generated::Sweep { nx, ny, nz, even, three });
+        }
+    }
+    for count in [1, 2, 3, 17, 64, 1000] {
+        for degree in 1..9 {
+            for stages in 1..4 {
+                family.push(Generated::Horner { count, degree, stages });
+            }
+        }
+    }
+    family.extend((0..2000).map(|seed| Generated::Random { seed }));
+    for degree in [2, 5, 8] {
+        for which in 0..preloads(&horner(64, degree, 1)).len() {
+            family.extend((1..=1000).map(|ulps| Generated::Ulp { degree, which, ulps }));
+        }
+    }
+
+    let mut digests: HashMap<u128, Generated> = HashMap::new();
+    let mut halves: [HashMap<u64, Generated>; 2] = Default::default();
+    for generated in family {
+        let doc = generated.build(&kb);
+        let digest = doc.digest();
+        if let Some(&earlier) = digests.get(&digest) {
+            assert_eq!(earlier.build(&kb), doc, "{earlier:?} and {generated:?} collide");
+            continue; // the generator repeated a document
+        }
+        for (half, seen) in [digest as u64, (digest >> 64) as u64].into_iter().zip(&mut halves) {
+            if let Some(earlier) = seen.insert(half, generated) {
+                panic!("{earlier:?} and {generated:?} collide in a 64-bit half");
+            }
+        }
+        digests.insert(digest, generated);
+    }
+    assert!(digests.len() >= 20_000, "only {} distinct documents", digests.len());
+}
+
+#[test]
+fn a_one_bit_change_to_a_constant_flips_half_the_digest() {
+    let (mut flips, mut moved) = (0u32, 0u32);
+    for degree in [3, 6, 9] {
+        let doc = horner(64, degree, 1);
+        let digest = doc.digest();
+        for which in 0..preloads(&doc).len() {
+            for bit in 0..64 {
+                let flipped = with_preload(&doc, which, |bits| bits ^ 1 << bit);
+                let changed = (flipped.digest() ^ digest).count_ones();
+                assert!(changed > 0, "degree {degree}, preload {which}, bit {bit}");
+                flips += 1;
+                moved += changed;
+            }
+        }
+    }
+    let mean = moved as f64 / flips as f64;
+    assert!(flips >= 1000, "only {flips} flips");
+    assert!((60.0..=68.0).contains(&mean), "{flips} flips moved {mean:.2} bits on average");
 }

@@ -170,7 +170,9 @@ fn halo_exchange_ghost_cells_match_the_serial_solver_bit_for_bit() {
     let decomp = StripPartition::new(GridShape::volume3d(n, n, n), sys.cube).expect("decomposes");
     // The last sweep's written faces travel lazily, with the next sweep
     // that would read them; refresh them as a restart would.
-    SweepEngine::stencil(&decomp).refresh(&mut sys, PLANE_U0);
+    SweepEngine::stencil(&decomp)
+        .refresh(&mut sys, PLANE_U0)
+        .expect("the system holds every strip");
     let mut ghosts_checked = 0;
     for (pi, p) in decomp.parts().iter().enumerate() {
         let mem = sys.node(p.node).mem.plane(PLANE_U0);
