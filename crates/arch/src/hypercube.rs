@@ -121,12 +121,6 @@ impl HypercubeConfig {
         i
     }
 
-    /// The ring position a node hosts under the Gray embedding — the
-    /// inverse of [`HypercubeConfig::ring_node`].
-    pub fn ring_index(&self, node: NodeId) -> usize {
-        Self::gray_inverse(node.0) as usize
-    }
-
     /// Embed a `rows x cols` 2-D torus into the whole cube (see
     /// [`SubCube::torus2d`] for embedding into an allocated sub-cube).
     ///
@@ -150,31 +144,6 @@ impl HypercubeConfig {
     pub fn torus2d_near_square(&self) -> TorusEmbedding {
         let row_bits = self.dimension.div_ceil(2);
         self.torus2d(1 << row_bits, 1 << (self.dimension - row_bits))
-    }
-
-    /// Split `items` contiguous items into `2^dimension` balanced chunks,
-    /// one per ring position: `(start, len)` pairs in ring order, lengths
-    /// differing by at most one (earlier chunks take the remainder). The
-    /// chunk at ring position `i` lives on [`HypercubeConfig::ring_node`]`(i)`,
-    /// so adjacent chunks sit on physically adjacent nodes — the 1-D
-    /// domain-decomposition layout.
-    ///
-    /// This is a *plain* balanced split with no knowledge of ghost
-    /// layers; stencil solvers should decompose through `nsc-cfd`'s
-    /// `Partition` implementations instead, which additionally donate
-    /// items toward the edges so every local slab stays sweepable.
-    pub fn ring_partition(&self, items: usize) -> Vec<(usize, usize)> {
-        let parts = self.nodes();
-        let base = items / parts;
-        let rem = items % parts;
-        let mut out = Vec::with_capacity(parts);
-        let mut start = 0;
-        for i in 0..parts {
-            let len = base + usize::from(i < rem);
-            out.push((start, len));
-            start += len;
-        }
-        out
     }
 }
 
@@ -500,10 +469,6 @@ mod tests {
         for i in 0..1024u16 {
             assert_eq!(HypercubeConfig::gray_inverse(HypercubeConfig::gray(i)), i);
         }
-        let sys = HypercubeConfig::new(5);
-        for i in 0..sys.nodes() {
-            assert_eq!(sys.ring_index(sys.ring_node(i)), i);
-        }
     }
 
     #[test]
@@ -591,22 +556,5 @@ mod tests {
         let whole = alloc.allocate(3).expect("buddies re-merged to the full cube");
         assert_eq!(whole.base, NodeId(0));
         assert_eq!(whole.nodes(), 8);
-    }
-
-    #[test]
-    fn ring_partition_is_balanced_and_covers() {
-        let sys = HypercubeConfig::new(3);
-        let parts = sys.ring_partition(29);
-        assert_eq!(parts.len(), 8);
-        assert_eq!(parts.iter().map(|&(_, l)| l).sum::<usize>(), 29);
-        let (min, max) =
-            parts.iter().fold((usize::MAX, 0), |(lo, hi), &(_, l)| (lo.min(l), hi.max(l)));
-        assert_eq!(max - min, 1, "remainder spread one item at a time");
-        // Contiguous: each chunk starts where the previous ended.
-        let mut next = 0;
-        for &(start, len) in &parts {
-            assert_eq!(start, next);
-            next = start + len;
-        }
     }
 }

@@ -25,14 +25,13 @@
 
 use crate::diagrams::{
     build_ftcs_transport_document, build_jacobi2d_sweep_document_windows, Jacobi2dGeometry,
-    PLANE_G, PLANE_MASK, PLANE_U0, PLANE_U1, PLANE_W0, PLANE_W1, PLANE_WC, RESIDUAL_CACHE,
+    PLANE_G, PLANE_MASK, PLANE_U0, PLANE_U1, PLANE_W0, PLANE_W1, PLANE_WC,
 };
 use crate::distributed::{check_same_machine, measure_system_run};
 use crate::grid::{Grid2, PaddedField};
 use crate::host::{ftcs_update_tree, FtcsCoeffs};
-use crate::overlap::{CompiledSweep, SweepEngine, SweepIo};
+use crate::overlap::{CompiledSweep, SweepEngine};
 use crate::partition::{check_partition_fits, read_slabs, GridShape, Partition, PartitionSpec};
-use nsc_arch::NodeId;
 use nsc_core::{run_lanes, CompiledProgram, NscError, Session, Workload};
 use nsc_sim::{NscSystem, PerfCounters, RunOptions};
 
@@ -54,9 +53,8 @@ pub struct Poisson2dSolver {
     partition: Box<dyn Partition>,
     nx: usize,
     ny: usize,
-    even: CompiledSweep,
-    odd: CompiledSweep,
-    members: Vec<NodeId>,
+    /// The (even, odd) ping-pong sweeps.
+    sweeps: (CompiledSweep, CompiledSweep),
 }
 
 impl Poisson2dSolver {
@@ -85,20 +83,17 @@ impl Poisson2dSolver {
     ) -> Result<Self, NscError> {
         check_same_machine(session, system)?;
         let partition = spec.build(GridShape::plane2d(nx, ny), system.cube, true)?;
-        let (even, odd) = {
-            let engine = SweepEngine::stencil(partition.as_ref());
-            let build = |parity: bool| {
-                move |p: &crate::partition::Part, windows: &[crate::partition::SweepWindow]| {
-                    let (lnx, lny, _) = p.local_shape();
-                    build_jacobi2d_sweep_document_windows(
-                        Jacobi2dGeometry::new(lnx, lny),
-                        parity,
-                        windows,
-                    )
-                }
-            };
-            (engine.compile(session, build(true))?, engine.compile(session, build(false))?)
-        };
+        let sweeps = SweepEngine::stencil(partition.as_ref()).compile_pair(
+            session,
+            |p, even, windows| {
+                let (lnx, lny, _) = p.local_shape();
+                build_jacobi2d_sweep_document_windows(
+                    Jacobi2dGeometry::new(lnx, lny),
+                    even,
+                    windows,
+                )
+            },
+        )?;
         for p in partition.parts() {
             // The mask is static: ghost layers and global walls hold.
             let (lnx, lny, _) = p.local_shape();
@@ -106,8 +101,7 @@ impl Poisson2dSolver {
             let mask = PaddedField::aligned2d(&local.interior_mask());
             system.node_mut(p.node).mem.plane_mut(PLANE_MASK).write_slice(0, &mask.words);
         }
-        let members = partition.member_nodes();
-        Ok(Poisson2dSolver { partition, nx, ny, even, odd, members })
+        Ok(Poisson2dSolver { partition, nx, ny, sweeps })
     }
 
     /// The decomposition (for reporting and tests).
@@ -155,27 +149,12 @@ impl Poisson2dSolver {
         }
 
         let engine = SweepEngine::stencil(self.partition.as_ref());
-        let opts = RunOptions::default();
-        let mut pairs = 0u64;
-        let mut residual = f64::INFINITY;
-        let mut converged = false;
-        while pairs < u64::from(max_pairs) && !converged {
-            let even_io = if pairs == 0 {
-                SweepIo::first(PLANE_U0, PLANE_U1)
-            } else {
-                SweepIo::steady(PLANE_U0, PLANE_U1)
-            };
-            engine.sweep(system, &self.even, even_io, &opts)?;
-            engine.sweep(system, &self.odd, SweepIo::steady(PLANE_U1, PLANE_U0), &opts)?;
-            let (r, _) = system.pool_max_cache_scalar(&self.members, RESIDUAL_CACHE, 0);
-            residual = r;
-            pairs += 1;
-            converged = residual < tol;
-        }
+        let residuals = engine.ping_pong(system, &self.sweeps, tol, max_pairs)?;
+        let residual = residuals.last().copied().unwrap_or(f64::INFINITY);
 
         let locals = read_slabs(self.partition.as_ref(), system, PLANE_U0);
         u.data = self.partition.gather(&locals);
-        Ok(PoissonSolveStats { pairs, residual, converged })
+        Ok(PoissonSolveStats { pairs: residuals.len() as u64, residual, converged: residual < tol })
     }
 }
 

@@ -20,7 +20,7 @@
 //! e-cube law and the tiling from scratch — a forged hop or a window gap
 //! is rejected even though the emitter transcribed it faithfully.
 
-use crate::partition::{HaloSpec, Partition, SweepSplit};
+use crate::partition::{HaloSpec, Part, Partition, SweepSplit};
 use nsc_cert::{CoverageCert, RouteCert, WindowSpan};
 
 /// The dimension-ordered route from `from` to `to`, inclusive of both
@@ -41,55 +41,30 @@ fn ecube_path(from: u64, to: u64) -> Vec<u64> {
 }
 
 /// One [`RouteCert`] per directed halo message `spec` makes a partition
-/// exchange: for every pair of parts abutting along exactly one split
-/// axis, the lower part's top owned layers travel up (refreshing the
-/// upper part's low ghosts) when the spec wants low faces, and vice
-/// versa. `words` is the face area times the ghost depth; the path is
-/// the e-cube route between the parts' nodes.
+/// exchange: on every interior boundary along an axis the spec names
+/// ([`Partition::boundaries`], the list the exchange walks), the lower
+/// part's top owned layer travels up and the upper part's bottom owned
+/// layer travels down. `words` is the face area; the path is the e-cube
+/// route between the parts' nodes.
 pub fn halo_routes(partition: &dyn Partition, spec: &HaloSpec) -> Vec<RouteCert> {
     let parts = partition.parts();
-    let mut routes = Vec::new();
-    for i in 0..parts.len() {
-        for j in 0..parts.len() {
-            if i == j {
-                continue;
-            }
-            let (lo, hi) = (&parts[i], &parts[j]);
-            // `lo` is `hi`'s lower neighbour along `axis` when their owned
-            // ranges abut there and coincide on every other axis.
-            let abuts = |a: usize| {
-                lo.spans[a].start + lo.spans[a].len == hi.spans[a].start
-                    && (0..3).filter(|&o| o != a).all(|o| {
-                        lo.spans[o].start == hi.spans[o].start && lo.spans[o].len == hi.spans[o].len
-                    })
-            };
-            let Some(axis) = (0..3).find(|&a| abuts(a)) else { continue };
-            if lo.spans[axis].hi_ghost == 0 || hi.spans[axis].lo_ghost == 0 {
-                continue;
-            }
-            let face: u64 =
-                (0..3).filter(|&o| o != axis).map(|o| lo.spans[o].local_len() as u64).product();
-            let words = face * spec.layers as u64;
-            let [want_lo, want_hi] = spec.faces[axis];
-            if want_lo {
-                routes.push(RouteCert {
-                    from: lo.node.0 as u64,
-                    to: hi.node.0 as u64,
-                    words,
-                    path: ecube_path(lo.node.0 as u64, hi.node.0 as u64),
-                });
-            }
-            if want_hi {
-                routes.push(RouteCert {
-                    from: hi.node.0 as u64,
-                    to: lo.node.0 as u64,
-                    words,
-                    path: ecube_path(hi.node.0 as u64, lo.node.0 as u64),
-                });
-            }
-        }
-    }
-    routes
+    let route = |from: &Part, to: &Part, words: u64| RouteCert {
+        from: from.node.0 as u64,
+        to: to.node.0 as u64,
+        words,
+        path: ecube_path(from.node.0 as u64, to.node.0 as u64),
+    };
+    partition
+        .boundaries()
+        .iter()
+        .filter(|b| spec.axes[b.axis])
+        .flat_map(|b| {
+            let (lo, hi) = (&parts[b.lo], &parts[b.hi]);
+            let words =
+                (0..3).filter(|&o| o != b.axis).map(|o| lo.spans[o].local_len() as u64).product();
+            [route(lo, hi, words), route(hi, lo, words)]
+        })
+        .collect()
 }
 
 /// One [`CoverageCert`] per part: the owned layer range along the
@@ -127,7 +102,8 @@ pub fn window_coverage(partition: &dyn Partition, splits: &[SweepSplit]) -> Vec<
 mod tests {
     use super::*;
     use crate::partition::{BlockPartition, GridShape, StripPartition};
-    use nsc_arch::HypercubeConfig;
+    use nsc_arch::{HypercubeConfig, KnowledgeBase, MachineConfig, NodeId, PlaneId};
+    use nsc_sim::NscSystem;
 
     #[test]
     fn ecube_paths_match_the_arch_router() {
@@ -155,8 +131,6 @@ mod tests {
             assert_eq!(r.path.last(), Some(&r.to));
             assert_eq!(r.words, 4 * 4, "one xy-face per layer");
         }
-        // A one-sided spec halves the message count.
-        assert_eq!(halo_routes(&strips, &HaloSpec::face(2, false)).len(), 3);
     }
 
     #[test]
@@ -168,6 +142,37 @@ mod tests {
         assert_eq!(routes.len(), 8);
         for r in &routes {
             assert_eq!(r.path.len(), 2, "torus-adjacent blocks are one hop apart");
+        }
+    }
+
+    #[test]
+    fn a_route_certificate_claims_exactly_the_traffic_the_exchange_charges() {
+        let kb = KnowledgeBase::new(MachineConfig::test_small());
+        let spec = HaloSpec::stencil();
+        for shape in [GridShape::plane2d(9, 17), GridShape::volume3d(5, 9, 17)] {
+            let mut partitions: Vec<Box<dyn Partition>> = Vec::new();
+            for dim in 1..=3 {
+                let cube = HypercubeConfig::new(dim);
+                partitions.push(Box::new(StripPartition::new(shape, cube).expect("strips")));
+            }
+            for (dim, rows, cols) in [(2, 2, 2), (3, 4, 2)] {
+                let torus = HypercubeConfig::new(dim).torus2d(rows, cols);
+                partitions.push(Box::new(BlockPartition::new(shape, torus).expect("blocks")));
+            }
+            for partition in &partitions {
+                let parts = partition.parts().len();
+                let mut system = NscSystem::new(HypercubeConfig::new(parts.ilog2()), &kb);
+                let claimed: u64 = halo_routes(partition.as_ref(), &spec)
+                    .iter()
+                    .map(|r| {
+                        let (from, to) = (NodeId(r.from as u16), NodeId(r.to as u16));
+                        system.cube.message_ns(from, to, r.words)
+                    })
+                    .sum();
+                partition.halo_exchange(&mut system, PlaneId(0), &spec).expect("exchanges");
+                assert_eq!(system.comm_ns, claimed, "{shape:?} over {parts} parts");
+                assert!(claimed > 0);
+            }
         }
     }
 

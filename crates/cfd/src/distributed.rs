@@ -23,16 +23,15 @@
 //! boundary shells against the fresh ghosts.
 
 use crate::diagrams::{
-    build_jacobi_sweep_document_windows, JacobiGeometry, JacobiVariant, PLANE_U0, PLANE_U1,
-    RESIDUAL_CACHE,
+    build_jacobi_sweep_document_windows, JacobiGeometry, JacobiVariant, PLANE_U0, RESIDUAL_CACHE,
 };
 use crate::grid::{check_problem, Grid3};
 use crate::host::{sor_sweep_host_layers, JacobiHostState};
 use crate::nsc_run::load_problem;
-use crate::overlap::{SweepEngine, SweepIo};
-use crate::partition::{read_slabs, GridShape, Part, Partition, PartitionSpec};
+use crate::overlap::SweepEngine;
+use crate::partition::{read_slabs, GridShape, Partition, PartitionSpec};
 use nsc_core::{NscError, Session, Workload};
-use nsc_sim::{NscSystem, PerfCounters, RunOptions};
+use nsc_sim::{NscSystem, PerfCounters};
 
 /// Wrap each part's slab words (ghosts included) as a [`Grid3`] on the
 /// part's local shape, keeping the global mesh spacing.
@@ -167,7 +166,6 @@ impl Workload<NscSystem> for DistributedJacobiWorkload {
         let shape = GridShape::volume3d(self.u0.nx, self.u0.ny, self.u0.nz);
         let partition = self.partition.build(shape, system.cube, false)?;
         let parts = partition.parts();
-        let members = partition.member_nodes();
 
         // Load every node's slab problem (ghosts included, so the first
         // sweep needs no exchange) and compile its sweep pair.
@@ -178,46 +176,14 @@ impl Workload<NscSystem> for DistributedJacobiWorkload {
             load_problem(system.node_mut(p.node), &state, JacobiVariant::Full);
         }
         let engine = SweepEngine::stencil(partition.as_ref());
-        let build = |even: bool| {
-            move |p: &Part, windows: &[crate::partition::SweepWindow]| {
-                let (lnx, lny, lnz) = p.local_shape();
-                build_jacobi_sweep_document_windows(
-                    JacobiGeometry::slab(lnx, lny, lnz),
-                    even,
-                    windows,
-                )
-            }
-        };
-        let even = engine.compile(session, build(true))?;
-        let odd = engine.compile(session, build(false))?;
+        let pair = engine.compile_pair(session, |p, even, windows| {
+            let (lnx, lny, lnz) = p.local_shape();
+            build_jacobi_sweep_document_windows(JacobiGeometry::slab(lnx, lny, lnz), even, windows)
+        })?;
 
         let before: Vec<PerfCounters> = system.nodes().iter().map(|n| n.counters).collect();
-        let opts = RunOptions::default();
-        let mut pairs = 0u64;
-        let mut residual = f64::INFINITY;
-        let mut residual_history = Vec::new();
-        let mut converged = false;
-        while pairs < u64::from(self.max_pairs) && !converged {
-            // Even sweep (u0 -> u1): the scatter loaded fresh ghosts, so
-            // the very first sweep exchanges nothing; later pairs refresh
-            // u0's ghosts (written by the previous odd sweep) while the
-            // interior computes.
-            let even_io = if pairs == 0 {
-                SweepIo::first(PLANE_U0, PLANE_U1)
-            } else {
-                SweepIo::steady(PLANE_U0, PLANE_U1)
-            };
-            engine.sweep(system, &even, even_io, &opts)?;
-            // Odd sweep (u1 -> u0).
-            engine.sweep(system, &odd, SweepIo::steady(PLANE_U1, PLANE_U0), &opts)?;
-            // The pair's convergence test: a butterfly max-reduction of
-            // the per-node residual scalars (the odd sweep's).
-            let (r, _) = system.pool_max_cache_scalar(&members, RESIDUAL_CACHE, 0);
-            residual = r;
-            residual_history.push(residual);
-            pairs += 1;
-            converged = residual < self.tol;
-        }
+        let residual_history = engine.ping_pong(system, &pair, self.tol, self.max_pairs)?;
+        let residual = residual_history.last().copied().unwrap_or(f64::INFINITY);
 
         // Reassemble the iterate from the u0 planes (pairs always end on
         // the odd sweep, exactly like the serial document's loop body).
@@ -230,8 +196,8 @@ impl Workload<NscSystem> for DistributedJacobiWorkload {
         Ok(DistributedJacobiRun {
             u,
             residual,
-            sweeps: pairs * 2,
-            converged,
+            sweeps: 2 * residual_history.len() as u64,
+            converged: residual < self.tol,
             residual_history,
             per_node: m.per_node,
             total: m.total,

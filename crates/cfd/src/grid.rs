@@ -26,13 +26,20 @@ fn check_words(what: &str, dims: &[usize], words: usize) -> Result<(), NscError>
     )))
 }
 
-/// Refuse an iterate and right-hand side of different dimensions, or
-/// either grid's `data` length disagreeing with its dimensions.
+/// Refuse an iterate and right-hand side of different dimensions, a side
+/// below the three points a stencil needs (no interior), or either grid's
+/// `data` length disagreeing with its dimensions.
 pub(crate) fn check_problem(u0: &Grid3, f: &Grid3) -> Result<(), NscError> {
     if (u0.nx, u0.ny, u0.nz) != (f.nx, f.ny, f.nz) {
         return Err(NscError::Workload(format!(
             "the iterate is {}x{}x{} but the right-hand side is {}x{}x{}",
             u0.nx, u0.ny, u0.nz, f.nx, f.ny, f.nz
+        )));
+    }
+    if u0.nx.min(u0.ny).min(u0.nz) < 3 {
+        return Err(NscError::Workload(format!(
+            "the {}x{}x{} grid has no interior points: every side needs at least 3",
+            u0.nx, u0.ny, u0.nz
         )));
     }
     check_words("iterate", &[u0.nx, u0.ny, u0.nz], u0.data.len())?;

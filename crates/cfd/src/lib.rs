@@ -30,10 +30,12 @@
 //!   multigrid with NSC-priced smoothing) for batch harnesses and
 //!   benchmarks;
 //! * [`partition`] — topology-aware domain decomposition behind the
-//!   [`Partition`] trait: [`StripPartition`] (1-D strips of planes on the
-//!   Gray ring) and [`BlockPartition`] (2-D blocks on a Gray-embedded
-//!   torus), both with ghost layers refreshed through the hyperspace
-//!   router per a [`HaloSpec`];
+//!   [`Partition`] trait: one decomposition, [`BlockPartition`] (2-D
+//!   blocks on a Gray-embedded torus; strips of planes on the Gray ring
+//!   are its one-column torus), with one-layer ghost faces refreshed
+//!   through the hyperspace router on the axes a [`HaloSpec`] names, by
+//!   one walk over the partition's boundary list that the route
+//!   certificate walks too;
 //! * [`distributed`] — the decomposed solvers: Jacobi compiled per node
 //!   slab and run concurrently across the cube (bit-identical to the
 //!   serial sweeps), and the block-SOR host baseline with router-charged

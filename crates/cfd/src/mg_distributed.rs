@@ -100,21 +100,12 @@ fn build_levels(
     let mut h = h0;
     let mut levels = Vec::new();
     loop {
-        let (even, odd) = {
-            let engine = SweepEngine::stencil(&part);
-            let build = |parity: bool| {
-                move |p: &crate::partition::Part, windows: &[crate::partition::SweepWindow]| {
-                    let (lnx, lny, lnz) = p.local_shape();
-                    build_damped_jacobi_sweep_document_windows(
-                        JacobiGeometry::slab(lnx, lny, lnz),
-                        parity,
-                        omega,
-                        windows,
-                    )
-                }
-            };
-            (engine.compile(session, build(true))?, engine.compile(session, build(false))?)
-        };
+        let (even, odd) =
+            SweepEngine::stencil(&part).compile_pair(session, |p, even, windows| {
+                let (lnx, lny, lnz) = p.local_shape();
+                let geometry = JacobiGeometry::slab(lnx, lny, lnz);
+                build_damped_jacobi_sweep_document_windows(geometry, even, omega, windows)
+            })?;
         let masks = part
             .parts()
             .iter()

@@ -45,14 +45,14 @@
 //! use nsc_cfd::nsc_run::load_problem;
 //! use nsc_cfd::host::JacobiHostState;
 //! use nsc_cfd::grid::manufactured_problem;
-//! use nsc_cfd::{GridShape, JacobiVariant, Partition, StripPartition, SweepEngine, SweepIo};
+//! use nsc_cfd::{GridShape, JacobiVariant, PartitionSpec, SweepEngine, SweepIo};
 //! use nsc_core::Session;
 //! use nsc_sim::{NscSystem, RunOptions};
 //!
 //! // An 8^3 Poisson problem striped across a 2-node cube.
 //! let session = Session::nsc_1988();
 //! let mut system = NscSystem::new(HypercubeConfig::new(1), session.kb());
-//! let strips = StripPartition::new(GridShape::volume3d(8, 8, 8), system.cube)?;
+//! let strips = PartitionSpec::Strip.build(GridShape::volume3d(8, 8, 8), system.cube, false)?;
 //! let (u0, f, _) = manufactured_problem(8);
 //! for (p, (lu, lf)) in strips.parts().iter().zip(
 //!     strips.scatter(&u0.data).iter().zip(strips.scatter(&f.data)),
@@ -68,7 +68,7 @@
 //!
 //! // Compile the even sweep split into interior + boundary shells, then
 //! // run it with the u1-halo exchange hidden under the interior phase.
-//! let engine = SweepEngine::stencil(&strips);
+//! let engine = SweepEngine::stencil(strips.as_ref());
 //! let even = engine.compile(&session, |p, windows| {
 //!     let (nx, ny, nz) = p.local_shape();
 //!     build_jacobi_sweep_document_windows(JacobiGeometry::slab(nx, ny, nz), true, windows)
@@ -85,7 +85,7 @@
 //! ```
 
 use crate::certify::{halo_routes, window_coverage};
-use crate::diagrams::RESIDUAL_CACHE;
+use crate::diagrams::{PLANE_U0, PLANE_U1, RESIDUAL_CACHE};
 use crate::partition::{
     check_one_slab_per_part, check_partition_fits, host_halo_exchange, HaloSpec, Part, Partition,
     SweepSplit, SweepWindow,
@@ -251,6 +251,19 @@ impl<'p> SweepEngine<'p> {
         Ok(CompiledSweep { interior, shell })
     }
 
+    /// Compile a ping-pong pair, the even sweep (u0 → u1) and the odd one
+    /// (u1 → u0): `build(part, even, windows)` makes each part's windowed
+    /// document, as for [`SweepEngine::compile`].
+    pub(crate) fn compile_pair(
+        &self,
+        session: &Session,
+        build: impl Fn(&Part, bool, &[SweepWindow]) -> Document,
+    ) -> Result<(CompiledSweep, CompiledSweep), NscError> {
+        let even = self.compile(session, |p, windows| build(p, true, windows))?;
+        let odd = self.compile(session, |p, windows| build(p, false, windows))?;
+        Ok((even, odd))
+    }
+
     /// Run one sweep step: exchange the non-overlappable faces of the
     /// *read* plane, launch the interior pipelines while the overlap
     /// axis's faces travel (charging each node only the non-overlapped
@@ -285,7 +298,7 @@ impl<'p> SweepEngine<'p> {
         check_partition_fits(self.partition, system)?;
 
         if !io.fresh_ghosts && self.sync_spec.wants_any() {
-            self.partition.halo_exchange(system, io.read, 1, &self.sync_spec)?;
+            self.partition.halo_exchange(system, io.read, &self.sync_spec)?;
         }
         let before: Vec<u64> =
             self.pool.iter().map(|&i| system.nodes()[i].counters.cycles).collect();
@@ -304,12 +317,49 @@ impl<'p> SweepEngine<'p> {
             .collect();
         system.open_comm_window(&budgets);
         if !io.fresh_ghosts {
-            self.partition.halo_exchange(system, io.read, 1, &self.overlap_spec)?;
+            self.partition.halo_exchange(system, io.read, &self.overlap_spec)?;
         }
         let hidden = system.close_comm_window();
         run_lanes(system.nodes_mut(), &self.lanes(&sweep.shell), opts)?;
         self.combine_residuals(system);
         Ok(hidden)
+    }
+
+    /// Sweep a [`compile_pair`](Self::compile_pair) pair in ping-pong over
+    /// planes a scatter just loaded, ghosts included. After each pair, a
+    /// butterfly max-reduction of the odd sweep's per-node residuals over
+    /// the partition's nodes decides convergence, once per pair as the
+    /// serial document's sequencer does. Stops once a pair's residual
+    /// falls below `tol`, or after `max_pairs` pairs, and returns the
+    /// residual of every pair run.
+    pub(crate) fn ping_pong(
+        &self,
+        system: &mut NscSystem,
+        (even, odd): &(CompiledSweep, CompiledSweep),
+        tol: f64,
+        max_pairs: u32,
+    ) -> Result<Vec<f64>, NscError> {
+        let opts = RunOptions::default();
+        let members = self.partition.member_nodes();
+        let mut residuals = Vec::new();
+        for pair in 0..max_pairs {
+            // The scatter loaded fresh ghosts, so the very first sweep
+            // exchanges nothing; later pairs refresh u0's ghosts (written
+            // by the previous odd sweep) while the interior computes.
+            let even_io = if pair == 0 {
+                SweepIo::first(PLANE_U0, PLANE_U1)
+            } else {
+                SweepIo::steady(PLANE_U0, PLANE_U1)
+            };
+            self.sweep(system, even, even_io, &opts)?;
+            self.sweep(system, odd, SweepIo::steady(PLANE_U1, PLANE_U0), &opts)?;
+            let (residual, _) = system.pool_max_cache_scalar(&members, RESIDUAL_CACHE, 0);
+            residuals.push(residual);
+            if residual < tol {
+                break;
+            }
+        }
+        Ok(residuals)
     }
 
     /// One phase's lanes: every part that has a program runs it on its
@@ -329,7 +379,7 @@ impl<'p> SweepEngine<'p> {
     /// lacking one of the partition's nodes is refused with
     /// [`NscError::Workload`] before any message is charged.
     pub fn refresh(&self, system: &mut NscSystem, plane: PlaneId) -> Result<u64, NscError> {
-        self.partition.halo_exchange(system, plane, 1, &self.halo)
+        self.partition.halo_exchange(system, plane, &self.halo)
     }
 
     /// One sweep step whose compute runs on the *host* (block SOR and

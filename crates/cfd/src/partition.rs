@@ -5,26 +5,29 @@
 //! [`Partition::scatter`] / [`Partition::gather`] move whole fields
 //! between a host array and the per-node slabs, [`Partition::word_offset`]
 //! addresses a point inside a node's padded plane layout, and
-//! [`Partition::halo_exchange`] refreshes the ghost layers described by a
-//! [`HaloSpec`] through the hyperspace router.
+//! [`Partition::halo_exchange`] refreshes the ghost layers of the axes a
+//! [`HaloSpec`] names through the hyperspace router.
 //!
-//! Two decompositions implement the trait:
+//! One decomposition implements the trait: [`BlockPartition`], 2-D blocks
+//! over a Gray-embedded [`TorusEmbedding`]. The two slowest axes are split
+//! across the torus rows and columns, so every face exchange crosses
+//! exactly one link; this is what lets multigrid's coarse levels stay
+//! distributed. *Strips* — 1-D slabs of "planes" along the slowest axis
+//! (xy-planes of a 3-D grid, rows of a 2-D one), the lowest
+//! surface-to-volume for tall grids — are its one-column torus, whose rows
+//! lie on the Gray ring: [`PartitionSpec::Strip`] builds them, and
+//! [`StripPartition`] names them.
 //!
-//! * [`StripPartition`] — 1-D strips of "planes" along the slowest axis
-//!   (xy-planes of a 3-D grid, rows of a 2-D one), laid on the Gray ring
-//!   so adjacent strips are physical neighbours. Lowest surface-to-volume
-//!   for tall grids; coarse grids go thinner than one plane per node long
-//!   before a block decomposition runs out.
-//! * [`BlockPartition`] — 2-D blocks over a Gray-embedded
-//!   [`TorusEmbedding`]: the two slowest axes are split across the torus
-//!   rows and columns, so every face exchange still crosses exactly one
-//!   link. This is what lets multigrid's coarse levels stay distributed.
+//! A partition lists its interior part boundaries once, when it is built
+//! ([`Partition::boundaries`]); the face exchange and the route
+//! certificate ([`crate::halo_routes`]) both walk that list.
 //!
 //! Ghost cells always live *inside* the local slab (its outermost layers),
 //! exactly where the NSC's stencil-padded memory layout expects halo data,
 //! so a decomposed sweep is the same pipeline diagram as the serial one on
 //! local geometry — and bit-identical to the serial sweep on the points a
-//! node owns.
+//! node owns. Every halo is one layer deep, the reach of every stencil in
+//! this crate.
 
 use nsc_arch::{HypercubeConfig, NodeId, PlaneId, TorusEmbedding};
 use nsc_core::NscError;
@@ -83,7 +86,7 @@ impl GridShape {
     }
 }
 
-/// One axis of one part: the owned global range plus the ghost layers
+/// One axis of one part: the owned global range plus the ghost layer
 /// carried on each side (ghosts are part of the local slab).
 #[derive(Debug, Clone, Copy)]
 pub struct AxisSpan {
@@ -91,7 +94,8 @@ pub struct AxisSpan {
     pub start: usize,
     /// Owned points.
     pub len: usize,
-    /// Ghost layers below `start` (0 on a domain boundary or unsplit axis).
+    /// Ghost layers below `start` (0 on a domain boundary or unsplit axis,
+    /// 1 on an interior boundary).
     pub lo_ghost: usize,
     /// Ghost layers above `start + len - 1`.
     pub hi_ghost: usize,
@@ -191,19 +195,18 @@ impl Part {
     }
 
     /// Split this part's sweep along `axis` into latency-hiding phases:
-    /// an *interior* window whose stencils (of reach `spec.layers`) read
-    /// no ghost layer, plus up to one *boundary-shell* window per ghost
-    /// face. Windows cover exactly the part's **owned** layers, each once
-    /// — pure ghost layers are computed by their owning neighbour, and
-    /// their stale copies are overwritten by the next halo exchange
-    /// before anything reads them. When the shells would overlap (a slab
-    /// too thin to have an interior), the whole owned range folds into a
-    /// single shell-phase window.
-    pub fn overlap_split(&self, axis: usize, spec: &HaloSpec) -> SweepSplit {
+    /// an *interior* window whose stencils read no ghost layer, plus up to
+    /// one one-layer *boundary-shell* window per ghost face. Windows cover
+    /// exactly the part's **owned** layers, each once — pure ghost layers
+    /// are computed by their owning neighbour, and their stale copies are
+    /// overwritten by the next halo exchange before anything reads them.
+    /// When the shells would overlap (a slab too thin to have an
+    /// interior), the whole owned range folds into a single shell-phase
+    /// window. The halo argument is unused: every halo is one layer deep.
+    pub fn overlap_split(&self, axis: usize, _halo: &HaloSpec) -> SweepSplit {
         let sp = &self.spans[axis];
-        let reach = spec.layers;
-        let lo_len = if sp.lo_ghost > 0 { reach } else { 0 };
-        let hi_len = if sp.hi_ghost > 0 { reach } else { 0 };
+        let lo_len = usize::from(sp.lo_ghost > 0);
+        let hi_len = usize::from(sp.hi_ghost > 0);
         let owned = sp.lo_ghost..sp.lo_ghost + sp.len;
         if lo_len + hi_len == 0 {
             return SweepSplit {
@@ -297,60 +300,42 @@ impl SweepSplit {
     }
 }
 
-/// Which ghost faces a halo exchange refreshes, and how many layers deep.
+/// Which axes a halo exchange refreshes: one ghost layer on both sides of
+/// every interior part boundary along each selected axis.
 ///
-/// Faces on axes a partition does not split are ignored, so one spec (the
+/// An axis a partition does not split has no boundaries, so one spec (the
 /// default [`HaloSpec::stencil`]) serves strips and blocks alike.
 #[derive(Debug, Clone, Copy)]
 pub struct HaloSpec {
-    /// Ghost layers to refresh per face (the parts must carry at least
-    /// this many).
-    pub layers: usize,
-    /// `faces[axis] = [lo, hi]`: refresh the ghosts on that side of every
-    /// interior part boundary along that axis.
-    pub faces: [[bool; 2]; 3],
+    /// `axes[axis]`: refresh the ghosts along that axis.
+    pub axes: [bool; 3],
 }
 
 impl HaloSpec {
-    /// The five/seven-point stencil halo: one layer, every face.
+    /// The five/seven-point stencil halo: every axis.
     pub fn stencil() -> Self {
-        HaloSpec { layers: 1, faces: [[true; 2]; 3] }
+        HaloSpec { axes: [true; 3] }
     }
 
-    /// One layer on both faces of a single axis.
-    pub fn axis(axis: usize) -> Self {
-        let mut faces = [[false; 2]; 3];
-        faces[axis] = [true; 2];
-        HaloSpec { layers: 1, faces }
-    }
-
-    /// One layer on a single face of a single axis (`hi = false` is the
-    /// low face).
-    pub fn face(axis: usize, hi: bool) -> Self {
-        let mut faces = [[false; 2]; 3];
-        faces[axis][usize::from(hi)] = true;
-        HaloSpec { layers: 1, faces }
-    }
-
-    /// This spec restricted to the faces of a single axis (the portion of
-    /// an exchange the overlapped engine hides under interior compute).
+    /// This spec restricted to a single axis (the portion of an exchange
+    /// the overlapped engine hides under interior compute).
     pub fn only_axis(&self, axis: usize) -> Self {
-        let mut faces = [[false; 2]; 3];
-        faces[axis] = self.faces[axis];
-        HaloSpec { layers: self.layers, faces }
+        let mut axes = [false; 3];
+        axes[axis] = self.axes[axis];
+        HaloSpec { axes }
     }
 
-    /// This spec with the faces of `axis` removed (the portion an
-    /// overlapped sweep must still exchange synchronously).
+    /// This spec without `axis` (the portion an overlapped sweep must
+    /// still exchange synchronously).
     pub fn without_axis(&self, axis: usize) -> Self {
-        let mut faces = self.faces;
-        faces[axis] = [false; 2];
-        HaloSpec { layers: self.layers, faces }
+        let mut axes = self.axes;
+        axes[axis] = false;
+        HaloSpec { axes }
     }
 
-    /// Whether any face is selected at all.
+    /// Whether any axis is selected at all.
     pub fn wants_any(&self) -> bool {
-        self.faces.iter().any(|f| f[0] || f[1])
+        self.axes.contains(&true)
     }
 }
 
@@ -360,11 +345,23 @@ impl Default for HaloSpec {
     }
 }
 
+/// One interior part boundary: parts `lo` and `hi` (indices in partition
+/// order, `lo < hi`) abut along `axis`, `lo` below, and each carries one
+/// ghost layer of the other's owned points.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Boundary {
+    /// The lower part.
+    pub lo: usize,
+    /// The upper part.
+    pub hi: usize,
+    /// The axis the two parts abut along.
+    pub axis: usize,
+}
+
 /// The uniform surface of a domain decomposition.
 ///
-/// Implementations choose *how* to cut the grid ([`StripPartition`],
-/// [`BlockPartition`]); workloads program against this trait and stay
-/// decomposition-agnostic.
+/// [`BlockPartition`] decides *how* to cut the grid; workloads program
+/// against this trait and stay decomposition-agnostic.
 pub trait Partition: std::fmt::Debug + Send + Sync {
     /// The global grid.
     fn shape(&self) -> GridShape;
@@ -373,10 +370,18 @@ pub trait Partition: std::fmt::Debug + Send + Sync {
     /// order `scatter`/`gather` and compiled-program pools use).
     fn parts(&self) -> &[Part];
 
-    /// Refresh the ghost layers described by `spec` on every interior part
-    /// boundary: each boundary swaps its faces as full-duplex sendrecvs
-    /// through the router, reading and writing the field stored in `plane`
-    /// with `front_pad` pad units before the slab data. Returns the
+    /// Every interior part boundary, once, in (lower, upper) part order —
+    /// the list both [`Partition::halo_exchange`] and the route
+    /// certificate ([`crate::halo_routes`]) walk.
+    fn boundaries(&self) -> &[Boundary];
+
+    /// Refresh the ghost layers of the axes `spec` names on every interior
+    /// part boundary: each boundary swaps its faces as one full-duplex
+    /// sendrecv through the router, reading and writing the field stored
+    /// in `plane` in the stencil layout. Axes go slowest first, and a face
+    /// spans the ghost layers of the other axes, so a later axis carries
+    /// the ghosts an earlier one just refreshed into the corners (the
+    /// 27-point multigrid transfer operators read them). Returns the
     /// slowest per-node communication time of the step in nanoseconds
     /// (messages between disjoint node pairs overlap). A system lacking
     /// one of the partition's nodes is refused with [`NscError::Workload`]
@@ -385,29 +390,58 @@ pub trait Partition: std::fmt::Debug + Send + Sync {
         &self,
         system: &mut NscSystem,
         plane: PlaneId,
-        front_pad: usize,
         spec: &HaloSpec,
-    ) -> Result<u64, NscError>;
-
-    /// The *pad unit* of a part: the warm-up block size of its stencil
-    /// stream — one local xy-plane for volume grids, one local row for
-    /// plane grids. Memory layouts place `front_pad` of these before the
-    /// slab data.
-    fn pad_unit(&self, part: usize) -> usize {
-        let p = &self.parts()[part];
-        let (lnx, lny, _) = p.local_shape();
-        if self.shape().is_2d() {
-            lnx
-        } else {
-            lnx * lny
+    ) -> Result<u64, NscError> {
+        check_partition_fits(self, system)?;
+        let parts = self.parts();
+        let mut per_node = vec![0u64; parts.len()];
+        for axis in (0..3).rev().filter(|&a| spec.axes[a]) {
+            // The word chunks of part `pi`'s layer at global index `g`
+            // (extents match across a boundary, so the sender's face and
+            // the receiver's ghost face pair up chunk for chunk).
+            let chunks = |pi: usize, g: usize| {
+                let (mut offs, mut len) = (Vec::new(), 0);
+                parts[pi].face_runs(axis, g, |start, run| {
+                    offs.push(self.word_offset(pi, start));
+                    len = run as u64;
+                });
+                (offs, len)
+            };
+            for b in self.boundaries().iter().filter(|b| b.axis == axis) {
+                // The lower part's top owned layer fills the upper part's
+                // low ghost, and the upper part's bottom owned layer the
+                // lower part's high ghost.
+                let bottom = parts[b.hi].spans[axis].start;
+                let (lo_send, chunk) = chunks(b.lo, bottom - 1);
+                let (hi_recv, _) = chunks(b.hi, bottom - 1);
+                let (hi_send, _) = chunks(b.hi, bottom);
+                let (lo_recv, _) = chunks(b.lo, bottom);
+                let ns = system.exchange_face_bidirectional(
+                    parts[b.lo].node,
+                    plane,
+                    &lo_send,
+                    &lo_recv,
+                    parts[b.hi].node,
+                    plane,
+                    &hi_send,
+                    &hi_recv,
+                    chunk,
+                );
+                per_node[b.lo] += ns;
+                per_node[b.hi] += ns;
+            }
         }
+        Ok(per_node.into_iter().max().unwrap_or(0))
     }
 
-    /// Word offset of flat local index `word` of a part inside a plane
-    /// laid out with `front_pad` pad units before the slab data (1 for the
-    /// stencil layout, 2 for the aligned layout).
-    fn word_offset(&self, part: usize, front_pad: usize, word: usize) -> u64 {
-        (front_pad * self.pad_unit(part) + word) as u64
+    /// Word offset of flat local index `word` of a part inside a plane in
+    /// the stencil layout, which places one *pad unit* before the slab
+    /// data: the warm-up block of the part's stencil stream, one local
+    /// xy-plane for volume grids and one local row for plane grids.
+    fn word_offset(&self, part: usize, word: usize) -> u64 {
+        let (lnx, lny, _) = self.parts()[part].local_shape();
+        let pad = if self.shape().is_2d() { lnx } else { lnx * lny };
+        (pad + word) as u64
     }
 
     /// Split a flat global field (x-fastest, `shape().words()` words) into
@@ -473,7 +507,7 @@ pub trait Partition: std::fmt::Debug + Send + Sync {
 /// Refuse a system that lacks a node the partition places a part on —
 /// before any plane is written or any message charged.
 pub(crate) fn check_partition_fits(
-    partition: &dyn Partition,
+    partition: &(impl Partition + ?Sized),
     system: &NscSystem,
 ) -> Result<(), NscError> {
     let nodes = system.node_count();
@@ -507,7 +541,7 @@ pub(crate) fn check_one_slab_per_part(
 
 /// Read every part's full local slab (ghost layers included) back from
 /// `plane`, in partition order — the common readback step of every
-/// distributed driver (front pad 1, the stencil layout).
+/// distributed driver.
 pub fn read_slabs(partition: &dyn Partition, system: &NscSystem, plane: PlaneId) -> Vec<Vec<f64>> {
     partition
         .parts()
@@ -518,7 +552,7 @@ pub fn read_slabs(partition: &dyn Partition, system: &NscSystem, plane: PlaneId)
                 .node(p.node)
                 .mem
                 .plane(plane)
-                .read_vec(partition.word_offset(pi, 1, 0), p.local_words() as u64)
+                .read_vec(partition.word_offset(pi, 0), p.local_words() as u64)
         })
         .collect()
 }
@@ -543,43 +577,25 @@ pub fn host_halo_exchange(
 ) -> Result<u64, NscError> {
     check_one_slab_per_part(partition, slabs)?;
     check_partition_fits(partition, system)?;
-    for (pi, p) in partition.parts().iter().enumerate() {
-        for axis in 0..3 {
-            let sp = p.spans[axis];
-            for l in 0..spec.layers {
-                // A part's bottom owned layers travel *down* (they fill
-                // the lower neighbour's high ghosts), its top owned layers
-                // travel *up*: stage only what the spec will send.
-                if sp.lo_ghost > 0 && spec.faces[axis][1] {
-                    stage_layer(partition, system, plane, slabs, pi, axis, sp.start + l);
-                }
-                if sp.hi_ghost > 0 && spec.faces[axis][0] {
-                    stage_layer(
-                        partition,
-                        system,
-                        plane,
-                        slabs,
-                        pi,
-                        axis,
-                        sp.start + sp.len - 1 - l,
-                    );
-                }
-            }
-        }
+    // Across each boundary the exchange walks, the lower part's top owned
+    // layer (`bottom - 1`) and the upper part's bottom owned layer
+    // (`bottom`) travel: stage both, then pull back the ghost copy each
+    // part receives.
+    let faces = || {
+        partition
+            .boundaries()
+            .iter()
+            .filter(|b| spec.axes[b.axis])
+            .map(|b| (b, partition.parts()[b.hi].spans[b.axis].start))
+    };
+    for (b, bottom) in faces() {
+        stage_layer(partition, system, plane, slabs, b.lo, b.axis, bottom - 1);
+        stage_layer(partition, system, plane, slabs, b.hi, b.axis, bottom);
     }
-    let ns = partition.halo_exchange(system, plane, 1, spec)?;
-    for (pi, p) in partition.parts().iter().enumerate() {
-        for axis in 0..3 {
-            let sp = p.spans[axis];
-            for l in 0..spec.layers {
-                if sp.lo_ghost > 0 && spec.faces[axis][0] {
-                    pull_layer(partition, system, plane, slabs, pi, axis, sp.start - 1 - l);
-                }
-                if sp.hi_ghost > 0 && spec.faces[axis][1] {
-                    pull_layer(partition, system, plane, slabs, pi, axis, sp.start + sp.len + l);
-                }
-            }
-        }
+    let ns = partition.halo_exchange(system, plane, spec)?;
+    for (b, bottom) in faces() {
+        pull_layer(partition, system, plane, slabs, b.lo, b.axis, bottom);
+        pull_layer(partition, system, plane, slabs, b.hi, b.axis, bottom - 1);
     }
     Ok(ns)
 }
@@ -596,7 +612,7 @@ fn stage_layer(
 ) {
     let p = &partition.parts()[pi];
     p.face_runs(axis, g, |start, len| {
-        let off = partition.word_offset(pi, 1, start);
+        let off = partition.word_offset(pi, start);
         system
             .node_mut(p.node)
             .mem
@@ -617,7 +633,7 @@ fn pull_layer(
 ) {
     let p = &partition.parts()[pi];
     p.face_runs(axis, g, |start, len| {
-        let off = partition.word_offset(pi, 1, start);
+        let off = partition.word_offset(pi, start);
         let words = system.node(p.node).mem.plane(plane).read_vec(off, len as u64);
         slabs[pi][start..start + len].copy_from_slice(&words);
     });
@@ -648,9 +664,9 @@ fn split_axis(items: usize, parts: usize) -> Vec<usize> {
     sizes
 }
 
-/// Sizes to `(start, len, lo_ghost, hi_ghost)` spans with `layers` ghost
-/// layers on every interior side.
-fn spans_from_sizes(sizes: &[usize], layers: usize) -> Vec<AxisSpan> {
+/// Sizes to `(start, len, lo_ghost, hi_ghost)` spans with one ghost layer
+/// on every interior side.
+fn spans_from_sizes(sizes: &[usize]) -> Vec<AxisSpan> {
     let last = sizes.len() - 1;
     let mut start = 0;
     sizes
@@ -660,8 +676,8 @@ fn spans_from_sizes(sizes: &[usize], layers: usize) -> Vec<AxisSpan> {
             let s = AxisSpan {
                 start,
                 len,
-                lo_ghost: if i > 0 { layers } else { 0 },
-                hi_ghost: if i < last { layers } else { 0 },
+                lo_ghost: usize::from(i > 0),
+                hi_ghost: usize::from(i < last),
             };
             start += len;
             s
@@ -669,17 +685,20 @@ fn spans_from_sizes(sizes: &[usize], layers: usize) -> Vec<AxisSpan> {
         .collect()
 }
 
-/// Validate that every span of a split axis is stencil-sweepable.
+/// Refuse a cut that leaves some part (on the node `nodes` names for its
+/// span) fewer than the three local layers a stencil sweep needs along
+/// `axis`. An unsplit axis is one span over its whole extent.
 fn check_sweepable(
-    what: &str,
+    axis: usize,
     spans: &[AxisSpan],
     nodes: impl Fn(usize) -> NodeId,
 ) -> Result<(), NscError> {
     if let Some((i, thin)) = spans.iter().enumerate().find(|(_, s)| s.local_len() < 3 || s.len == 0)
     {
         return Err(NscError::Workload(format!(
-            "{what} too thin: {} parts leave node {} with a {}-layer slab (a stencil sweep \
-             needs 3)",
+            "grid too thin along {}: cut {} way(s), it leaves node {} a {}-layer slab (a \
+             stencil sweep needs 3)",
+            ["x", "y", "z"][axis],
             spans.len(),
             nodes(i),
             thin.local_len(),
@@ -688,106 +707,34 @@ fn check_sweepable(
     Ok(())
 }
 
-/// 1-D strips of planes along the slowest axis, Gray-ring embedded: strip
-/// `i` lives on [`HypercubeConfig::ring_node`]`(i)`, so adjacent strips
-/// are physical neighbours and every halo message crosses one link.
+/// 1-D strips of planes along the slowest axis: the one-column
+/// [`BlockPartition`], whose torus rows lie on the Gray ring, so strip `i`
+/// lives on [`HypercubeConfig::ring_node`]`(i)` and every halo message
+/// crosses one link. Everything but the constructor forwards to the block
+/// partition; [`PartitionSpec::Strip`] builds the same partition unwrapped.
 #[derive(Debug, Clone)]
-pub struct StripPartition {
-    shape: GridShape,
-    /// The cube the strips live on.
-    pub cube: HypercubeConfig,
-    parts: Vec<Part>,
-    /// The split axis (2 for volume grids, 1 for plane grids).
-    axis: usize,
-}
+pub struct StripPartition(BlockPartition);
 
 impl StripPartition {
     /// Partition `shape` into one strip per node of `cube`, balanced to
     /// within one plane, with one ghost layer per interior side. Fails
     /// when the grid is too thin for every strip to be sweepable.
     pub fn new(shape: GridShape, cube: HypercubeConfig) -> Result<Self, NscError> {
-        let axis = if shape.is_2d() { 1 } else { 2 };
-        let planes = [shape.nx, shape.ny, shape.nz][axis];
-        let sizes = split_axis(planes, cube.nodes());
-        let spans = spans_from_sizes(&sizes, 1);
-        check_sweepable("strip decomposition", &spans, |i| cube.ring_node(i))?;
-        let parts = spans
-            .into_iter()
-            .enumerate()
-            .map(|(i, span)| {
-                let mut spans = [
-                    AxisSpan::whole(shape.nx),
-                    AxisSpan::whole(shape.ny),
-                    AxisSpan::whole(shape.nz),
-                ];
-                spans[axis] = span;
-                Part { node: cube.ring_node(i), spans }
-            })
-            .collect();
-        Ok(StripPartition { shape, cube, parts, axis })
-    }
-
-    /// The split axis (2 for volume grids, 1 for plane grids).
-    pub fn split_axis(&self) -> usize {
-        self.axis
+        BlockPartition::new(shape, cube.torus2d(cube.nodes(), 1)).map(StripPartition)
     }
 }
 
 impl Partition for StripPartition {
     fn shape(&self) -> GridShape {
-        self.shape
+        self.0.shape()
     }
 
     fn parts(&self) -> &[Part] {
-        &self.parts
+        self.0.parts()
     }
 
-    fn halo_exchange(
-        &self,
-        system: &mut NscSystem,
-        plane: PlaneId,
-        front_pad: usize,
-        spec: &HaloSpec,
-    ) -> Result<u64, NscError> {
-        check_partition_fits(self, system)?;
-        let [want_lo, want_hi] = spec.faces[self.axis];
-        if !(want_lo || want_hi) {
-            return Ok(0);
-        }
-        let mut per_node = vec![0u64; self.parts.len()];
-        let pw = self.pad_unit(0);
-        for i in 0..self.parts.len().saturating_sub(1) {
-            let (a, b) = (&self.parts[i], &self.parts[i + 1]);
-            let (sa, sb) = (&a.spans[self.axis], &b.spans[self.axis]);
-            assert!(
-                spec.layers <= sa.hi_ghost && spec.layers <= sb.lo_ghost,
-                "halo spec wants {} layers; the parts carry fewer",
-                spec.layers
-            );
-            // a's top owned layers fill b's low ghosts (the hi->lo flow
-            // refreshes b's lo face) and vice versa, as one full-duplex
-            // sendrecv per boundary.
-            let a_send: Vec<u64> = (0..if want_lo { spec.layers } else { 0 })
-                .map(|l| {
-                    self.word_offset(i, front_pad, (sa.lo_ghost + sa.len - spec.layers + l) * pw)
-                })
-                .collect();
-            let b_recv: Vec<u64> = (0..if want_lo { spec.layers } else { 0 })
-                .map(|l| self.word_offset(i + 1, front_pad, l * pw))
-                .collect();
-            let b_send: Vec<u64> = (0..if want_hi { spec.layers } else { 0 })
-                .map(|l| self.word_offset(i + 1, front_pad, (sb.lo_ghost + l) * pw))
-                .collect();
-            let a_recv: Vec<u64> = (0..if want_hi { spec.layers } else { 0 })
-                .map(|l| self.word_offset(i, front_pad, (sa.local_len() - spec.layers + l) * pw))
-                .collect();
-            let ns = system.exchange_face_bidirectional(
-                a.node, plane, &a_send, &a_recv, b.node, plane, &b_send, &b_recv, pw as u64,
-            );
-            per_node[i] += ns;
-            per_node[i + 1] += ns;
-        }
-        Ok(per_node.into_iter().max().unwrap_or(0))
+    fn boundaries(&self) -> &[Boundary] {
+        self.0.boundaries()
     }
 }
 
@@ -795,7 +742,8 @@ impl Partition for StripPartition {
 /// the torus *rows*, the second-slowest across its *columns* (`(y, x)` for
 /// plane grids, `(z, y)` for volume grids; x stays whole in 3-D so every
 /// local row streams contiguously). Torus-adjacent blocks are hypercube
-/// neighbours, so every face exchange crosses exactly one link.
+/// neighbours, so every face exchange crosses exactly one link. A
+/// one-column torus cuts strips.
 ///
 /// ```
 /// use nsc_arch::HypercubeConfig;
@@ -821,7 +769,7 @@ impl Partition for StripPartition {
 ///
 /// // Between solver sweeps, HaloSpec::stencil() refreshes one ghost
 /// // layer on every interior face through the hyperspace router:
-/// // `blocks.halo_exchange(&mut system, plane, 1, &HaloSpec::stencil())`.
+/// // `blocks.halo_exchange(&mut system, plane, &HaloSpec::stencil())`.
 /// let _ = HaloSpec::stencil();
 /// # Ok::<(), nsc_core::NscError>(())
 /// ```
@@ -831,6 +779,7 @@ pub struct BlockPartition {
     /// The torus hosting the blocks.
     pub torus: TorusEmbedding,
     parts: Vec<Part>,
+    boundaries: Vec<Boundary>,
     /// The axis split across torus rows (2 for 3-D, 1 for 2-D).
     row_axis: usize,
     /// The axis split across torus columns (1 for 3-D, 0 for 2-D).
@@ -851,7 +800,9 @@ impl BlockPartition {
     /// Partition with explicit per-axis owned sizes — the hook multigrid
     /// uses to *derive* a coarse level's partition from the fine level's,
     /// so restriction and prolongation reach no further than one ghost
-    /// layer across block boundaries.
+    /// layer across block boundaries. Fails when any block would have
+    /// fewer than three local layers along any axis of the grid (z of a
+    /// plane grid excepted), split or not.
     pub fn from_sizes(
         shape: GridShape,
         torus: TorusEmbedding,
@@ -861,15 +812,16 @@ impl BlockPartition {
         assert_eq!(row_sizes.len(), torus.rows(), "one row size per torus row");
         assert_eq!(col_sizes.len(), torus.cols(), "one column size per torus column");
         let (row_axis, col_axis) = if shape.is_2d() { (1, 0) } else { (2, 1) };
-        let row_spans = spans_from_sizes(row_sizes, 1);
-        let col_spans = spans_from_sizes(col_sizes, 1);
-        if torus.rows() > 1 {
-            check_sweepable("block decomposition (row axis)", &row_spans, |r| torus.node(r, 0))?;
+        let row_spans = spans_from_sizes(row_sizes);
+        let col_spans = spans_from_sizes(col_sizes);
+        check_sweepable(row_axis, &row_spans, |r| torus.node(r, 0))?;
+        check_sweepable(col_axis, &col_spans, |c| torus.node(0, c))?;
+        if !shape.is_2d() {
+            check_sweepable(0, &[AxisSpan::whole(shape.nx)], |_| torus.node(0, 0))?;
         }
-        if torus.cols() > 1 {
-            check_sweepable("block decomposition (column axis)", &col_spans, |c| torus.node(0, c))?;
-        }
+        let cols = col_spans.len();
         let mut parts = Vec::with_capacity(torus.len());
+        let mut boundaries = Vec::new();
         for (r, &row_span) in row_spans.iter().enumerate() {
             for (c, &col_span) in col_spans.iter().enumerate() {
                 let mut spans = [
@@ -879,20 +831,25 @@ impl BlockPartition {
                 ];
                 spans[row_axis] = row_span;
                 spans[col_axis] = col_span;
+                // This block's boundaries with its upper neighbours, the
+                // next column's before the next row's: the list comes out
+                // in (lower, upper) part order.
+                let i = parts.len();
+                if c + 1 < cols {
+                    boundaries.push(Boundary { lo: i, hi: i + 1, axis: col_axis });
+                }
+                if r + 1 < row_spans.len() {
+                    boundaries.push(Boundary { lo: i, hi: i + cols, axis: row_axis });
+                }
                 parts.push(Part { node: torus.node(r, c), spans });
             }
         }
-        Ok(BlockPartition { shape, torus, parts, row_axis, col_axis })
+        Ok(BlockPartition { shape, torus, parts, boundaries, row_axis, col_axis })
     }
 
     /// The part at torus position `(r, c)` (row-major order).
     pub fn part_at(&self, r: usize, c: usize) -> &Part {
         &self.parts[r * self.torus.cols() + c]
-    }
-
-    /// The two split axes as `(row_axis, col_axis)`.
-    pub fn split_axes(&self) -> (usize, usize) {
-        (self.row_axis, self.col_axis)
     }
 
     /// The owned sizes along the row-split axis, in torus-row order.
@@ -903,100 +860,6 @@ impl BlockPartition {
     /// The owned sizes along the column-split axis, in torus-column order.
     pub fn col_sizes(&self) -> Vec<usize> {
         (0..self.torus.cols()).map(|c| self.part_at(0, c).spans[self.col_axis].len).collect()
-    }
-
-    /// The word chunks of one face of a part: local offsets (under
-    /// `front_pad`) of `chunk_len`-word runs covering the layer at
-    /// *global* index `g` along `axis`. The face spans the part's full
-    /// local extent along the other axes (extents match across a boundary
-    /// because the split is a tensor grid, so the sender's face and the
-    /// receiver's ghost face pair up chunk for chunk).
-    fn face_chunks(&self, part: usize, front_pad: usize, axis: usize, g: usize) -> (Vec<u64>, u64) {
-        let p = &self.parts[part];
-        let mut offs = Vec::new();
-        let mut chunk_len = 1u64;
-        p.face_runs(axis, g, |start, len| {
-            chunk_len = len as u64;
-            offs.push(self.word_offset(part, front_pad, start));
-        });
-        (offs, chunk_len)
-    }
-
-    /// Exchange every interior boundary along one split axis as one
-    /// full-duplex face sendrecv per block pair.
-    fn exchange_axis(
-        &self,
-        system: &mut NscSystem,
-        plane: PlaneId,
-        front_pad: usize,
-        spec: &HaloSpec,
-        axis: usize,
-        per_node: &mut [u64],
-    ) {
-        let [want_lo, want_hi] = spec.faces[axis];
-        if !(want_lo || want_hi) {
-            return;
-        }
-        let (rows, cols) = (self.torus.rows(), self.torus.cols());
-        // Interior boundaries as (lower part, upper part) pairs along axis.
-        let mut pairs = Vec::new();
-        if axis == self.row_axis {
-            for r in 0..rows.saturating_sub(1) {
-                for c in 0..cols {
-                    pairs.push((r * cols + c, (r + 1) * cols + c));
-                }
-            }
-        } else {
-            for r in 0..rows {
-                for c in 0..cols.saturating_sub(1) {
-                    pairs.push((r * cols + c, r * cols + c + 1));
-                }
-            }
-        }
-        for (lo, hi) in pairs {
-            let (sp, sq) = (self.parts[lo].spans[axis], self.parts[hi].spans[axis]);
-            assert!(
-                spec.layers <= sp.hi_ghost && spec.layers <= sq.lo_ghost,
-                "halo spec wants {} layers; the parts carry fewer",
-                spec.layers
-            );
-            let (mut lo_send, mut lo_recv) = (Vec::new(), Vec::new());
-            let (mut hi_send, mut hi_recv) = (Vec::new(), Vec::new());
-            let mut chunk_len = 0u64;
-            for l in 0..spec.layers {
-                if want_lo {
-                    // The lower block's top owned layer fills the upper
-                    // block's low ghost at the same global index.
-                    let g = sp.start + sp.len - 1 - l;
-                    let (s, cl) = self.face_chunks(lo, front_pad, axis, g);
-                    let (r, _) = self.face_chunks(hi, front_pad, axis, g);
-                    chunk_len = cl;
-                    lo_send.extend(s);
-                    hi_recv.extend(r);
-                }
-                if want_hi {
-                    let g = sq.start + l;
-                    let (s, cl) = self.face_chunks(hi, front_pad, axis, g);
-                    let (r, _) = self.face_chunks(lo, front_pad, axis, g);
-                    chunk_len = cl;
-                    hi_send.extend(s);
-                    lo_recv.extend(r);
-                }
-            }
-            let ns = system.exchange_face_bidirectional(
-                self.parts[lo].node,
-                plane,
-                &lo_send,
-                &lo_recv,
-                self.parts[hi].node,
-                plane,
-                &hi_send,
-                &hi_recv,
-                chunk_len,
-            );
-            per_node[lo] += ns;
-            per_node[hi] += ns;
-        }
     }
 }
 
@@ -1009,18 +872,8 @@ impl Partition for BlockPartition {
         &self.parts
     }
 
-    fn halo_exchange(
-        &self,
-        system: &mut NscSystem,
-        plane: PlaneId,
-        front_pad: usize,
-        spec: &HaloSpec,
-    ) -> Result<u64, NscError> {
-        check_partition_fits(self, system)?;
-        let mut per_node = vec![0u64; self.parts.len()];
-        self.exchange_axis(system, plane, front_pad, spec, self.row_axis, &mut per_node);
-        self.exchange_axis(system, plane, front_pad, spec, self.col_axis, &mut per_node);
-        Ok(per_node.into_iter().max().unwrap_or(0))
+    fn boundaries(&self) -> &[Boundary] {
+        &self.boundaries
     }
 }
 
@@ -1032,7 +885,7 @@ pub enum PartitionSpec {
     /// offer (dimension >= 2) and the grid is plane-shaped or coarsens.
     #[default]
     Auto,
-    /// Force [`StripPartition`].
+    /// Force strips: the [`BlockPartition`] on a one-column torus.
     Strip,
     /// Force [`BlockPartition`] on the near-square torus of the cube.
     Block,
@@ -1047,20 +900,10 @@ impl PartitionSpec {
         cube: HypercubeConfig,
         prefer_block: bool,
     ) -> Result<Box<dyn Partition>, NscError> {
-        let block = |cube: HypercubeConfig| -> Result<Box<dyn Partition>, NscError> {
-            Ok(Box::new(BlockPartition::new(shape, cube.torus2d_near_square())?))
-        };
-        match self {
-            PartitionSpec::Strip => Ok(Box::new(StripPartition::new(shape, cube)?)),
-            PartitionSpec::Block => block(cube),
-            PartitionSpec::Auto => {
-                if prefer_block && cube.dimension >= 2 {
-                    block(cube)
-                } else {
-                    Ok(Box::new(StripPartition::new(shape, cube)?))
-                }
-            }
-        }
+        let block = self == PartitionSpec::Block
+            || (self == PartitionSpec::Auto && prefer_block && cube.dimension >= 2);
+        let torus = if block { cube.torus2d_near_square() } else { cube.torus2d(cube.nodes(), 1) };
+        Ok(Box::new(BlockPartition::new(shape, torus)?))
     }
 }
 
@@ -1079,7 +922,8 @@ mod tests {
         let cube = HypercubeConfig::new(3);
         let d = StripPartition::new(GridShape::volume3d(5, 5, 21), cube).expect("decomposes");
         assert_eq!(d.parts().len(), 8);
-        assert_eq!(d.split_axis(), 2);
+        let strip_boundaries = (0..7).map(|i| Boundary { lo: i, hi: i + 1, axis: 2 });
+        assert!(d.boundaries().iter().copied().eq(strip_boundaries), "{:?}", d.boundaries());
         assert_eq!(d.parts().iter().map(|p| p.spans[2].len).sum::<usize>(), 21);
         for w in d.parts().windows(2) {
             assert_eq!(cube.hops(w[0].node, w[1].node), 1, "adjacent strips, adjacent nodes");
@@ -1103,7 +947,7 @@ mod tests {
         // plane; an interior strip donates so both edges own two.
         let cube = HypercubeConfig::new(3);
         for planes in [10, 11, 12] {
-            let d = StripPartition::new(GridShape::volume3d(4, 1, planes), cube).expect("splits");
+            let d = StripPartition::new(GridShape::volume3d(4, 3, planes), cube).expect("splits");
             assert_eq!(d.parts().iter().map(|p| p.spans[2].len).sum::<usize>(), planes);
             assert!(d.parts().iter().all(|p| p.spans[2].local_len() >= 3), "{planes} planes");
         }
@@ -1121,6 +965,28 @@ mod tests {
         let err = BlockPartition::new(GridShape::plane2d(5, 30), torus)
             .expect_err("5 columns across 4 can't sweep");
         assert!(matches!(err, NscError::Workload(_)), "{err}");
+    }
+
+    #[test]
+    fn every_axis_needs_three_local_layers_split_or_not() {
+        // Unsplit axes are checked too: a one-node strip or a 1x1 block
+        // partition refuses a two-layer side, and so do strips whose
+        // whole x side is two points wide.
+        let one = HypercubeConfig::new(0);
+        for (shape, cube, block) in [
+            (GridShape::plane2d(2, 9), one, false),
+            (GridShape::plane2d(9, 2), one, true),
+            (GridShape::volume3d(4, 4, 2), one, true),
+            (GridShape::volume3d(2, 4, 8), HypercubeConfig::new(1), false),
+            (GridShape::volume3d(4, 2, 8), HypercubeConfig::new(1), false),
+        ] {
+            let spec = if block { PartitionSpec::Block } else { PartitionSpec::Strip };
+            let err = spec.build(shape, cube, block).expect_err("a two-layer side");
+            assert!(matches!(err, NscError::Workload(_)), "{shape:?}: {err}");
+            assert!(err.to_string().contains("needs 3"), "{err}");
+        }
+        // A plane grid's single z layer is no side at all.
+        assert!(PartitionSpec::Strip.build(GridShape::plane2d(3, 3), one, false).is_ok());
     }
 
     #[test]
@@ -1159,6 +1025,44 @@ mod tests {
     }
 
     #[test]
+    fn boundaries_list_every_abutting_part_pair_once_in_part_order() {
+        // The list against a scan of every ordered part pair: `lo` is
+        // `hi`'s lower neighbour along `axis` when their owned ranges abut
+        // there and coincide on every other axis.
+        let cube = HypercubeConfig::new(3);
+        for (shape, torus) in [
+            (GridShape::plane2d(17, 13), cube.torus2d(4, 2)),
+            (GridShape::volume3d(5, 9, 11), cube.torus2d(2, 4)),
+            (GridShape::volume3d(5, 5, 21), cube.torus2d(8, 1)),
+        ] {
+            let d = BlockPartition::new(shape, torus).expect("decomposes");
+            let parts = d.parts();
+            let mut scanned = Vec::new();
+            for lo in 0..parts.len() {
+                for hi in 0..parts.len() {
+                    let (a, b) = (&parts[lo].spans, &parts[hi].spans);
+                    let abuts = |axis: usize| {
+                        a[axis].start + a[axis].len == b[axis].start
+                            && (0..3)
+                                .filter(|&o| o != axis)
+                                .all(|o| (a[o].start, a[o].len) == (b[o].start, b[o].len))
+                    };
+                    if let Some(axis) = (0..3).find(|&axis| abuts(axis)) {
+                        scanned.push(Boundary { lo, hi, axis });
+                    }
+                }
+            }
+            assert_eq!(d.boundaries(), scanned.as_slice(), "{shape:?}");
+            for b in d.boundaries() {
+                assert_eq!(
+                    (parts[b.lo].spans[b.axis].hi_ghost, parts[b.hi].spans[b.axis].lo_ghost),
+                    (1, 1)
+                );
+            }
+        }
+    }
+
+    #[test]
     fn block_parts_sit_on_torus_neighbours() {
         let cube = HypercubeConfig::new(4);
         let torus = cube.torus2d(4, 4);
@@ -1190,8 +1094,8 @@ mod tests {
     }
 
     /// Write each part's slab with a function of global coordinates, with
-    /// ghosts set to a sentinel; after halo exchange every ghost cell that
-    /// has an owner must hold the owner's value.
+    /// ghosts set to a sentinel; after halo exchange every ghost cell —
+    /// corners included — must hold the owner's value.
     fn check_ghosts_after_exchange(d: &dyn Partition, sys: &mut NscSystem, spec: &HaloSpec) {
         let s = d.shape();
         let plane = PlaneId(0);
@@ -1209,7 +1113,7 @@ mod tests {
                             && owned(ly, &p.spans[1])
                             && owned(lz, &p.spans[2])
                         {
-                            let off = d.word_offset(pi, 1, p.local_index(lx, ly, lz));
+                            let off = d.word_offset(pi, p.local_index(lx, ly, lz));
                             sys.node_mut(p.node).mem.plane_mut(plane).write_slice(
                                 off,
                                 &[value(
@@ -1223,7 +1127,7 @@ mod tests {
                 }
             }
         }
-        d.halo_exchange(sys, plane, 1, spec).expect("the system holds every part");
+        d.halo_exchange(sys, plane, spec).expect("the system holds every part");
         let mut ghosts_checked = 0;
         for (pi, p) in d.parts().iter().enumerate() {
             let (lnx, lny, lnz) = p.local_shape();
@@ -1235,23 +1139,21 @@ mod tests {
                             p.spans[1].local_start() + ly,
                             p.spans[2].local_start() + lz,
                         );
-                        // A ghost cell on exactly one axis (faces, not
-                        // corners) must now hold its owner's value.
-                        let ghost_axes = (0..3)
-                            .filter(|&a| {
-                                let g = [gi, gj, gk][a];
-                                let sp = &p.spans[a];
-                                g < sp.start || g >= sp.start + sp.len
-                            })
-                            .count();
-                        if ghost_axes != 1 {
+                        // A ghost cell on any axis (faces and corners) must
+                        // now hold its owner's value.
+                        let ghost = (0..3).any(|a| {
+                            let g = [gi, gj, gk][a];
+                            let sp = &p.spans[a];
+                            g < sp.start || g >= sp.start + sp.len
+                        });
+                        if !ghost {
                             continue;
                         }
                         let got = sys
                             .node(p.node)
                             .mem
                             .plane(plane)
-                            .read_vec(d.word_offset(pi, 1, p.local_index(lx, ly, lz)), 1)[0];
+                            .read_vec(d.word_offset(pi, p.local_index(lx, ly, lz)), 1)[0];
                         assert_eq!(
                             got.to_bits(),
                             value(gi, gj, gk).to_bits(),
@@ -1268,11 +1170,11 @@ mod tests {
     #[test]
     fn strip_halo_exchange_fills_ghost_planes_and_charges_the_router() {
         let mut sys = system(2); // 4 nodes
-        let d = StripPartition::new(GridShape::volume3d(2, 2, 9), sys.cube).expect("decomposes");
+        let d = StripPartition::new(GridShape::volume3d(3, 3, 9), sys.cube).expect("decomposes");
         let before = sys.comm_ns;
         check_ghosts_after_exchange(&d, &mut sys, &HaloSpec::stencil());
         // 3 interior boundaries x 2 messages of one plane over 1 hop each.
-        let msg = sys.cube.router.message_ns(1, 4);
+        let msg = sys.cube.router.message_ns(1, 9);
         assert_eq!(sys.comm_ns - before, 6 * msg, "serialized view counts every message");
         assert_eq!(sys.node(d.parts()[0].node).counters.comm_ns, msg, "edge strip: one partner");
         assert_eq!(sys.node(d.parts()[1].node).counters.comm_ns, 2 * msg, "middle: two");
@@ -1286,42 +1188,6 @@ mod tests {
             check_ghosts_after_exchange(&d, &mut sys, &HaloSpec::stencil());
             assert!(sys.comm_ns > 0);
         }
-    }
-
-    #[test]
-    fn halo_spec_selects_faces() {
-        // Only the hi faces of the row axis: low ghosts stay stale.
-        let mut sys = system(2);
-        let shape = GridShape::plane2d(6, 12);
-        let d = BlockPartition::new(shape, sys.cube.torus2d(2, 2)).expect("decomposes");
-        let plane = PlaneId(0);
-        for (pi, p) in d.parts().iter().enumerate() {
-            let words = vec![pi as f64 + 1.0; p.local_words()];
-            let off = d.word_offset(pi, 1, 0);
-            sys.node_mut(p.node).mem.plane_mut(plane).write_slice(off, &words);
-        }
-        // Refresh only the *hi*-side ghosts along y (data flows upward
-        // from each block's first owned row? No: hi face of the lower
-        // boundary partner — the ghosts above the owned range).
-        d.halo_exchange(&mut sys, plane, 1, &HaloSpec::face(1, true)).expect("exchanges");
-        let p0 = &d.parts()[0]; // row 0: has a hi ghost along y, no lo
-        let (lnx, lny, _) = p0.local_shape();
-        let hi_ghost = sys
-            .node(p0.node)
-            .mem
-            .plane(plane)
-            .read_vec(d.word_offset(0, 1, p0.local_index(0, lny - 1, 0)), lnx as u64);
-        // Filled from the part below it in the same torus column = part
-        // index cols (row 1, col 0) -> value 3.0 on a 2x2 torus.
-        assert!(hi_ghost.iter().all(|&v| v == 3.0), "{hi_ghost:?}");
-        // The upper row's lo ghosts were NOT refreshed.
-        let p2 = &d.parts()[2];
-        let lo_ghost = sys
-            .node(p2.node)
-            .mem
-            .plane(plane)
-            .read_vec(d.word_offset(2, 1, p2.local_index(0, 0, 0)), lnx as u64);
-        assert!(lo_ghost.iter().all(|&v| v == 3.0), "stale own value: {lo_ghost:?}");
     }
 
     #[test]
@@ -1382,9 +1248,9 @@ mod tests {
     fn halo_spec_axis_filters() {
         let spec = HaloSpec::stencil();
         let only = spec.only_axis(2);
-        assert_eq!(only.faces, [[false; 2], [false; 2], [true; 2]]);
+        assert_eq!(only.axes, [false, false, true]);
         let rest = spec.without_axis(2);
-        assert_eq!(rest.faces, [[true; 2], [true; 2], [false; 2]]);
+        assert_eq!(rest.axes, [true, true, false]);
         assert!(only.wants_any() && rest.wants_any());
         assert!(!spec.without_axis(0).without_axis(1).without_axis(2).wants_any());
     }

@@ -2,9 +2,9 @@
 //! input, not a library invariant: every solver entry point refuses it
 //! with `NscError::Workload` before it writes a plane, runs an
 //! instruction or charges a message — it neither panics nor computes over
-//! a zero-filled tail. So is a system lacking one of the partition's
-//! nodes, and host slabs that are not one per part, at every halo
-//! exchange entry point.
+//! a zero-filled tail. So is a grid with a side below the three points a
+//! stencil needs, a system lacking one of the partition's nodes, and host
+//! slabs that are not one per part, at every halo exchange entry point.
 
 use nsc_arch::HypercubeConfig;
 use nsc_cfd::diagrams::PLANE_U0;
@@ -81,6 +81,83 @@ fn distributed_multigrid_refuses_a_short_grid_untouched() {
         DistributedMultigridWorkload { u0, f, tol: 0.0, max_cycles: 1, opts: MgOptions::default() };
     assert_workload_error(w.execute(&session, &mut sys));
     assert_eq!(footprint(&sys), before);
+}
+
+/// A grid with no interior along some side, whose `data` length matches
+/// its sides: `Grid3::new` refuses to build one, but a caller can still
+/// hand one over.
+fn flat_problem(nx: usize, ny: usize, nz: usize) -> (Grid3, Grid3) {
+    let grid = Grid3 { nx, ny, nz, h: 0.5, data: vec![0.25; nx * ny * nz] };
+    (grid.clone(), grid)
+}
+
+/// The distributed solvers' flat cases, as `((nx, ny, nz), cube dimension,
+/// decomposition)`: strips leaving x two points wide, `Auto` leaving y two
+/// points wide, and one 1x1 block two planes deep.
+const FLAT_DISTRIBUTED: [((usize, usize, usize), u32, PartitionSpec); 3] = [
+    ((2, 4, 8), 1, PartitionSpec::Strip),
+    ((4, 2, 8), 1, PartitionSpec::Auto),
+    ((4, 4, 2), 0, PartitionSpec::Block),
+];
+
+#[test]
+fn distributed_jacobi_refuses_a_side_below_three_untouched() {
+    let session = Session::nsc_1988();
+    for ((nx, ny, nz), dim, spec) in FLAT_DISTRIBUTED {
+        let mut sys = NscSystem::new(HypercubeConfig::new(dim), session.kb());
+        let before = footprint(&sys);
+        let (u0, f) = flat_problem(nx, ny, nz);
+        let w = DistributedJacobiWorkload::new(u0, f, 0.0, 1, spec);
+        assert_workload_error(w.execute(&session, &mut sys));
+        assert_eq!(footprint(&sys), before, "{nx}x{ny}x{nz} {spec:?}");
+    }
+}
+
+#[test]
+fn distributed_sor_refuses_a_side_below_three_untouched() {
+    let session = Session::nsc_1988();
+    for ((nx, ny, nz), dim, partition) in FLAT_DISTRIBUTED {
+        let mut sys = NscSystem::new(HypercubeConfig::new(dim), session.kb());
+        let before = footprint(&sys);
+        let (u0, f) = flat_problem(nx, ny, nz);
+        let w = DistributedSorWorkload { u0, f, omega: 1.5, tol: 0.0, max_sweeps: 2, partition };
+        assert_workload_error(w.execute(&session, &mut sys));
+        assert_eq!(footprint(&sys), before, "{nx}x{ny}x{nz} {partition:?}");
+    }
+}
+
+#[test]
+fn serial_jacobi_refuses_a_side_below_three_untouched() {
+    let session = Session::nsc_1988();
+    let mut node = session.node();
+    let before = node_footprint(&node);
+    let (u0, f) = flat_problem(2, 2, 2);
+    let w = JacobiWorkload { u0, f, tol: 0.0, max_pairs: 1, variant: JacobiVariant::Full };
+    assert_workload_error(w.execute(&session, &mut node));
+    assert_eq!(node_footprint(&node), before);
+}
+
+#[test]
+fn serial_multigrid_refuses_a_side_below_three_untouched() {
+    // 2 - 1 is a power of two, so the 2^m + 1 shape check admits it.
+    let session = Session::nsc_1988();
+    let mut node = session.node();
+    let before = node_footprint(&node);
+    let (u0, f) = flat_problem(2, 2, 2);
+    let w = MultigridWorkload { u0, f, tol: 0.0, max_cycles: 1, opts: MgOptions::default() };
+    assert_workload_error(w.execute(&session, &mut node));
+    assert_eq!(node_footprint(&node), before);
+}
+
+#[test]
+fn poisson_solver_refuses_a_side_below_three_untouched() {
+    let session = Session::nsc_1988();
+    for (nx, ny, spec) in [(2, 9, PartitionSpec::Auto), (9, 2, PartitionSpec::Block)] {
+        let mut sys = NscSystem::new(HypercubeConfig::new(0), session.kb());
+        let before = footprint(&sys);
+        assert_workload_error(Poisson2dSolver::with_partition(&session, &mut sys, nx, ny, spec));
+        assert_eq!(footprint(&sys), before, "{nx}x{ny} {spec:?}");
+    }
 }
 
 #[test]
@@ -197,7 +274,7 @@ fn halo_exchange_refuses_a_system_lacking_a_partition_node_untouched() {
     let session = Session::nsc_1988();
     let (strips, mut sys) = strips_on_a_small_system(&session);
     let before = footprint(&sys);
-    assert_workload_error(strips.halo_exchange(&mut sys, PLANE_U0, 1, &HaloSpec::stencil()));
+    assert_workload_error(strips.halo_exchange(&mut sys, PLANE_U0, &HaloSpec::stencil()));
     assert_eq!(footprint(&sys), before);
 }
 

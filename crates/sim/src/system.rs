@@ -189,14 +189,6 @@ impl NscSystem {
         ns
     }
 
-    /// Global max-reduction of a cache scalar across all nodes, charged as
-    /// a dimension-ordered butterfly (log2(n) exchange rounds of one word).
-    /// Returns `(max value, reduction time in ns)`.
-    pub fn global_max_cache_scalar(&mut self, cache: nsc_arch::CacheId, offset: u64) -> (f64, u64) {
-        let members: Vec<NodeId> = (0..self.nodes.len()).map(|i| NodeId(i as u16)).collect();
-        self.pool_max_cache_scalar(&members, cache, offset)
-    }
-
     /// Max-reduction of a cache scalar across an explicit pool of nodes —
     /// the members of one sub-cube embedding — charged as a butterfly over
     /// the pool (log2(pool) exchange rounds of one word). Nodes outside
@@ -421,7 +413,8 @@ mod tests {
         for i in 0..4u16 {
             sys.node_mut(NodeId(i)).mem.caches[0].write(0, 0, i as f64 * 10.0);
         }
-        let (v, ns) = sys.global_max_cache_scalar(nsc_arch::CacheId(0), 0);
+        let every: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let (v, ns) = sys.pool_max_cache_scalar(&every, nsc_arch::CacheId(0), 0);
         assert_eq!(v, 30.0);
         assert_eq!(ns, 2 * sys.cube.router.message_ns(1, 1), "log2(4) rounds");
     }

@@ -50,20 +50,28 @@ proptest! {
         dim in 0u32..=6,
         planes in 1usize..200,
     ) {
+        // Strips are the one-column block partition: strip i sits on ring
+        // position i, the owned ranges tile the split axis, and adjacent
+        // strips sit on adjacent nodes. Shapes too thin to strip are
+        // refused, not cut.
         let cube = HypercubeConfig::new(dim);
-        let parts = cube.ring_partition(planes);
-        prop_assert_eq!(parts.iter().map(|&(_, l)| l).sum::<usize>(), planes);
-        let mut next = 0;
-        for (i, &(start, len)) in parts.iter().enumerate() {
-            prop_assert_eq!(start, next, "contiguous chunks");
-            next = start + len;
-            if i + 1 < parts.len() {
-                prop_assert_eq!(
-                    cube.hops(cube.ring_node(i), cube.ring_node(i + 1)),
-                    1,
-                    "adjacent chunks on adjacent nodes"
-                );
+        if let Ok(strips) = StripPartition::new(GridShape::volume3d(3, 3, planes), cube) {
+            let parts = strips.parts();
+            prop_assert_eq!(parts.len(), cube.nodes());
+            let mut next = 0;
+            for (i, p) in parts.iter().enumerate() {
+                prop_assert_eq!(p.node, cube.ring_node(i), "strip {} on ring position {}", i, i);
+                prop_assert_eq!(p.spans[2].start, next, "contiguous strips");
+                next += p.spans[2].len;
+                if i + 1 < parts.len() {
+                    prop_assert_eq!(
+                        cube.hops(p.node, parts[i + 1].node),
+                        1,
+                        "adjacent strips on adjacent nodes"
+                    );
+                }
             }
+            prop_assert_eq!(next, planes, "the strips tile the grid");
         }
     }
 
@@ -178,7 +186,7 @@ fn halo_exchange_ghost_cells_match_the_serial_solver_bit_for_bit() {
         let mem = sys.node(p.node).mem.plane(PLANE_U0);
         let s = p.spans[2];
         let mut check = |local_plane: usize, global_plane: usize| {
-            let got = mem.read_vec(decomp.word_offset(pi, 1, local_plane * pw), pw as u64);
+            let got = mem.read_vec(decomp.word_offset(pi, local_plane * pw), pw as u64);
             let want = &serial.data[global_plane * pw..(global_plane + 1) * pw];
             for (a, b) in got.iter().zip(want) {
                 assert_eq!(

@@ -17,11 +17,10 @@ use nsc::sim::RunOptions;
 use proptest::prelude::*;
 
 /// Assert that a part's split windows tile its owned layers exactly once
-/// and that the interior window keeps `spec.layers` clear of every ghost
-/// face.
-fn check_split(p: &Part, axis: usize, spec: &HaloSpec) {
+/// and that the interior window keeps one layer clear of every ghost face.
+fn check_split(p: &Part, axis: usize) {
     let sp = &p.spans[axis];
-    let split = p.overlap_split(axis, spec);
+    let split = p.overlap_split(axis, &HaloSpec::stencil());
     let windows: Vec<SweepWindow> = split.windows().collect();
     assert!(!windows.is_empty(), "every part computes something");
     // Disjoint, ascending, covering exactly the owned layers.
@@ -35,13 +34,10 @@ fn check_split(p: &Part, axis: usize, spec: &HaloSpec) {
     // The interior window's stencils reach no ghost layer.
     if let Some(i) = split.interior {
         if sp.lo_ghost > 0 {
-            assert!(i.start >= sp.lo_ghost + spec.layers, "interior reads the low ghosts");
+            assert!(i.start > sp.lo_ghost, "interior reads the low ghosts");
         }
         if sp.hi_ghost > 0 {
-            assert!(
-                i.start + i.len + spec.layers <= sp.lo_ghost + sp.len,
-                "interior reads the high ghosts"
-            );
+            assert!(i.start + i.len < sp.lo_ghost + sp.len, "interior reads the high ghosts");
         }
     }
     // Slots are distinct (each window's residual lands in its own word).
@@ -60,12 +56,10 @@ proptest! {
         len in 1usize..40,
         lo_ghost in 0usize..3,
         hi_ghost in 0usize..3,
-        layers in 1usize..3,
     ) {
         let sp = AxisSpan { start: start + lo_ghost, len, lo_ghost, hi_ghost };
         let p = Part { node: NodeId(0), spans: [AxisSpan::whole(5), AxisSpan::whole(5), sp] };
-        let spec = HaloSpec { layers, faces: [[true; 2]; 3] };
-        check_split(&p, 2, &spec);
+        check_split(&p, 2);
     }
 
     #[test]
@@ -81,22 +75,21 @@ proptest! {
         // tests), so per-part windows tiling each part's owned layers
         // means every grid point is computed by exactly one window.
         let cube = HypercubeConfig::new(dim);
-        let spec = HaloSpec::stencil();
         let shape =
             if plane2d { GridShape::plane2d(ny, nz) } else { GridShape::volume3d(nx, ny, nz) };
         let axis = shape.overlap_axis();
         if let Ok(strips) = StripPartition::new(shape, cube) {
             for p in strips.parts() {
-                check_split(p, axis, &spec);
+                check_split(p, axis);
             }
         }
         if dim >= 2 {
             if let Ok(blocks) = BlockPartition::new(shape, cube.torus2d_near_square()) {
                 for p in blocks.parts() {
-                    check_split(p, axis, &spec);
+                    check_split(p, axis);
                     // The column axis cannot be windowed; its faces stay
                     // in the synchronous part of the spec.
-                    prop_assert!(spec.without_axis(axis).wants_any());
+                    prop_assert!(HaloSpec::stencil().without_axis(axis).wants_any());
                 }
             }
         }
