@@ -42,7 +42,7 @@ impl AlsKind {
 
     /// Capability of the unit at `position` within this ALS shape.
     ///
-    /// DESIGN.md pins the paper's asymmetry: the first unit carries the
+    /// This model pins the paper's asymmetry: the first unit carries the
     /// integer/logical circuitry ("double box" in Figure 4), the last unit of
     /// a multi-unit ALS carries min/max, and a singlet's lone unit gets both
     /// so it stays universally usable.

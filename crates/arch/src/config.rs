@@ -46,7 +46,8 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
-    /// The pinned 1988 configuration (DESIGN.md §5).
+    /// The pinned 1988 configuration: the paper's §2 counts listed in the
+    /// crate docs, with the parameters the paper leaves open chosen here.
     ///
     /// ALS mix: 4 triplets + 8 doublets + 4 singlets = 32 functional units.
     pub fn nsc_1988() -> Self {

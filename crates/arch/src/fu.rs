@@ -34,7 +34,8 @@ impl FuCaps {
     /// The per-ALS unit that additionally has min/max circuitry.
     pub const FLOAT_MINMAX: FuCaps = FuCaps { float: true, int_logic: false, min_max: true };
     /// A singlet's lone unit: the 1988 sizing gives it both extras so that a
-    /// singlet remains universally usable (documented DESIGN.md choice).
+    /// singlet remains universally usable (a modelling choice; see
+    /// [`AlsKind::unit_caps`](crate::AlsKind::unit_caps)).
     pub const FULL: FuCaps = FuCaps { float: true, int_logic: true, min_max: true };
 
     /// Whether a unit with these capabilities may execute `op`.

@@ -7,7 +7,8 @@
 //!
 //! The router is modelled with dimension-ordered (e-cube) routing and a
 //! linear latency model — startup per hop plus time per word — with
-//! synthetic constants pinned in DESIGN.md §5 (the paper gives none).
+//! synthetic constants pinned in [`RouterModel::NSC_1988`] (the paper
+//! gives none).
 
 use crate::ids::NodeId;
 use serde::{Deserialize, Serialize};
@@ -77,17 +78,17 @@ impl HypercubeConfig {
     }
 
     /// Dimension-ordered (e-cube) route from `from` to `to`, inclusive of
-    /// both endpoints. Deterministic and deadlock-free: dimensions are
-    /// corrected lowest-first.
-    pub fn ecube_route(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
+    /// both endpoints. Deterministic and deadlock-free: the differing
+    /// address bits are corrected lowest-first, so the route needs no cube
+    /// handle.
+    pub fn ecube_route(from: NodeId, to: NodeId) -> Vec<NodeId> {
         let mut route = vec![from];
-        let mut cur = from.0;
-        for d in 0..self.dimension {
-            let bit = 1u16 << d;
-            if (cur ^ to.0) & bit != 0 {
-                cur ^= bit;
-                route.push(NodeId(cur));
-            }
+        let (mut cur, mut diff) = (from.0, from.0 ^ to.0);
+        while diff != 0 {
+            let bit = diff & diff.wrapping_neg();
+            cur ^= bit;
+            diff ^= bit;
+            route.push(NodeId(cur));
         }
         route
     }
@@ -424,7 +425,7 @@ mod tests {
         let sys = HypercubeConfig::new(6);
         let from = NodeId(0b000111);
         let to = NodeId(0b101010);
-        let route = sys.ecube_route(from, to);
+        let route = HypercubeConfig::ecube_route(from, to);
         assert_eq!(route.first(), Some(&from));
         assert_eq!(route.last(), Some(&to));
         assert_eq!(route.len() as u32 - 1, sys.hops(from, to), "minimal route");
@@ -435,8 +436,7 @@ mod tests {
 
     #[test]
     fn ecube_route_trivial_when_same_node() {
-        let sys = HypercubeConfig::new(3);
-        assert_eq!(sys.ecube_route(NodeId(5), NodeId(5)), vec![NodeId(5)]);
+        assert_eq!(HypercubeConfig::ecube_route(NodeId(5), NodeId(5)), vec![NodeId(5)]);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub struct CacheSpec {
     pub caches: usize,
     /// Words in one buffer of one cache (8 K words here; paper Figure 1's
     /// legend is garbled in the scan — "\[8\]KB x 16 x 2" — so the buffer
-    /// size is a pinned DESIGN.md parameter).
+    /// size is a model parameter, pinned by `MachineConfig::nsc_1988`).
     pub words_per_buffer: u64,
     /// Buffers per cache; 2 = double-buffered, which is what lets one buffer
     /// stream to the pipelines while DMA refills the other.

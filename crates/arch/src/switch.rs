@@ -105,7 +105,8 @@ impl fmt::Display for SinkRef {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SwitchSpec {
     /// Maximum number of sinks one source may drive simultaneously.
-    /// Physical fan-out of the FLONET drivers; pinned to 4 in DESIGN.md.
+    /// Physical fan-out of the FLONET drivers; a model parameter, pinned to
+    /// 4 by [`MachineConfig::nsc_1988`](crate::MachineConfig::nsc_1988).
     pub max_fanout: usize,
 }
 

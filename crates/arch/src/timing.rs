@@ -28,7 +28,7 @@ pub struct LatencyTable {
 }
 
 impl LatencyTable {
-    /// The pinned 1988 table (DESIGN.md §5): short ops 3, multiply 3,
+    /// The pinned 1988 table, a modelling choice: short ops 3, multiply 3,
     /// long ops 6, integer 2, SDU transit 2.
     pub const NSC_1988: LatencyTable =
         LatencyTable { short_ops: 3, multiply: 3, long_ops: 6, integer: 2, sdu_transit: 2 };

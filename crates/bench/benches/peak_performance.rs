@@ -27,9 +27,11 @@ fn saturated(kb: &KnowledgeBase, count: u32) -> nsc_microcode::MicroProgram {
             } else {
                 SourceRef::Fu(fus[i - 1])
             };
-            ins.switch.route(kb, src, SinkRef::FuIn(fu, InPort::A));
+            ins.switch.route(kb, src, SinkRef::FuIn(fu, InPort::A)).unwrap();
         }
-        ins.switch.route(kb, SourceRef::Fu(fus[7]), SinkRef::PlaneWrite(PlaneId(4 + chain)));
+        ins.switch
+            .route(kb, SourceRef::Fu(fus[7]), SinkRef::PlaneWrite(PlaneId(4 + chain)))
+            .unwrap();
     }
     ins.seq = nsc_microcode::SequencerField::halt();
     let mut b = ProgramBuilder::new(kb, "saturate");

@@ -81,7 +81,7 @@ impl Poisson2dSolver {
         ny: usize,
         spec: PartitionSpec,
     ) -> Result<Self, NscError> {
-        check_same_machine(session, system)?;
+        check_same_machine(session, &system.nodes()[0])?;
         let partition = spec.build(GridShape::plane2d(nx, ny), system.cube, true)?;
         let sweeps = SweepEngine::stencil(partition.as_ref()).compile_pair(
             session,
@@ -389,7 +389,7 @@ impl CavityWorkload {
     }
 }
 
-impl Workload<NscSystem> for CavityWorkload {
+impl Workload for CavityWorkload {
     type Report = CavityRun;
 
     fn name(&self) -> String {

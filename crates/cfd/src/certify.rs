@@ -21,24 +21,8 @@
 //! is rejected even though the emitter transcribed it faithfully.
 
 use crate::partition::{HaloSpec, Part, Partition, SweepSplit};
+use nsc_arch::HypercubeConfig;
 use nsc_cert::{CoverageCert, RouteCert, WindowSpan};
-
-/// The dimension-ordered route from `from` to `to`, inclusive of both
-/// endpoints, correcting the lowest differing bit first — the same walk
-/// as `nsc_arch::HypercubeConfig::ecube_route`, on raw addresses so the
-/// emitter needs no cube handle.
-fn ecube_path(from: u64, to: u64) -> Vec<u64> {
-    let mut path = vec![from];
-    let mut cur = from;
-    let mut diff = from ^ to;
-    while diff != 0 {
-        let bit = diff & diff.wrapping_neg();
-        cur ^= bit;
-        diff ^= bit;
-        path.push(cur);
-    }
-    path
-}
 
 /// One [`RouteCert`] per directed halo message `spec` makes a partition
 /// exchange: on every interior boundary along an axis the spec names
@@ -52,7 +36,10 @@ pub fn halo_routes(partition: &dyn Partition, spec: &HaloSpec) -> Vec<RouteCert>
         from: from.node.0 as u64,
         to: to.node.0 as u64,
         words,
-        path: ecube_path(from.node.0 as u64, to.node.0 as u64),
+        path: HypercubeConfig::ecube_route(from.node, to.node)
+            .into_iter()
+            .map(|n| n.0 as u64)
+            .collect(),
     };
     partition
         .boundaries()
@@ -104,19 +91,6 @@ mod tests {
     use crate::partition::{BlockPartition, GridShape, StripPartition};
     use nsc_arch::{HypercubeConfig, KnowledgeBase, MachineConfig, NodeId, PlaneId};
     use nsc_sim::NscSystem;
-
-    #[test]
-    fn ecube_paths_match_the_arch_router() {
-        let cube = HypercubeConfig::new(6);
-        for (from, to) in [(0u16, 0u16), (0b000111, 0b101010), (5, 2), (63, 0)] {
-            let arch: Vec<u64> = cube
-                .ecube_route(nsc_arch::NodeId(from), nsc_arch::NodeId(to))
-                .into_iter()
-                .map(|n| n.0 as u64)
-                .collect();
-            assert_eq!(ecube_path(from as u64, to as u64), arch, "{from} -> {to}");
-        }
-    }
 
     #[test]
     fn strip_routes_pair_every_interior_boundary_both_ways() {

@@ -31,7 +31,7 @@ use crate::nsc_run::load_problem;
 use crate::overlap::SweepEngine;
 use crate::partition::{read_slabs, GridShape, Partition, PartitionSpec};
 use nsc_core::{NscError, Session, Workload};
-use nsc_sim::{NscSystem, PerfCounters};
+use nsc_sim::{NodeSim, NscSystem, PerfCounters};
 
 /// Wrap each part's slab words (ghosts included) as a [`Grid3`] on the
 /// part's local shape, keeping the global mesh spacing.
@@ -47,12 +47,14 @@ pub(crate) fn local_grids3(partition: &dyn Partition, global: &Grid3) -> Vec<Gri
         .collect()
 }
 
-/// Refuse a session/system pair describing different machines.
-pub(crate) fn check_same_machine(session: &Session, system: &NscSystem) -> Result<(), NscError> {
-    let node_cfg = system.node(nsc_arch::NodeId(0)).kb.config();
+/// Refuse a node whose machine differs from the session's: programs the
+/// session compiles would target hardware the node does not have. A
+/// system's nodes are alike, so its first node stands for it.
+pub(crate) fn check_same_machine(session: &Session, node: &NodeSim) -> Result<(), NscError> {
+    let node_cfg = node.kb.config();
     if session.kb().config() != node_cfg {
         return Err(NscError::Workload(format!(
-            "session machine '{}' and system machine '{}' differ",
+            "session machine '{}' and node machine '{}' differ",
             session.kb().config().name,
             node_cfg.name
         )));
@@ -142,7 +144,7 @@ impl DistributedJacobiWorkload {
     }
 }
 
-impl Workload<NscSystem> for DistributedJacobiWorkload {
+impl Workload for DistributedJacobiWorkload {
     type Report = DistributedJacobiRun;
 
     fn name(&self) -> String {
@@ -154,7 +156,7 @@ impl Workload<NscSystem> for DistributedJacobiWorkload {
         session: &Session,
         system: &mut NscSystem,
     ) -> Result<DistributedJacobiRun, NscError> {
-        check_same_machine(session, system)?;
+        check_same_machine(session, &system.nodes()[0])?;
         check_problem(&self.u0, &self.f)?;
         if !self.overlap {
             return Err(NscError::Workload(
@@ -227,9 +229,10 @@ pub struct DistributedSorRun {
 
 /// Block successive over-relaxation: each node runs the host SOR sweep on
 /// its own slab, halos and the convergence reduction travel through the
-/// simulated router. Converges to the same discrete solution as the serial
-/// [`crate::SorWorkload`] (the blocks' fixed point is the global one),
-/// with block-boundary values lagging one sweep.
+/// simulated router. Converges to the same discrete solution as a serial
+/// [`crate::sor_sweep_host`] loop (the blocks' fixed point is the global
+/// one), with block-boundary values lagging one sweep; on one part (cube
+/// dimension 0) it is that loop, bit for bit.
 #[derive(Debug, Clone)]
 pub struct DistributedSorWorkload {
     /// Initial iterate.
@@ -260,7 +263,7 @@ impl DistributedSorWorkload {
     }
 }
 
-impl Workload<NscSystem> for DistributedSorWorkload {
+impl Workload for DistributedSorWorkload {
     type Report = DistributedSorRun;
 
     fn name(&self) -> String {
@@ -337,8 +340,7 @@ impl Workload<NscSystem> for DistributedSorWorkload {
 mod tests {
     use super::*;
     use crate::grid::manufactured_problem;
-    use crate::host::jacobi_sweep_host;
-    use crate::workloads::SorWorkload;
+    use crate::host::{jacobi_sweep_host, sor_sweep_host};
     use nsc_arch::HypercubeConfig;
 
     fn system(dim: u32, session: &Session) -> NscSystem {
@@ -426,22 +428,60 @@ mod tests {
         assert!(matches!(w.execute(&session, &mut small), Err(NscError::Workload(_))));
     }
 
+    /// A serial SOR solve: `sor_sweep_host` until the largest update falls
+    /// below `tol` or `max_sweeps` run — the loop a one-part
+    /// [`DistributedSorWorkload`] is. Returns the iterate and the largest
+    /// update of each sweep.
+    fn serial_sor(
+        u0: &Grid3,
+        f: &Grid3,
+        omega: f64,
+        tol: f64,
+        max_sweeps: usize,
+    ) -> (Grid3, Vec<f64>) {
+        let mut u = u0.clone();
+        let mut history = Vec::new();
+        while history.len() < max_sweeps && history.last().is_none_or(|&r| r >= tol) {
+            history.push(sor_sweep_host(&mut u, f, omega));
+        }
+        (u, history)
+    }
+
+    #[test]
+    fn one_part_sor_is_serial_sor_bit_for_bit() {
+        let session = Session::nsc_1988();
+        for n in [5, 8, 10, 13] {
+            let (u0, f, _) = manufactured_problem(n);
+            for sweeps in [1, 2, 7, 40] {
+                let (want, history) = serial_sor(&u0, &f, 1.5, 0.0, sweeps);
+                for partition in [PartitionSpec::Auto, PartitionSpec::Strip, PartitionSpec::Block] {
+                    let mut sys = system(0, &session);
+                    let w = DistributedSorWorkload {
+                        u0: u0.clone(),
+                        f: f.clone(),
+                        omega: 1.5,
+                        tol: 0.0,
+                        max_sweeps: sweeps,
+                        partition,
+                    };
+                    let run = w.execute(&session, &mut sys).expect("runs");
+                    let case = format!("{n}^3, {sweeps} sweeps, {partition:?}");
+                    assert_eq!(run.sweeps, sweeps, "{case}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&run.u.data), bits(&want.data), "{case}: iterate");
+                    assert_eq!(bits(&run.residual_history), bits(&history), "{case}: history");
+                }
+            }
+        }
+    }
+
     #[test]
     fn distributed_sor_finds_the_serial_fixed_point() {
         let n = 10;
         let (u0, f, exact) = manufactured_problem(n);
         let session = Session::nsc_1988();
-        // Serial SOR baseline.
-        let serial = SorWorkload {
-            u0: u0.clone(),
-            f: f.clone(),
-            omega: 1.5,
-            tol: 1e-10,
-            max_sweeps: 20_000,
-        };
-        let mut node = session.node();
-        let sref = serial.execute(&session, &mut node).expect("serial runs");
-        assert!(sref.converged);
+        let (serial_u, history) = serial_sor(&u0, &f, 1.5, 1e-10, 20_000);
+        assert!(history.last().is_some_and(|&r| r < 1e-10), "serial SOR converges");
 
         for spec in [PartitionSpec::Strip, PartitionSpec::Block] {
             let mut sys = system(2, &session);
@@ -458,9 +498,9 @@ mod tests {
             assert!(run.u.linf_diff(&exact) < 0.1);
             assert!(run.comm_ns > 0, "halos and reductions cost router time");
             assert!(
-                run.u.linf_diff(&sref.u) < 1e-6,
+                run.u.linf_diff(&serial_u) < 1e-6,
                 "{spec:?} block and serial SOR disagree by {}",
-                run.u.linf_diff(&sref.u)
+                run.u.linf_diff(&serial_u)
             );
         }
     }

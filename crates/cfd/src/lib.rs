@@ -12,23 +12,23 @@
 //!   stencil streams require (front/back halos of one xy-plane);
 //! * [`host`] — host reference solvers: a point-Jacobi sweep that mirrors
 //!   the NSC pipeline's operation tree *exactly* (so simulator output can
-//!   be compared bit-for-bit), plus an SOR baseline;
+//!   be compared bit-for-bit), plus an SOR sweep — test oracles and bench
+//!   baselines;
 //! * [`multigrid`] — the ref-\[6\] V-cycle (full-weighting restriction,
-//!   trilinear prolongation, Jacobi smoothing) for experiment T6;
+//!   trilinear prolongation, Jacobi smoothing) on the host: the serial
+//!   oracle the distributed V-cycle matches bit for bit, and the point
+//!   kernels it shares with it;
 //! * [`diagrams`] — builders that construct the paper's pipeline diagrams
 //!   programmatically: the Figure 2/11 Jacobi document (shift/delay-unit
 //!   stencil streams, masked update, feedback residual reduction), the
 //!   no-SDU variant (array copies in extra planes, §3's "multiple copies
 //!   of arrays"), the subset-model variant, and a compute-bound Chebyshev
 //!   kernel for the T4 ablation;
-//! * [`nsc_run`] — glue that loads a problem into a simulated node,
-//!   compiles the document through `nsc_core::Session`, runs the
-//!   generated microcode and compares against the host reference —
-//!   returning `nsc_core::NscError` at every fallible stage;
-//! * [`workloads`] — the solver entry points packaged as
-//!   `nsc_core::Workload` implementations (Jacobi on the NSC, host SOR,
-//!   multigrid with NSC-priced smoothing) for batch harnesses and
-//!   benchmarks;
+//! * [`nsc_run`] — the paper's Figure 2/11 Jacobi document on one
+//!   simulated node ([`run_jacobi`]): it loads the problem, compiles the
+//!   document through `nsc_core::Session`, runs the generated microcode
+//!   with its convergence loop, and returns `nsc_core::NscError` at every
+//!   fallible stage;
 //! * [`partition`] — topology-aware domain decomposition behind the
 //!   [`Partition`] trait: one decomposition, [`BlockPartition`] (2-D
 //!   blocks on a Gray-embedded torus; strips of planes on the Gray ring
@@ -36,10 +36,14 @@
 //!   through the hyperspace router on the axes a [`HaloSpec`] names, by
 //!   one walk over the partition's boundary list that the route
 //!   certificate walks too;
-//! * [`distributed`] — the decomposed solvers: Jacobi compiled per node
-//!   slab and run concurrently across the cube (bit-identical to the
-//!   serial sweeps), and the block-SOR host baseline with router-charged
-//!   halos — both decomposition-agnostic over the [`Partition`] trait;
+//! * [`distributed`] — the decomposed solvers, one `nsc_core::Workload`
+//!   per method whose cube of dimension 0 is the serial case: Jacobi
+//!   compiled per node slab and run concurrently across the cube
+//!   (bit-identical to the serial sweeps), and block SOR with
+//!   router-charged halos — both decomposition-agnostic over the
+//!   [`Partition`] trait;
+//! * [`mg_distributed`] — the ref-\[6\] V-cycle machine-resident on 2-D
+//!   blocks, bit-identical to the serial [`vcycle`] at every cube size;
 //! * [`overlap`] — the **sweep engine** every distributed workload runs
 //!   through, with one choreography: each sweep splits into an interior
 //!   pipeline (no ghost dependency) and boundary-shell pipelines per halo
@@ -62,7 +66,6 @@ pub mod multigrid;
 pub mod nsc_run;
 pub mod overlap;
 pub mod partition;
-pub mod workloads;
 
 pub use self::cavity::{CavityRun, CavityWorkload, Poisson2dSolver, VorticityTransport};
 pub use self::certify::{halo_routes, window_coverage};
@@ -84,4 +87,3 @@ pub use self::partition::{
     host_halo_exchange, read_slabs, AxisSpan, BlockPartition, GridShape, HaloSpec, Part, Partition,
     PartitionSpec, StripPartition, SweepSplit, SweepWindow,
 };
-pub use self::workloads::{JacobiWorkload, MultigridRun, MultigridWorkload, SorRun, SorWorkload};

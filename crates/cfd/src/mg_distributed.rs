@@ -26,8 +26,9 @@
 //!   the serial V-cycle recursion finishes on the host, and the
 //!   correction is interpolated straight back into the blocks.
 //!
-//! The result is bit-identical to the serial [`crate::MultigridWorkload`]
-//! at every cube size — asserted down to the residual history in tests.
+//! The result is bit-identical to the serial [`crate::vcycle`] at every
+//! cube size — asserted down to the residual history in tests — so a cube
+//! of dimension 0 is the serial solver.
 
 use crate::diagrams::{
     build_damped_jacobi_sweep_document_windows, JacobiGeometry, PLANE_G, PLANE_MASK, PLANE_U0,
@@ -397,7 +398,7 @@ pub struct DistributedMultigridRun {
 
 /// The ref. \[6\] multigrid V-cycle run machine-resident across the cube
 /// on a 2-D block decomposition — bit-identical to the serial
-/// [`crate::MultigridWorkload`] at every cube size.
+/// [`crate::vcycle`] at every cube size.
 #[derive(Debug, Clone)]
 pub struct DistributedMultigridWorkload {
     /// Initial iterate; the grid must be cubic with `2^m + 1` points per
@@ -431,7 +432,7 @@ impl DistributedMultigridWorkload {
     }
 }
 
-impl Workload<NscSystem> for DistributedMultigridWorkload {
+impl Workload for DistributedMultigridWorkload {
     type Report = DistributedMultigridRun;
 
     fn name(&self) -> String {
@@ -443,7 +444,7 @@ impl Workload<NscSystem> for DistributedMultigridWorkload {
         session: &Session,
         system: &mut NscSystem,
     ) -> Result<DistributedMultigridRun, NscError> {
-        check_same_machine(session, system)?;
+        check_same_machine(session, &system.nodes()[0])?;
         let n = self.u0.nx;
         if n != self.u0.ny || n != self.u0.nz || n < 5 || !(n - 1).is_power_of_two() {
             return Err(NscError::Workload(format!(
@@ -502,27 +503,20 @@ impl Workload<NscSystem> for DistributedMultigridWorkload {
 mod tests {
     use super::*;
     use crate::grid::manufactured_problem;
-    use crate::workloads::MultigridWorkload;
+    use crate::multigrid::vcycle;
     use nsc_arch::HypercubeConfig;
 
     fn system(dim: u32, session: &Session) -> NscSystem {
         NscSystem::new(HypercubeConfig::new(dim), session.kb())
     }
 
-    fn serial_run(n: usize, tol: f64, cycles: usize) -> crate::workloads::MultigridRun {
-        let (u0, f, _) = manufactured_problem(n);
-        let session = Session::nsc_1988();
-        let mut node = session.node();
-        let w = MultigridWorkload { u0, f, tol, max_cycles: cycles, opts: MgOptions::default() };
-        w.execute(&session, &mut node).expect("serial multigrid runs")
-    }
-
     #[test]
     fn distributed_multigrid_is_bit_identical_to_serial_at_1_4_8_nodes() {
         let n = 17;
         let tol = 1e-8;
-        let serial = serial_run(n, tol, 25);
-        assert!(serial.converged);
+        let (mut serial_u, f, _) = manufactured_problem(n);
+        let serial_stats = vcycle(&mut serial_u, &f, tol, 25, &MgOptions::default());
+        assert!(serial_stats.residual_history.last().is_some_and(|&r| r < tol));
         let session = Session::nsc_1988();
         for dim in [0u32, 2, 3] {
             let (u0, f, _) = manufactured_problem(n);
@@ -536,8 +530,8 @@ mod tests {
             };
             let run = w.execute(&session, &mut sys).expect("distributed multigrid runs");
             assert!(run.converged, "{} nodes: residual {}", sys.node_count(), run.residual);
-            assert_eq!(run.stats.cycles, serial.stats.cycles, "{} nodes", sys.node_count());
-            for (a, b) in run.u.data.iter().zip(&serial.u.data) {
+            assert_eq!(run.stats.cycles, serial_stats.cycles, "{} nodes", sys.node_count());
+            for (a, b) in run.u.data.iter().zip(&serial_u.data) {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
@@ -545,12 +539,12 @@ mod tests {
                     sys.node_count()
                 );
             }
-            for (a, b) in run.stats.residual_history.iter().zip(&serial.stats.residual_history) {
+            for (a, b) in run.stats.residual_history.iter().zip(&serial_stats.residual_history) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{} nodes: history", sys.node_count());
             }
             assert_eq!(
                 run.stats.fine_equivalent_sweeps.to_bits(),
-                serial.stats.fine_equivalent_sweeps.to_bits()
+                serial_stats.fine_equivalent_sweeps.to_bits()
             );
             if dim > 0 {
                 assert!(run.total.comm_ns > 0, "halos cost router time");
@@ -568,16 +562,20 @@ mod tests {
     #[test]
     fn distributed_multigrid_rejects_bad_grids() {
         let session = Session::nsc_1988();
-        let mut sys = system(1, &session);
-        let (u0, f, _) = manufactured_problem(8); // 8 - 1 = 7: not 2^m
-        let w = DistributedMultigridWorkload {
-            u0,
-            f,
-            tol: 1e-8,
-            max_cycles: 5,
-            opts: MgOptions::default(),
-        };
-        assert!(matches!(w.execute(&session, &mut sys), Err(NscError::Workload(_))));
+        // 8 - 1 = 7 is not 2^m; 3 = 2^1 + 1 is below 5^3. Both are refused
+        // on one node (the serial case) as on two.
+        for (n, dim) in [(8, 1), (8, 0), (3, 0)] {
+            let mut sys = system(dim, &session);
+            let (u0, f, _) = manufactured_problem(n);
+            let w = DistributedMultigridWorkload {
+                u0,
+                f,
+                tol: 1e-8,
+                max_cycles: 5,
+                opts: MgOptions::default(),
+            };
+            assert!(matches!(w.execute(&session, &mut sys), Err(NscError::Workload(_))), "{n}");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::diagrams::{
     build_jacobi_document, JacobiGeometry, JacobiVariant, PLANE_COPY0, PLANE_G, PLANE_MASK,
     PLANE_U0, RESIDUAL_CACHE,
 };
+use crate::distributed::check_same_machine;
 use crate::grid::{check_problem, Grid3};
 use crate::host::JacobiHostState;
 use nsc_core::{NscError, Session};
@@ -59,7 +60,8 @@ pub fn run_jacobi_on_node(
 }
 
 /// Solve the `n^3` manufactured problem: compile the Jacobi document
-/// through `session`, execute it on `node`.
+/// through `session`, execute it on `node`. A node whose machine differs
+/// from the session's is refused before anything is written to it.
 pub fn run_jacobi(
     session: &Session,
     node: &mut NodeSim,
@@ -69,6 +71,7 @@ pub fn run_jacobi(
     max_pairs: u32,
     variant: JacobiVariant,
 ) -> Result<JacobiRun, NscError> {
+    check_same_machine(session, node)?;
     if u0.nx != u0.ny || u0.nx != u0.nz {
         return Err(NscError::Workload(format!(
             "the Jacobi document wants a cubic grid, got {}x{}x{}",

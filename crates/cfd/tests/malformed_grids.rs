@@ -3,18 +3,18 @@
 //! with `NscError::Workload` before it writes a plane, runs an
 //! instruction or charges a message — it neither panics nor computes over
 //! a zero-filled tail. So is a grid with a side below the three points a
-//! stencil needs, a system lacking one of the partition's nodes, and host
-//! slabs that are not one per part, at every halo exchange entry point.
+//! stencil needs, a node whose machine differs from the session's, a
+//! system lacking one of the partition's nodes, and host slabs that are
+//! not one per part, at every halo exchange entry point.
 
-use nsc_arch::HypercubeConfig;
+use nsc_arch::{HypercubeConfig, KnowledgeBase, MachineConfig, SubsetModel};
 use nsc_cfd::diagrams::PLANE_U0;
 use nsc_cfd::grid::manufactured_problem;
 use nsc_cfd::host::FtcsCoeffs;
 use nsc_cfd::{
-    host_halo_exchange, DistributedJacobiWorkload, DistributedMultigridWorkload,
-    DistributedSorWorkload, Grid2, Grid3, GridShape, HaloSpec, JacobiVariant, JacobiWorkload,
-    MgOptions, MultigridWorkload, Partition, PartitionSpec, Poisson2dSolver, SorWorkload,
-    StripPartition, SweepEngine, VorticityTransport,
+    host_halo_exchange, run_jacobi, DistributedJacobiWorkload, DistributedMultigridWorkload,
+    DistributedSorWorkload, Grid2, Grid3, GridShape, HaloSpec, JacobiVariant, MgOptions, Partition,
+    PartitionSpec, Poisson2dSolver, StripPartition, SweepEngine, VorticityTransport,
 };
 use nsc_core::{NscError, Session, Workload};
 use nsc_sim::{NodeSim, NscSystem, PerfCounters};
@@ -132,21 +132,33 @@ fn serial_jacobi_refuses_a_side_below_three_untouched() {
     let mut node = session.node();
     let before = node_footprint(&node);
     let (u0, f) = flat_problem(2, 2, 2);
-    let w = JacobiWorkload { u0, f, tol: 0.0, max_pairs: 1, variant: JacobiVariant::Full };
-    assert_workload_error(w.execute(&session, &mut node));
+    assert_workload_error(run_jacobi(&session, &mut node, &u0, &f, 0.0, 1, JacobiVariant::Full));
     assert_eq!(node_footprint(&node), before);
 }
 
 #[test]
-fn serial_multigrid_refuses_a_side_below_three_untouched() {
-    // 2 - 1 is a power of two, so the 2^m + 1 shape check admits it.
+fn run_jacobi_refuses_a_foreign_node_untouched() {
+    // The document compiles for the session's machine; a node of another
+    // machine — a subset model, a smaller machine, or one that differs
+    // only in name — is refused before a plane is written.
     let session = Session::nsc_1988();
-    let mut node = session.node();
-    let before = node_footprint(&node);
-    let (u0, f) = flat_problem(2, 2, 2);
-    let w = MultigridWorkload { u0, f, tol: 0.0, max_cycles: 1, opts: MgOptions::default() };
-    assert_workload_error(w.execute(&session, &mut node));
-    assert_eq!(node_footprint(&node), before);
+    let mut renamed = MachineConfig::nsc_1988();
+    renamed.name = "revised".into();
+    let foreign = [
+        MachineConfig::nsc_1988().subset(SubsetModel::NoSdu),
+        MachineConfig::test_small(),
+        renamed,
+    ];
+    let (u0, f, _) = manufactured_problem(6);
+    for config in foreign {
+        let name = config.name.clone();
+        let mut node = NodeSim::new(KnowledgeBase::new(config));
+        let before = node_footprint(&node);
+        for variant in [JacobiVariant::Full, JacobiVariant::NoSdu] {
+            assert_workload_error(run_jacobi(&session, &mut node, &u0, &f, 1e-9, 10, variant));
+        }
+        assert_eq!(node_footprint(&node), before, "{name}");
+    }
 }
 
 #[test]
@@ -225,30 +237,7 @@ fn serial_jacobi_refuses_a_short_grid_untouched() {
     let mut node = session.node();
     let before = node_footprint(&node);
     let (u0, f) = short_problem(6);
-    let w = JacobiWorkload { u0, f, tol: 0.0, max_pairs: 1, variant: JacobiVariant::Full };
-    assert_workload_error(w.execute(&session, &mut node));
-    assert_eq!(node_footprint(&node), before);
-}
-
-#[test]
-fn serial_sor_refuses_a_short_grid_untouched() {
-    let session = Session::nsc_1988();
-    let mut node = session.node();
-    let before = node_footprint(&node);
-    let (u0, f) = short_problem(6);
-    let w = SorWorkload { u0, f, omega: 1.5, tol: 0.0, max_sweeps: 2 };
-    assert_workload_error(w.execute(&session, &mut node));
-    assert_eq!(node_footprint(&node), before);
-}
-
-#[test]
-fn serial_multigrid_refuses_a_short_grid_untouched() {
-    let session = Session::nsc_1988();
-    let mut node = session.node();
-    let before = node_footprint(&node);
-    let (u0, f) = short_problem(9);
-    let w = MultigridWorkload { u0, f, tol: 0.0, max_cycles: 1, opts: MgOptions::default() };
-    assert_workload_error(w.execute(&session, &mut node));
+    assert_workload_error(run_jacobi(&session, &mut node, &u0, &f, 0.0, 1, JacobiVariant::Full));
     assert_eq!(node_footprint(&node), before);
 }
 

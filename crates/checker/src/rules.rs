@@ -1,8 +1,9 @@
 //! The rule set: every conflict, constraint and asymmetry the knowledge
 //! base knows about, as executable checks.
 //!
-//! Each rule is motivated by a specific sentence of the paper; the rule
-//! table in DESIGN.md maps codes to quotes. Rules are pure functions over
+//! Each rule is motivated by a specific sentence of the paper; each
+//! [`RuleCode`] variant's doc gives its code and the constraint, quoting
+//! the paper where it states one in words. Rules are pure functions over
 //! the diagram + knowledge base; the editor decides *when* to run them
 //! (after every mutation) and the generator runs them all again globally.
 

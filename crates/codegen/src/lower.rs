@@ -239,17 +239,14 @@ pub(crate) fn lower_pipeline(
     for c in d.connections() {
         let source = source_ref(d, c.from, &unit_to_fu)?;
         let sink = sink_ref(d, c.to, &unit_to_fu)?;
-        if kb.source_code(source).is_none() || kb.sink_code(sink).is_none() {
-            return Err(GenError::Unsupported(format!(
-                "the switch cannot route {source} to {sink}"
-            )));
-        }
+        let prev = ins.switch.route(kb, source, sink).map_err(|_| {
+            GenError::Unsupported(format!("the switch cannot route {source} to {sink}"))
+        })?;
         // Two sources into one sink is contention; never let the second
         // wire silently replace the first.
-        if ins.switch.driver(kb, sink).is_some_and(|prev| prev != source) {
+        if prev.is_some_and(|p| kb.source_from_code(p) != Some(source)) {
             return Err(GenError::Unsupported(format!("{} is driven by two sources", c.to)));
         }
-        ins.switch.route(kb, source, sink);
     }
 
     // ------------------------------------------------------------------
@@ -329,15 +326,14 @@ pub(crate) fn lower_pipeline(
             }
             IconKind::Sdu { sdu: Some(sid) } => {
                 let delays = d.sdu_taps(icon.id);
-                if delays.len() > ins.sdu_mut(sid).taps.len() {
-                    return Err(GenError::Unsupported(format!(
+                let field = SduField::with_delays(delays).map_err(|e| {
+                    GenError::Unsupported(format!(
                         "{} programs {} taps on {sid}",
-                        icon.id,
-                        delays.len()
-                    )));
-                }
+                        icon.id, e.delays
+                    ))
+                })?;
                 if !delays.is_empty() {
-                    *ins.sdu_mut(sid) = SduField::with_delays(delays);
+                    *ins.sdu_mut(sid) = field;
                 }
             }
             _ => {}

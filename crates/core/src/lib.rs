@@ -68,8 +68,8 @@
 //! [`run_lanes`] runs compiled programs on many nodes at once, one
 //! (node, program) lane per node — the one node-run driver, which the
 //! distributed solvers build on; the [`Workload`] trait packages whole
-//! solver problems (see `nsc-cfd`'s Jacobi/SOR/multigrid workloads)
-//! behind the session.
+//! solver problems on a simulated hypercube (see `nsc-cfd`'s distributed
+//! Jacobi, SOR and multigrid workloads and its cavity) behind the session.
 
 #![warn(missing_docs)]
 

@@ -26,7 +26,7 @@ use nsc_checker::{diag, Checker, Diagnostic};
 use nsc_codegen::GenOutput;
 use nsc_diagram::Document;
 use nsc_microcode::MicroProgram;
-use nsc_sim::{CompiledKernel, HaltReason, NodeSim, PerfCounters, RunOptions, RunStats};
+use nsc_sim::{CompiledKernel, HaltReason, NodeSim, NscSystem, PerfCounters, RunOptions, RunStats};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -585,25 +585,22 @@ pub struct RunReport {
     pub mflops: f64,
 }
 
-/// A reusable problem that knows how to run itself through a [`Session`].
+/// A reusable problem that knows how to run itself through a [`Session`]
+/// on a simulated hypercube.
 ///
-/// Solver front ends (`nsc-cfd`'s Jacobi, SOR and multigrid drivers)
-/// implement this so that benchmarks, examples and batch harnesses can
-/// treat "a workload" uniformly: build documents, compile them through the
-/// session, execute on the target, and report — returning `Err` instead of
-/// panicking at every stage.
-///
-/// `Target` is what the workload executes *on*: a single [`NodeSim`] (the
-/// default — the paper's one-node solvers) or a whole
-/// [`nsc_sim::NscSystem`] for domain-decomposed solvers that spread one
-/// problem across the hypercube with halo exchanges.
-pub trait Workload<Target = NodeSim> {
+/// Solver front ends (`nsc-cfd`'s distributed Jacobi, SOR and multigrid
+/// workloads and the lid-driven cavity) implement this so that the park,
+/// ensembles, benchmarks and examples treat "a workload" uniformly: build
+/// documents, compile them through the session, execute across the
+/// system's nodes, and report — returning `Err` instead of panicking at
+/// every stage. A cube of dimension 0 is the one-node (serial) case.
+pub trait Workload {
     /// What a completed run reports.
     type Report;
 
-    /// Human-readable name for logs and batch summaries.
+    /// Human-readable name for logs and reports.
     fn name(&self) -> String;
 
-    /// Execute the workload through `session` on `target`.
-    fn execute(&self, session: &Session, target: &mut Target) -> Result<Self::Report, NscError>;
+    /// Execute the workload through `session` on `system`.
+    fn execute(&self, session: &Session, system: &mut NscSystem) -> Result<Self::Report, NscError>;
 }

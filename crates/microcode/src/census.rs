@@ -107,7 +107,8 @@ impl Census {
         self.groups.iter().map(FieldGroup::total_leaves).sum()
     }
 
-    /// Render the census as the table reported in EXPERIMENTS.md.
+    /// Render the census as a text table (the `architecture_tour` example
+    /// and the `microcode_width` bench print it).
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str("section                                      count  bits/each  bits total\n");

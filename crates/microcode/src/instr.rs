@@ -178,12 +178,16 @@ mod tests {
         // Plane 0 streams 512 words to FU0.a; plane 1 to FU0.b.
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 512);
         *ins.plane_rd_mut(PlaneId(1)) = PlaneDmaField::contiguous(1024, 512);
-        ins.switch.route(kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(kb, SourceRef::PlaneRead(PlaneId(1)), SinkRef::FuIn(FuId(0), InPort::B));
+        ins.switch
+            .route(kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch
+            .route(kb, SourceRef::PlaneRead(PlaneId(1)), SinkRef::FuIn(FuId(0), InPort::B))
+            .unwrap();
         // Result to plane 2; residual to cache 0 as a scalar.
-        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(2)));
-        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::FuIn(FuId(2), InPort::A));
-        ins.switch.route(kb, SourceRef::Fu(FuId(2)), SinkRef::CacheWrite(CacheId(0)));
+        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(2))).unwrap();
+        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::FuIn(FuId(2), InPort::A)).unwrap();
+        ins.switch.route(kb, SourceRef::Fu(FuId(2)), SinkRef::CacheWrite(CacheId(0))).unwrap();
         *ins.plane_wr_mut(PlaneId(2)) = PlaneDmaField::contiguous(0, 512);
         *ins.cache_wr_mut(CacheId(0)) = CacheDmaField::scalar_capture(0);
         ins.seq = crate::seq::SequencerField {

@@ -44,6 +44,6 @@ pub use self::dma::{CacheDmaField, PlaneDmaField, WriteMode};
 pub use self::fu_field::{FuField, FuInputSel};
 pub use self::instr::MicroInstruction;
 pub use self::program::{MicroProgram, ProgramBuilder};
-pub use self::sdu_field::{SduField, SduTapField};
+pub use self::sdu_field::{SduField, SduTapField, TooManyTaps};
 pub use self::seq::{CmpKind, CondBranch, SeqCtl, SequencerField};
-pub use self::switch_table::SwitchTable;
+pub use self::switch_table::{SwitchTable, UnknownPort};

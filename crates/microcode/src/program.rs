@@ -217,8 +217,10 @@ mod tests {
         let mut ins = MicroInstruction::empty(kb);
         *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Mul);
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 16);
-        ins.switch.route(kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, 16);
         ins.seq = crate::seq::SequencerField::halt();
         b.label("main");

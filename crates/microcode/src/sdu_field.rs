@@ -10,6 +10,7 @@
 
 use crate::bits::{BitReader, BitUnderflow, BitWriter};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// One output tap of a shift/delay unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,6 +56,21 @@ impl Default for SduTapField {
     }
 }
 
+/// More delays asked of a shift/delay unit than it has taps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooManyTaps {
+    /// How many delays were asked for.
+    pub delays: usize,
+}
+
+impl fmt::Display for TooManyTaps {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "an SDU has four taps, not {}", self.delays)
+    }
+}
+
+impl std::error::Error for TooManyTaps {}
+
 /// Complete control for one shift/delay unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SduField {
@@ -75,14 +91,17 @@ impl SduField {
         Self::default()
     }
 
-    /// A unit emitting the given delays on consecutive taps.
-    pub fn with_delays(delays: &[u16]) -> Self {
-        assert!(delays.len() <= 4, "an SDU has four taps");
+    /// A unit emitting the given delays on consecutive taps, or
+    /// [`TooManyTaps`] when there are more delays than taps.
+    pub fn with_delays(delays: &[u16]) -> Result<Self, TooManyTaps> {
         let mut taps = [SduTapField::off(); 4];
+        if delays.len() > taps.len() {
+            return Err(TooManyTaps { delays: delays.len() });
+        }
         for (t, &d) in taps.iter_mut().zip(delays) {
             *t = SduTapField::delayed(d);
         }
-        SduField { enabled: !delays.is_empty(), taps }
+        Ok(SduField { enabled: !delays.is_empty(), taps })
     }
 
     /// The largest enabled delay (the unit's working set in its buffer).
@@ -116,7 +135,7 @@ mod tests {
 
     #[test]
     fn with_delays_enables_consecutive_taps() {
-        let s = SduField::with_delays(&[0, 63, 4095]);
+        let s = SduField::with_delays(&[0, 63, 4095]).unwrap();
         assert!(s.enabled);
         assert!(s.taps[0].enabled && s.taps[0].delay == 0);
         assert!(s.taps[1].enabled && s.taps[1].delay == 63);
@@ -127,22 +146,24 @@ mod tests {
 
     #[test]
     fn empty_delays_keep_unit_idle() {
-        let s = SduField::with_delays(&[]);
+        let s = SduField::with_delays(&[]).unwrap();
         assert!(!s.enabled);
         assert_eq!(s.max_delay(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "four taps")]
-    fn too_many_delays_panics() {
-        SduField::with_delays(&[1, 2, 3, 4, 5]);
+    fn five_delays_are_an_error() {
+        let err = SduField::with_delays(&[1, 2, 3, 4, 5]).unwrap_err();
+        assert_eq!(err, TooManyTaps { delays: 5 });
+        assert_eq!(err.to_string(), "an SDU has four taps, not 5");
+        assert!(SduField::with_delays(&[1, 2, 3, 4]).is_ok());
     }
 
     #[test]
     fn stencil_delays_fit_the_field() {
         // 2*nx*ny for the largest supported plane (64x64) must encode.
         let d = 2 * 64 * 64u16;
-        let s = SduField::with_delays(&[d]);
+        let s = SduField::with_delays(&[d]).unwrap();
         let mut w = BitWriter::new();
         s.encode(&mut w);
         let bytes = w.finish();

@@ -9,6 +9,27 @@
 use crate::bits::{BitReader, BitUnderflow, BitWriter};
 use nsc_arch::{KnowledgeBase, SinkRef, SourceRef};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// A switch port the machine's knowledge base has no code for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnknownPort {
+    /// A source this machine does not have.
+    Source(SourceRef),
+    /// A sink this machine does not have.
+    Sink(SinkRef),
+}
+
+impl fmt::Display for UnknownPort {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UnknownPort::Source(s) => write!(f, "unknown source {s}"),
+            UnknownPort::Sink(s) => write!(f, "unknown sink {s}"),
+        }
+    }
+}
+
+impl std::error::Error for UnknownPort {}
 
 /// Per-sink source selection, indexed by the knowledge base's sink codes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,20 +54,18 @@ impl SwitchTable {
         self.routes.iter().all(|r| r.is_none())
     }
 
-    /// Route `source` to `sink`. Returns the previous driver, if any.
-    ///
-    /// # Panics
-    /// If either port does not exist on this machine.
-    pub fn route(&mut self, kb: &KnowledgeBase, source: SourceRef, sink: SinkRef) -> Option<u16> {
-        let sc = kb.source_code(source).unwrap_or_else(|| panic!("unknown source {source}"));
-        let kc = kb.sink_code(sink).unwrap_or_else(|| panic!("unknown sink {sink}"));
-        self.routes[kc as usize].replace(sc)
-    }
-
-    /// Remove any route into `sink`.
-    pub fn unroute(&mut self, kb: &KnowledgeBase, sink: SinkRef) -> Option<u16> {
-        let kc = kb.sink_code(sink).expect("unknown sink");
-        self.routes[kc as usize].take()
+    /// Route `source` to `sink`. Returns the previous driver, if any, or
+    /// the port this machine has no code for.
+    pub fn route(
+        &mut self,
+        kb: &KnowledgeBase,
+        source: SourceRef,
+        sink: SinkRef,
+    ) -> Result<Option<u16>, UnknownPort> {
+        let sc = kb.source_code(source).ok_or(UnknownPort::Source(source))?;
+        let kc = kb.sink_code(sink).ok_or(UnknownPort::Sink(sink))?;
+        let slot = self.routes.get_mut(kc as usize).ok_or(UnknownPort::Sink(sink))?;
+        Ok(slot.replace(sc))
     }
 
     /// The source driving `sink`, if routed.
@@ -117,16 +136,13 @@ mod tests {
         assert!(t.is_empty());
         let src = SourceRef::PlaneRead(PlaneId(0));
         let sink = SinkRef::FuIn(FuId(3), InPort::A);
-        assert_eq!(t.route(&kb, src, sink), None);
+        assert_eq!(t.route(&kb, src, sink), Ok(None));
         assert_eq!(t.driver(&kb, sink), Some(src));
         assert!(!t.is_empty());
         // Re-routing returns the old driver.
         let src2 = SourceRef::CacheRead(CacheId(1));
-        assert!(t.route(&kb, src2, sink).is_some());
+        assert_eq!(t.route(&kb, src2, sink), Ok(kb.source_code(src)));
         assert_eq!(t.driver(&kb, sink), Some(src2));
-        // Unrouting clears.
-        assert!(t.unroute(&kb, sink).is_some());
-        assert_eq!(t.driver(&kb, sink), None);
     }
 
     #[test]
@@ -134,9 +150,9 @@ mod tests {
         let kb = kb();
         let mut t = SwitchTable::empty(&kb);
         let src = SourceRef::Fu(FuId(0));
-        t.route(&kb, src, SinkRef::FuIn(FuId(1), InPort::A));
-        t.route(&kb, src, SinkRef::FuIn(FuId(2), InPort::B));
-        t.route(&kb, src, SinkRef::PlaneWrite(PlaneId(5)));
+        t.route(&kb, src, SinkRef::FuIn(FuId(1), InPort::A)).unwrap();
+        t.route(&kb, src, SinkRef::FuIn(FuId(2), InPort::B)).unwrap();
+        t.route(&kb, src, SinkRef::PlaneWrite(PlaneId(5))).unwrap();
         let counts = t.fanout_counts(&kb);
         assert_eq!(counts[kb.source_code(src).unwrap() as usize], 3);
         assert_eq!(counts.iter().sum::<usize>(), 3);
@@ -146,9 +162,9 @@ mod tests {
     fn encode_decode_round_trips() {
         let kb = kb();
         let mut t = SwitchTable::empty(&kb);
-        t.route(&kb, SourceRef::PlaneRead(PlaneId(7)), SinkRef::FuIn(FuId(0), InPort::A));
-        t.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(8)));
-        t.route(&kb, SourceRef::Fu(FuId(31)), SinkRef::CacheWrite(CacheId(15)));
+        t.route(&kb, SourceRef::PlaneRead(PlaneId(7)), SinkRef::FuIn(FuId(0), InPort::A)).unwrap();
+        t.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(8))).unwrap();
+        t.route(&kb, SourceRef::Fu(FuId(31)), SinkRef::CacheWrite(CacheId(15))).unwrap();
         let mut w = BitWriter::new();
         t.encode(&kb, &mut w);
         assert_eq!(w.len_bits() as u32, SwitchTable::bits(&kb));
@@ -168,8 +184,8 @@ mod tests {
     fn iter_routes_reports_all_pairs() {
         let kb = kb();
         let mut t = SwitchTable::empty(&kb);
-        t.route(&kb, SourceRef::PlaneRead(PlaneId(1)), SinkRef::FuIn(FuId(4), InPort::B));
-        t.route(&kb, SourceRef::Fu(FuId(4)), SinkRef::PlaneWrite(PlaneId(2)));
+        t.route(&kb, SourceRef::PlaneRead(PlaneId(1)), SinkRef::FuIn(FuId(4), InPort::B)).unwrap();
+        t.route(&kb, SourceRef::Fu(FuId(4)), SinkRef::PlaneWrite(PlaneId(2))).unwrap();
         let pairs: Vec<_> = t.iter_routes(&kb).collect();
         assert_eq!(pairs.len(), 2);
         assert!(
@@ -179,12 +195,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown source")]
-    fn routing_a_nonexistent_source_panics() {
+    fn routing_a_port_the_machine_lacks_is_an_error() {
+        // No caches on this machine, and no 99th SDU on any.
         let kb = KnowledgeBase::new(
             nsc_arch::MachineConfig::nsc_1988().subset(nsc_arch::SubsetModel::NoCaches),
         );
         let mut t = SwitchTable::empty(&kb);
-        t.route(&kb, SourceRef::CacheRead(CacheId(0)), SinkRef::FuIn(FuId(0), InPort::A));
+        let (cache, sdu) = (SourceRef::CacheRead(CacheId(0)), SinkRef::SduIn(nsc_arch::SduId(99)));
+        let fu_in = SinkRef::FuIn(FuId(0), InPort::A);
+        assert_eq!(t.route(&kb, cache, fu_in), Err(UnknownPort::Source(cache)));
+        let plane = SourceRef::PlaneRead(PlaneId(0));
+        assert_eq!(t.route(&kb, plane, sdu), Err(UnknownPort::Sink(sdu)));
+        assert_eq!(UnknownPort::Sink(sdu).to_string(), format!("unknown sink {sdu}"));
+        assert!(t.is_empty(), "a refused route leaves the table alone");
+        // A table sized for a smaller machine refuses a sink it has no
+        // slot for.
+        let mut small =
+            SwitchTable::empty(&KnowledgeBase::new(nsc_arch::MachineConfig::test_small()));
+        let last = *kb.sinks().last().expect("sinks");
+        assert_eq!(small.route(&kb, plane, last), Err(UnknownPort::Sink(last)));
     }
 }

@@ -85,7 +85,7 @@ pub trait JobPayload: Send + Sync {
 
 impl JobPayload for nsc_cfd::DistributedJacobiWorkload {
     fn name(&self) -> String {
-        nsc_core::Workload::<NscSystem>::name(self)
+        nsc_core::Workload::name(self)
     }
 
     fn run(&self, session: &Session, system: &mut NscSystem) -> Result<JobOutcome, NscError> {
@@ -98,7 +98,7 @@ impl JobPayload for nsc_cfd::DistributedJacobiWorkload {
 
 impl JobPayload for nsc_cfd::DistributedSorWorkload {
     fn name(&self) -> String {
-        nsc_core::Workload::<NscSystem>::name(self)
+        nsc_core::Workload::name(self)
     }
 
     fn run(&self, session: &Session, system: &mut NscSystem) -> Result<JobOutcome, NscError> {
@@ -111,7 +111,7 @@ impl JobPayload for nsc_cfd::DistributedSorWorkload {
 
 impl JobPayload for nsc_cfd::DistributedMultigridWorkload {
     fn name(&self) -> String {
-        nsc_core::Workload::<NscSystem>::name(self)
+        nsc_core::Workload::name(self)
     }
 
     fn run(&self, session: &Session, system: &mut NscSystem) -> Result<JobOutcome, NscError> {
@@ -124,7 +124,7 @@ impl JobPayload for nsc_cfd::DistributedMultigridWorkload {
 
 impl JobPayload for nsc_cfd::CavityWorkload {
     fn name(&self) -> String {
-        nsc_core::Workload::<NscSystem>::name(self)
+        nsc_core::Workload::name(self)
     }
 
     fn run(&self, session: &Session, system: &mut NscSystem) -> Result<JobOutcome, NscError> {

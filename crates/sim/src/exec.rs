@@ -496,8 +496,10 @@ mod tests {
         *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Copy);
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 100);
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(500, 100);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
 
         execute_instruction(&kb, &ins, &mut mem, &mut counters).expect("runs");
         assert_eq!(mem.planes[1].read_vec(500, 100), data);
@@ -533,9 +535,13 @@ mod tests {
             mode: WriteMode::Stream,
         };
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, 50);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(&kb, SourceRef::CacheRead(CacheId(0)), SinkRef::FuIn(FuId(0), InPort::B));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch
+            .route(&kb, SourceRef::CacheRead(CacheId(0)), SinkRef::FuIn(FuId(0), InPort::B))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
 
         execute_instruction(&kb, &ins, &mut mem, &mut counters).expect("runs");
         let out = mem.planes[1].read_vec(0, 50);
@@ -561,8 +567,10 @@ mod tests {
         };
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 3);
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, 3);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         execute_instruction(&kb, &ins, &mut mem, &mut counters).expect("runs");
         assert_eq!(mem.planes[1].read_vec(0, 3), vec![1.0, 2.0, 3.0]);
     }
@@ -583,8 +591,10 @@ mod tests {
         };
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 5);
         *ins.cache_wr_mut(CacheId(0)) = CacheDmaField::scalar_capture(7);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(2), InPort::A));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(2)), SinkRef::CacheWrite(CacheId(0)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(2), InPort::A))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(2)), SinkRef::CacheWrite(CacheId(0))).unwrap();
         execute_instruction(&kb, &ins, &mut mem, &mut counters).expect("runs");
         assert_eq!(mem.caches[0].read(0, 7), 7.0, "max |x| of the stream");
     }
@@ -609,8 +619,10 @@ mod tests {
         };
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 128);
         *ins.cache_wr_mut(CacheId(0)) = CacheDmaField::scalar_capture(0);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(2), InPort::A));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(2)), SinkRef::CacheWrite(CacheId(0)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(2), InPort::A))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(2)), SinkRef::CacheWrite(CacheId(0))).unwrap();
         execute_instruction(&kb, &ins, &mut mem, &mut counters).expect("runs");
         assert_eq!(mem.caches[0].read(0, 0), 64.0);
         assert!(
@@ -630,22 +642,20 @@ mod tests {
         let mut ins = MicroInstruction::empty(&kb);
         *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Sub);
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 10);
-        *ins.sdu_mut(nsc_arch::SduId(0)) = SduField::with_delays(&[0, 3]);
+        *ins.sdu_mut(nsc_arch::SduId(0)) = SduField::with_delays(&[0, 3]).unwrap();
         // Warm-up slots carry an invalid data line; the write stores the
         // 7 valid elements with no explicit skip.
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, 7);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::SduIn(nsc_arch::SduId(0)));
-        ins.switch.route(
-            &kb,
-            SourceRef::SduTap(nsc_arch::SduId(0), 0),
-            SinkRef::FuIn(FuId(0), InPort::A),
-        );
-        ins.switch.route(
-            &kb,
-            SourceRef::SduTap(nsc_arch::SduId(0), 1),
-            SinkRef::FuIn(FuId(0), InPort::B),
-        );
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::SduIn(nsc_arch::SduId(0)))
+            .unwrap();
+        ins.switch
+            .route(&kb, SourceRef::SduTap(nsc_arch::SduId(0), 0), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch
+            .route(&kb, SourceRef::SduTap(nsc_arch::SduId(0), 1), SinkRef::FuIn(FuId(0), InPort::B))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         execute_instruction(&kb, &ins, &mut mem, &mut counters).expect("runs");
         let out = mem.planes[1].read_vec(0, 7);
         for i in 0..7usize {
@@ -674,10 +684,14 @@ mod tests {
         };
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 5);
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, 5);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::FuIn(FuId(3), InPort::A));
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(3), InPort::B));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(3)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::FuIn(FuId(3), InPort::A)).unwrap();
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(3), InPort::B))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(3)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         execute_instruction(&kb, &ins, &mut mem, &mut counters).expect("runs");
         let out = mem.planes[1].read_vec(0, 5);
         for i in 0..5usize {
@@ -718,8 +732,10 @@ mod tests {
         *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Recip);
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 3);
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, 3);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         execute_instruction(&kb, &ins, &mut mem, &mut counters).expect("runs");
         assert_eq!(counters.exceptions, 1, "1/0 trapped");
         assert_eq!(mem.planes[1].read(2), 0.25);
@@ -734,8 +750,10 @@ mod tests {
         *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Copy);
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 3);
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, 3);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         let trace = execute_instruction(&kb, &ins, &mut mem, &mut counters).expect("runs");
         assert_eq!(trace.value_of(&kb, SourceRef::PlaneRead(PlaneId(0))), Some(9.0));
         assert_eq!(trace.value_of(&kb, SourceRef::Fu(FuId(0))), Some(9.0));
@@ -751,8 +769,10 @@ mod tests {
         *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Neg);
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 8);
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, 8);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         execute_instruction(&kb, &ins, &mut mem, &mut counters).expect("runs");
         assert_eq!(mem.planes[1].read_vec(0, 8), vec![-5.0; 8]);
     }

@@ -1216,8 +1216,10 @@ mod tests {
         *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Copy);
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, count);
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(500, count);
-        ins.switch.route(kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         ins
     }
 
@@ -1249,9 +1251,13 @@ mod tests {
             mode: WriteMode::Stream,
         };
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, 50);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(&kb, SourceRef::CacheRead(CacheId(0)), SinkRef::FuIn(FuId(0), InPort::B));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch
+            .route(&kb, SourceRef::CacheRead(CacheId(0)), SinkRef::FuIn(FuId(0), InPort::B))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         assert_identical(
             &kb,
             &ins,
@@ -1279,8 +1285,10 @@ mod tests {
         };
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 128);
         *ins.cache_wr_mut(CacheId(0)) = CacheDmaField::scalar_capture(7);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(2), InPort::A));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(2)), SinkRef::CacheWrite(CacheId(0)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(2), InPort::A))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(2)), SinkRef::CacheWrite(CacheId(0))).unwrap();
         assert_identical(
             &kb,
             &ins,
@@ -1297,12 +1305,16 @@ mod tests {
         let mut ins = MicroInstruction::empty(&kb);
         *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Sub);
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 10);
-        *ins.sdu_mut(SduId(0)) = SduField::with_delays(&[0, 3]);
+        *ins.sdu_mut(SduId(0)) = SduField::with_delays(&[0, 3]).unwrap();
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, 7);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::SduIn(SduId(0)));
-        ins.switch.route(&kb, SourceRef::SduTap(SduId(0), 0), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(&kb, SourceRef::SduTap(SduId(0), 1), SinkRef::FuIn(FuId(0), InPort::B));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::SduIn(SduId(0))).unwrap();
+        ins.switch
+            .route(&kb, SourceRef::SduTap(SduId(0), 0), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch
+            .route(&kb, SourceRef::SduTap(SduId(0), 1), SinkRef::FuIn(FuId(0), InPort::B))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         assert_identical(
             &kb,
             &ins,
@@ -1326,10 +1338,14 @@ mod tests {
         };
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 5);
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, 5);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::FuIn(FuId(3), InPort::A));
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(3), InPort::B));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(3)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::FuIn(FuId(3), InPort::A)).unwrap();
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(3), InPort::B))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(3)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         assert_identical(
             &kb,
             &ins,
@@ -1345,8 +1361,10 @@ mod tests {
         *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Recip);
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 3);
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, 3);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         assert_identical(
             &kb,
             &ins,
@@ -1388,7 +1406,7 @@ mod tests {
             buffer: 0,
             mode: WriteMode::Stream,
         };
-        *ins.sdu_mut(SduId(0)) = SduField::with_delays(&[0, p, 2 * p]);
+        *ins.sdu_mut(SduId(0)) = SduField::with_delays(&[0, p, 2 * p]).unwrap();
         *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Add);
         *ins.fu_mut(FuId(1)) = FuField::active(FuOp::Sub);
         *ins.fu_mut(FuId(2)) = FuField::active(FuOp::Mul);
@@ -1435,7 +1453,7 @@ mod tests {
             (SourceRef::Fu(FuId(4)), SinkRef::CacheWrite(CacheId(1))),
         ];
         for (from, to) in routes {
-            ins.switch.route(kb, from, to);
+            ins.switch.route(kb, from, to).unwrap();
         }
         ins
     }
@@ -1543,7 +1561,7 @@ mod tests {
             preload: Some(42.0),
         };
         *ins.cache_wr_mut(CacheId(0)) = CacheDmaField::scalar_capture(3);
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::CacheWrite(CacheId(0)));
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::CacheWrite(CacheId(0))).unwrap();
         assert_identical(&kb, &ins, |_| {}, &[(Store::Cache(0, 0), 3, 1)]);
     }
 
@@ -1576,8 +1594,10 @@ mod tests {
             skip: 0,
             mode: WriteMode::Stream,
         };
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         assert_identical(
             &kb,
             &ins,
@@ -1600,8 +1620,10 @@ mod tests {
         *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Neg);
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 8);
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, 8);
-        ins.switch.route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(&kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         assert_identical(
             &kb,
             &ins,
@@ -1627,7 +1649,7 @@ mod tests {
         // Write on top of the read range in the same plane.
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::idle();
         *ins.plane_wr_mut(PlaneId(0)) = PlaneDmaField::contiguous(8, 16);
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(0)));
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(0))).unwrap();
         assert!(plan_instruction(&kb, &ins).is_none());
     }
 
@@ -1649,8 +1671,10 @@ mod tests {
         };
         *ins.cache_rd_mut(CacheId(0)) = dma(0, 0);
         *ins.cache_wr_mut(CacheId(0)) = dma(8, 2);
-        ins.switch.route(&kb, SourceRef::CacheRead(CacheId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::CacheWrite(CacheId(0)));
+        ins.switch
+            .route(&kb, SourceRef::CacheRead(CacheId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::CacheWrite(CacheId(0))).unwrap();
         assert!(plan_instruction(&kb, &ins).is_none());
     }
 
@@ -1661,7 +1685,7 @@ mod tests {
         // Same plane, disjoint ranges: stays specialized.
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::idle();
         *ins.plane_wr_mut(PlaneId(0)) = PlaneDmaField::contiguous(100, 16);
-        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(0)));
+        ins.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(0))).unwrap();
         assert_identical(
             &kb,
             &ins,
@@ -1703,12 +1727,16 @@ mod tests {
         };
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(1000, 300);
         *ins.cache_wr_mut(CacheId(1)) = CacheDmaField::scalar_capture(5);
-        ins.switch.route(kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(kb, SourceRef::CacheRead(CacheId(0)), SinkRef::FuIn(FuId(0), InPort::B));
-        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::FuIn(FuId(1), InPort::A));
-        ins.switch.route(kb, SourceRef::Fu(FuId(1)), SinkRef::FuIn(FuId(2), InPort::A));
-        ins.switch.route(kb, SourceRef::Fu(FuId(1)), SinkRef::PlaneWrite(PlaneId(1)));
-        ins.switch.route(kb, SourceRef::Fu(FuId(2)), SinkRef::CacheWrite(CacheId(1)));
+        ins.switch
+            .route(kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch
+            .route(kb, SourceRef::CacheRead(CacheId(0)), SinkRef::FuIn(FuId(0), InPort::B))
+            .unwrap();
+        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::FuIn(FuId(1), InPort::A)).unwrap();
+        ins.switch.route(kb, SourceRef::Fu(FuId(1)), SinkRef::FuIn(FuId(2), InPort::A)).unwrap();
+        ins.switch.route(kb, SourceRef::Fu(FuId(1)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
+        ins.switch.route(kb, SourceRef::Fu(FuId(2)), SinkRef::CacheWrite(CacheId(1))).unwrap();
         let mut b = nsc_microcode::ProgramBuilder::new(kb, "long");
         b.push(ins);
         b.finish()
@@ -1721,8 +1749,10 @@ mod tests {
         *ins.fu_mut(FuId(0)) = FuField::active(FuOp::Neg);
         *ins.plane_rd_mut(PlaneId(1)) = PlaneDmaField::contiguous(1000, 7);
         *ins.plane_wr_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, 7);
-        ins.switch.route(kb, SourceRef::PlaneRead(PlaneId(1)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(0)));
+        ins.switch
+            .route(kb, SourceRef::PlaneRead(PlaneId(1)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(0))).unwrap();
         let mut b = nsc_microcode::ProgramBuilder::new(kb, "short");
         b.push(ins);
         b.finish()

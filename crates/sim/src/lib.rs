@@ -2,10 +2,9 @@
 //!
 //! The machine the paper targets was never completed — "there is no means
 //! of running actual NSC programs" (§4) — so this crate provides the
-//! substitute substrate (DESIGN.md substitution table): a functional,
-//! cycle-level model of one NSC node that executes the microcode emitted by
-//! `nsc-codegen`, plus the hypercube system of nodes connected by the
-//! hyperspace router.
+//! substitute substrate: a functional, cycle-level model of one NSC node
+//! that executes the microcode emitted by `nsc-codegen`, plus the
+//! hypercube system of nodes connected by the hyperspace router.
 //!
 //! The node model follows §2 exactly:
 //!

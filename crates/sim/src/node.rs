@@ -205,12 +205,10 @@ mod tests {
         };
         *ins.plane_rd_mut(PlaneId(from)) = PlaneDmaField::contiguous(0, count);
         *ins.plane_wr_mut(PlaneId(to)) = PlaneDmaField::contiguous(0, count);
-        ins.switch.route(
-            kb,
-            SourceRef::PlaneRead(PlaneId(from)),
-            SinkRef::FuIn(FuId(0), InPort::A),
-        );
-        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(to)));
+        ins.switch
+            .route(kb, SourceRef::PlaneRead(PlaneId(from)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(to))).unwrap();
         ins
     }
 
@@ -263,7 +261,7 @@ mod tests {
         let mut halve = scale_instr(&kb, 0, 1, 1, 0.5);
         // Also capture the halved value into cache 0.
         *halve.cache_wr_mut(CacheId(0)) = CacheDmaField::scalar_capture(0);
-        halve.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::CacheWrite(CacheId(0)));
+        halve.switch.route(&kb, SourceRef::Fu(FuId(0)), SinkRef::CacheWrite(CacheId(0))).unwrap();
         b.push(halve);
         let back = b.push(scale_instr(&kb, 1, 0, 1, 1.0));
         b.instr_mut(back).seq.cond = Some(CondBranch {

@@ -270,8 +270,10 @@ mod tests {
         };
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, count);
         *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, count);
-        ins.switch.route(kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A));
-        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1)));
+        ins.switch
+            .route(kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+            .unwrap();
+        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
         b.push(ins);
         b.finish()
     }

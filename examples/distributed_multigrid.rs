@@ -11,17 +11,15 @@
 //! exchanges through the hyperspace router; restriction and prolongation
 //! cross block boundaries through one ghost layer.
 //!
-//! The distributed solve is **bit-identical** to the serial
-//! `MultigridWorkload` — iterate and residual history — at every cube
-//! size, which this example asserts. The smoother hides each face
+//! The distributed solve is **bit-identical** to the serial host V-cycle
+//! (`vcycle`) — iterate and residual history — at every cube size, which
+//! this example asserts. The smoother hides each face
 //! exchange under its interior pipelines.
 //!
 //! Run with: `cargo run --release --example distributed_multigrid`
 
 use nsc::arch::HypercubeConfig;
-use nsc::cfd::{
-    grid::manufactured_problem, DistributedMultigridWorkload, MgOptions, MultigridWorkload,
-};
+use nsc::cfd::{grid::manufactured_problem, vcycle, DistributedMultigridWorkload, MgOptions};
 use nsc::env::{Session, Workload};
 use nsc::sim::NscSystem;
 
@@ -30,24 +28,17 @@ fn main() {
     let tol = 1e-8;
     let session = Session::nsc_1988();
 
-    // The serial reference: host V-cycles, NSC-priced smoothing.
+    // The serial reference: V-cycles on the host.
     let (u0, f, exact) = manufactured_problem(n);
-    let serial = MultigridWorkload {
-        u0: u0.clone(),
-        f: f.clone(),
-        tol,
-        max_cycles: 25,
-        opts: MgOptions::default(),
-    };
-    let mut node = session.node();
-    let sref = serial.execute(&session, &mut node).expect("serial multigrid");
-    assert!(sref.converged);
+    let mut serial_u = u0.clone();
+    let serial = vcycle(&mut serial_u, &f, tol, 25, &MgOptions::default());
+    assert!(serial.residual_history.last().is_some_and(|&r| r < tol));
     println!(
         "serial multigrid V(2,2), {n}^3 Poisson, tol {tol:e}: {} cycles, \
          {:.1} fine-grid-equivalent sweeps, err {:.3e}\n",
-        sref.stats.cycles,
-        sref.stats.fine_equivalent_sweeps,
-        sref.u.linf_diff(&exact)
+        serial.cycles,
+        serial.fine_equivalent_sweeps,
+        serial_u.linf_diff(&exact)
     );
 
     println!("nodes   torus   dist levels   cycles   aggregate MFLOPS   simulated ms");
@@ -74,13 +65,13 @@ fn main() {
             run.simulated_seconds * 1e3,
         );
 
-        // The acceptance bar: bit-identical to the serial workload, down
-        // to the residual history.
-        assert_eq!(run.stats.cycles, sref.stats.cycles);
-        for (a, b) in run.u.data.iter().zip(&sref.u.data) {
+        // The acceptance bar: bit-identical to the serial V-cycle, down to
+        // the residual history.
+        assert_eq!(run.stats.cycles, serial.cycles);
+        for (a, b) in run.u.data.iter().zip(&serial_u.data) {
             assert_eq!(a.to_bits(), b.to_bits(), "iterate diverged from serial");
         }
-        for (a, b) in run.stats.residual_history.iter().zip(&sref.stats.residual_history) {
+        for (a, b) in run.stats.residual_history.iter().zip(&serial.residual_history) {
             assert_eq!(a.to_bits(), b.to_bits(), "residual history diverged");
         }
     }

@@ -35,9 +35,13 @@ fn saturated_program(kb: &KnowledgeBase, count: u32) -> nsc::microcode::MicroPro
                 preload: Some(1.000001),
             };
             let src = if i == 0 { SourceRef::PlaneRead(read) } else { SourceRef::Fu(fus[i - 1]) };
-            ins.switch.route(kb, src, SinkRef::FuIn(fu, InPort::A));
+            ins.switch
+                .route(kb, src, SinkRef::FuIn(fu, InPort::A))
+                .expect("the 1988 machine has this port");
         }
-        ins.switch.route(kb, SourceRef::Fu(fus[7]), SinkRef::PlaneWrite(write));
+        ins.switch
+            .route(kb, SourceRef::Fu(fus[7]), SinkRef::PlaneWrite(write))
+            .expect("the 1988 machine has this port");
     }
     ins.seq = nsc::microcode::SequencerField::halt();
     let mut b = ProgramBuilder::new(kb, "saturate");

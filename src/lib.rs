@@ -22,8 +22,8 @@
 //! | [`park`] | `nsc-park` | machine-park job service: queue, schedule, and serve many workloads on one machine |
 //! | [`ensemble`] | `nsc-ensemble` | compile-once parameter sweeps over the machine park |
 //!
-//! See `README.md` for the quickstart, `DESIGN.md` for the system
-//! inventory, and `EXPERIMENTS.md` for the paper-versus-measured record.
+//! See `README.md` for the quickstart and `ARCHITECTURE.md` for the crate
+//! map, the compile pipeline and the two timing domains.
 
 pub use nsc_arch as arch;
 pub use nsc_cert as cert;

@@ -27,7 +27,7 @@ proptest! {
         let mask = (cube.nodes() - 1) as u16;
         let from = NodeId(a & mask);
         let to = NodeId(b & mask);
-        let route = cube.ecube_route(from, to);
+        let route = HypercubeConfig::ecube_route(from, to);
         prop_assert_eq!(route.len() as u32 - 1, cube.hops(from, to), "minimal route");
         prop_assert_eq!(route.first(), Some(&from));
         prop_assert_eq!(route.last(), Some(&to));
