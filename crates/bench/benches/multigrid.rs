@@ -19,7 +19,7 @@ fn report() {
         }
     }
     let (mut u, f2, _) = manufactured_problem(n);
-    let stats = vcycle(&mut u, &f2, tol, 50, &MgOptions::default());
+    let stats = vcycle(&mut u, &f2, tol, 50, &MgOptions::default()).expect("17^3 cycles");
     eprintln!("{n}^3 Poisson to {tol:e}:");
     eprintln!("  point Jacobi : {jacobi_sweeps} sweeps");
     eprintln!(
@@ -40,7 +40,7 @@ fn bench(c: &mut Criterion) {
     c.bench_function("host_vcycle_17", |b| {
         b.iter(|| {
             let (mut u, f2, _) = manufactured_problem(17);
-            vcycle(&mut u, &f2, 0.0, 1, &MgOptions::default()).cycles
+            vcycle(&mut u, &f2, 0.0, 1, &MgOptions::default()).expect("17^3 cycles").cycles
         })
     });
 }

@@ -83,10 +83,11 @@ struct Baseline {
 const WALL_CLOCK: [&str; 3] = ["host", "cert.certs_per_second", "cert.audit_speedup"];
 
 /// The kernel fast path must beat the interpreter's host wall-clock by at
-/// least this factor on the gate workload (Jacobi 64^3 @ 8 nodes): the
-/// lowest of 26 runs on a 2-vCPU Xeon host with chunked stage evaluation
-/// (8.9x; the rest 9.3–14x) less 30%, rounded down to a half.
-const REQUIRED_KERNEL_SPEEDUP: f64 = 6.0;
+/// least this factor on the gate workload (Jacobi 64^3 @ 8 nodes). With
+/// vectorized stage loops and the blocked `MaxAbs` fold, 12 runs on a
+/// 2-vCPU Xeon host read 15.0–25.9x (median 22x); the floor sits a third
+/// below the lowest, as the 6x floor sat below the scalar loops' 8.9x.
+const REQUIRED_KERNEL_SPEEDUP: f64 = 10.0;
 
 /// On the benchmark ensemble sweep, at least this fraction of compiles
 /// must be served from the session cache (full digest hits plus preload

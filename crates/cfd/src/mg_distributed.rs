@@ -37,7 +37,8 @@ use crate::diagrams::{
 use crate::distributed::{check_same_machine, measure_system_run};
 use crate::grid::{check_problem, Grid3, PaddedField};
 use crate::multigrid::{
-    full_weight_at, lap_at, prolong_value, restrict, vcycle_level, MgOptions, MgStats,
+    check_vcycle_grid, full_weight_at, lap_at, prolong_value, restrict, vcycle_level, MgOptions,
+    MgStats,
 };
 use crate::overlap::{CompiledSweep, SweepEngine, SweepIo};
 use crate::partition::{
@@ -445,14 +446,9 @@ impl Workload for DistributedMultigridWorkload {
         system: &mut NscSystem,
     ) -> Result<DistributedMultigridRun, NscError> {
         check_same_machine(session, &system.nodes()[0])?;
-        let n = self.u0.nx;
-        if n != self.u0.ny || n != self.u0.nz || n < 5 || !(n - 1).is_power_of_two() {
-            return Err(NscError::Workload(format!(
-                "distributed multigrid wants a cubic 2^m + 1 grid of at least 5^3, got {}x{}x{}",
-                self.u0.nx, self.u0.ny, self.u0.nz
-            )));
-        }
+        check_vcycle_grid(&self.u0, 5)?;
         check_problem(&self.u0, &self.f)?;
+        let n = self.u0.nx;
         let levels = build_levels(session, system, n, self.u0.h, self.opts.omega)?;
         let before: Vec<PerfCounters> = system.nodes().iter().map(|nd| nd.counters).collect();
 
@@ -515,7 +511,8 @@ mod tests {
         let n = 17;
         let tol = 1e-8;
         let (mut serial_u, f, _) = manufactured_problem(n);
-        let serial_stats = vcycle(&mut serial_u, &f, tol, 25, &MgOptions::default());
+        let serial_stats =
+            vcycle(&mut serial_u, &f, tol, 25, &MgOptions::default()).expect("serial cycles");
         assert!(serial_stats.residual_history.last().is_some_and(|&r| r < tol));
         let session = Session::nsc_1988();
         for dim in [0u32, 2, 3] {

@@ -8,8 +8,9 @@
 //! Jacobi on the simulated NSC: multigrid needs orders of magnitude fewer
 //! fine-grid sweeps, exactly the motivation of ref. \[6\].
 
-use crate::grid::Grid3;
+use crate::grid::{check_problem, Grid3};
 use crate::host::{damped_jacobi_update_tree, residual_linf};
+use nsc_core::NscError;
 
 /// Multigrid parameters.
 #[derive(Debug, Clone, Copy)]
@@ -223,10 +224,34 @@ pub(crate) fn vcycle_level(
     stats.fine_equivalent_sweeps += opts.nu2 as f64 * weight;
 }
 
+/// Refuse a grid the V-cycle cannot coarsen down to its `3^3` level: it
+/// must be cubic, with `2^m + 1` points a side and at least `min_side`
+/// (3 or more).
+pub(crate) fn check_vcycle_grid(u: &Grid3, min_side: usize) -> Result<(), NscError> {
+    let n = u.nx;
+    if n != u.ny || n != u.nz || n < min_side || !(n - 1).is_power_of_two() {
+        return Err(NscError::Workload(format!(
+            "multigrid wants a cubic 2^m + 1 grid of at least {min_side}^3, got {}x{}x{}",
+            u.nx, u.ny, u.nz
+        )));
+    }
+    Ok(())
+}
+
 /// Run V-cycles until the residual max-norm drops below `tol` (or
-/// `max_cycles`). Grid size must be `2^m + 1`.
-pub fn vcycle(u: &mut Grid3, f: &Grid3, tol: f64, max_cycles: usize, opts: &MgOptions) -> MgStats {
-    assert!((u.nx - 1).is_power_of_two(), "multigrid wants 2^m + 1 grids");
+/// `max_cycles`). The grid must be cubic with `2^m + 1` points a side,
+/// and `f` must match it: any other shape, or a `data` length that
+/// disagrees with the sides, is refused with [`NscError::Workload`]
+/// before `u` is touched.
+pub fn vcycle(
+    u: &mut Grid3,
+    f: &Grid3,
+    tol: f64,
+    max_cycles: usize,
+    opts: &MgOptions,
+) -> Result<MgStats, NscError> {
+    check_vcycle_grid(u, 3)?;
+    check_problem(u, f)?;
     let mut stats = MgStats::default();
     let fine_points = u.len() as f64;
     for _ in 0..max_cycles {
@@ -238,7 +263,7 @@ pub fn vcycle(u: &mut Grid3, f: &Grid3, tol: f64, max_cycles: usize, opts: &MgOp
             break;
         }
     }
-    stats
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -283,7 +308,7 @@ mod tests {
     #[test]
     fn vcycles_converge_fast() {
         let (mut u, f, exact) = manufactured_problem(17);
-        let stats = vcycle(&mut u, &f, 1e-8, 25, &MgOptions::default());
+        let stats = vcycle(&mut u, &f, 1e-8, 25, &MgOptions::default()).expect("17^3 cycles");
         assert!(
             *stats.residual_history.last().unwrap() < 1e-8,
             "history: {:?}",
@@ -296,7 +321,7 @@ mod tests {
     #[test]
     fn each_cycle_contracts_the_residual() {
         let (mut u, f, _) = manufactured_problem(17);
-        let stats = vcycle(&mut u, &f, 0.0, 6, &MgOptions::default());
+        let stats = vcycle(&mut u, &f, 0.0, 6, &MgOptions::default()).expect("17^3 cycles");
         for w in stats.residual_history.windows(2) {
             assert!(w[1] < w[0] * 0.7, "weak contraction: {} -> {}", w[0], w[1]);
         }
@@ -306,7 +331,7 @@ mod tests {
     fn multigrid_work_is_far_below_jacobi_work() {
         let (mut u, f, _) = manufactured_problem(17);
         let tol = 1e-7;
-        let stats = vcycle(&mut u, &f, tol, 40, &MgOptions::default());
+        let stats = vcycle(&mut u, &f, tol, 40, &MgOptions::default()).expect("17^3 cycles");
         // Jacobi sweeps to the same tolerance (counted on the host).
         let (u0, f2, _) = manufactured_problem(17);
         let mut state = crate::host::JacobiHostState::new(&u0, &f2);

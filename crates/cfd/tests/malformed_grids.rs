@@ -3,18 +3,20 @@
 //! with `NscError::Workload` before it writes a plane, runs an
 //! instruction or charges a message — it neither panics nor computes over
 //! a zero-filled tail. So is a grid with a side below the three points a
-//! stencil needs, a node whose machine differs from the session's, a
-//! system lacking one of the partition's nodes, and host slabs that are
-//! not one per part, at every halo exchange entry point.
+//! stencil needs, a grid the V-cycle cannot coarsen, a node whose machine
+//! differs from the session's, a system lacking one of the partition's
+//! nodes, and host slabs that are not one per part, at every halo
+//! exchange entry point.
 
 use nsc_arch::{HypercubeConfig, KnowledgeBase, MachineConfig, SubsetModel};
 use nsc_cfd::diagrams::PLANE_U0;
 use nsc_cfd::grid::manufactured_problem;
 use nsc_cfd::host::FtcsCoeffs;
 use nsc_cfd::{
-    host_halo_exchange, run_jacobi, DistributedJacobiWorkload, DistributedMultigridWorkload,
-    DistributedSorWorkload, Grid2, Grid3, GridShape, HaloSpec, JacobiVariant, MgOptions, Partition,
-    PartitionSpec, Poisson2dSolver, StripPartition, SweepEngine, VorticityTransport,
+    host_halo_exchange, run_jacobi, vcycle, DistributedJacobiWorkload,
+    DistributedMultigridWorkload, DistributedSorWorkload, Grid2, Grid3, GridShape, HaloSpec,
+    JacobiVariant, MgOptions, Partition, PartitionSpec, Poisson2dSolver, StripPartition,
+    SweepEngine, VorticityTransport,
 };
 use nsc_core::{NscError, Session, Workload};
 use nsc_sim::{NodeSim, NscSystem, PerfCounters};
@@ -81,6 +83,24 @@ fn distributed_multigrid_refuses_a_short_grid_untouched() {
         DistributedMultigridWorkload { u0, f, tol: 0.0, max_cycles: 1, opts: MgOptions::default() };
     assert_workload_error(w.execute(&session, &mut sys));
     assert_eq!(footprint(&sys), before);
+}
+
+#[test]
+fn serial_vcycle_refuses_a_bad_shape_untouched() {
+    // The manufactured 8^3 problem (8 - 1 = 7 is not 2^m), 9^3 grids with
+    // one side off, and a 9^3 iterate one word short.
+    let (u0, f, _) = manufactured_problem(8);
+    let mut cases = vec![(u0, f)];
+    for (nx, ny, nz) in [(17, 9, 9), (9, 8, 9), (9, 9, 17)] {
+        let grid = Grid3 { nx, ny, nz, h: 0.125, data: vec![0.25; nx * ny * nz] };
+        cases.push((grid.clone(), grid));
+    }
+    cases.push(short_problem(9));
+    for (mut u, f) in cases {
+        let before = u.clone();
+        assert_workload_error(vcycle(&mut u, &f, 0.0, 1, &MgOptions::default()));
+        assert_eq!(u, before, "{}x{}x{}", u.nx, u.ny, u.nz);
+    }
 }
 
 /// A grid with no interior along some side, whose `data` length matches

@@ -715,13 +715,16 @@ impl<'a> Ctx<'a> {
                     ),
                 );
             }
+            // A tap delays by less than the buffer's length: the bound the
+            // certificate verifier holds an SDU field to, and on the 1988
+            // machine the largest delay its 14-bit tap field encodes.
             for &delay in &taps {
-                if delay as u32 > cfg.sdu.buffer_words {
+                if delay as u32 >= cfg.sdu.buffer_words {
                     self.err(
                         RuleCode::SduDelayRange,
                         subject,
                         format!(
-                            "tap delay {delay} exceeds the {}-word delay buffer",
+                            "tap delay {delay} does not fit the {}-word delay buffer",
                             cfg.sdu.buffer_words
                         ),
                     );
@@ -1311,12 +1314,12 @@ mod tests {
         d.set_sdu_taps(sdu, vec![0, 1, 2, 3, 4]).unwrap();
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
         assert!(fires_err(&diags, RuleCode::SduTapCount));
-        // Delay beyond buffer.
-        d.set_sdu_taps(sdu, vec![0xFFFF_u16 >> 2]).unwrap(); // 16383 <= 16384 ok
-        d.set_sdu_taps(sdu, vec![16385]).unwrap_or(());
-        // 16385 does not fit u16? it does (< 65536). Buffer is 16384.
-        let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::SduDelayRange));
+        // A delay must stay below the 16384-word buffer.
+        for (delay, fires) in [(16383, false), (16384, true), (16385, true)] {
+            d.set_sdu_taps(sdu, vec![delay]).unwrap();
+            let diags = check_pipeline(&kb, &d, Stage::Incremental);
+            assert_eq!(fires_err(&diags, RuleCode::SduDelayRange), fires, "delay {delay}");
+        }
         // SDU fed from an ALS is refused.
         let als = d.add_icon(IconKind::als(AlsKind::Singlet));
         d.set_sdu_taps(sdu, vec![0]).unwrap();

@@ -377,6 +377,44 @@ mod tests {
         }
     }
 
+    /// The largest tap delay the checker lets through is one that
+    /// generates and encodes: one word short of the SDU's buffer, which on
+    /// the 1988 machine is also the largest its 14-bit tap field holds.
+    #[test]
+    fn sdu_delays_the_checker_passes_encode() {
+        use nsc_checker::RuleCode;
+        let kb = kb();
+        let buffer = kb.config().sdu.buffer_words as u16;
+        for delay in [buffer - 1, buffer] {
+            let (mut doc, pid) = doc_with_pipeline(&kb);
+            let d = doc.pipeline_mut(pid).unwrap();
+            d.stream_len = u64::from(buffer) + 16;
+            let src = d.icons().next().expect("the source plane").id;
+            let sdu = d.add_icon(IconKind::sdu());
+            let dst = d.add_icon(IconKind::memory());
+            nsc_checker::auto_bind(&kb, d, &Declarations::default());
+            d.set_sdu_taps(sdu, vec![delay]).unwrap();
+            let into = PadLoc::new(sdu, PadRef::SduIn);
+            d.connect(PadLoc::new(src, PadRef::Io), into, Some(DmaAttrs::at_address(0))).unwrap();
+            let out = PadLoc::new(sdu, PadRef::SduTap { tap: 0 });
+            d.connect(out, PadLoc::new(dst, PadRef::Io), Some(DmaAttrs::at_address(0))).unwrap();
+            let generated = generate(&kb, &doc);
+            if delay < buffer {
+                let gen = generated.expect("the largest legal delay generates");
+                assert_eq!(gen.program.instrs[0].sdus[0].taps[0].delay, delay);
+                assert_eq!(gen.program.encode(&kb).len(), gen.program.len());
+            } else {
+                match generated {
+                    Err(GenError::CheckFailed(diags)) => assert!(
+                        diags.iter().any(|d| d.rule == RuleCode::SduDelayRange),
+                        "{diags:?}"
+                    ),
+                    other => panic!("delay {delay}: {:?}", other.map(|_| "generated")),
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_document_reports() {
         let kb = kb();

@@ -34,6 +34,20 @@
 //! leads, whatever its window length; an instruction shorter than one
 //! chunk runs as a single step.
 //!
+//! A stage's element loop zips its operand streams, each sliced to the
+//! chunk, so the compiler drops the bounds checks and vectorizes the
+//! interpreter's own arithmetic. Two details keep the vector loops
+//! bit-identical. The compiler may swap the operands of `+`, `*`, `max`
+//! and `min`, which changes only which payload a NaN result carries, so a
+//! chunk that makes a NaN is redone one element at a time, as the
+//! interpreter computes it. And a feedback stage folds sequentially, each
+//! result feeding the next, but the residual fold `MaxAbs` puts only one
+//! `max` per block of eight elements on that chain: from a carry that is
+//! neither NaN nor −0 its running maximum does not depend on the order of
+//! the `max`es, so each block forms its own prefix maxima first (see
+//! `max_abs_fold`). Any other fold, or a carry that is NaN or −0, runs the
+//! serial loop.
+//!
 //! Instructions whose behaviour cannot be proven equivalent statically
 //! (wire cycles, DMA ranges that overlap within the instruction,
 //! under-supplied stream writes that would hang, malformed programs) are
@@ -938,23 +952,48 @@ fn prepare<'b>(slots: &'b mut Vec<Slot>, p: &PipelinePlan) -> &'b mut [Slot] {
     slots
 }
 
-/// One vectorizable element loop: the operation dispatch is hoisted out of
-/// the loop, the buffer is filled by one exact-size `extend`, and the hot
-/// arithmetic is expressed exactly as [`FuOp::apply`] does it so results
-/// stay bit-identical.
-#[inline]
-fn run_loop(
-    op: FuOp,
-    cv: f64,
-    n: usize,
-    a: impl Fn(usize) -> f64,
-    b: impl Fn(usize) -> f64,
-    out: &mut Vec<f64>,
-) {
+/// One functional-unit operand over a chunk: the stream's `n` elements, a
+/// register-file constant, or the feedback accumulator.
+#[derive(Clone, Copy)]
+enum Side<'s> {
+    S(&'s [f64]),
+    C(f64),
+    Acc,
+}
+
+/// One vectorizable element loop per operation and operand pairing, which
+/// appends the chunk's `n` results to `out` and returns how many are not
+/// finite. The dispatch is hoisted out of the loop, each stream is sliced
+/// to the chunk and the slices are zipped, so the loop keeps no bounds
+/// check, and the buffer grows by one exact-size `extend`. The arithmetic
+/// is written exactly as [`FuOp::apply`] writes it, so every result that
+/// is not a NaN is bit-identical to the interpreter's.
+///
+/// A NaN's payload may not be: the compiler treats `+`, `*`, `max` and
+/// `min` as commutative and may swap their operands in vector code, and
+/// given two NaNs the hardware returns one operand's payload (x86 the
+/// first's). The caller redoes a chunk that made a NaN with
+/// [`scalar_loop`].
+fn run_loop(op: FuOp, cv: f64, n: usize, a: Side, b: Side, out: &mut Vec<f64>) -> usize {
     macro_rules! go {
         ($f:expr) => {{
             let f = $f;
-            out.extend((0..n).map(|k| f(a(k), b(k))));
+            // Counting in the loop spares a second pass over the results.
+            let mut non_finite = 0;
+            let mut count = |r: f64| {
+                non_finite += usize::from(!r.is_finite());
+                r
+            };
+            match (a, b) {
+                (Side::S(a), Side::S(b)) => {
+                    out.extend(a[..n].iter().zip(&b[..n]).map(|(&x, &y)| count(f(x, y))))
+                }
+                (Side::S(a), Side::C(y)) => out.extend(a[..n].iter().map(|&x| count(f(x, y)))),
+                (Side::C(x), Side::S(b)) => out.extend(b[..n].iter().map(|&y| count(f(x, y)))),
+                (Side::C(x), Side::C(y)) => out.extend((0..n).map(|_| count(f(x, y)))),
+                (Side::Acc, _) | (_, Side::Acc) => unreachable!("feedback stages fold"),
+            }
+            non_finite
         }};
     }
     match op {
@@ -975,6 +1014,59 @@ fn run_loop(
     }
 }
 
+/// The element loop as the interpreter runs it: [`FuOp::apply`] on one
+/// element at a time, the accumulator (`acc` on entry) set to every
+/// result. It folds feedback stages and redoes a [`run_loop`] chunk that
+/// made a NaN.
+fn scalar_loop(op: FuOp, cv: f64, n: usize, a: Side, b: Side, mut acc: f64, out: &mut Vec<f64>) {
+    let fetch = |s: Side, k: usize, acc: f64| match s {
+        Side::S(v) => v[k],
+        Side::C(c) => c,
+        Side::Acc => acc,
+    };
+    for k in 0..n {
+        acc = op.apply(fetch(a, k, acc), fetch(b, k, acc), cv);
+        out.push(acc);
+    }
+}
+
+/// Elements per block of the blocked `MaxAbs` fold.
+const FOLD_BLOCK: usize = 8;
+
+/// A `MaxAbs` feedback stage's chunk, `r[k] = |x[k]|.max(r[k - 1])` from
+/// `r[-1] = carry`, with one `max` per [`FOLD_BLOCK`] elements on the
+/// carry's dependency chain instead of one per element: each block takes
+/// the prefix maxima of its own `|x|`, then each prefix takes one `max`
+/// with the carry, and the block's last result carries on.
+///
+/// This is exact when the carry is neither NaN nor −0, which the caller
+/// checks. `f64::max` returns its non-NaN operand, so each serial result
+/// is then the largest of the carry and the non-NaN `|x|` so far, and the
+/// blocked loop, which starts each prefix at `-inf`, takes the largest of
+/// the same values. No order of `max`es changes that value's bits: none
+/// of the values is NaN or −0 (`|x|` never is), and two of them that
+/// compare equal have equal bits. Each result is again neither NaN nor
+/// −0, so every later carry meets the condition too.
+fn max_abs_fold(x: &[f64], mut carry: f64, out: &mut Vec<f64>) {
+    let mut blocks = x.chunks_exact(FOLD_BLOCK);
+    for block in &mut blocks {
+        // A prefix starts at `-inf`, which `max` with any non-NaN `|x|`
+        // drops; a prefix of NaNs alone stays `-inf` and leaves the carry.
+        let mut prefix = [0.0; FOLD_BLOCK];
+        let mut m = f64::NEG_INFINITY;
+        for (p, &v) in prefix.iter_mut().zip(block) {
+            m = v.abs().max(m);
+            *p = m;
+        }
+        out.extend(prefix.map(|p| p.max(carry)));
+        carry = out[out.len() - 1];
+    }
+    for &v in blocks.remainder() {
+        carry = v.abs().max(carry);
+        out.push(carry);
+    }
+}
+
 /// Stage `st`'s share of the chunk step from `pos` to `next`: the
 /// elements its slot gains, computed from operand slots that earlier
 /// reads and stages have already run far enough ahead. Non-finite results
@@ -987,11 +1079,6 @@ fn eval_chunk(
     next: usize,
     exceptions: &mut u64,
 ) {
-    enum Side<'s> {
-        S(&'s [f64]),
-        C(f64),
-        Acc,
-    }
     let range = slots[st.out_slot].advance(plan, pos, next);
     let (from, n) = (range.start, range.len());
     if n == 0 {
@@ -1013,37 +1100,35 @@ fn eval_chunk(
     };
     let (a, b) = (side(&st.a), side(&st.b));
     let (op, cv, buf) = (st.op, st.const_val, &mut out.buf);
-    if st.uses_acc {
-        // Feedback reductions are inherently sequential: fold with the
-        // accumulator, updating it on every result like the interpreter,
-        // and carry it to the next chunk.
-        let fetch = |s: &Side, k: usize, acc: f64| -> f64 {
-            match s {
-                Side::S(v) => v[k],
-                Side::C(c) => *c,
-                Side::Acc => acc,
+    let start = buf.len();
+    let non_finite = if st.uses_acc {
+        // A feedback stage folds with the accumulator, set to every result
+        // as the interpreter sets it, and carries it to the next chunk.
+        let carry = if from == 0 { cv } else { out.acc };
+        match (op, a, b) {
+            // The blocked fold is exact only from a carry that is neither
+            // NaN nor −0 (see `max_abs_fold`).
+            (FuOp::MaxAbs, Side::S(x), Side::Acc)
+                if !carry.is_nan() && carry.to_bits() != (-0.0f64).to_bits() =>
+            {
+                max_abs_fold(x, carry, buf)
             }
-        };
-        let mut acc = if from == 0 { cv } else { out.acc };
-        for k in 0..n {
-            let r = op.apply(fetch(&a, k, acc), fetch(&b, k, acc), cv);
-            if !r.is_finite() {
-                *exceptions += 1;
-            }
-            acc = r;
-            buf.push(r);
+            _ => scalar_loop(op, cv, n, a, b, carry, buf),
         }
-        out.acc = acc;
+        out.acc = buf[buf.len() - 1];
+        buf[start..].iter().filter(|r| !r.is_finite()).count()
     } else {
-        match (a, b) {
-            (Side::S(a), Side::S(b)) => run_loop(op, cv, n, |k| a[k], |k| b[k], buf),
-            (Side::S(a), Side::C(b)) => run_loop(op, cv, n, |k| a[k], |_| b, buf),
-            (Side::C(a), Side::S(b)) => run_loop(op, cv, n, |_| a, |k| b[k], buf),
-            (Side::C(a), Side::C(b)) => run_loop(op, cv, n, |_| a, |_| b, buf),
-            (Side::Acc, _) | (_, Side::Acc) => unreachable!("feedback stages fold above"),
+        let non_finite = run_loop(op, cv, n, a, b, buf);
+        // Whether a result is NaN does not depend on operand order; which
+        // NaN it is may (see `run_loop`), so a chunk with a NaN is redone
+        // one element at a time.
+        if non_finite > 0 && buf[start..].iter().any(|r| r.is_nan()) {
+            buf.truncate(start);
+            scalar_loop(op, cv, n, a, b, 0.0, buf);
         }
-        *exceptions += buf[buf.len() - n..].iter().filter(|r| !r.is_finite()).count() as u64;
-    }
+        non_finite
+    };
+    *exceptions += non_finite as u64;
     slots[st.out_slot] = out;
 }
 
@@ -1138,15 +1223,18 @@ mod tests {
     use crate::exec::execute_instruction;
     use nsc_arch::{CacheId, FuId, InPort, MachineConfig, PlaneId, SduId};
     use nsc_microcode::{CacheDmaField, FuField, PlaneDmaField, SduField};
+    use proptest::prelude::*;
 
     fn kb() -> KnowledgeBase {
         KnowledgeBase::nsc_1988()
     }
 
     /// The chunk sizes every identity case runs at besides the plan's
-    /// own: one element per step, and small sizes that put chunk
-    /// boundaries at every offset of a short stream.
-    const FORCED_CHUNKS: [usize; 4] = [1, 2, 3, 7];
+    /// own: one element per step, small sizes that put chunk boundaries
+    /// at every offset of a short stream, and the `MaxAbs` fold's block,
+    /// one more, and two blocks plus one, so that folds run whole blocks,
+    /// remainders and chunk edges inside a block.
+    const FORCED_CHUNKS: [usize; 7] = [1, 2, 3, 7, FOLD_BLOCK, FOLD_BLOCK + 1, 2 * FOLD_BLOCK + 1];
 
     fn pipeline(plan: &InstrPlan) -> Option<&PipelinePlan> {
         match &plan.body {
@@ -1808,6 +1896,185 @@ mod tests {
             }
         }
         assert_ne!(long_outputs[0], long_outputs[1], "the second long run saw new input");
+    }
+
+    /// Operand bit patterns where a reordered loop could part from the
+    /// interpreter: both signed zeros, both infinities, quiet and
+    /// signalling NaNs of distinct payloads and both signs, subnormals,
+    /// and the largest finite values, whose sums and products overflow.
+    const EDGE_BITS: [u64; 18] = [
+        0x0000_0000_0000_0000, // +0
+        0x8000_0000_0000_0000, // -0
+        0x7ff0_0000_0000_0000, // +inf
+        0xfff0_0000_0000_0000, // -inf
+        0x7ff8_0000_0000_0000, // the default quiet NaN
+        0x7ff8_0000_0000_0001,
+        0x7ffc_0000_0000_beef,
+        0xfff8_0000_0000_0000,
+        0xfff8_0000_0000_dead,
+        0x7ff0_0000_0000_0001, // signalling
+        0xfff4_0000_0000_0000, // signalling, negative
+        0x0000_0000_0000_0001, // the smallest subnormal
+        0x800f_ffff_ffff_ffff, // the largest negative subnormal
+        0x0008_0000_0000_0000,
+        0x0010_0000_0000_0000, // the smallest normal
+        0x7fef_ffff_ffff_ffff, // f64::MAX
+        0xffef_ffff_ffff_ffff, // f64::MIN
+        0x3ff8_0000_0000_0000, // 1.5
+    ];
+
+    /// The operations a stage's vector loop or the blocked fold computes
+    /// that edge operands can tell apart.
+    const EDGE_OPS: [FuOp; 7] =
+        [FuOp::Add, FuOp::Sub, FuOp::Mul, FuOp::MulAddConst, FuOp::Max, FuOp::Min, FuOp::MaxAbs];
+
+    /// Longest stream an edge case draws.
+    const EDGE_LEN: usize = 100;
+
+    /// An edge operand half the time, an ordinary small value otherwise.
+    fn edge_operand() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0..EDGE_BITS.len()).prop_map(|i| f64::from_bits(EDGE_BITS[i])),
+            (-64i32..64).prop_map(|k| k as f64 / 8.0),
+        ]
+    }
+
+    /// A fold's seed: +0, −0, a NaN, either infinity, a subnormal, or a
+    /// finite value.
+    fn fold_seed() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::NAN),
+            Just(f64::from_bits(0xfff8_0000_0000_dead)),
+            Just(f64::NEG_INFINITY),
+            Just(f64::INFINITY),
+            Just(f64::from_bits(1)),
+            (-64i32..64).prop_map(|k| k as f64 / 8.0),
+        ]
+    }
+
+    /// `p1[0 .. len] = op(A, B)` on F0, whose operands are `p0[0 .. len]`
+    /// on A and `c0[0 .. len]` on B, except that the unit's constant `c`
+    /// stands in on B (`pairing` 1) or on A (`pairing` 2). `c` is also
+    /// `MulAddConst`'s addend.
+    fn edge_stage(
+        kb: &KnowledgeBase,
+        op: FuOp,
+        pairing: usize,
+        len: u32,
+        c: f64,
+    ) -> MicroInstruction {
+        let (in_a, in_b) = match pairing {
+            0 => (FuInputSel::Switch, FuInputSel::Switch),
+            1 => (FuInputSel::Switch, FuInputSel::Constant(0)),
+            _ => (FuInputSel::Constant(0), FuInputSel::Switch),
+        };
+        let mut ins = MicroInstruction::empty(kb);
+        *ins.fu_mut(FuId(0)) =
+            FuField { enabled: true, op, in_a, in_b, const_slot: 0, preload: Some(c) };
+        if in_a == FuInputSel::Switch {
+            *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, len);
+            ins.switch
+                .route(kb, SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A))
+                .unwrap();
+        }
+        if in_b == FuInputSel::Switch {
+            *ins.cache_rd_mut(CacheId(0)) = CacheDmaField {
+                enabled: true,
+                offset: 0,
+                stride: 1,
+                count: len as u16,
+                skip: 0,
+                buffer: 0,
+                mode: WriteMode::Stream,
+            };
+            ins.switch
+                .route(kb, SourceRef::CacheRead(CacheId(0)), SinkRef::FuIn(FuId(0), InPort::B))
+                .unwrap();
+        }
+        *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, len);
+        ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
+        ins
+    }
+
+    /// The running `max |p0[0 .. len]|` from `seed`, a `MaxAbs` fold on
+    /// F0: every result goes to `p1[0 .. len]`, the last also to `c1[3]`.
+    fn edge_fold(kb: &KnowledgeBase, len: u32, seed: f64) -> MicroInstruction {
+        let mut ins = MicroInstruction::empty(kb);
+        *ins.fu_mut(FuId(0)) = FuField {
+            enabled: true,
+            op: FuOp::MaxAbs,
+            in_a: FuInputSel::Switch,
+            in_b: FuInputSel::Feedback(0),
+            const_slot: 0,
+            preload: Some(seed),
+        };
+        *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, len);
+        *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, len);
+        *ins.cache_wr_mut(CacheId(1)) = CacheDmaField::scalar_capture(3);
+        let routes = [
+            (SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A)),
+            (SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))),
+            (SourceRef::Fu(FuId(0)), SinkRef::CacheWrite(CacheId(1))),
+        ];
+        for (from, to) in routes {
+            ins.switch.route(kb, from, to).unwrap();
+        }
+        ins
+    }
+
+    /// Memory holding `a` at `p0[0 ..]` and `b` at `c0[0 ..]`.
+    fn edge_inputs(m: &mut NodeMemory, a: &[f64], b: &[f64]) {
+        m.planes[0].write_slice(0, a);
+        for (i, &v) in b.iter().enumerate() {
+            m.caches[0].write(0, i as u64, v);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Every stage operation the vector loops serve, stream × stream and
+        /// stream × constant both ways round, on edge operands, at lengths
+        /// 1 to 100 and every chunk of [`assert_identical`].
+        #[test]
+        fn kernel_stage_loops_match_the_interpreter_on_edge_values(
+            op in 0..EDGE_OPS.len(),
+            pairing in 0..3usize,
+            a in prop::collection::vec(edge_operand(), 1..=EDGE_LEN),
+            b in prop::collection::vec(edge_operand(), EDGE_LEN),
+            c in edge_operand(),
+        ) {
+            let kb = kb();
+            let len = a.len();
+            let ins = edge_stage(&kb, EDGE_OPS[op], pairing, len as u32, c);
+            assert_identical(
+                &kb,
+                &ins,
+                |m| edge_inputs(m, &a, &b[..len]),
+                &[(Store::Plane(1), 0, len)],
+            );
+        }
+
+        /// The `MaxAbs` fold from seeds +0, −0, NaN, ±inf, finite and
+        /// subnormal, so that its blocked path and its serial one both run
+        /// and hand the carry to each other at chunk edges.
+        #[test]
+        fn kernel_max_abs_fold_matches_the_interpreter_on_edge_seeds(
+            seed in fold_seed(),
+            a in prop::collection::vec(edge_operand(), 1..=EDGE_LEN),
+        ) {
+            let kb = kb();
+            let len = a.len();
+            let ins = edge_fold(&kb, len as u32, seed);
+            assert_identical(
+                &kb,
+                &ins,
+                |m| edge_inputs(m, &a, &[]),
+                &[(Store::Plane(1), 0, len), (Store::Cache(1, 0), 3, 1)],
+            );
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn main() {
     // The serial reference: V-cycles on the host.
     let (u0, f, exact) = manufactured_problem(n);
     let mut serial_u = u0.clone();
-    let serial = vcycle(&mut serial_u, &f, tol, 25, &MgOptions::default());
+    let serial = vcycle(&mut serial_u, &f, tol, 25, &MgOptions::default()).expect("a 2^m + 1 grid");
     assert!(serial.residual_history.last().is_some_and(|&r| r < tol));
     println!(
         "serial multigrid V(2,2), {n}^3 Poisson, tol {tol:e}: {} cycles, \
