@@ -4,12 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nsc_arch::{AlsKind, InPort, PlaneId};
-use nsc_core::VisualEnvironment;
+use nsc_core::Session;
 use nsc_diagram::{DmaAttrs, IconKind, PadLoc, PadRef, Point};
 
 fn busy_editor() -> nsc_editor::Editor {
-    let env = VisualEnvironment::nsc_1988();
-    let mut ed = env.editor("bench");
+    let mut ed = Session::nsc_1988().editor("bench");
     ed.set_stream_len(64);
     for i in 0..4 {
         ed.place_icon(

@@ -4,14 +4,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nsc_cfd::{build_jacobi_document, JacobiVariant};
-use nsc_core::VisualEnvironment;
+use nsc_core::Session;
 use nsc_microcode::Census;
 
 fn regenerate_artifacts() {
     std::fs::create_dir_all("out").ok();
-    let env = VisualEnvironment::nsc_1988();
+    let session = Session::nsc_1988();
     // Fig 1: architecture numbers.
-    let kb = env.kb();
+    let kb = session.kb();
     let cfg = kb.config();
     let fig1 = format!(
         "Figure 1 numbers: {} FUs ({}T/{}D/{}S), {} planes x {} MB = {} GB, \
@@ -33,7 +33,7 @@ fn regenerate_artifacts() {
     eprintln!("{fig1}");
     // Fig 11: the Jacobi diagram.
     let doc = build_jacobi_document(8, 1e-6, 100, JacobiVariant::Full);
-    let frames = env.display_document(&doc);
+    let frames = session.display_document(&doc);
     std::fs::write("out/bench_fig11_render.txt", &frames[0].1).ok();
     // T2 companion: the census table.
     std::fs::write("out/bench_t2_census.txt", Census::of_machine(kb).render_table()).ok();
@@ -41,9 +41,9 @@ fn regenerate_artifacts() {
 
 fn bench(c: &mut Criterion) {
     regenerate_artifacts();
-    let env = VisualEnvironment::nsc_1988();
+    let session = Session::nsc_1988();
     let doc = build_jacobi_document(8, 1e-6, 100, JacobiVariant::Full);
-    c.bench_function("fig11_render_jacobi_diagram", |b| b.iter(|| env.display_document(&doc)));
+    c.bench_function("fig11_render_jacobi_diagram", |b| b.iter(|| session.display_document(&doc)));
 }
 
 criterion_group! {

@@ -2,9 +2,7 @@
 //! tolerance, with simulated-NSC smoothing cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nsc_cfd::{
-    grid::manufactured_problem, host::jacobi_sweep_host, host::JacobiHostState, vcycle, MgOptions,
-};
+use nsc_cfd::{grid::manufactured_problem, host::jacobi_sweep_host, host::JacobiHostState, vcycle};
 
 fn report() {
     let n = 17;
@@ -19,7 +17,7 @@ fn report() {
         }
     }
     let (mut u, f2, _) = manufactured_problem(n);
-    let stats = vcycle(&mut u, &f2, tol, 50, &MgOptions::default()).expect("17^3 cycles");
+    let stats = vcycle(&mut u, &f2, tol, 50, 0.8).expect("17^3 cycles");
     eprintln!("{n}^3 Poisson to {tol:e}:");
     eprintln!("  point Jacobi : {jacobi_sweeps} sweeps");
     eprintln!(
@@ -40,7 +38,7 @@ fn bench(c: &mut Criterion) {
     c.bench_function("host_vcycle_17", |b| {
         b.iter(|| {
             let (mut u, f2, _) = manufactured_problem(17);
-            vcycle(&mut u, &f2, 0.0, 1, &MgOptions::default()).expect("17^3 cycles").cycles
+            vcycle(&mut u, &f2, 0.0, 1, 0.8).expect("17^3 cycles").cycles
         })
     });
 }

@@ -4,7 +4,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nsc_cfd::{build_jacobi_document, JacobiVariant};
-use nsc_core::VisualEnvironment;
 use nsc_editor::{Event, Session, WIN_W};
 use nsc_microcode::Census;
 
@@ -25,11 +24,11 @@ fn decision_count(doc: &nsc_diagram::Document) -> usize {
 }
 
 fn report() {
-    let env = VisualEnvironment::nsc_1988();
-    let kb = env.kb();
+    let session = nsc_core::Session::nsc_1988();
+    let kb = session.kb();
     let census = Census::of_machine(kb);
     let mut doc = build_jacobi_document(16, 1e-6, 1000, JacobiVariant::Full);
-    let out = env.session().compile(&mut doc).expect("compiles").output;
+    let out = session.compile(&mut doc).expect("compiles").output;
     let decisions = decision_count(&doc);
     let bits = out.program.total_bits(kb);
     let leaves = census.total_leaves() * out.program.len();
@@ -44,7 +43,7 @@ fn report() {
 
     // A measured mini-session for calibration: one placed icon + one wire
     // + one menu pick + the DMA form.
-    let mut s = Session::new(env.editor("calibration"));
+    let mut s = Session::new(session.editor("calibration"));
     let py = 2 + 1 + 2 * 4; // MEMORY palette row
     s.feed([
         Event::MouseDown { x: WIN_W - 8, y: py },
@@ -64,11 +63,13 @@ fn report() {
 
 fn bench(c: &mut Criterion) {
     report();
-    let env = VisualEnvironment::nsc_1988();
+    let kb = nsc_arch::KnowledgeBase::nsc_1988();
     c.bench_function("build_and_generate_jacobi_8", |b| {
         b.iter(|| {
             let mut doc = build_jacobi_document(8, 1e-6, 100, JacobiVariant::Full);
-            env.session().compile(&mut doc).unwrap().program().len()
+            // A fresh session (empty cache) each time, so every iteration
+            // generates.
+            nsc_core::Session::from_kb(kb.clone()).compile(&mut doc).unwrap().program().len()
         })
     });
 }

@@ -39,10 +39,9 @@ fn report() {
     let coeffs = [0.5, -0.25, 0.125, 1.5, -0.75, 2.0, -1.0, 0.3, 0.7, -0.2, 1.1];
     let mut base = 0u64;
     for (label, stages) in [("full NSC (1 instr)", 10usize), ("singlets-only (2 instr)", 5)] {
-        let env = nsc_core::VisualEnvironment::nsc_1988();
         let kb = KnowledgeBase::nsc_1988();
         let mut doc = build_chebyshev_document(4096, &coeffs, stages);
-        let out = env.session().compile(&mut doc).unwrap().output;
+        let out = nsc_core::Session::from_kb(kb.clone()).compile(&mut doc).unwrap().output;
         let mut node = NodeSim::new(kb);
         // x in plane 0
         let xs: Vec<f64> = (0..4096).map(|i| (i % 17) as f64 * 0.1 - 0.8).collect();

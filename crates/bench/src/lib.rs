@@ -11,10 +11,9 @@ use nsc_cfd::grid::manufactured_problem;
 use nsc_cfd::nsc_run::run_jacobi_on_node;
 use nsc_cfd::{
     CavityWorkload, DistributedJacobiWorkload, DistributedMultigridWorkload, JacobiVariant,
-    MgOptions,
 };
 use nsc_core::{Session, Workload};
-use nsc_sim::{NodeSim, NscSystem};
+use nsc_sim::{NodeSim, NscSystem, SystemRunMetrics};
 use serde::{Deserialize, Serialize};
 
 /// One strong-scaling measurement.
@@ -28,6 +27,17 @@ pub struct ScalingPoint {
     pub simulated_seconds: f64,
 }
 
+impl ScalingPoint {
+    /// The point a run on `nodes` nodes measured.
+    fn of(nodes: usize, m: &SystemRunMetrics) -> Self {
+        ScalingPoint {
+            nodes,
+            aggregate_mflops: m.aggregate_mflops,
+            simulated_seconds: m.simulated_seconds,
+        }
+    }
+}
+
 /// Run the distributed Jacobi workload for a fixed number of ping-pong
 /// pairs on a `2^dim`-node cube and report the simulated aggregate rate.
 pub fn strong_scaling_point(dim: u32, n: usize, pairs: u32) -> ScalingPoint {
@@ -36,11 +46,7 @@ pub fn strong_scaling_point(dim: u32, n: usize, pairs: u32) -> ScalingPoint {
     let (u0, f, _) = manufactured_problem(n);
     let w = DistributedJacobiWorkload::new(u0, f, 0.0, pairs, nsc_cfd::PartitionSpec::Strip);
     let run = w.execute(&session, &mut sys).expect("distributed jacobi runs");
-    ScalingPoint {
-        nodes: sys.node_count(),
-        aggregate_mflops: run.aggregate_mflops,
-        simulated_seconds: run.simulated_seconds,
-    }
+    ScalingPoint::of(sys.node_count(), &run.metrics)
 }
 
 /// Single-node achieved MFLOPS of the serial Jacobi document (one
@@ -75,8 +81,8 @@ pub fn cavity_point(dim: u32, n: usize, steps: usize) -> CavityPoint {
     let run = w.execute(&session, &mut sys).expect("cavity runs");
     CavityPoint {
         nodes: sys.node_count(),
-        seconds_per_step: run.simulated_seconds / steps as f64,
-        aggregate_mflops: run.aggregate_mflops,
+        seconds_per_step: run.metrics.simulated_seconds / steps as f64,
+        aggregate_mflops: run.metrics.aggregate_mflops,
     }
 }
 
@@ -85,20 +91,9 @@ pub fn cavity_point(dim: u32, n: usize, steps: usize) -> CavityPoint {
 pub fn multigrid_point(dim: u32, n: usize, cycles: usize) -> ScalingPoint {
     let session = Session::nsc_1988();
     let mut sys = NscSystem::new(nsc_arch::HypercubeConfig::new(dim), session.kb());
-    let (u0, f, _) = manufactured_problem(n);
-    let w = DistributedMultigridWorkload {
-        u0,
-        f,
-        tol: 0.0,
-        max_cycles: cycles,
-        opts: MgOptions::default(),
-    };
+    let w = DistributedMultigridWorkload::manufactured(n, 0.8, 0.0, cycles);
     let run = w.execute(&session, &mut sys).expect("distributed multigrid runs");
-    ScalingPoint {
-        nodes: sys.node_count(),
-        aggregate_mflops: run.aggregate_mflops,
-        simulated_seconds: run.simulated_seconds,
-    }
+    ScalingPoint::of(sys.node_count(), &run.metrics)
 }
 
 /// Host-side (wall-clock) figures for the compiled-kernel fast path
@@ -148,13 +143,16 @@ pub fn host_comparison_point(dim: u32, n: usize, pairs: u32, reps: usize) -> Hos
     }
     // The fast path may only change wall-clock: identical simulated work
     // is its contract, and the gate double-checks it on every run.
-    assert_eq!(kernel_run.total, interp_run.total, "kernel and interpreter counters diverged");
+    assert_eq!(
+        kernel_run.metrics.total, interp_run.metrics.total,
+        "kernel and interpreter counters diverged"
+    );
     assert_eq!(
         kernel_run.residual.to_bits(),
         interp_run.residual.to_bits(),
         "kernel and interpreter residuals diverged"
     );
-    let flops = kernel_run.total.flops;
+    let flops = kernel_run.metrics.total.flops;
     HostPoint {
         nodes: 1 << dim,
         flops,
@@ -210,9 +208,7 @@ pub fn park_mixed_point(policy: nsc_park::SchedPolicy) -> ParkPoint {
     use nsc_park::Job;
     let mut park = nsc_park::MachinePark::new(Session::nsc_1988(), 2);
     park.submit(Job::new("ada", 1, fixed_jacobi(8, 40))).expect("fits");
-    let (u0, f, _) = manufactured_problem(17);
-    let mg =
-        DistributedMultigridWorkload { u0, f, tol: 0.0, max_cycles: 2, opts: MgOptions::default() };
+    let mg = DistributedMultigridWorkload::manufactured(17, 0.8, 0.0, 2);
     park.submit(Job::new("mary", 2, mg)).expect("fits");
     for _ in 0..4 {
         park.submit(Job::new("grace", 0, fixed_jacobi(6, 10))).expect("fits");

@@ -4,9 +4,9 @@
 //!
 //! The checker's 30 diagram rules (`C001`–`C030`) and the verifier's 16
 //! certificate obligations (`V001`–`V016`) share this enum so the stable
-//! ids live in exactly one place: `nsc_checker::RuleCode::code()`
-//! delegates here, and [`fn@crate::verify`] reports violations as
-//! [`ConstraintKind`]s. Tests can enumerate [`ConstraintKind::ALL`] to
+//! ids live in exactly one place: every checker diagnostic names its rule
+//! as a [`ConstraintKind`], and [`fn@crate::verify`] reports violations as
+//! [`ConstraintKind`]s too. Tests can enumerate [`ConstraintKind::ALL`] to
 //! assert coverage or id stability.
 
 use std::fmt;

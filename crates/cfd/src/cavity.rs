@@ -27,13 +27,13 @@ use crate::diagrams::{
     build_ftcs_transport_document, build_jacobi2d_sweep_document_windows, Jacobi2dGeometry,
     PLANE_G, PLANE_MASK, PLANE_U0, PLANE_U1, PLANE_W0, PLANE_W1, PLANE_WC,
 };
-use crate::distributed::{check_same_machine, measure_system_run};
+use crate::distributed::check_same_machine;
 use crate::grid::{Grid2, PaddedField};
 use crate::host::{ftcs_update_tree, FtcsCoeffs};
 use crate::overlap::{CompiledSweep, SweepEngine};
 use crate::partition::{check_partition_fits, read_slabs, GridShape, Partition, PartitionSpec};
 use nsc_core::{run_lanes, CompiledProgram, NscError, Session, Workload};
-use nsc_sim::{NscSystem, PerfCounters, RunOptions};
+use nsc_sim::{NscSystem, PerfCounters, RunOptions, SystemRunMetrics};
 
 /// Outcome of one distributed Poisson solve.
 #[derive(Debug, Clone, Copy)]
@@ -232,8 +232,9 @@ impl VorticityTransport {
             mem.plane_mut(PLANE_W0).write_slice(0, &PaddedField::stencil2d(&wrap(ws)).words);
             mem.plane_mut(PLANE_WC).write_slice(0, &PaddedField::aligned2d(&wrap(ws)).words);
         }
+        let nodes = partition.member_nodes();
         let lanes: Vec<_> =
-            partition.node_pool().into_iter().zip(self.programs.iter().map(|(_, p)| p)).collect();
+            nodes.iter().map(|n| n.index()).zip(self.programs.iter().map(|(_, p)| p)).collect();
         run_lanes(system.nodes_mut(), &lanes, &RunOptions::default())?;
         let locals = read_slabs(partition, system, PLANE_W1);
         omega.data = partition.gather(&locals);
@@ -260,14 +261,9 @@ pub struct CavityRun {
     pub last_residual: f64,
     /// Residual of each time step's Poisson solve, in step order.
     pub residual_history: Vec<f64>,
-    /// Per-node counter deltas for the whole run, indexed by node.
-    pub per_node: Vec<PerfCounters>,
-    /// System aggregate: work summed, elapsed overlapped.
-    pub total: PerfCounters,
-    /// Simulated seconds (slowest node, compute + communication).
-    pub simulated_seconds: f64,
-    /// Aggregate achieved MFLOPS across the system.
-    pub aggregate_mflops: f64,
+    /// What the whole run cost the system: per-node counters, their
+    /// aggregate, simulated seconds and achieved MFLOPS.
+    pub metrics: SystemRunMetrics,
 }
 
 /// The lid-driven cavity workload on an `n x n` grid.
@@ -312,15 +308,6 @@ impl CavityWorkload {
     /// sweep axes, alongside `re`.
     pub fn with_lid(mut self, lid: f64) -> Self {
         self.lid = lid;
-        self
-    }
-
-    /// Set the time step explicitly (builder style), overriding the
-    /// FTCS-stable default [`CavityWorkload::new`] derives from `re`.
-    /// Sweeping `dt` past the stability limit is how an ensemble maps the
-    /// divergence boundary.
-    pub fn with_dt(mut self, dt: f64) -> Self {
-        self.dt = dt;
         self
     }
 
@@ -444,7 +431,7 @@ impl Workload for CavityWorkload {
             }
         }
 
-        let m = measure_system_run(system, &before);
+        let metrics = system.metrics_since(&before);
         let (u, v) = self.velocities(&psi);
         Ok(CavityRun {
             psi,
@@ -455,10 +442,7 @@ impl Workload for CavityWorkload {
             psi_pairs,
             last_residual,
             residual_history,
-            per_node: m.per_node,
-            total: m.total,
-            simulated_seconds: m.simulated_seconds,
-            aggregate_mflops: m.aggregate_mflops,
+            metrics,
         })
     }
 }
@@ -626,8 +610,8 @@ mod tests {
         // the vortex centre runs the other way.
         assert!(run.u.at(4, 7) > 0.0);
         assert!(run.u.at(4, 2) < 0.0, "return flow ({})", run.u.at(4, 2));
-        assert!(run.psi_pairs > 0 && run.aggregate_mflops > 0.0);
-        assert!(run.per_node.iter().all(|c| c.flops > 0), "every node computed");
+        assert!(run.psi_pairs > 0 && run.metrics.aggregate_mflops > 0.0);
+        assert!(run.metrics.per_node.iter().all(|c| c.flops > 0), "every node computed");
     }
 
     #[test]
@@ -649,8 +633,8 @@ mod tests {
         }
         assert_eq!(a.psi_pairs, b.psi_pairs, "identical convergence history");
         // The 4-node run paid for its halos and hid some of them.
-        assert!(b.total.comm_ns > 0 && a.total.comm_ns == 0);
-        assert!(b.per_node.iter().any(|c| c.comm_hidden_ns > 0), "some halo time hid");
+        assert!(b.metrics.total.comm_ns > 0 && a.metrics.total.comm_ns == 0);
+        assert!(b.metrics.per_node.iter().any(|c| c.comm_hidden_ns > 0), "some halo time hid");
     }
 
     #[test]

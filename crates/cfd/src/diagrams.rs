@@ -176,18 +176,7 @@ pub fn build_jacobi_document(
     max_iters: u32,
     variant: JacobiVariant,
 ) -> Document {
-    build_jacobi_slab_document(JacobiGeometry::cube(n), tol, max_iters, variant)
-}
-
-/// Build the Jacobi document for an arbitrary `nx * ny * nz` slab — same
-/// pipelines and convergence loop as [`build_jacobi_document`], on the
-/// local geometry a decomposed node owns.
-pub fn build_jacobi_slab_document(
-    geo: JacobiGeometry,
-    tol: f64,
-    max_iters: u32,
-    variant: JacobiVariant,
-) -> Document {
+    let geo = JacobiGeometry::cube(n);
     let mut doc = Document::new(format!("jacobi3d-{}x{}x{}", geo.nx, geo.ny, geo.nz));
     declare_jacobi_vars(&mut doc, geo, variant);
 
@@ -1129,7 +1118,7 @@ mod tests {
         let mut doc = build_jacobi_document(8, 1e-6, 100, JacobiVariant::Full);
         let diags = check_doc(&mut doc, &kb);
         assert!(
-            diags.iter().any(|d| d.rule == nsc_checker::RuleCode::SubsetViolation),
+            diags.iter().any(|d| d.rule == nsc_checker::ConstraintKind::SubsetViolation),
             "expected subset violations"
         );
     }

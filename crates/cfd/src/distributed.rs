@@ -31,7 +31,7 @@ use crate::nsc_run::load_problem;
 use crate::overlap::SweepEngine;
 use crate::partition::{read_slabs, GridShape, Partition, PartitionSpec};
 use nsc_core::{NscError, Session, Workload};
-use nsc_sim::{NodeSim, NscSystem, PerfCounters};
+use nsc_sim::{NodeSim, NscSystem, PerfCounters, SystemRunMetrics};
 
 /// Wrap each part's slab words (ghosts included) as a [`Grid3`] on the
 /// part's local shape, keeping the global mesh spacing.
@@ -62,31 +62,6 @@ pub(crate) fn check_same_machine(session: &Session, node: &NodeSim) -> Result<()
     Ok(())
 }
 
-/// Per-run system metrics derived from a counter snapshot taken before
-/// the run: per-node deltas, their overlap-aware aggregate, and the
-/// achieved rate.
-#[derive(Debug, Clone)]
-pub(crate) struct SystemRunMetrics {
-    pub per_node: Vec<PerfCounters>,
-    pub total: PerfCounters,
-    pub simulated_seconds: f64,
-    pub aggregate_mflops: f64,
-}
-
-pub(crate) fn measure_system_run(system: &NscSystem, before: &[PerfCounters]) -> SystemRunMetrics {
-    let clock = system.node(nsc_arch::NodeId(0)).kb.config().clock_hz;
-    let per_node: Vec<PerfCounters> =
-        system.nodes().iter().zip(before).map(|(n, b)| n.counters.since(b)).collect();
-    let mut total = PerfCounters::default();
-    for c in &per_node {
-        total.absorb(c);
-    }
-    let simulated_seconds = per_node.iter().map(|c| c.seconds_with_comm(clock)).fold(0.0, f64::max);
-    let aggregate_mflops =
-        if simulated_seconds > 0.0 { total.flops as f64 / simulated_seconds / 1e6 } else { 0.0 };
-    SystemRunMetrics { per_node, total, simulated_seconds, aggregate_mflops }
-}
-
 /// Outcome of a distributed Jacobi solve.
 #[derive(Debug, Clone)]
 pub struct DistributedJacobiRun {
@@ -102,15 +77,9 @@ pub struct DistributedJacobiRun {
     /// The global residual after each sweep pair, in order — the
     /// convergence trace ensemble reports aggregate.
     pub residual_history: Vec<f64>,
-    /// Per-node counter deltas for this run, indexed by node.
-    pub per_node: Vec<PerfCounters>,
-    /// System aggregate of this run: work summed, elapsed overlapped.
-    pub total: PerfCounters,
-    /// Simulated seconds of this run: the slowest node's compute plus its
-    /// own communication time.
-    pub simulated_seconds: f64,
-    /// Aggregate achieved MFLOPS of this run across the system.
-    pub aggregate_mflops: f64,
+    /// What this run cost the system: per-node counters, their aggregate,
+    /// simulated seconds and achieved MFLOPS.
+    pub metrics: SystemRunMetrics,
 }
 
 /// Point Jacobi for the 3-D Poisson problem, domain-decomposed across a
@@ -194,17 +163,13 @@ impl Workload for DistributedJacobiWorkload {
         u.h = self.u0.h;
         u.data = partition.gather(&locals);
 
-        let m = measure_system_run(system, &before);
         Ok(DistributedJacobiRun {
             u,
             residual,
             sweeps: 2 * residual_history.len() as u64,
             converged: residual < self.tol,
             residual_history,
-            per_node: m.per_node,
-            total: m.total,
-            simulated_seconds: m.simulated_seconds,
-            aggregate_mflops: m.aggregate_mflops,
+            metrics: system.metrics_since(&before),
         })
     }
 }
@@ -373,12 +338,12 @@ mod tests {
             assert_eq!(run.residual.to_bits(), host_res.to_bits(), "global max matches {spec:?}");
             // Communication happened, was charged per node, and some of
             // it hid under the interior pipelines.
-            assert!(run.per_node.iter().all(|c| c.comm_ns > 0), "{spec:?}");
+            assert!(run.metrics.per_node.iter().all(|c| c.comm_ns > 0), "{spec:?}");
             assert!(
-                run.per_node.iter().any(|c| c.comm_hidden_ns > 0),
+                run.metrics.per_node.iter().any(|c| c.comm_hidden_ns > 0),
                 "{spec:?}: halos must hide some time"
             );
-            assert!(run.aggregate_mflops > 0.0);
+            assert!(run.metrics.aggregate_mflops > 0.0);
         }
     }
 

@@ -80,7 +80,7 @@ pub use self::distributed::{
 pub use self::grid::{Grid2, Grid3, PaddedField};
 pub use self::host::{jacobi_sweep_host, residual_linf, sor_sweep_host, JacobiHostState};
 pub use self::mg_distributed::{DistributedMultigridRun, DistributedMultigridWorkload};
-pub use self::multigrid::{vcycle, MgOptions, MgStats};
+pub use self::multigrid::{vcycle, MgStats};
 pub use self::nsc_run::{load_problem, run_jacobi, run_jacobi_on_node, JacobiRun};
 pub use self::overlap::{CompiledSweep, SweepEngine, SweepIo};
 pub use self::partition::{

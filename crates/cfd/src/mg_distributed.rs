@@ -34,18 +34,18 @@ use crate::diagrams::{
     build_damped_jacobi_sweep_document_windows, JacobiGeometry, PLANE_G, PLANE_MASK, PLANE_U0,
     PLANE_U1, RESIDUAL_CACHE,
 };
-use crate::distributed::{check_same_machine, measure_system_run};
+use crate::distributed::check_same_machine;
 use crate::grid::{check_problem, Grid3, PaddedField};
 use crate::multigrid::{
-    check_vcycle_grid, full_weight_at, lap_at, prolong_value, restrict, vcycle_level, MgOptions,
-    MgStats,
+    check_vcycle_grid, full_weight_at, lap_at, prolong_value, restrict, vcycle_level, MgStats, NU1,
+    NU2,
 };
 use crate::overlap::{CompiledSweep, SweepEngine, SweepIo};
 use crate::partition::{
     host_halo_exchange, read_slabs, BlockPartition, GridShape, HaloSpec, Partition,
 };
 use nsc_core::{NscError, Session, Workload};
-use nsc_sim::{NscSystem, PerfCounters, RunOptions};
+use nsc_sim::{NscSystem, PerfCounters, RunOptions, SystemRunMetrics};
 
 /// One distributed V-cycle level: its grid, its derived partition, and
 /// the compiled damped-sweep pair per block.
@@ -326,14 +326,14 @@ fn dist_vcycle(
     system: &mut NscSystem,
     u_slabs: &mut [Vec<f64>],
     f_slabs: &[Vec<f64>],
-    opts: &MgOptions,
+    omega: f64,
     fine_points: f64,
     stats: &mut MgStats,
 ) -> Result<(), NscError> {
     let level = &levels[li];
     let weight = (level.n * level.n * level.n) as f64 / fine_points;
-    machine_smooth(level, system, u_slabs, f_slabs, opts.nu1)?;
-    stats.fine_equivalent_sweeps += opts.nu1 as f64 * weight;
+    machine_smooth(level, system, u_slabs, f_slabs, NU1)?;
+    stats.fine_equivalent_sweeps += NU1 as f64 * weight;
 
     let mut r_slabs = residual_slabs(level, u_slabs, f_slabs);
 
@@ -346,7 +346,7 @@ fn dist_vcycle(
         let rc_slabs = restrict_slabs(level, coarse, &r_slabs);
         let mut ec_slabs: Vec<Vec<f64>> =
             coarse.part.parts().iter().map(|p| vec![0.0; p.local_words()]).collect();
-        dist_vcycle(levels, li + 1, system, &mut ec_slabs, &rc_slabs, opts, fine_points, stats)?;
+        dist_vcycle(levels, li + 1, system, &mut ec_slabs, &rc_slabs, omega, fine_points, stats)?;
         // Fresh ghosts on the correction before interpolating across
         // block boundaries.
         host_halo_exchange(&coarse.part, system, PLANE_U0, &mut ec_slabs, &HaloSpec::stencil())?;
@@ -364,12 +364,12 @@ fn dist_vcycle(
         let rc = restrict(&r);
         let mut ec = Grid3::new(rc.nx, rc.ny, rc.nz);
         ec.h = rc.h;
-        vcycle_level(&mut ec, &rc, opts, fine_points, stats);
+        vcycle_level(&mut ec, &rc, omega, fine_points, stats);
         prolong_add_slabs(level, u_slabs, |_, ic, jc, kc| ec.at(ic, jc, kc));
     }
 
-    machine_smooth(level, system, u_slabs, f_slabs, opts.nu2)?;
-    stats.fine_equivalent_sweeps += opts.nu2 as f64 * weight;
+    machine_smooth(level, system, u_slabs, f_slabs, NU2)?;
+    stats.fine_equivalent_sweeps += NU2 as f64 * weight;
     Ok(())
 }
 
@@ -387,14 +387,9 @@ pub struct DistributedMultigridRun {
     pub converged: bool,
     /// V-cycle levels that ran distributed (the rest agglomerate).
     pub distributed_levels: usize,
-    /// Per-node counter deltas for this run, indexed by node.
-    pub per_node: Vec<PerfCounters>,
-    /// System aggregate of this run: work summed, elapsed overlapped.
-    pub total: PerfCounters,
-    /// Simulated seconds (slowest node, compute + communication).
-    pub simulated_seconds: f64,
-    /// Aggregate achieved MFLOPS across the system.
-    pub aggregate_mflops: f64,
+    /// What this run cost the system: per-node counters, their aggregate,
+    /// simulated seconds and achieved MFLOPS.
+    pub metrics: SystemRunMetrics,
 }
 
 /// The ref. \[6\] multigrid V-cycle run machine-resident across the cube
@@ -411,8 +406,8 @@ pub struct DistributedMultigridWorkload {
     pub tol: f64,
     /// Cap on V-cycles.
     pub max_cycles: usize,
-    /// Cycle shape and smoothing parameters.
-    pub opts: MgOptions,
+    /// Damped-Jacobi smoothing weight of the V(2,2)-cycle's pipelines.
+    pub omega: f64,
 }
 
 impl DistributedMultigridWorkload {
@@ -423,13 +418,7 @@ impl DistributedMultigridWorkload {
     /// same grid size rebind the base compile instead of recompiling.
     pub fn manufactured(n: usize, omega: f64, tol: f64, max_cycles: usize) -> Self {
         let (u0, f, _) = crate::grid::manufactured_problem(n);
-        DistributedMultigridWorkload {
-            u0,
-            f,
-            tol,
-            max_cycles,
-            opts: MgOptions { omega, ..MgOptions::default() },
-        }
+        DistributedMultigridWorkload { u0, f, tol, max_cycles, omega }
     }
 }
 
@@ -437,7 +426,7 @@ impl Workload for DistributedMultigridWorkload {
     type Report = DistributedMultigridRun;
 
     fn name(&self) -> String {
-        format!("distributed-multigrid V({},{}) {}^3", self.opts.nu1, self.opts.nu2, self.u0.nx)
+        format!("distributed-multigrid V({NU1},{NU2}) {}^3", self.u0.nx)
     }
 
     fn execute(
@@ -449,7 +438,7 @@ impl Workload for DistributedMultigridWorkload {
         check_vcycle_grid(&self.u0, 5)?;
         check_problem(&self.u0, &self.f)?;
         let n = self.u0.nx;
-        let levels = build_levels(session, system, n, self.u0.h, self.opts.omega)?;
+        let levels = build_levels(session, system, n, self.u0.h, self.omega)?;
         let before: Vec<PerfCounters> = system.nodes().iter().map(|nd| nd.counters).collect();
 
         let mut u_slabs = levels[0].part.scatter(&self.u0.data);
@@ -464,7 +453,7 @@ impl Workload for DistributedMultigridWorkload {
                 system,
                 &mut u_slabs,
                 &f_slabs,
-                &self.opts,
+                self.omega,
                 fine_points,
                 &mut stats,
             )?;
@@ -480,17 +469,13 @@ impl Workload for DistributedMultigridWorkload {
         let mut u = Grid3::new(n, n, n);
         u.h = self.u0.h;
         u.data = levels[0].part.gather(&u_slabs);
-        let m = measure_system_run(system, &before);
         Ok(DistributedMultigridRun {
             u,
             stats,
             residual,
             converged,
             distributed_levels: levels.len(),
-            per_node: m.per_node,
-            total: m.total,
-            simulated_seconds: m.simulated_seconds,
-            aggregate_mflops: m.aggregate_mflops,
+            metrics: system.metrics_since(&before),
         })
     }
 }
@@ -511,20 +496,12 @@ mod tests {
         let n = 17;
         let tol = 1e-8;
         let (mut serial_u, f, _) = manufactured_problem(n);
-        let serial_stats =
-            vcycle(&mut serial_u, &f, tol, 25, &MgOptions::default()).expect("serial cycles");
+        let serial_stats = vcycle(&mut serial_u, &f, tol, 25, 0.8).expect("serial cycles");
         assert!(serial_stats.residual_history.last().is_some_and(|&r| r < tol));
         let session = Session::nsc_1988();
         for dim in [0u32, 2, 3] {
-            let (u0, f, _) = manufactured_problem(n);
             let mut sys = system(dim, &session);
-            let w = DistributedMultigridWorkload {
-                u0,
-                f,
-                tol,
-                max_cycles: 25,
-                opts: MgOptions::default(),
-            };
+            let w = DistributedMultigridWorkload::manufactured(n, 0.8, tol, 25);
             let run = w.execute(&session, &mut sys).expect("distributed multigrid runs");
             assert!(run.converged, "{} nodes: residual {}", sys.node_count(), run.residual);
             assert_eq!(run.stats.cycles, serial_stats.cycles, "{} nodes", sys.node_count());
@@ -544,15 +521,15 @@ mod tests {
                 serial_stats.fine_equivalent_sweeps.to_bits()
             );
             if dim > 0 {
-                assert!(run.total.comm_ns > 0, "halos cost router time");
+                assert!(run.metrics.total.comm_ns > 0, "halos cost router time");
                 assert!(run.distributed_levels >= 2, "coarse levels stay distributed");
                 assert!(
-                    run.per_node.iter().any(|c| c.comm_hidden_ns > 0),
+                    run.metrics.per_node.iter().any(|c| c.comm_hidden_ns > 0),
                     "smoothing must hide some halo time"
                 );
             }
-            assert!(run.per_node.iter().all(|c| c.flops > 0), "every node smoothed");
-            assert!(run.aggregate_mflops > 0.0);
+            assert!(run.metrics.per_node.iter().all(|c| c.flops > 0), "every node smoothed");
+            assert!(run.metrics.aggregate_mflops > 0.0);
         }
     }
 
@@ -563,14 +540,7 @@ mod tests {
         // on one node (the serial case) as on two.
         for (n, dim) in [(8, 1), (8, 0), (3, 0)] {
             let mut sys = system(dim, &session);
-            let (u0, f, _) = manufactured_problem(n);
-            let w = DistributedMultigridWorkload {
-                u0,
-                f,
-                tol: 1e-8,
-                max_cycles: 5,
-                opts: MgOptions::default(),
-            };
+            let w = DistributedMultigridWorkload::manufactured(n, 0.8, 1e-8, 5);
             assert!(matches!(w.execute(&session, &mut sys), Err(NscError::Workload(_))), "{n}");
         }
     }

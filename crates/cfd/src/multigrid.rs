@@ -12,24 +12,12 @@ use crate::grid::{check_problem, Grid3};
 use crate::host::{damped_jacobi_update_tree, residual_linf};
 use nsc_core::NscError;
 
-/// Multigrid parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct MgOptions {
-    /// Pre-smoothing sweeps.
-    pub nu1: usize,
-    /// Post-smoothing sweeps.
-    pub nu2: usize,
-    /// Damped-Jacobi weight (2/3 .. 0.9 smooths well for Poisson).
-    pub omega: f64,
-    /// Sweeps used to "solve" the coarsest level.
-    pub coarse_sweeps: usize,
-}
-
-impl Default for MgOptions {
-    fn default() -> Self {
-        MgOptions { nu1: 2, nu2: 2, omega: 0.8, coarse_sweeps: 50 }
-    }
-}
+/// Pre-smoothing sweeps per level (the ν1 of V(ν1,ν2)).
+pub(crate) const NU1: usize = 2;
+/// Post-smoothing sweeps per level (the ν2 of V(ν1,ν2)).
+pub(crate) const NU2: usize = 2;
+/// Sweeps used to "solve" the coarsest (`3^3`) level.
+const COARSE_SWEEPS: usize = 50;
 
 /// Work/quality accounting of a multigrid solve.
 #[derive(Debug, Clone, Default)]
@@ -196,32 +184,32 @@ fn prolong_add(fine: &mut Grid3, coarse: &Grid3) {
 pub(crate) fn vcycle_level(
     u: &mut Grid3,
     f: &Grid3,
-    opts: &MgOptions,
+    omega: f64,
     fine_points: f64,
     stats: &mut MgStats,
 ) {
     let weight = u.len() as f64 / fine_points;
     if u.nx <= 3 {
-        for _ in 0..opts.coarse_sweeps {
+        for _ in 0..COARSE_SWEEPS {
             smooth(u, f, 1.0);
         }
-        stats.fine_equivalent_sweeps += opts.coarse_sweeps as f64 * weight;
+        stats.fine_equivalent_sweeps += COARSE_SWEEPS as f64 * weight;
         return;
     }
-    for _ in 0..opts.nu1 {
-        smooth(u, f, opts.omega);
+    for _ in 0..NU1 {
+        smooth(u, f, omega);
     }
-    stats.fine_equivalent_sweeps += opts.nu1 as f64 * weight;
+    stats.fine_equivalent_sweeps += NU1 as f64 * weight;
     let r = residual_field(u, f);
     let rc = restrict(&r);
     let mut ec = Grid3::new(rc.nx, rc.ny, rc.nz);
     ec.h = rc.h;
-    vcycle_level(&mut ec, &rc, opts, fine_points, stats);
+    vcycle_level(&mut ec, &rc, omega, fine_points, stats);
     prolong_add(u, &ec);
-    for _ in 0..opts.nu2 {
-        smooth(u, f, opts.omega);
+    for _ in 0..NU2 {
+        smooth(u, f, omega);
     }
-    stats.fine_equivalent_sweeps += opts.nu2 as f64 * weight;
+    stats.fine_equivalent_sweeps += NU2 as f64 * weight;
 }
 
 /// Refuse a grid the V-cycle cannot coarsen down to its `3^3` level: it
@@ -238,24 +226,25 @@ pub(crate) fn check_vcycle_grid(u: &Grid3, min_side: usize) -> Result<(), NscErr
     Ok(())
 }
 
-/// Run V-cycles until the residual max-norm drops below `tol` (or
-/// `max_cycles`). The grid must be cubic with `2^m + 1` points a side,
-/// and `f` must match it: any other shape, or a `data` length that
-/// disagrees with the sides, is refused with [`NscError::Workload`]
-/// before `u` is touched.
+/// Run V(2,2)-cycles, smoothing with damped-Jacobi weight `omega`
+/// (2/3 .. 0.9 smooths well for Poisson), until the residual max-norm
+/// drops below `tol` (or `max_cycles`). The grid must be cubic with
+/// `2^m + 1` points a side, and `f` must match it: any other shape, or a
+/// `data` length that disagrees with the sides, is refused with
+/// [`NscError::Workload`] before `u` is touched.
 pub fn vcycle(
     u: &mut Grid3,
     f: &Grid3,
     tol: f64,
     max_cycles: usize,
-    opts: &MgOptions,
+    omega: f64,
 ) -> Result<MgStats, NscError> {
     check_vcycle_grid(u, 3)?;
     check_problem(u, f)?;
     let mut stats = MgStats::default();
     let fine_points = u.len() as f64;
     for _ in 0..max_cycles {
-        vcycle_level(u, f, opts, fine_points, &mut stats);
+        vcycle_level(u, f, omega, fine_points, &mut stats);
         stats.cycles += 1;
         let r = residual_linf(u, f);
         stats.residual_history.push(r);
@@ -308,7 +297,7 @@ mod tests {
     #[test]
     fn vcycles_converge_fast() {
         let (mut u, f, exact) = manufactured_problem(17);
-        let stats = vcycle(&mut u, &f, 1e-8, 25, &MgOptions::default()).expect("17^3 cycles");
+        let stats = vcycle(&mut u, &f, 1e-8, 25, 0.8).expect("17^3 cycles");
         assert!(
             *stats.residual_history.last().unwrap() < 1e-8,
             "history: {:?}",
@@ -321,7 +310,7 @@ mod tests {
     #[test]
     fn each_cycle_contracts_the_residual() {
         let (mut u, f, _) = manufactured_problem(17);
-        let stats = vcycle(&mut u, &f, 0.0, 6, &MgOptions::default()).expect("17^3 cycles");
+        let stats = vcycle(&mut u, &f, 0.0, 6, 0.8).expect("17^3 cycles");
         for w in stats.residual_history.windows(2) {
             assert!(w[1] < w[0] * 0.7, "weak contraction: {} -> {}", w[0], w[1]);
         }
@@ -331,7 +320,7 @@ mod tests {
     fn multigrid_work_is_far_below_jacobi_work() {
         let (mut u, f, _) = manufactured_problem(17);
         let tol = 1e-7;
-        let stats = vcycle(&mut u, &f, tol, 40, &MgOptions::default()).expect("17^3 cycles");
+        let stats = vcycle(&mut u, &f, tol, 40, 0.8).expect("17^3 cycles");
         // Jacobi sweeps to the same tolerance (counted on the host).
         let (u0, f2, _) = manufactured_problem(17);
         let mut state = crate::host::JacobiHostState::new(&u0, &f2);

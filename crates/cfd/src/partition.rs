@@ -490,15 +490,9 @@ pub trait Partition: std::fmt::Debug + Send + Sync {
         out
     }
 
-    /// Node indices of the parts, in partition order — zipped with one
-    /// program per part into the lanes [`nsc_core::run_lanes`] runs, so
-    /// part `i`'s program runs on part `i`'s node.
-    fn node_pool(&self) -> Vec<usize> {
-        self.parts().iter().map(|p| p.node.index()).collect()
-    }
-
-    /// The part nodes, in partition order (the member list for pool-wide
-    /// reductions).
+    /// The part nodes, in partition order: the member list for pool-wide
+    /// reductions, and (through [`NodeId::index`]) the nodes of the lanes
+    /// [`nsc_core::run_lanes`] runs, part `i`'s program on part `i`'s node.
     fn member_nodes(&self) -> Vec<NodeId> {
         self.parts().iter().map(|p| p.node).collect()
     }

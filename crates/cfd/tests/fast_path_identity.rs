@@ -11,10 +11,10 @@ use nsc_arch::HypercubeConfig;
 use nsc_cfd::grid::manufactured_problem;
 use nsc_cfd::{
     CavityWorkload, DistributedJacobiWorkload, DistributedMultigridWorkload,
-    DistributedSorWorkload, MgOptions, PartitionSpec,
+    DistributedSorWorkload, PartitionSpec,
 };
 use nsc_core::{Session, Workload};
-use nsc_sim::NscSystem;
+use nsc_sim::{NscSystem, SystemRunMetrics};
 
 /// A kernel-compiling session and its interpreter-only reference twin.
 fn session_pair() -> (Session, Session) {
@@ -36,6 +36,18 @@ fn assert_grids_bit_equal(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
+/// Every counter, and the simulated time and rate to the bit.
+fn assert_metrics_bit_equal(a: &SystemRunMetrics, b: &SystemRunMetrics, tag: &str) {
+    assert_eq!(a.per_node, b.per_node, "{tag}: per-node counters");
+    assert_eq!(a.total, b.total, "{tag}: aggregate counters");
+    assert_eq!(
+        a.simulated_seconds.to_bits(),
+        b.simulated_seconds.to_bits(),
+        "{tag}: simulated time"
+    );
+    assert_eq!(a.aggregate_mflops.to_bits(), b.aggregate_mflops.to_bits(), "{tag}: MFLOPS");
+}
+
 #[test]
 fn distributed_jacobi_is_bit_identical_with_and_without_kernels() {
     let (fast, interp) = session_pair();
@@ -49,18 +61,7 @@ fn distributed_jacobi_is_bit_identical_with_and_without_kernels() {
         assert_eq!(a.residual.to_bits(), b.residual.to_bits(), "{tag}: residual");
         assert_eq!(a.sweeps, b.sweeps, "{tag}: sweeps");
         assert_eq!(a.converged, b.converged, "{tag}: converged");
-        assert_eq!(a.per_node, b.per_node, "{tag}: per-node counters");
-        assert_eq!(a.total, b.total, "{tag}: aggregate counters");
-        assert_eq!(
-            a.simulated_seconds.to_bits(),
-            b.simulated_seconds.to_bits(),
-            "{tag}: simulated time"
-        );
-        assert_eq!(
-            a.aggregate_mflops.to_bits(),
-            b.aggregate_mflops.to_bits(),
-            "{tag}: simulated MFLOPS"
-        );
+        assert_metrics_bit_equal(&a.metrics, &b.metrics, &tag);
     }
     // The fast twin really compiled kernels; the reference twin never did.
     assert!(fast.cache_stats().misses > 0, "the fast session must have built kernels");
@@ -97,14 +98,7 @@ fn distributed_multigrid_is_bit_identical_with_and_without_kernels() {
     let (fast, interp) = session_pair();
     for dim in 0..=3u32 {
         // Multigrid wants a cubic 2^m + 1 grid; 9^3 descends 9 -> 5 -> 3.
-        let (u0, f, _) = manufactured_problem(9);
-        let w = DistributedMultigridWorkload {
-            u0,
-            f,
-            tol: 0.0,
-            max_cycles: 2,
-            opts: MgOptions::default(),
-        };
+        let w = DistributedMultigridWorkload::manufactured(9, 0.8, 0.0, 2);
         let a = w.execute(&fast, &mut system(dim, &fast)).expect("kernel run");
         let b = w.execute(&interp, &mut system(dim, &interp)).expect("interpreted run");
         let tag = format!("multigrid dim {dim}");
@@ -114,13 +108,7 @@ fn distributed_multigrid_is_bit_identical_with_and_without_kernels() {
         for (x, y) in a.stats.residual_history.iter().zip(&b.stats.residual_history) {
             assert_eq!(x.to_bits(), y.to_bits(), "{tag}: residual history");
         }
-        assert_eq!(a.per_node, b.per_node, "{tag}: per-node counters");
-        assert_eq!(a.total, b.total, "{tag}: aggregate counters");
-        assert_eq!(
-            a.simulated_seconds.to_bits(),
-            b.simulated_seconds.to_bits(),
-            "{tag}: simulated time"
-        );
+        assert_metrics_bit_equal(&a.metrics, &b.metrics, &tag);
     }
     assert!(fast.cache_stats().misses > 0);
 }
@@ -140,13 +128,7 @@ fn cavity_is_bit_identical_with_and_without_kernels() {
         assert_grids_bit_equal(&a.v.data, &b.v.data, &format!("{tag}: v"));
         assert_eq!(a.psi_pairs, b.psi_pairs, "{tag}: solve pairs");
         assert_eq!(a.last_residual.to_bits(), b.last_residual.to_bits(), "{tag}: residual");
-        assert_eq!(a.per_node, b.per_node, "{tag}: per-node counters");
-        assert_eq!(a.total, b.total, "{tag}: aggregate counters");
-        assert_eq!(
-            a.simulated_seconds.to_bits(),
-            b.simulated_seconds.to_bits(),
-            "{tag}: simulated time"
-        );
+        assert_metrics_bit_equal(&a.metrics, &b.metrics, &tag);
     }
     assert!(fast.cache_stats().misses > 0);
 }

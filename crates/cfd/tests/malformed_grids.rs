@@ -15,8 +15,8 @@ use nsc_cfd::host::FtcsCoeffs;
 use nsc_cfd::{
     host_halo_exchange, run_jacobi, vcycle, DistributedJacobiWorkload,
     DistributedMultigridWorkload, DistributedSorWorkload, Grid2, Grid3, GridShape, HaloSpec,
-    JacobiVariant, MgOptions, Partition, PartitionSpec, Poisson2dSolver, StripPartition,
-    SweepEngine, VorticityTransport,
+    JacobiVariant, Partition, PartitionSpec, Poisson2dSolver, StripPartition, SweepEngine,
+    VorticityTransport,
 };
 use nsc_core::{NscError, Session, Workload};
 use nsc_sim::{NodeSim, NscSystem, PerfCounters};
@@ -79,8 +79,7 @@ fn distributed_multigrid_refuses_a_short_grid_untouched() {
     let mut sys = NscSystem::new(HypercubeConfig::new(2), session.kb());
     let before = footprint(&sys);
     let (u0, f) = short_problem(9);
-    let w =
-        DistributedMultigridWorkload { u0, f, tol: 0.0, max_cycles: 1, opts: MgOptions::default() };
+    let w = DistributedMultigridWorkload { u0, f, tol: 0.0, max_cycles: 1, omega: 0.8 };
     assert_workload_error(w.execute(&session, &mut sys));
     assert_eq!(footprint(&sys), before);
 }
@@ -98,7 +97,7 @@ fn serial_vcycle_refuses_a_bad_shape_untouched() {
     cases.push(short_problem(9));
     for (mut u, f) in cases {
         let before = u.clone();
-        assert_workload_error(vcycle(&mut u, &f, 0.0, 1, &MgOptions::default()));
+        assert_workload_error(vcycle(&mut u, &f, 0.0, 1, 0.8));
         assert_eq!(u, before, "{}x{}x{}", u.nx, u.ny, u.nz);
     }
 }

@@ -12,7 +12,7 @@
 //! whose DMA attributes name a declared variable are bound to *that
 //! variable's plane* — the declaration already decided the allocation.
 
-use crate::diag::{Diagnostic, RuleCode, Subject};
+use crate::diag::{ConstraintKind, Diagnostic, Subject};
 use nsc_arch::{CacheId, KnowledgeBase, PlaneId, SduId};
 use nsc_diagram::{Declarations, IconId, IconKind, PadRef, PipelineDiagram};
 use std::collections::BTreeSet;
@@ -71,7 +71,7 @@ pub fn auto_bind(
                         }
                     }
                     None => diags.push(Diagnostic::error(
-                        RuleCode::AlsOvercommit,
+                        ConstraintKind::AlsOvercommit,
                         Subject::Icon(id),
                         format!("no free {shape} left to bind"),
                     )),
@@ -99,7 +99,7 @@ pub fn auto_bind(
                         }
                     }
                     None => diags.push(Diagnostic::error(
-                        RuleCode::AlsOvercommit,
+                        ConstraintKind::AlsOvercommit,
                         Subject::Icon(id),
                         "no free memory plane left to bind",
                     )),
@@ -115,7 +115,7 @@ pub fn auto_bind(
                         }
                     }
                     None => diags.push(Diagnostic::error(
-                        RuleCode::AlsOvercommit,
+                        ConstraintKind::AlsOvercommit,
                         Subject::Icon(id),
                         "no free cache left to bind",
                     )),
@@ -131,7 +131,7 @@ pub fn auto_bind(
                         }
                     }
                     None => diags.push(Diagnostic::error(
-                        RuleCode::AlsOvercommit,
+                        ConstraintKind::AlsOvercommit,
                         Subject::Icon(id),
                         "no free shift/delay unit left to bind",
                     )),
@@ -215,7 +215,7 @@ mod tests {
         }
         let diags = auto_bind(&kb, &mut d, &Declarations::default());
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, RuleCode::AlsOvercommit);
+        assert_eq!(diags[0].rule, ConstraintKind::AlsOvercommit);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub fn validate_connection(
         Ok(id) => id,
         Err(e) => {
             return vec![Diagnostic::error(
-                crate::diag::RuleCode::SinkDrivenTwice, // structural: surfaced as a generic wiring error
+                crate::diag::ConstraintKind::SinkDrivenTwice, // structural: surfaced as a generic wiring error
                 crate::diag::Subject::Icon(from.icon),
                 format!("connection refused: {e}"),
             )];

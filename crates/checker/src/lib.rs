@@ -29,7 +29,7 @@ pub mod legal;
 pub mod rules;
 
 pub use self::binder::auto_bind;
-pub use self::diag::{Diagnostic, RuleCode, Severity, Subject};
+pub use self::diag::{ConstraintKind, Diagnostic, Severity, Subject};
 
 use nsc_arch::KnowledgeBase;
 use nsc_diagram::{Document, PadLoc, PipelineDiagram};

@@ -1,13 +1,14 @@
 //! The rule set: every conflict, constraint and asymmetry the knowledge
 //! base knows about, as executable checks.
 //!
-//! Each rule is motivated by a specific sentence of the paper; each
-//! [`RuleCode`] variant's doc gives its code and the constraint, quoting
-//! the paper where it states one in words. Rules are pure functions over
-//! the diagram + knowledge base; the editor decides *when* to run them
-//! (after every mutation) and the generator runs them all again globally.
+//! Each rule is motivated by a specific sentence of the paper and reports
+//! as one of the taxonomy's checker rules ([`ConstraintKind`], `C001`–
+//! `C030`), whose `describe()` states the constraint. Rules are pure
+//! functions over the diagram + knowledge base; the editor decides *when*
+//! to run them (after every mutation) and the generator runs them all
+//! again globally.
 
-use crate::diag::{Diagnostic, RuleCode, Subject};
+use crate::diag::{ConstraintKind, Diagnostic, Subject};
 use crate::Stage;
 use nsc_arch::{AlsKind, KnowledgeBase};
 use nsc_diagram::{
@@ -64,7 +65,7 @@ pub fn check_document(kb: &KnowledgeBase, doc: &Document) -> Vec<Diagnostic> {
         for id in control.referenced_pipelines() {
             if doc.pipeline(id).is_none() {
                 diags.push(Diagnostic::error(
-                    RuleCode::DanglingControlRef,
+                    ConstraintKind::DanglingControlRef,
                     Subject::Document,
                     format!("control flow references {id}, which does not exist"),
                 ));
@@ -77,13 +78,13 @@ pub fn check_document(kb: &KnowledgeBase, doc: &Document) -> Vec<Diagnostic> {
     for v in &doc.decls.vars {
         if !kb.valid_plane(v.plane) {
             diags.push(Diagnostic::error(
-                RuleCode::NoSuchResource,
+                ConstraintKind::NoSuchResource,
                 Subject::Document,
                 format!("variable '{}' declared in nonexistent plane {}", v.name, v.plane),
             ));
         } else if v.base + v.len > kb.config().memory.words_per_plane {
             diags.push(Diagnostic::error(
-                RuleCode::DmaRange,
+                ConstraintKind::DmaRange,
                 Subject::Document,
                 format!("variable '{}' extends past the end of {}", v.name, v.plane),
             ));
@@ -93,7 +94,7 @@ pub fn check_document(kb: &KnowledgeBase, doc: &Document) -> Vec<Diagnostic> {
         for b in doc.decls.vars.iter().skip(i + 1) {
             if a.plane == b.plane && a.base < b.base + b.len && b.base < a.base + a.len {
                 diags.push(Diagnostic::warning(
-                    RuleCode::DmaRange,
+                    ConstraintKind::DmaRange,
                     Subject::Document,
                     format!("variables '{}' and '{}' overlap in {}", a.name, b.name, a.plane),
                 ));
@@ -128,7 +129,7 @@ fn check_conditions(
             });
             if !written {
                 diags.push(Diagnostic::warning(
-                    RuleCode::UnwrittenCondition,
+                    ConstraintKind::UnwrittenCondition,
                     Subject::Document,
                     format!(
                         "convergence test reads {}[{}], which no pipeline in the loop writes",
@@ -154,16 +155,16 @@ struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    fn err(&mut self, rule: RuleCode, subject: Subject, msg: impl Into<String>) {
+    fn err(&mut self, rule: ConstraintKind, subject: Subject, msg: impl Into<String>) {
         self.diags.push(Diagnostic::error(rule, subject, msg));
     }
 
-    fn warn(&mut self, rule: RuleCode, subject: Subject, msg: impl Into<String>) {
+    fn warn(&mut self, rule: ConstraintKind, subject: Subject, msg: impl Into<String>) {
         self.diags.push(Diagnostic::warning(rule, subject, msg));
     }
 
     /// Incomplete-work findings: warnings while editing, errors at codegen.
-    fn gap(&mut self, rule: RuleCode, subject: Subject, msg: impl Into<String>) {
+    fn gap(&mut self, rule: ConstraintKind, subject: Subject, msg: impl Into<String>) {
         let d = match self.stage {
             Stage::Incremental => Diagnostic::warning(rule, subject, msg),
             Stage::Global => Diagnostic::error(rule, subject, msg),
@@ -224,7 +225,7 @@ impl<'a> Ctx<'a> {
             .collect();
         for id in misfiled {
             self.err(
-                RuleCode::DanglingWire,
+                ConstraintKind::DanglingWire,
                 Subject::Icon(id),
                 format!("{id} is filed under another id, so wires naming {id} miss it"),
             );
@@ -237,7 +238,7 @@ impl<'a> Ctx<'a> {
             .collect();
         for (id, end) in dangling {
             self.err(
-                RuleCode::DanglingWire,
+                ConstraintKind::DanglingWire,
                 Subject::Connection(id),
                 format!("{end} names an icon this pipeline does not have"),
             );
@@ -257,12 +258,12 @@ impl<'a> Ctx<'a> {
             match icon.kind {
                 IconKind::Als { kind, als, .. } => match als {
                     None => self.gap(
-                        RuleCode::UnboundIcon,
+                        ConstraintKind::UnboundIcon,
                         subject,
                         format!("{} icon not yet bound to a physical ALS", kind),
                     ),
                     Some(a) if a.index() >= self.kb.layout().alss().len() => self.err(
-                        RuleCode::NoSuchResource,
+                        ConstraintKind::NoSuchResource,
                         subject,
                         format!("{a} does not exist on {}", self.kb.config().name),
                     ),
@@ -270,14 +271,14 @@ impl<'a> Ctx<'a> {
                         let phys = self.kb.layout().als(a);
                         if phys.kind != kind {
                             self.err(
-                                RuleCode::BindingKindMismatch,
+                                ConstraintKind::BindingKindMismatch,
                                 subject,
                                 format!("{} icon bound to {a}, which is a {}", kind, phys.kind),
                             );
                         }
                         if let Some(prev) = als_bound.insert(a, icon.id) {
                             self.err(
-                                RuleCode::DuplicateBinding,
+                                ConstraintKind::DuplicateBinding,
                                 subject,
                                 format!("{a} already bound by {prev}"),
                             );
@@ -286,12 +287,12 @@ impl<'a> Ctx<'a> {
                 },
                 IconKind::Memory { plane } => match plane {
                     None => self.gap(
-                        RuleCode::UnboundIcon,
+                        ConstraintKind::UnboundIcon,
                         subject,
                         "memory icon has no plane number yet".to_string(),
                     ),
                     Some(p) if !self.kb.valid_plane(p) => self.err(
-                        RuleCode::NoSuchResource,
+                        ConstraintKind::NoSuchResource,
                         subject,
                         format!("{p} does not exist on {}", self.kb.config().name),
                     ),
@@ -299,12 +300,12 @@ impl<'a> Ctx<'a> {
                 },
                 IconKind::Cache { cache } => match cache {
                     None => self.gap(
-                        RuleCode::UnboundIcon,
+                        ConstraintKind::UnboundIcon,
                         subject,
                         "cache icon has no cache number yet".to_string(),
                     ),
                     Some(c) if !self.kb.valid_cache(c) => self.err(
-                        RuleCode::NoSuchResource,
+                        ConstraintKind::NoSuchResource,
                         subject,
                         format!("{c} does not exist on {}", self.kb.config().name),
                     ),
@@ -312,19 +313,19 @@ impl<'a> Ctx<'a> {
                 },
                 IconKind::Sdu { sdu } => match sdu {
                     None => self.gap(
-                        RuleCode::UnboundIcon,
+                        ConstraintKind::UnboundIcon,
                         subject,
                         "shift/delay icon not yet bound to a unit".to_string(),
                     ),
                     Some(s) if !self.kb.valid_sdu(s) => self.err(
-                        RuleCode::NoSuchResource,
+                        ConstraintKind::NoSuchResource,
                         subject,
                         format!("{s} does not exist on {}", self.kb.config().name),
                     ),
                     Some(s) => {
                         if let Some(prev) = sdu_bound.insert(s, icon.id) {
                             self.err(
-                                RuleCode::DuplicateBinding,
+                                ConstraintKind::DuplicateBinding,
                                 subject,
                                 format!("{s} already bound by {prev}"),
                             );
@@ -356,7 +357,7 @@ impl<'a> Ctx<'a> {
         for (kind, n) in by_kind {
             if n > avail(kind) {
                 self.err(
-                    RuleCode::AlsOvercommit,
+                    ConstraintKind::AlsOvercommit,
                     subject,
                     format!("{n} {kind} icons but the machine has {}", avail(kind)),
                 );
@@ -366,21 +367,21 @@ impl<'a> Ctx<'a> {
         // so they are capped at two per plane.
         if mems > cfg.memory.planes * 2 {
             self.err(
-                RuleCode::AlsOvercommit,
+                ConstraintKind::AlsOvercommit,
                 subject,
                 format!("{mems} memory icons but the machine has {} planes", cfg.memory.planes),
             );
         }
         if caches > cfg.cache.caches * 2 {
             self.err(
-                RuleCode::AlsOvercommit,
+                ConstraintKind::AlsOvercommit,
                 subject,
                 format!("{caches} cache icons but the machine has {}", cfg.cache.caches),
             );
         }
         if sdus > cfg.sdu.units {
             self.err(
-                RuleCode::AlsOvercommit,
+                ConstraintKind::AlsOvercommit,
                 subject,
                 format!("{sdus} shift/delay icons but the machine has {}", cfg.sdu.units),
             );
@@ -397,7 +398,7 @@ impl<'a> Ctx<'a> {
         for c in conns {
             if let Some(prev) = seen.insert(c.to, c.id) {
                 self.err(
-                    RuleCode::SinkDrivenTwice,
+                    ConstraintKind::SinkDrivenTwice,
                     Subject::Connection(c.id),
                     format!("{} is already driven by {prev}", c.to),
                 );
@@ -418,7 +419,7 @@ impl<'a> Ctx<'a> {
         for (pad, n) in counts {
             if n > max {
                 self.err(
-                    RuleCode::FanoutExceeded,
+                    ConstraintKind::FanoutExceeded,
                     Subject::Icon(pad.icon),
                     format!("{pad} drives {n} sinks; the switch fans out at most {max}"),
                 );
@@ -478,14 +479,14 @@ impl<'a> Ctx<'a> {
             let set: Vec<&DmaAttrs> = reads.iter().filter_map(|(_, a)| a.as_ref()).collect();
             if set.len() > 1 && set.iter().any(|a| *a != set[0]) {
                 self.err(
-                    RuleCode::PlaneContention,
+                    ConstraintKind::PlaneContention,
                     subject,
                     format!("{name} read port carries one stream; wires request different ones"),
                 );
             }
             if writes > 1 {
                 self.err(
-                    RuleCode::PlaneContention,
+                    ConstraintKind::PlaneContention,
                     subject,
                     format!("{name} write port already driven; a second unit cannot store there"),
                 );
@@ -538,7 +539,7 @@ impl<'a> Ctx<'a> {
                     if planes.len() > 1 {
                         let list: Vec<String> = planes.iter().map(|p| format!("MP{p}")).collect();
                         self.err(
-                            RuleCode::FuMultiPlane,
+                            ConstraintKind::FuMultiPlane,
                             Subject::Unit(icon_id, pos),
                             format!(
                                 "a function unit can {dir} in only a single memory plane per \
@@ -568,7 +569,7 @@ impl<'a> Ctx<'a> {
             for pos in 0..kind.unit_count() as u8 {
                 if !active.contains(&pos) && self.d.fu_assign(icon.id, pos).is_some() {
                     self.err(
-                        RuleCode::InactiveUnit,
+                        ConstraintKind::InactiveUnit,
                         Subject::Unit(icon.id, pos),
                         "unit is programmed but bypassed by the doublet configuration",
                     );
@@ -592,7 +593,7 @@ impl<'a> Ctx<'a> {
                     None => {
                         if wired_a || wired_b || wired_out {
                             self.gap(
-                                RuleCode::ArityMismatch,
+                                ConstraintKind::ArityMismatch,
                                 subject,
                                 "unit has wires but no operation assigned yet",
                             );
@@ -603,7 +604,7 @@ impl<'a> Ctx<'a> {
                         let caps = kind.unit_caps(pos as usize);
                         if !caps.supports(assign.op) {
                             self.err(
-                                RuleCode::CapabilityViolation,
+                                ConstraintKind::CapabilityViolation,
                                 subject,
                                 format!(
                                     "{} requires {:?} circuitry; unit {pos} of a {} has {}",
@@ -619,7 +620,7 @@ impl<'a> Ctx<'a> {
                         let spec_b = if assign.op.arity() == 1 {
                             if assign.in_b.wants_wire() && wired_b {
                                 self.warn(
-                                    RuleCode::ArityMismatch,
+                                    ConstraintKind::ArityMismatch,
                                     subject,
                                     format!(
                                         "{} is unary; the wire on input b is ignored",
@@ -637,7 +638,7 @@ impl<'a> Ctx<'a> {
                         // C020: dead output.
                         if !wired_out {
                             self.gap(
-                                RuleCode::DeadOutput,
+                                ConstraintKind::DeadOutput,
                                 subject,
                                 "unit is programmed but its output feeds nothing",
                             );
@@ -651,12 +652,12 @@ impl<'a> Ctx<'a> {
     fn check_operand(&mut self, subject: Subject, port: &str, spec: InputSpec, wired: bool) {
         match (spec.wants_wire(), wired) {
             (true, false) => self.gap(
-                RuleCode::ArityMismatch,
+                ConstraintKind::ArityMismatch,
                 subject,
                 format!("input {port} expects a wire but none is connected"),
             ),
             (false, true) => self.err(
-                RuleCode::ArityMismatch,
+                ConstraintKind::ArityMismatch,
                 subject,
                 format!("input {port} is internal ({spec:?}) but a wire is connected to it"),
             ),
@@ -683,7 +684,7 @@ impl<'a> Ctx<'a> {
             }
             if used > rf {
                 self.err(
-                    RuleCode::QueueDepthExceeded,
+                    ConstraintKind::QueueDepthExceeded,
                     Subject::Unit(icon, pos),
                     format!("register file holds {rf} words; this programming needs {used}"),
                 );
@@ -706,7 +707,7 @@ impl<'a> Ctx<'a> {
             let taps = self.d.sdu_taps(icon.id).to_vec();
             if taps.len() > cfg.sdu.taps_per_unit {
                 self.err(
-                    RuleCode::SduTapCount,
+                    ConstraintKind::SduTapCount,
                     subject,
                     format!(
                         "{} delays programmed; the unit has {} taps",
@@ -721,7 +722,7 @@ impl<'a> Ctx<'a> {
             for &delay in &taps {
                 if delay as u32 >= cfg.sdu.buffer_words {
                     self.err(
-                        RuleCode::SduDelayRange,
+                        ConstraintKind::SduDelayRange,
                         subject,
                         format!(
                             "tap delay {delay} does not fit the {}-word delay buffer",
@@ -737,7 +738,7 @@ impl<'a> Ctx<'a> {
                     if let PadRef::SduTap { tap } = c.from.pad {
                         if tap as usize >= cfg.sdu.taps_per_unit {
                             self.err(
-                                RuleCode::SduTapCount,
+                                ConstraintKind::SduTapCount,
                                 Subject::Connection(c.id),
                                 format!(
                                     "tap {tap} does not exist (unit has {})",
@@ -746,7 +747,7 @@ impl<'a> Ctx<'a> {
                             );
                         } else if tap as usize >= taps.len() {
                             self.gap(
-                                RuleCode::SduTapCount,
+                                ConstraintKind::SduTapCount,
                                 Subject::Connection(c.id),
                                 format!("tap {tap} is wired but has no delay programmed"),
                             );
@@ -760,7 +761,7 @@ impl<'a> Ctx<'a> {
                     });
                     if !ok {
                         self.err(
-                            RuleCode::SduSourceKind,
+                            ConstraintKind::SduSourceKind,
                             Subject::Connection(c.id),
                             "shift/delay units reformat memory data; feed them from a \
                              memory plane or cache",
@@ -787,7 +788,7 @@ impl<'a> Ctx<'a> {
                 matches!(to_kind, Some(IconKind::Memory { .. }) | Some(IconKind::Cache { .. }));
             if from_storage && to_storage {
                 self.err(
-                    RuleCode::DmaMissing,
+                    ConstraintKind::DmaMissing,
                     Subject::Connection(c.id),
                     "storage-to-storage wires are not routable; pass the stream through a \
                      function unit (COPY)",
@@ -800,7 +801,7 @@ impl<'a> Ctx<'a> {
             let storage_kind = if from_storage { from_kind } else { to_kind };
             let Some(attrs) = &c.dma else {
                 self.gap(
-                    RuleCode::DmaMissing,
+                    ConstraintKind::DmaMissing,
                     Subject::Connection(c.id),
                     "memory/cache connection needs DMA parameters (plane, address, stride)",
                 );
@@ -815,7 +816,7 @@ impl<'a> Ctx<'a> {
                 if let Some(n) = attrs.count {
                     if n != self.d.stream_len {
                         self.warn(
-                            RuleCode::StreamLenMismatch,
+                            ConstraintKind::StreamLenMismatch,
                             Subject::Connection(c.id),
                             format!(
                                 "explicit count {n} differs from the pipeline stream length {}",
@@ -827,7 +828,7 @@ impl<'a> Ctx<'a> {
             }
             if attrs.stride == 0 && count > 1 {
                 self.err(
-                    RuleCode::DmaRange,
+                    ConstraintKind::DmaRange,
                     Subject::Connection(c.id),
                     "stride 0 with more than one element re-reads one word forever",
                 );
@@ -837,7 +838,7 @@ impl<'a> Ctx<'a> {
                 (Some(name), Some(decls)) => match decls.lookup(name) {
                     None => {
                         self.err(
-                            RuleCode::UndeclaredVariable,
+                            ConstraintKind::UndeclaredVariable,
                             Subject::Connection(c.id),
                             format!("variable '{name}' is not declared"),
                         );
@@ -855,7 +856,8 @@ impl<'a> Ctx<'a> {
             };
             let is_cache = matches!(storage_kind, Some(IconKind::Cache { .. }));
             if span < 0 || span >= hard_limit as i128 || base >= hard_limit {
-                let rule = if is_cache { RuleCode::CacheCapacity } else { RuleCode::DmaRange };
+                let rule =
+                    if is_cache { ConstraintKind::CacheCapacity } else { ConstraintKind::DmaRange };
                 self.err(
                     rule,
                     Subject::Connection(c.id),
@@ -868,7 +870,7 @@ impl<'a> Ctx<'a> {
             } else if let Some(lim) = limit {
                 if span >= lim as i128 {
                     self.err(
-                        RuleCode::DmaRange,
+                        ConstraintKind::DmaRange,
                         Subject::Connection(c.id),
                         format!("transfer runs past the end of the variable (limit {lim})"),
                     );
@@ -888,7 +890,7 @@ impl<'a> Ctx<'a> {
             let used = self.used_positions(&icon);
             if used.len() > max {
                 self.err(
-                    RuleCode::SubsetViolation,
+                    ConstraintKind::SubsetViolation,
                     Subject::Icon(icon.id),
                     format!(
                         "subset model allows {max} active unit(s) per ALS; this icon uses {}",
@@ -912,7 +914,7 @@ impl<'a> Ctx<'a> {
                 {
                     if a == b {
                         self.err(
-                            RuleCode::SelfLoop,
+                            ConstraintKind::SelfLoop,
                             Subject::Connection(c.id),
                             "use the register-file feedback input for reductions, not a wire \
                              to the unit's own input",
@@ -930,7 +932,7 @@ impl<'a> Ctx<'a> {
     fn rule_stream_len(&mut self) {
         if self.d.stream_len == 0 {
             self.err(
-                RuleCode::StreamLenMismatch,
+                ConstraintKind::StreamLenMismatch,
                 Subject::Pipeline(self.d.id),
                 "stream length 0; scalars are vectors of length one",
             );
@@ -948,7 +950,7 @@ impl<'a> Ctx<'a> {
                 self.d.connections().any(|c| c.from.icon == icon.id || c.to.icon == icon.id);
             if !touched {
                 self.warn(
-                    RuleCode::UnusedIcon,
+                    ConstraintKind::UnusedIcon,
                     Subject::Icon(icon.id),
                     "icon participates in no connection",
                 );
@@ -1015,7 +1017,7 @@ impl<'a> Ctx<'a> {
                             }
                             Colour::Grey => {
                                 self.err(
-                                    RuleCode::CycleDetected,
+                                    ConstraintKind::CycleDetected,
                                     Subject::Icon(succ.0),
                                     "dataflow cycle through the switch; streams cannot be \
                                      aligned — use register-file feedback instead",
@@ -1046,7 +1048,7 @@ impl<'a> Ctx<'a> {
         });
         if !stores && self.d.connection_count() > 0 {
             self.err(
-                RuleCode::NoStore,
+                ConstraintKind::NoStore,
                 Subject::Pipeline(self.d.id),
                 "pipeline stores no result to any memory plane or cache",
             );
@@ -1070,11 +1072,11 @@ mod tests {
         PipelineDiagram::new(PipelineId(0), "t")
     }
 
-    fn fires(diags: &[Diagnostic], rule: RuleCode) -> bool {
+    fn fires(diags: &[Diagnostic], rule: ConstraintKind) -> bool {
         diags.iter().any(|d| d.rule == rule)
     }
 
-    fn fires_err(diags: &[Diagnostic], rule: RuleCode) -> bool {
+    fn fires_err(diags: &[Diagnostic], rule: ConstraintKind) -> bool {
         diags.iter().any(|d| d.rule == rule && d.severity == Severity::Error)
     }
 
@@ -1132,9 +1134,9 @@ mod tests {
         let mut d = diagram();
         d.add_icon(IconKind::memory());
         let inc = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires(&inc, RuleCode::UnboundIcon) && !has_errors(&inc));
+        assert!(fires(&inc, ConstraintKind::UnboundIcon) && !has_errors(&inc));
         let glob = check_pipeline(&kb, &d, Stage::Global);
-        assert!(fires_err(&glob, RuleCode::UnboundIcon));
+        assert!(fires_err(&glob, ConstraintKind::UnboundIcon));
     }
 
     #[test]
@@ -1145,7 +1147,7 @@ mod tests {
         d.add_icon(IconKind::Cache { cache: Some(CacheId(16)) });
         d.add_icon(IconKind::Sdu { sdu: Some(SduId(7)) });
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert_eq!(diags.iter().filter(|x| x.rule == RuleCode::NoSuchResource).count(), 3);
+        assert_eq!(diags.iter().filter(|x| x.rule == ConstraintKind::NoSuchResource).count(), 3);
     }
 
     #[test]
@@ -1159,7 +1161,7 @@ mod tests {
             als: Some(AlsId(0)),
         });
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::BindingKindMismatch));
+        assert!(fires_err(&diags, ConstraintKind::BindingKindMismatch));
     }
 
     #[test]
@@ -1174,7 +1176,7 @@ mod tests {
             });
         }
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::DuplicateBinding));
+        assert!(fires_err(&diags, ConstraintKind::DuplicateBinding));
     }
 
     #[test]
@@ -1185,7 +1187,7 @@ mod tests {
             d.add_icon(IconKind::als(AlsKind::Triplet)); // machine has 4
         }
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::AlsOvercommit));
+        assert!(fires_err(&diags, ConstraintKind::AlsOvercommit));
     }
 
     #[test]
@@ -1210,7 +1212,7 @@ mod tests {
         )
         .unwrap();
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::PlaneContention), "{diags:?}");
+        assert!(fires_err(&diags, ConstraintKind::PlaneContention), "{diags:?}");
     }
 
     #[test]
@@ -1238,7 +1240,7 @@ mod tests {
         )
         .unwrap();
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::FuMultiPlane));
+        assert!(fires_err(&diags, ConstraintKind::FuMultiPlane));
     }
 
     #[test]
@@ -1249,11 +1251,13 @@ mod tests {
         // Position 1 of a triplet is plain float: integer ops refused.
         d.assign_fu(t, 1, FuAssign::binary(FuOp::IAdd)).unwrap();
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::CapabilityViolation));
+        assert!(fires_err(&diags, ConstraintKind::CapabilityViolation));
         // Min/max on position 0 also refused.
         d.assign_fu(t, 0, FuAssign::binary(FuOp::Max)).unwrap();
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(diags.iter().filter(|x| x.rule == RuleCode::CapabilityViolation).count() >= 2);
+        assert!(
+            diags.iter().filter(|x| x.rule == ConstraintKind::CapabilityViolation).count() >= 2
+        );
     }
 
     #[test]
@@ -1270,7 +1274,7 @@ mod tests {
         )
         .unwrap();
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::ArityMismatch));
+        assert!(fires_err(&diags, ConstraintKind::ArityMismatch));
     }
 
     #[test]
@@ -1280,10 +1284,10 @@ mod tests {
         let als = d.add_icon(IconKind::als(AlsKind::Singlet));
         d.assign_fu(als, 0, FuAssign::binary(FuOp::Add)).unwrap();
         let inc = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires(&inc, RuleCode::ArityMismatch));
-        assert!(!fires_err(&inc, RuleCode::ArityMismatch));
+        assert!(fires(&inc, ConstraintKind::ArityMismatch));
+        assert!(!fires_err(&inc, ConstraintKind::ArityMismatch));
         let glob = check_pipeline(&kb, &d, Stage::Global);
-        assert!(fires_err(&glob, RuleCode::ArityMismatch));
+        assert!(fires_err(&glob, ConstraintKind::ArityMismatch));
     }
 
     #[test]
@@ -1302,7 +1306,7 @@ mod tests {
         )
         .unwrap();
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::QueueDepthExceeded), "120 > 64 words");
+        assert!(fires_err(&diags, ConstraintKind::QueueDepthExceeded), "120 > 64 words");
     }
 
     #[test]
@@ -1313,12 +1317,12 @@ mod tests {
         // Too many taps.
         d.set_sdu_taps(sdu, vec![0, 1, 2, 3, 4]).unwrap();
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::SduTapCount));
+        assert!(fires_err(&diags, ConstraintKind::SduTapCount));
         // A delay must stay below the 16384-word buffer.
         for (delay, fires) in [(16383, false), (16384, true), (16385, true)] {
             d.set_sdu_taps(sdu, vec![delay]).unwrap();
             let diags = check_pipeline(&kb, &d, Stage::Incremental);
-            assert_eq!(fires_err(&diags, RuleCode::SduDelayRange), fires, "delay {delay}");
+            assert_eq!(fires_err(&diags, ConstraintKind::SduDelayRange), fires, "delay {delay}");
         }
         // SDU fed from an ALS is refused.
         let als = d.add_icon(IconKind::als(AlsKind::Singlet));
@@ -1330,7 +1334,7 @@ mod tests {
         )
         .unwrap();
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::SduSourceKind));
+        assert!(fires_err(&diags, ConstraintKind::SduSourceKind));
     }
 
     #[test]
@@ -1349,21 +1353,23 @@ mod tests {
             )
             .unwrap();
         let inc = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires(&inc, RuleCode::DmaMissing) && !fires_err(&inc, RuleCode::DmaMissing));
+        assert!(
+            fires(&inc, ConstraintKind::DmaMissing) && !fires_err(&inc, ConstraintKind::DmaMissing)
+        );
         let glob = check_pipeline(&kb, &d, Stage::Global);
-        assert!(fires_err(&glob, RuleCode::DmaMissing));
+        assert!(fires_err(&glob, ConstraintKind::DmaMissing));
         // Out-of-range transfer.
         d.connection_mut(c1).unwrap().dma = Some(DmaAttrs::at_address(16 * 1024 * 1024 - 10));
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::DmaRange));
+        assert!(fires_err(&diags, ConstraintKind::DmaRange));
         // Zero stride.
         d.connection_mut(c1).unwrap().dma = Some(DmaAttrs::at_address(0).with_stride(0));
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::DmaRange));
+        assert!(fires_err(&diags, ConstraintKind::DmaRange));
         // Count mismatch warning.
         d.connection_mut(c1).unwrap().dma = Some(DmaAttrs::at_address(0).with_count(50));
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires(&diags, RuleCode::StreamLenMismatch));
+        assert!(fires(&diags, ConstraintKind::StreamLenMismatch));
     }
 
     #[test]
@@ -1379,7 +1385,7 @@ mod tests {
         )
         .unwrap();
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::DmaMissing));
+        assert!(fires_err(&diags, ConstraintKind::DmaMissing));
     }
 
     #[test]
@@ -1397,16 +1403,16 @@ mod tests {
         .unwrap();
         // Without declarations: silent on the variable.
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(!fires(&diags, RuleCode::UndeclaredVariable));
+        assert!(!fires(&diags, ConstraintKind::UndeclaredVariable));
         // With declarations: undeclared variable is an error.
         let decls = Declarations::default();
         let diags = check_pipeline_with(&kb, &d, Stage::Incremental, Some(&decls));
-        assert!(fires_err(&diags, RuleCode::UndeclaredVariable));
+        assert!(fires_err(&diags, ConstraintKind::UndeclaredVariable));
         // Declared but overrun: DmaRange.
         let mut decls = Declarations::default();
         decls.declare(VarDecl { name: "ghost".into(), plane: PlaneId(0), base: 0, len: 32 });
         let diags = check_pipeline_with(&kb, &d, Stage::Incremental, Some(&decls));
-        assert!(fires_err(&diags, RuleCode::DmaRange), "64-long stream into 32-long var");
+        assert!(fires_err(&diags, ConstraintKind::DmaRange), "64-long stream into 32-long var");
     }
 
     #[test]
@@ -1418,7 +1424,7 @@ mod tests {
         d.assign_fu(t, 0, FuAssign::binary(FuOp::Add)).unwrap();
         d.assign_fu(t, 1, FuAssign::binary(FuOp::Mul)).unwrap();
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::SubsetViolation));
+        assert!(fires_err(&diags, ConstraintKind::SubsetViolation));
     }
 
     #[test]
@@ -1433,7 +1439,7 @@ mod tests {
         )
         .unwrap();
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        let d = diags.iter().find(|x| x.rule == RuleCode::SelfLoop).expect("self loop");
+        let d = diags.iter().find(|x| x.rule == ConstraintKind::SelfLoop).expect("self loop");
         assert!(d.message.contains("feedback"));
     }
 
@@ -1456,9 +1462,9 @@ mod tests {
         )
         .unwrap();
         let inc = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(!fires(&inc, RuleCode::CycleDetected), "cycle check is global-only");
+        assert!(!fires(&inc, ConstraintKind::CycleDetected), "cycle check is global-only");
         let glob = check_pipeline(&kb, &d, Stage::Global);
-        assert!(fires_err(&glob, RuleCode::CycleDetected));
+        assert!(fires_err(&glob, ConstraintKind::CycleDetected));
     }
 
     #[test]
@@ -1474,7 +1480,7 @@ mod tests {
         )
         .unwrap();
         let glob = check_pipeline(&kb, &d, Stage::Global);
-        assert!(fires_err(&glob, RuleCode::NoStore));
+        assert!(fires_err(&glob, ConstraintKind::NoStore));
     }
 
     #[test]
@@ -1483,7 +1489,7 @@ mod tests {
         let mut d = diagram();
         d.stream_len = 0;
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::StreamLenMismatch));
+        assert!(fires_err(&diags, ConstraintKind::StreamLenMismatch));
     }
 
     #[test]
@@ -1499,9 +1505,9 @@ mod tests {
         doc.decls.declare(VarDecl { name: "a".into(), plane: PlaneId(0), base: 0, len: 100 });
         doc.decls.declare(VarDecl { name: "b".into(), plane: PlaneId(0), base: 50, len: 100 });
         let diags = check_document(&kb, &doc);
-        assert!(fires_err(&diags, RuleCode::DanglingControlRef));
-        assert!(fires_err(&diags, RuleCode::NoSuchResource), "var in plane 99");
-        assert!(fires(&diags, RuleCode::DmaRange), "overlapping vars warn");
+        assert!(fires_err(&diags, ConstraintKind::DanglingControlRef));
+        assert!(fires_err(&diags, ConstraintKind::NoSuchResource), "var in plane 99");
+        assert!(fires(&diags, ConstraintKind::DmaRange), "overlapping vars warn");
     }
 
     #[test]
@@ -1519,7 +1525,7 @@ mod tests {
             body: Box::new(ControlNode::Pipeline(p)),
         });
         let diags = check_document(&kb, &doc);
-        assert!(fires(&diags, RuleCode::UnwrittenCondition));
+        assert!(fires(&diags, ConstraintKind::UnwrittenCondition));
     }
 
     #[test]
@@ -1528,7 +1534,7 @@ mod tests {
         let mut d = diagram();
         d.add_icon(IconKind::memory());
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires(&diags, RuleCode::UnusedIcon));
+        assert!(fires(&diags, ConstraintKind::UnusedIcon));
     }
 
     #[test]
@@ -1544,6 +1550,6 @@ mod tests {
             }
         }
         let diags = check_pipeline(&kb, &d, Stage::Incremental);
-        assert!(fires_err(&diags, RuleCode::InactiveUnit));
+        assert!(fires_err(&diags, ConstraintKind::InactiveUnit));
     }
 }

@@ -302,25 +302,25 @@ mod tests {
     /// without panicking. `generate` checks first and names the rule.
     #[test]
     fn unchecked_documents_are_refused_without_panicking() {
-        use nsc_checker::RuleCode;
+        use nsc_checker::ConstraintKind;
         let kb = kb();
         let mut cases = Vec::new();
 
         let (mut dangling, _) = doc_with_pipeline(&kb);
         dangling.control = Some(ControlNode::Pipeline(PipelineId(404)));
-        cases.push((dangling, RuleCode::DanglingControlRef));
+        cases.push((dangling, ConstraintKind::DanglingControlRef));
 
         let (mut stripped, pid) = doc_with_pipeline(&kb);
         let d = stripped.pipeline_mut(pid).unwrap();
         let wire = d.connections().next().expect("the plane read wire").id;
         d.connection_mut(wire).unwrap().dma = None;
-        cases.push((stripped, RuleCode::DmaMissing));
+        cases.push((stripped, ConstraintKind::DmaMissing));
 
         let (mut unbound, pid) = doc_with_pipeline(&kb);
         let d = unbound.pipeline_mut(pid).unwrap();
         let idle = d.add_icon(IconKind::als(AlsKind::Singlet));
         d.assign_fu(idle, 0, FuAssign::unary(FuOp::Abs)).unwrap();
-        cases.push((unbound, RuleCode::UnboundIcon));
+        cases.push((unbound, ConstraintKind::UnboundIcon));
 
         // A second unit stores into the plane the pipeline already writes.
         let (mut contended, pid) = doc_with_pipeline(&kb);
@@ -342,13 +342,13 @@ mod tests {
         )
         .unwrap();
         d.assign_fu(als, 0, FuAssign::unary(FuOp::Abs)).unwrap();
-        cases.push((contended, RuleCode::PlaneContention));
+        cases.push((contended, ConstraintKind::PlaneContention));
 
         // Bindings and taps lowering indexes the machine by.
         let (mut nowhere, pid) = doc_with_pipeline(&kb);
         let d = nowhere.pipeline_mut(pid).unwrap();
         d.add_icon(IconKind::Memory { plane: Some(PlaneId(99)) });
-        cases.push((nowhere, RuleCode::NoSuchResource));
+        cases.push((nowhere, ConstraintKind::NoSuchResource));
         for tap in [0, 5] {
             // Six taps on a four-tap unit, the stream read from one of them.
             let (mut tapped, pid) = doc_with_pipeline(&kb);
@@ -362,10 +362,13 @@ mod tests {
             d.connect(PadLoc::new(src, PadRef::Io), into, Some(DmaAttrs::at_address(0))).unwrap();
             let out = PadLoc::new(sdu, PadRef::SduTap { tap });
             d.connect(out, PadLoc::new(dst, PadRef::Io), Some(DmaAttrs::at_address(0))).unwrap();
-            cases.push((tapped, RuleCode::SduTapCount));
+            cases.push((tapped, ConstraintKind::SduTapCount));
         }
 
         for (doc, rule) in cases {
+            // The checker speaks only its own half of the taxonomy.
+            let found = nsc_checker::rules::check_document(&kb, &doc);
+            assert!(found.iter().all(|d| d.rule.is_checker_rule()), "{rule:?}: {found:?}");
             let lowered = generate_prechecked(&kb, &doc);
             assert!(lowered.is_err(), "{rule:?}: lowered to {lowered:?}");
             match generate(&kb, &doc) {
@@ -382,7 +385,7 @@ mod tests {
     /// the 1988 machine is also the largest its 14-bit tap field holds.
     #[test]
     fn sdu_delays_the_checker_passes_encode() {
-        use nsc_checker::RuleCode;
+        use nsc_checker::ConstraintKind;
         let kb = kb();
         let buffer = kb.config().sdu.buffer_words as u16;
         for delay in [buffer - 1, buffer] {
@@ -406,7 +409,7 @@ mod tests {
             } else {
                 match generated {
                     Err(GenError::CheckFailed(diags)) => assert!(
-                        diags.iter().any(|d| d.rule == RuleCode::SduDelayRange),
+                        diags.iter().any(|d| d.rule == ConstraintKind::SduDelayRange),
                         "{diags:?}"
                     ),
                     other => panic!("delay {delay}: {:?}", other.map(|_| "generated")),

@@ -6,14 +6,15 @@
 //! values flowing through the pipeline. This could help to pinpoint timing
 //! errors, as well as other bugs in the program."
 //!
-//! [`VisualEnvironment::debug_run`] executes a document with tracing on,
-//! then replays each executed instruction as a rendered diagram plus the
-//! last value observed on every live port — plane reads, shift/delay taps,
-//! and every functional unit's output, named in *diagram* terms via the
+//! [`Session::debug_run`] compiles a document through the session (its
+//! cache and certificate log included), executes it with tracing on, then
+//! replays each executed instruction as a rendered diagram plus the last
+//! value observed on every live port — plane reads, shift/delay taps, and
+//! every functional unit's output, named in *diagram* terms via the
 //! generator's instruction maps.
 
-use crate::environment::VisualEnvironment;
 use crate::error::NscError;
+use crate::session::Session;
 use nsc_arch::SourceRef;
 use nsc_diagram::{Document, IconKind, PipelineId};
 use nsc_sim::{NodeSim, RunOptions};
@@ -58,15 +59,18 @@ impl DebugReport {
     }
 }
 
-impl VisualEnvironment {
-    /// Execute with tracing and annotate every captured instruction.
+impl Session {
+    /// Compile through this session, execute with tracing and annotate
+    /// every captured instruction. A document compiled before is a cache
+    /// hit, and the compile's certificate goes to the session's log like
+    /// any other.
     pub fn debug_run(
         &self,
         doc: &mut Document,
         node: &mut NodeSim,
         max_frames: usize,
     ) -> Result<DebugReport, NscError> {
-        let compiled = self.session().compile(doc)?;
+        let compiled = self.compile(doc)?;
         let out = &compiled.output;
         let opts = RunOptions { trace: true, trace_cap: max_frames, ..Default::default() };
         let stats = compiled.run(node, &opts)?.stats;
@@ -129,20 +133,15 @@ impl VisualEnvironment {
 mod tests {
     use super::*;
     use nsc_arch::{AlsKind, FuOp, InPort, PlaneId};
-    use nsc_diagram::{DmaAttrs, FuAssign, IconKind, PadLoc, PadRef};
+    use nsc_cert::CompilePath;
+    use nsc_diagram::{DmaAttrs, FuAssign, IconKind, PadLoc, PadRef, Point};
 
-    fn scaled_doc(env: &VisualEnvironment) -> Document {
-        let mut ed = env.editor("debugged");
+    fn scaled_doc(session: &Session) -> Document {
+        let mut ed = session.editor("debugged");
         ed.set_stream_len(8);
-        let mem = ed.place_icon(
-            IconKind::Memory { plane: Some(PlaneId(0)) },
-            nsc_diagram::Point::new(22, 6),
-        );
-        let als = ed.place_icon(IconKind::als(AlsKind::Singlet), nsc_diagram::Point::new(45, 6));
-        let out = ed.place_icon(
-            IconKind::Memory { plane: Some(PlaneId(1)) },
-            nsc_diagram::Point::new(70, 6),
-        );
+        let mem = ed.place_icon(IconKind::Memory { plane: Some(PlaneId(0)) }, Point::new(22, 6));
+        let als = ed.place_icon(IconKind::als(AlsKind::Singlet), Point::new(45, 6));
+        let out = ed.place_icon(IconKind::Memory { plane: Some(PlaneId(1)) }, Point::new(70, 6));
         let c1 = ed
             .connect(
                 PadLoc::new(mem, PadRef::Io),
@@ -160,11 +159,11 @@ mod tests {
 
     #[test]
     fn debug_frames_show_live_values() {
-        let env = VisualEnvironment::nsc_1988();
-        let mut doc = scaled_doc(&env);
-        let mut node = env.node();
+        let session = Session::nsc_1988();
+        let mut doc = scaled_doc(&session);
+        let mut node = session.node();
         node.mem.plane_mut(PlaneId(0)).write_slice(0, &[1.0, 2.0, 7.0]);
-        let report = env.debug_run(&mut doc, &mut node, 16).expect("debugs");
+        let report = session.debug_run(&mut doc, &mut node, 16).expect("debugs");
         assert_eq!(report.frames.len(), 1);
         let frame = &report.frames[0];
         assert!(frame.diagram.contains("MUL"), "diagram rendered");
@@ -182,12 +181,32 @@ mod tests {
     fn debugger_pinpoints_a_data_bug() {
         // The §6 promise: a wrong constant is visible in the annotated
         // diagram without inspecting memory dumps.
-        let env = VisualEnvironment::nsc_1988();
-        let mut doc = scaled_doc(&env);
-        let mut node = env.node();
+        let session = Session::nsc_1988();
+        let mut doc = scaled_doc(&session);
+        let mut node = session.node();
         node.mem.plane_mut(PlaneId(0)).write_slice(0, &[3.0; 8]);
-        let report = env.debug_run(&mut doc, &mut node, 4).expect("debugs");
+        let report = session.debug_run(&mut doc, &mut node, 4).expect("debugs");
         let fu_val = report.frames[0].values.iter().find(|(l, _)| l.contains(".u0.out")).unwrap();
         assert_eq!(fu_val.1, 30.0, "3.0 x 10 visible at the unit's output pad");
+    }
+
+    #[test]
+    fn debug_runs_share_the_sessions_cache_and_certificate_log() {
+        let (session, log) = Session::nsc_1988().with_certificate_log();
+        let mut doc = scaled_doc(&session);
+        let mut debug = || {
+            let mut node = session.node();
+            node.mem.plane_mut(PlaneId(0)).write_slice(0, &[1.0, 2.0, 7.0]);
+            session.debug_run(&mut doc, &mut node, 16).expect("debugs")
+        };
+        let first = debug();
+        let before = session.cache_stats();
+        let second = debug();
+        let after = session.cache_stats();
+        assert_eq!(after.hits, before.hits + 1, "the second debug run is a cache hit");
+        assert_eq!(after.misses, before.misses);
+        assert_eq!(second.render(), first.render(), "the same frames");
+        let paths: Vec<_> = log.drain().iter().map(|c| c.compile_path).collect();
+        assert_eq!(paths, [CompilePath::Full, CompilePath::CacheHit], "both compiles logged");
     }
 }

@@ -1,70 +1,24 @@
-//! The Figure 3 integration: editor ↔ checker ↔ generator ↔ machine.
+//! The Figure 3 integration's interactive half: editors wired to the
+//! session's checker, and the §6 compiler back-end display.
 //!
-//! [`VisualEnvironment`] owns the knowledge base and hands out the
-//! interactive pieces (checker-connected editors, diagram renders). The
-//! compile-and-run half lives in the typed stage pipeline of
-//! [`Session`] / [`CompiledProgram`](crate::CompiledProgram); reach it
-//! through [`VisualEnvironment::session`].
+//! [`Session`] is the one environment object. Besides the compile-and-run
+//! stages of [`crate::session`], it hands out checker-connected editors
+//! ([`Session::editor`], [`Session::open`]) and renders whole documents as
+//! diagrams ([`Session::display_document`]), all over one knowledge base.
 
 use crate::session::Session;
-use nsc_arch::{KnowledgeBase, MachineConfig};
-use nsc_checker::{Checker, Diagnostic};
-use nsc_diagram::Document;
+use nsc_diagram::{Document, PipelineId, Point};
 use nsc_editor::Editor;
-use nsc_sim::NodeSim;
 
-/// The whole environment for one machine configuration.
-#[derive(Debug, Clone)]
-pub struct VisualEnvironment {
-    kb: KnowledgeBase,
-}
-
-impl VisualEnvironment {
-    /// An environment for a machine configuration.
-    pub fn new(cfg: MachineConfig) -> Self {
-        VisualEnvironment { kb: KnowledgeBase::new(cfg) }
-    }
-
-    /// The published 1988 machine.
-    pub fn nsc_1988() -> Self {
-        Self::new(MachineConfig::nsc_1988())
-    }
-
-    /// The knowledge base.
-    pub fn kb(&self) -> &KnowledgeBase {
-        &self.kb
-    }
-
-    /// A checker over this machine.
-    pub fn checker(&self) -> Checker {
-        Checker::new(self.kb.clone())
-    }
-
+impl Session {
     /// A fresh editor wired to this machine's checker.
     pub fn editor(&self, name: impl Into<String>) -> Editor {
-        Editor::new(self.checker(), name)
+        Editor::new(self.checker().clone(), name)
     }
 
     /// An editor over an existing document.
     pub fn open(&self, doc: Document) -> Editor {
-        Editor::open(self.checker(), doc)
-    }
-
-    /// Whole-document check (the generator's "thorough check of global
-    /// constraints").
-    pub fn check(&self, doc: &Document) -> Vec<Diagnostic> {
-        self.checker().check_document(doc)
-    }
-
-    /// A compile-and-run [`Session`] over this machine — the typed stage
-    /// pipeline (bind → check → generate → run).
-    pub fn session(&self) -> Session {
-        Session::from_kb(self.kb.clone())
-    }
-
-    /// A fresh simulated node for this machine.
-    pub fn node(&self) -> NodeSim {
-        NodeSim::new(self.kb.clone())
+        Editor::open(self.checker().clone(), doc)
     }
 
     /// Render every pipeline of a document (the §6 "back end to a
@@ -82,7 +36,7 @@ impl VisualEnvironment {
             };
             // Lay the icons out automatically if the source document had
             // no display data.
-            let mut ed = Editor::open(self.checker(), sub);
+            let mut ed = self.open(sub);
             auto_layout(&mut ed, pid);
             out.push((p.name.clone(), nsc_editor::render_ascii(&ed)));
         }
@@ -92,8 +46,7 @@ impl VisualEnvironment {
 
 /// Grid-place any unpositioned icons so renders are meaningful for
 /// documents built programmatically (no display data).
-pub fn auto_layout(ed: &mut Editor, pipeline: nsc_diagram::PipelineId) {
-    use nsc_diagram::Point;
+fn auto_layout(ed: &mut Editor, pipeline: PipelineId) {
     let Some(d) = ed.doc.pipeline(pipeline) else { return };
     let ids: Vec<_> = d.icons().map(|i| i.id).collect();
     let placed: Vec<_> = {
@@ -114,23 +67,17 @@ pub fn auto_layout(ed: &mut Editor, pipeline: nsc_diagram::PipelineId) {
 mod tests {
     use super::*;
     use crate::error::NscError;
-    use nsc_arch::{AlsKind, FuOp, InPort, PlaneId};
+    use nsc_arch::{AlsKind, FuOp, InPort, MachineConfig, PlaneId};
     use nsc_diagram::{DmaAttrs, FuAssign, IconKind, PadLoc, PadRef};
     use nsc_sim::{HaltReason, RunOptions};
 
-    /// Build a MP0 -> neg -> MP1 document through the environment's editor.
-    fn small_doc(env: &VisualEnvironment) -> Document {
-        let mut ed = env.editor("negate");
+    /// Build a MP0 -> neg -> MP1 document through the session's editor.
+    fn small_doc(session: &Session) -> Document {
+        let mut ed = session.editor("negate");
         ed.set_stream_len(32);
-        let mem = ed.place_icon(
-            IconKind::Memory { plane: Some(PlaneId(0)) },
-            nsc_diagram::Point::new(22, 6),
-        );
-        let als = ed.place_icon(IconKind::als(AlsKind::Singlet), nsc_diagram::Point::new(45, 6));
-        let out = ed.place_icon(
-            IconKind::Memory { plane: Some(PlaneId(1)) },
-            nsc_diagram::Point::new(70, 6),
-        );
+        let mem = ed.place_icon(IconKind::Memory { plane: Some(PlaneId(0)) }, Point::new(22, 6));
+        let als = ed.place_icon(IconKind::als(AlsKind::Singlet), Point::new(45, 6));
+        let out = ed.place_icon(IconKind::Memory { plane: Some(PlaneId(1)) }, Point::new(70, 6));
         let c1 = ed
             .connect(
                 PadLoc::new(mem, PadRef::Io),
@@ -148,15 +95,14 @@ mod tests {
 
     #[test]
     fn figure_3_flow_end_to_end() {
-        let env = VisualEnvironment::nsc_1988();
-        let mut doc = small_doc(&env);
+        let session = Session::nsc_1988();
+        let mut doc = small_doc(&session);
         // Compile (binds unbound icons) -> run -> check.
-        let session = env.session();
-        let mut node = env.node();
+        let mut node = session.node();
         node.mem.plane_mut(PlaneId(0)).write_slice(0, &[1.0, -2.0, 3.0]);
         let compiled = session.compile(&mut doc).expect("compiles");
         let report = compiled.run(&mut node, &RunOptions::default()).expect("runs");
-        let diags = env.check(&doc);
+        let diags = session.checker().check_document(&doc);
         assert!(!nsc_checker::diag::has_errors(&diags), "{diags:?}");
         assert_eq!(compiled.program().len(), 1);
         assert_eq!(report.stats.halted, HaltReason::Halt);
@@ -166,20 +112,20 @@ mod tests {
 
     #[test]
     fn generation_refuses_unbindable_documents() {
-        let env = VisualEnvironment::nsc_1988();
+        let session = Session::nsc_1988();
         let mut doc = Document::new("too-many");
         let pid = doc.add_pipeline("p");
         for _ in 0..5 {
             doc.pipeline_mut(pid).unwrap().add_icon(IconKind::als(AlsKind::Triplet));
         }
-        assert!(matches!(env.session().compile(&mut doc), Err(NscError::BindFailed(_))));
+        assert!(matches!(session.compile(&mut doc), Err(NscError::BindFailed(_))));
     }
 
     #[test]
     fn display_mode_renders_every_pipeline() {
-        let env = VisualEnvironment::nsc_1988();
-        let doc = small_doc(&env);
-        let frames = env.display_document(&doc);
+        let session = Session::nsc_1988();
+        let doc = small_doc(&session);
+        let frames = session.display_document(&doc);
         assert_eq!(frames.len(), 1);
         assert!(frames[0].1.contains("NEG"));
         assert!(frames[0].1.contains("MP0"));
@@ -190,16 +136,16 @@ mod tests {
         // Experiment T9: the same document checks and generates against a
         // revised machine (double-size register files, six-tap SDUs) with
         // no editor or document change.
-        let env_a = VisualEnvironment::nsc_1988();
+        let session_a = Session::nsc_1988();
         let mut revised = MachineConfig::nsc_1988();
         revised.name = "NSC (1989 revision)".into();
         revised.rf_words = 128;
         revised.sdu.taps_per_unit = 6;
-        let env_b = VisualEnvironment::new(revised);
-        let mut doc_a = small_doc(&env_a);
+        let session_b = Session::new(revised);
+        let mut doc_a = small_doc(&session_a);
         let mut doc_b = doc_a.clone();
-        let out_a = env_a.session().compile(&mut doc_a).expect("1988 compiles");
-        let out_b = env_b.session().compile(&mut doc_b).expect("1989 compiles");
+        let out_a = session_a.compile(&mut doc_a).expect("1988 compiles");
+        let out_b = session_b.compile(&mut doc_b).expect("1989 compiles");
         assert_eq!(out_a.program().len(), out_b.program().len());
         assert_eq!(out_b.program().machine, "NSC (1989 revision)");
     }

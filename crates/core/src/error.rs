@@ -42,11 +42,6 @@ impl DiagnosticSet {
         &self.0
     }
 
-    /// Unwrap the findings.
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.0
-    }
-
     /// Number of findings.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -203,7 +198,7 @@ impl From<ExecError> for NscError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nsc_checker::{RuleCode, Subject};
+    use nsc_checker::{ConstraintKind, Subject};
     use nsc_diagram::IconId;
 
     #[test]
@@ -218,7 +213,7 @@ mod tests {
         let e: NscError = ExecError::BadProgram("x".into()).into();
         assert!(e.source().unwrap().downcast_ref::<ExecError>().is_some());
 
-        let diag = Diagnostic::error(RuleCode::UnboundIcon, Subject::Document, "unbound");
+        let diag = Diagnostic::error(ConstraintKind::UnboundIcon, Subject::Document, "unbound");
         let e = NscError::bind_failed(vec![diag]);
         let set = e.source().unwrap().downcast_ref::<DiagnosticSet>().expect("diagnostic set");
         assert_eq!(set.len(), 1);
@@ -238,8 +233,8 @@ mod tests {
     #[test]
     fn display_carries_each_finding() {
         let diags = vec![
-            Diagnostic::error(RuleCode::UnboundIcon, Subject::Document, "icon A unbound"),
-            Diagnostic::error(RuleCode::UnboundIcon, Subject::Document, "icon B unbound"),
+            Diagnostic::error(ConstraintKind::UnboundIcon, Subject::Document, "icon A unbound"),
+            Diagnostic::error(ConstraintKind::UnboundIcon, Subject::Document, "icon B unbound"),
         ];
         let msg = NscError::check_failed(diags).to_string();
         assert!(msg.contains("2 finding(s)"));

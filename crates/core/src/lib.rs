@@ -3,22 +3,23 @@
 //! Paper Figure 3 shows the system's three components — graphical editor,
 //! checker with its machine-specific knowledge base, and microcode
 //! generator — and how the user's diagrams flow through them into an
-//! executable program. [`VisualEnvironment`] is that integration: one
-//! object owning the knowledge base, handing out checker-connected
-//! editors, validating documents, generating microcode and executing it on
-//! the simulated machine.
+//! executable program. [`Session`] is that integration: one object over
+//! one knowledge base, handing out checker-connected editors
+//! ([`Session::editor`], [`Session::open`]), validating documents
+//! ([`Session::checker`]), generating microcode behind its compile cache
+//! and executing it on the simulated machine.
 //!
 //! It also implements the two §6 extensions the paper proposes:
 //!
 //! * **visual debugging** — "During execution, each new instruction would
 //!   display the corresponding pipeline diagram, annotated to show data
-//!   values flowing through the pipeline." [`VisualEnvironment::debug_run`]
+//!   values flowing through the pipeline." [`Session::debug_run`]
 //!   captures per-instruction source traces from the simulator and renders
 //!   each pipeline diagram with its live pad values attached;
 //! * **compiler back end** — "The visual environment might also be useful
 //!   as a back end to a compiler, displaying the results of the
-//!   compilation process." [`VisualEnvironment::display_document`] renders
-//!   any generated document (e.g. from `nsc-expr`'s mapper) as diagrams.
+//!   compilation process." [`Session::display_document`] renders any
+//!   generated document (e.g. from `nsc-expr`'s mapper) as diagrams.
 //!
 //! ## Quickstart: the typed stage pipeline
 //!
@@ -75,12 +76,11 @@
 
 pub mod certify;
 pub mod debugger;
-pub mod environment;
+mod environment;
 pub mod error;
 pub mod session;
 
 pub use self::debugger::{DebugFrame, DebugReport};
-pub use self::environment::VisualEnvironment;
 pub use self::error::{DiagnosticSet, NscError};
 pub use self::session::{
     run_lanes, CacheStats, CertificateLog, CompiledProgram, RunReport, Session, Workload,

@@ -128,7 +128,10 @@ impl CertificateLog {
     }
 }
 
-/// A compile-and-run session over one machine configuration.
+/// The environment for one machine configuration: checker-connected
+/// editors and diagram renders ([`Session::editor`],
+/// [`Session::display_document`]), the visual debugger
+/// ([`Session::debug_run`]) and the compile-and-run stages.
 ///
 /// Cheap to construct (one knowledge-base clone, reused by every stage)
 /// and freely cloneable; every stage takes `&self`, so one session can

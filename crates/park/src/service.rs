@@ -140,13 +140,8 @@ impl MachinePark {
     /// bad certificate in a shared facility is an integrity event, not a
     /// per-job footnote.
     pub fn with_audit_fraction(mut self, fraction: f64) -> Self {
-        self.set_audit_fraction(fraction);
-        self
-    }
-
-    /// Set the spot-audit fraction (see [`MachinePark::with_audit_fraction`]).
-    pub fn set_audit_fraction(&mut self, fraction: f64) {
         self.audit_fraction = fraction.clamp(0.0, 1.0);
+        self
     }
 
     /// The configured spot-audit fraction.
@@ -345,14 +340,8 @@ impl MachinePark {
         // The job's usage is what its fresh nodes' counters reached; its
         // simulated duration is the critical-path node (compute +
         // unhidden communication).
-        let mut counters = PerfCounters::default();
-        let mut simulated_seconds = 0.0f64;
-        for node in system.nodes() {
-            counters.absorb(&node.counters);
-            simulated_seconds =
-                simulated_seconds.max(node.counters.seconds_with_comm(self.clock_hz));
-        }
-        Executed { counters, simulated_seconds, outcome }
+        let m = system.metrics_since(&vec![PerfCounters::default(); system.node_count()]);
+        Executed { counters: m.total, simulated_seconds: m.simulated_seconds, outcome }
     }
 
     /// Allocate an admitted job its sub-cube and stamp every certificate

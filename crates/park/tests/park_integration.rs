@@ -7,7 +7,7 @@
 use nsc_cfd::grid::manufactured_problem;
 use nsc_cfd::{
     CavityWorkload, DistributedJacobiWorkload, DistributedMultigridWorkload,
-    DistributedSorWorkload, MgOptions, PartitionSpec,
+    DistributedSorWorkload, PartitionSpec,
 };
 use nsc_core::{NscError, Session};
 use nsc_park::{Job, JobOutcome, JobPayload, MachinePark, SchedPolicy};
@@ -34,8 +34,7 @@ fn sor(n: usize) -> DistributedSorWorkload {
 }
 
 fn multigrid(n: usize) -> DistributedMultigridWorkload {
-    let (u0, f, _) = manufactured_problem(n);
-    DistributedMultigridWorkload { u0, f, tol: 1e-8, max_cycles: 25, opts: MgOptions::default() }
+    DistributedMultigridWorkload::manufactured(n, 0.8, 1e-8, 25)
 }
 
 fn cavity(n: usize) -> CavityWorkload {

@@ -81,20 +81,6 @@ impl PerfCounters {
         }
     }
 
-    /// Merge counters of *sequential* work on the same node: everything
-    /// sums, including elapsed cycles.
-    pub fn accumulate(&mut self, other: &PerfCounters) {
-        self.cycles += other.cycles;
-        self.instructions += other.instructions;
-        self.flops += other.flops;
-        self.elements_streamed += other.elements_streamed;
-        self.elements_stored += other.elements_stored;
-        self.completion_interrupts += other.completion_interrupts;
-        self.exceptions += other.exceptions;
-        self.comm_ns += other.comm_ns;
-        self.comm_hidden_ns += other.comm_hidden_ns;
-    }
-
     /// Merge another node's counters (for system totals).
     pub fn absorb(&mut self, other: &PerfCounters) {
         self.cycles = self.cycles.max(other.cycles); // parallel nodes overlap
@@ -139,14 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_sums_sequential_time() {
-        let mut a = PerfCounters { cycles: 100, flops: 50, ..Default::default() };
-        a.accumulate(&PerfCounters { cycles: 120, flops: 70, ..Default::default() });
-        assert_eq!(a.cycles, 220, "sequential runs: elapsed time adds");
-        assert_eq!(a.flops, 120);
-    }
-
-    #[test]
     fn absorb_overlaps_time_and_sums_work() {
         let mut a = PerfCounters { cycles: 100, flops: 50, instructions: 1, ..Default::default() };
         let b = PerfCounters { cycles: 120, flops: 70, instructions: 2, ..Default::default() };
@@ -158,9 +136,10 @@ mod tests {
 
     #[test]
     fn comm_time_overlaps_across_nodes_and_adds_sequentially() {
-        let mut a = PerfCounters { cycles: 100, comm_ns: 500, ..Default::default() };
-        a.accumulate(&PerfCounters { comm_ns: 300, ..Default::default() });
-        assert_eq!(a.comm_ns, 800, "sequential messages add");
+        // 500 ns and then 300 ns of messages on one node.
+        let mut a = PerfCounters { cycles: 100, comm_ns: 800, ..Default::default() };
+        let first = PerfCounters { comm_ns: 500, ..Default::default() };
+        assert_eq!(a.since(&first).comm_ns, 300, "sequential messages add");
         a.absorb(&PerfCounters { comm_ns: 2_000, ..Default::default() });
         assert_eq!(a.comm_ns, 2_000, "concurrent nodes overlap their messages");
         // 100 cycles at 20 MHz = 5 us compute, plus 2 us of messages.
@@ -180,10 +159,10 @@ mod tests {
             ..Default::default()
         };
         assert!((c.seconds_with_comm(20_000_000) - 5.5e-6).abs() < 1e-15);
-        let mut a = c;
-        a.accumulate(&PerfCounters { comm_ns: 300, comm_hidden_ns: 300, ..Default::default() });
-        assert_eq!(a.comm_hidden_ns, 1_800, "sequential windows add");
+        // A later window hides all of a further 300 ns message.
+        let a = PerfCounters { comm_ns: 2_300, comm_hidden_ns: 1_800, ..c };
         let d = a.since(&c);
         assert_eq!((d.comm_ns, d.comm_hidden_ns), (300, 300));
+        assert_eq!(a.seconds_with_comm(20_000_000), c.seconds_with_comm(20_000_000));
     }
 }

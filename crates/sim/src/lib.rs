@@ -42,4 +42,4 @@ pub use self::exec::{ExecError, SourceTrace};
 pub use self::kernel::{CompiledKernel, KernelPlanSummary};
 pub use self::memory::{DataCache, MemoryPlane, NodeMemory};
 pub use self::node::{HaltReason, NodeSim, RunOptions, RunStats};
-pub use self::system::NscSystem;
+pub use self::system::{NscSystem, SystemRunMetrics};

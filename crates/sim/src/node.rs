@@ -87,11 +87,6 @@ impl NodeSim {
         Self::new(KnowledgeBase::nsc_1988())
     }
 
-    /// Reset counters (memory is kept).
-    pub fn reset_counters(&mut self) {
-        self.counters = PerfCounters::default();
-    }
-
     /// Run a program from instruction 0 through the interpreter.
     pub fn run_program(
         &mut self,

@@ -8,6 +8,7 @@
 //! scoped thread for each other node) and accounts simulated
 //! communication time with the e-cube router model.
 
+use crate::counters::PerfCounters;
 use crate::node::NodeSim;
 use nsc_arch::{HypercubeConfig, KnowledgeBase, NodeId, PlaneId};
 
@@ -216,33 +217,51 @@ impl NscSystem {
         (value, ns)
     }
 
-    /// Total simulated time: the slowest node's compute-plus-communication.
-    /// Per-node accounting lets concurrent messages between disjoint node
-    /// pairs overlap instead of serializing system-wide.
-    pub fn simulated_seconds(&self) -> f64 {
+    /// The run meter: what the system's nodes did since `before`, one
+    /// counter snapshot per node in node order (a fresh system's nodes
+    /// all start from [`PerfCounters::default`]). Per-node deltas, their
+    /// aggregate (work summed, elapsed time overlapped), the simulated
+    /// duration — the slowest node's compute plus its own unhidden
+    /// communication, so messages between disjoint node pairs overlap
+    /// instead of serializing system-wide — and the achieved rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `before` holds one snapshot per node.
+    pub fn metrics_since(&self, before: &[PerfCounters]) -> SystemRunMetrics {
+        assert_eq!(before.len(), self.nodes.len(), "one counter snapshot per node");
         let clock = self.nodes[0].kb.config().clock_hz;
-        self.nodes.iter().map(|n| n.counters.seconds_with_comm(clock)).fold(0.0, f64::max)
-    }
-
-    /// Aggregate counters (cycles = max across nodes, work summed).
-    pub fn aggregate_counters(&self) -> crate::PerfCounters {
-        let mut total = crate::PerfCounters::default();
-        for n in &self.nodes {
-            total.absorb(&n.counters);
+        let per_node: Vec<PerfCounters> =
+            self.nodes.iter().zip(before).map(|(n, b)| n.counters.since(b)).collect();
+        let mut total = PerfCounters::default();
+        for c in &per_node {
+            total.absorb(c);
         }
-        total
+        let simulated_seconds =
+            per_node.iter().map(|c| c.seconds_with_comm(clock)).fold(0.0, f64::max);
+        let aggregate_mflops = if simulated_seconds > 0.0 {
+            total.flops as f64 / simulated_seconds / 1e6
+        } else {
+            0.0
+        };
+        SystemRunMetrics { per_node, total, simulated_seconds, aggregate_mflops }
     }
+}
 
-    /// Aggregate achieved MFLOPS across the system (total flops over the
-    /// slowest node's elapsed time).
-    pub fn aggregate_mflops(&self) -> f64 {
-        let secs = self.simulated_seconds();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        let flops: u64 = self.nodes.iter().map(|n| n.counters.flops).sum();
-        flops as f64 / secs / 1e6
-    }
+/// What one run cost a system, as [`NscSystem::metrics_since`] measures
+/// it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SystemRunMetrics {
+    /// Per-node counter deltas, in node order.
+    pub per_node: Vec<PerfCounters>,
+    /// System aggregate: work summed, elapsed time overlapped.
+    pub total: PerfCounters,
+    /// Simulated seconds: the slowest node's compute plus its own
+    /// unhidden communication.
+    pub simulated_seconds: f64,
+    /// Aggregate achieved MFLOPS: total flops over the simulated seconds
+    /// (zero when no time passed).
+    pub aggregate_mflops: f64,
 }
 
 #[cfg(test)]
@@ -421,16 +440,21 @@ mod tests {
         assert_eq!(ns, 2 * sys.cube.router.message_ns(1, 1), "log2(4) rounds");
     }
 
+    /// The run meter over everything a fresh system has done.
+    fn metrics(sys: &NscSystem) -> SystemRunMetrics {
+        sys.metrics_since(&vec![PerfCounters::default(); sys.node_count()])
+    }
+
     #[test]
     fn simulated_time_is_max_compute_plus_comm() {
         let mut sys = small_system(1);
         let kb = sys.node(NodeId(0)).kb.clone();
         let prog = double_program(&kb, 64);
         run_everywhere(&mut sys, &prog);
-        let compute_only = sys.simulated_seconds();
+        let compute_only = metrics(&sys).simulated_seconds;
         assert!(compute_only > 0.0);
         sys.exchange(NodeId(0), PlaneId(0), 0, NodeId(1), PlaneId(0), 0, 1000);
-        assert!(sys.simulated_seconds() > compute_only, "comm adds simulated time");
+        assert!(metrics(&sys).simulated_seconds > compute_only, "comm adds simulated time");
     }
 
     #[test]
@@ -442,8 +466,28 @@ mod tests {
         run_everywhere(&mut sys1, &prog);
         let mut sys4 = small_system(2);
         run_everywhere(&mut sys4, &prog);
-        let r1 = sys1.aggregate_mflops();
-        let r4 = sys4.aggregate_mflops();
+        let r1 = metrics(&sys1).aggregate_mflops;
+        let r4 = metrics(&sys4).aggregate_mflops;
         assert!(r4 > 3.5 * r1, "expected ~4x: {r1} vs {r4}");
+    }
+
+    #[test]
+    fn metrics_measure_only_the_run_since_the_snapshot() {
+        let mut sys = small_system(1);
+        let kb = sys.node(NodeId(0)).kb.clone();
+        run_everywhere(&mut sys, &double_program(&kb, 64));
+        let before: Vec<PerfCounters> = sys.nodes().iter().map(|n| n.counters).collect();
+        let prog = double_program(&kb, 32);
+        sys.node_mut(NodeId(1)).run_program(&prog, &RunOptions::default()).expect("runs");
+        let m = sys.metrics_since(&before);
+        assert_eq!(m.per_node[0], PerfCounters::default(), "node 0 stayed idle");
+        assert_eq!(m.per_node[1].flops, 32);
+        assert_eq!(m.total.flops, 32);
+        assert_eq!(m.total.cycles, m.per_node[1].cycles, "elapsed time overlaps");
+        let clock = kb.config().clock_hz;
+        assert_eq!(m.simulated_seconds, m.per_node[1].seconds_with_comm(clock));
+        assert_eq!(m.aggregate_mflops, 32.0 / m.simulated_seconds / 1e6);
+        let now: Vec<PerfCounters> = sys.nodes().iter().map(|n| n.counters).collect();
+        assert_eq!(sys.metrics_since(&now).aggregate_mflops, 0.0, "no time, no rate");
     }
 }

@@ -38,7 +38,8 @@ fn main() {
         let w = DistributedJacobiWorkload::new(u0.clone(), f.clone(), 1e-9, 2000, spec);
         let run = w.execute(&session, &mut sys).expect("distributed solve");
         assert!(run.converged, "did not converge at {} nodes", sys.node_count());
-        let comm_s: f64 = run
+        let m = &run.metrics;
+        let comm_s: f64 = m
             .per_node
             .iter()
             .map(|c| c.seconds_with_comm(clock) - c.seconds(clock))
@@ -48,9 +49,9 @@ fn main() {
             sys.node_count(),
             format!("{spec:?}").to_lowercase(),
             run.sweeps,
-            run.aggregate_mflops,
-            run.simulated_seconds,
-            100.0 * comm_s / run.simulated_seconds,
+            m.aggregate_mflops,
+            m.simulated_seconds,
+            100.0 * comm_s / m.simulated_seconds,
             run.u.linf_diff(&exact)
         );
 

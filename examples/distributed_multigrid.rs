@@ -19,7 +19,7 @@
 //! Run with: `cargo run --release --example distributed_multigrid`
 
 use nsc::arch::HypercubeConfig;
-use nsc::cfd::{grid::manufactured_problem, vcycle, DistributedMultigridWorkload, MgOptions};
+use nsc::cfd::{grid::manufactured_problem, vcycle, DistributedMultigridWorkload};
 use nsc::env::{Session, Workload};
 use nsc::sim::NscSystem;
 
@@ -31,7 +31,7 @@ fn main() {
     // The serial reference: V-cycles on the host.
     let (u0, f, exact) = manufactured_problem(n);
     let mut serial_u = u0.clone();
-    let serial = vcycle(&mut serial_u, &f, tol, 25, &MgOptions::default()).expect("a 2^m + 1 grid");
+    let serial = vcycle(&mut serial_u, &f, tol, 25, 0.8).expect("a 2^m + 1 grid");
     assert!(serial.residual_history.last().is_some_and(|&r| r < tol));
     println!(
         "serial multigrid V(2,2), {n}^3 Poisson, tol {tol:e}: {} cycles, \
@@ -45,13 +45,7 @@ fn main() {
     for dim in 0..=3u32 {
         let mut sys = NscSystem::new(HypercubeConfig::new(dim), session.kb());
         let torus = sys.cube.torus2d_near_square();
-        let w = DistributedMultigridWorkload {
-            u0: u0.clone(),
-            f: f.clone(),
-            tol,
-            max_cycles: 25,
-            opts: MgOptions::default(),
-        };
+        let w = DistributedMultigridWorkload::manufactured(n, 0.8, tol, 25);
         let run = w.execute(&session, &mut sys).expect("distributed multigrid");
         assert!(run.converged, "did not converge at {} nodes", sys.node_count());
         println!(
@@ -61,8 +55,8 @@ fn main() {
             torus.cols(),
             run.distributed_levels,
             run.stats.cycles,
-            run.aggregate_mflops,
-            run.simulated_seconds * 1e3,
+            run.metrics.aggregate_mflops,
+            run.metrics.simulated_seconds * 1e3,
         );
 
         // The acceptance bar: bit-identical to the serial V-cycle, down to

@@ -9,12 +9,10 @@
 //! Run with: `cargo run --example editor_session`
 
 use nsc::editor::{Event, Session, DRAW_X0, WIN_W};
-use nsc::env::VisualEnvironment;
 use std::path::Path;
 
 fn main() {
-    let env = VisualEnvironment::nsc_1988();
-    let mut s = Session::new(env.editor("figure session"));
+    let mut s = Session::new(nsc::env::Session::nsc_1988().editor("figure session"));
     let panel_x = WIN_W - 8;
     let row = |i: i32| 2 + 1 + 2 * i; // control-panel rows
 

@@ -12,19 +12,19 @@ use nsc::cfd::{
     host::JacobiHostState, nsc_run::run_jacobi_on_node, JacobiVariant,
 };
 use nsc::codegen::emit_pseudocode;
-use nsc::env::{NscError, VisualEnvironment};
+use nsc::env::{NscError, Session};
 
 fn main() -> Result<(), NscError> {
     let n = 16;
     let tol = 1e-7;
-    let env = VisualEnvironment::nsc_1988();
+    let session = Session::nsc_1988();
     println!("solving -lap(u) = f on a {n}^3 grid, tolerance {tol:e}\n");
 
     // Figure 11: the completed pipeline diagram.
     let mut doc = build_jacobi_document(n, tol, 5000, JacobiVariant::Full);
-    let compiled = env.session().compile(&mut doc)?;
+    let compiled = session.compile(&mut doc)?;
     std::fs::create_dir_all("out").ok();
-    for (name, art) in env.display_document(&doc) {
+    for (name, art) in session.display_document(&doc) {
         if name.contains("even") {
             std::fs::write("out/fig11_jacobi_pipeline.txt", &art).ok();
             println!("--- Figure 11: completed Jacobi pipeline diagram ---");
@@ -35,12 +35,12 @@ fn main() -> Result<(), NscError> {
     println!(
         "program: {} instruction(s), {} bits of microcode each",
         compiled.program().len(),
-        nsc::microcode::MicroInstruction::encoded_bits(env.kb())
+        nsc::microcode::MicroInstruction::encoded_bits(session.kb())
     );
 
     // Execute to convergence on the simulated node.
     let (u0, f, exact) = manufactured_problem(n);
-    let mut node = env.node();
+    let mut node = session.node();
     let run = run_jacobi_on_node(&mut node, &u0, &f, tol, 5000, JacobiVariant::Full)?;
     println!(
         "\nconverged: {} after {} sweeps, residual {:.3e}",

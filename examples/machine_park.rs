@@ -15,7 +15,7 @@
 
 use nsc::cfd::{
     grid::manufactured_problem, CavityWorkload, DistributedJacobiWorkload,
-    DistributedMultigridWorkload, DistributedSorWorkload, MgOptions, PartitionSpec,
+    DistributedMultigridWorkload, DistributedSorWorkload, PartitionSpec,
 };
 use nsc::env::Session;
 use nsc::park::{Job, MachinePark, ParkReport, SchedPolicy};
@@ -34,14 +34,7 @@ fn submit_stream(park: &mut MachinePark) -> Vec<nsc::park::JobId> {
         max_sweeps: 200,
         partition: PartitionSpec::Auto,
     };
-    let (u0, f, _) = manufactured_problem(17);
-    let multigrid = DistributedMultigridWorkload {
-        u0,
-        f,
-        tol: 1e-8,
-        max_cycles: 25,
-        opts: MgOptions::default(),
-    };
+    let multigrid = DistributedMultigridWorkload::manufactured(17, 0.8, 1e-8, 25);
     let mut cavity = CavityWorkload::new(9, 10.0, 5);
     cavity.psi_tol = 1e-6;
 

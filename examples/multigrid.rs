@@ -13,7 +13,7 @@
 use nsc::arch::HypercubeConfig;
 use nsc::cfd::{
     grid::manufactured_problem, host::jacobi_sweep_host, host::JacobiHostState, run_jacobi_on_node,
-    DistributedMultigridWorkload, JacobiVariant, MgOptions,
+    DistributedMultigridWorkload, JacobiVariant,
 };
 use nsc::env::{NscError, Session, Workload};
 use nsc::sim::NscSystem;
@@ -38,8 +38,7 @@ fn main() -> Result<(), NscError> {
     // case), driven through the typed Session pipeline.
     let session = Session::nsc_1988();
     let mut system = NscSystem::new(HypercubeConfig::new(0), session.kb());
-    let omega = MgOptions::default().omega;
-    let workload = DistributedMultigridWorkload::manufactured(n, omega, tol, 50);
+    let workload = DistributedMultigridWorkload::manufactured(n, 0.8, tol, 50);
     println!("workload: {}", workload.name());
     let run = workload.execute(&session, &mut system)?;
     let stats = &run.stats;

@@ -10,20 +10,20 @@
 use nsc::arch::{AlsKind, FuOp, InPort, PlaneId};
 use nsc::codegen::emit_pseudocode;
 use nsc::diagram::{DmaAttrs, FuAssign, IconKind, PadLoc, PadRef, Point};
-use nsc::env::{NscError, VisualEnvironment};
+use nsc::env::{NscError, Session};
 use nsc::sim::RunOptions;
 
 fn main() -> Result<(), NscError> {
-    let env = VisualEnvironment::nsc_1988();
+    let session = Session::nsc_1988();
     println!(
         "machine: {} — {} FUs, peak {} MFLOPS",
-        env.kb().config().name,
-        env.kb().config().fu_count(),
-        env.kb().config().peak_mflops()
+        session.kb().config().name,
+        session.kb().config().fu_count(),
+        session.kb().config().peak_mflops()
     );
 
     // --- edit (paper §5) ---
-    let mut ed = env.editor("quickstart");
+    let mut ed = session.editor("quickstart");
     ed.set_stream_len(16);
     let src = ed.place_icon(IconKind::Memory { plane: Some(PlaneId(0)) }, Point::new(22, 6));
     let als = ed.place_icon(IconKind::als(AlsKind::Doublet), Point::new(45, 5));
@@ -49,7 +49,6 @@ fn main() -> Result<(), NscError> {
     println!("{}", nsc::editor::render_ascii(&ed));
 
     // --- compile: bind + check + generate, as one fallible stage (§4) ---
-    let session = env.session();
     let mut doc = ed.doc.clone();
     let compiled = session.compile(&mut doc)?;
     println!("--- pseudo-code (the 1988 prototype's output) ---");

@@ -9,13 +9,13 @@
 
 use nsc::arch::{AlsKind, FuOp, InPort, PlaneId};
 use nsc::diagram::{DmaAttrs, FuAssign, IconKind, PadLoc, PadRef, Point};
-use nsc::env::{NscError, VisualEnvironment};
+use nsc::env::{NscError, Session};
 
 fn main() -> Result<(), NscError> {
-    let env = VisualEnvironment::nsc_1988();
+    let session = Session::nsc_1988();
 
     // Pipeline 1: t = x^2 ; pipeline 2: y = sqrt(t) + 1
-    let mut ed = env.editor("debug demo");
+    let mut ed = session.editor("debug demo");
     ed.set_stream_len(8);
     let mem_x = ed.place_icon(IconKind::Memory { plane: Some(PlaneId(0)) }, Point::new(20, 6));
     let sq = ed.place_icon(IconKind::als(AlsKind::Singlet), Point::new(42, 6));
@@ -72,9 +72,9 @@ fn main() -> Result<(), NscError> {
         .unwrap();
     }
 
-    let mut node = env.node();
+    let mut node = session.node();
     node.mem.plane_mut(PlaneId(0)).write_slice(0, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 3.0]);
-    let report = env.debug_run(&mut doc, &mut node, 8)?;
+    let report = session.debug_run(&mut doc, &mut node, 8)?;
     println!("{}", report.render());
     println!("final y: {:?}", node.mem.plane(PlaneId(2)).read_vec(0, 8));
     println!(

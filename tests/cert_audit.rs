@@ -11,7 +11,7 @@ use nsc::cert::{verify, CompilePath, ConstraintKind, Expected};
 use nsc::cfd::grid::manufactured_problem;
 use nsc::cfd::{
     CavityWorkload, DistributedJacobiWorkload, DistributedMultigridWorkload,
-    DistributedSorWorkload, MgOptions, PartitionSpec,
+    DistributedSorWorkload, PartitionSpec,
 };
 use nsc::env::{certify::machine_limits, Session};
 use nsc::park::{Job, MachinePark, SchedPolicy};
@@ -39,8 +39,7 @@ fn sor(n: usize) -> DistributedSorWorkload {
 }
 
 fn multigrid(n: usize) -> DistributedMultigridWorkload {
-    let (u0, f, _) = manufactured_problem(n);
-    DistributedMultigridWorkload { u0, f, tol: 1e-8, max_cycles: 5, opts: MgOptions::default() }
+    DistributedMultigridWorkload::manufactured(n, 0.8, 1e-8, 5)
 }
 
 fn cavity(n: usize) -> CavityWorkload {

@@ -41,6 +41,6 @@ fn eight_node_distributed_jacobi_matches_the_serial_solution() {
     assert!(run.u.linf_diff(&exact) < 0.05, "err {}", run.u.linf_diff(&exact));
 
     // Every node carried real work and real communication.
-    assert!(run.per_node.iter().all(|c| c.flops > 0 && c.comm_ns > 0));
-    assert!(run.aggregate_mflops > 0.0);
+    assert!(run.metrics.per_node.iter().all(|c| c.flops > 0 && c.comm_ns > 0));
+    assert!(run.metrics.aggregate_mflops > 0.0);
 }

@@ -5,13 +5,13 @@
 use nsc::arch::{AlsKind, FuOp, InPort, PlaneId};
 use nsc::checker::diag::has_errors;
 use nsc::diagram::{DmaAttrs, FuAssign, IconKind, PadLoc, PadRef, Point};
-use nsc::env::VisualEnvironment;
+use nsc::env::Session;
 use nsc::sim::{HaltReason, RunOptions};
 
 #[test]
 fn edit_check_generate_execute() {
-    let env = VisualEnvironment::nsc_1988();
-    let mut ed = env.editor("flow");
+    let session = Session::nsc_1988();
+    let mut ed = session.editor("flow");
     ed.set_stream_len(10);
     let src = ed.place_icon(IconKind::Memory { plane: Some(PlaneId(0)) }, Point::new(22, 6));
     let als = ed.place_icon(IconKind::als(AlsKind::Singlet), Point::new(45, 6));
@@ -33,23 +33,23 @@ fn edit_check_generate_execute() {
     assert!(!has_errors(&ed.check_now()));
 
     let mut doc = ed.doc.clone();
-    let mut node = env.node();
+    let mut node = session.node();
     node.mem.plane_mut(PlaneId(0)).write_slice(0, &[4.0, 9.0, 16.0, 25.0]);
-    let compiled = env.session().compile(&mut doc).expect("compiles");
+    let compiled = session.compile(&mut doc).expect("compiles");
     let report = compiled.run(&mut node, &RunOptions::default()).expect("runs");
     let out = &compiled.output;
     assert_eq!(report.stats.halted, HaltReason::Halt);
     assert_eq!(node.mem.plane(PlaneId(1)).read_vec(0, 4), vec![2.0, 3.0, 4.0, 5.0]);
 
     // Both output representations exist: microcode and pseudo-code.
-    assert!(out.program.disassemble(env.kb()).contains("SQRT"));
+    assert!(out.program.disassemble(session.kb()).contains("SQRT"));
     assert!(nsc::codegen::emit_pseudocode(&doc).contains("SQRT"));
 }
 
 #[test]
 fn errors_found_while_editing_also_block_generation() {
-    let env = VisualEnvironment::nsc_1988();
-    let mut ed = env.editor("blocked");
+    let session = Session::nsc_1988();
+    let mut ed = session.editor("blocked");
     // Two writers into one plane — the paper's canonical refusal.
     let a = ed.place_icon(IconKind::als(AlsKind::Singlet), Point::new(25, 4));
     let b = ed.place_icon(IconKind::als(AlsKind::Singlet), Point::new(25, 14));
@@ -68,12 +68,12 @@ fn errors_found_while_editing_also_block_generation() {
 
 #[test]
 fn saved_documents_reload_and_regenerate_identically() {
-    let env = VisualEnvironment::nsc_1988();
     let mut doc = nsc::cfd::build_jacobi_document(6, 1e-6, 50, nsc::cfd::JacobiVariant::Full);
-    let out1 = env.session().compile(&mut doc).expect("compiles").output;
-    // Round-trip through the SAVE format.
+    let out1 = Session::nsc_1988().compile(&mut doc).expect("compiles").output;
+    // Round-trip through the SAVE format; a fresh session regenerates
+    // rather than serving the first compile from its cache.
     let json = doc.to_json();
     let mut reloaded = nsc::diagram::Document::from_json(&json).expect("parses");
-    let out2 = env.session().compile(&mut reloaded).expect("recompiles").output;
+    let out2 = Session::nsc_1988().compile(&mut reloaded).expect("recompiles").output;
     assert_eq!(out1.program.instrs, out2.program.instrs, "identical microcode after reload");
 }

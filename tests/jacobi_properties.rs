@@ -6,7 +6,7 @@ use nsc::cfd::Grid3;
 use nsc::cfd::{
     build_jacobi_document, host::jacobi_sweep_host, host::JacobiHostState, nsc_run, JacobiVariant,
 };
-use nsc::env::VisualEnvironment;
+use nsc::env::Session;
 use nsc::sim::{NodeSim, RunOptions};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -57,12 +57,12 @@ proptest! {
     #[test]
     fn prop_generated_microcode_decodes_to_itself(seed in any::<u64>()) {
         let _ = seed;
-        let env = VisualEnvironment::nsc_1988();
+        let session = Session::nsc_1988();
         let mut doc = build_jacobi_document(5, 1e-6, 10, JacobiVariant::Full);
-        let out = env.session().compile(&mut doc).unwrap().output;
+        let out = session.compile(&mut doc).unwrap().output;
         for ins in &out.program.instrs {
-            let bytes = ins.encode(env.kb());
-            let back = nsc::microcode::MicroInstruction::decode(env.kb(), &bytes).unwrap();
+            let bytes = ins.encode(session.kb());
+            let back = nsc::microcode::MicroInstruction::decode(session.kb(), &bytes).unwrap();
             prop_assert_eq!(&back, ins);
         }
     }
@@ -85,11 +85,11 @@ fn convergence_loop_is_idempotent_at_the_fixpoint() {
 
 #[test]
 fn run_options_cap_runaway_documents() {
-    let env = VisualEnvironment::nsc_1988();
+    let session = Session::nsc_1988();
     // tol = 0 never converges; the iteration cap must stop it.
     let mut doc = build_jacobi_document(5, 0.0, 3, JacobiVariant::Full);
-    let out = env.session().compile(&mut doc).unwrap().output;
-    let mut node = env.node();
+    let out = session.compile(&mut doc).unwrap().output;
+    let mut node = session.node();
     let stats = node.run_program(&out.program, &RunOptions::default()).unwrap();
     // header + 3 pairs x 2 sweeps
     assert_eq!(stats.executed, 1 + 6);

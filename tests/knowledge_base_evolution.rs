@@ -9,17 +9,17 @@
 
 use nsc::arch::MachineConfig;
 use nsc::cfd::{build_jacobi_document, grid::manufactured_problem, nsc_run, JacobiVariant};
-use nsc::env::VisualEnvironment;
+use nsc::env::Session;
 use nsc::sim::{NodeSim, RunOptions};
 
 fn run_on(cfg: MachineConfig) -> Vec<f64> {
-    let env = VisualEnvironment::new(cfg);
+    let session = Session::new(cfg);
     let (u0, f, _) = manufactured_problem(6);
     let state = nsc::cfd::JacobiHostState::new(&u0, &f);
-    let mut node = NodeSim::new(env.kb().clone());
+    let mut node = NodeSim::new(session.kb().clone());
     nsc_run::load_problem(&mut node, &state, JacobiVariant::Full);
     let mut doc = build_jacobi_document(6, 0.0, 2, JacobiVariant::Full);
-    let compiled = env.session().compile(&mut doc).expect("compiles");
+    let compiled = session.compile(&mut doc).expect("compiles");
     compiled.run(&mut node, &RunOptions::default()).expect("runs");
     node.mem.plane(nsc::cfd::diagrams::PLANE_U0).read_vec(0, 6 * 6 * 6 + 2 * 36)
 }
@@ -52,9 +52,9 @@ fn shrinking_the_machine_is_caught_not_miscompiled() {
     // rather than emitting wrong code.
     let mut small = MachineConfig::nsc_1988();
     small.sdu.units = 0;
-    let env = VisualEnvironment::new(small);
+    let session = Session::new(small);
     let mut doc = build_jacobi_document(6, 1e-6, 10, JacobiVariant::Full);
-    assert!(env.session().compile(&mut doc).is_err());
+    assert!(session.compile(&mut doc).is_err());
 }
 
 #[test]

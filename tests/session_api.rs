@@ -3,7 +3,7 @@
 //! variant whose `source()` chain reaches the producing crate's error.
 
 use nsc::arch::{AlsKind, PlaneId};
-use nsc::checker::RuleCode;
+use nsc::checker::ConstraintKind;
 use nsc::codegen::GenError;
 use nsc::diagram::{Document, IconKind};
 use nsc::env::{DiagnosticSet, NscError, Session};
@@ -131,7 +131,7 @@ fn a_saved_document_with_a_dangling_wire_is_an_error_not_a_panic() {
             panic!("{shape}: expected CheckFailed, got {err:?}");
         };
         assert!(
-            diags.diagnostics().iter().any(|d| d.rule == RuleCode::DanglingWire),
+            diags.diagnostics().iter().any(|d| d.rule == ConstraintKind::DanglingWire),
             "{shape}: {err}"
         );
     }

@@ -9,7 +9,7 @@ use nsc::checker::{Checker, Stage};
 use nsc::codegen::emit_pseudocode;
 use nsc::diagram::{Document, IconKind, Point};
 use nsc::editor::render_ascii;
-use nsc::env::VisualEnvironment;
+use nsc::env::Session;
 use nsc::expr::{AllocStrategy, Expr};
 use nsc::microcode::{BitReader, BitWriter, MicroInstruction};
 use nsc::sim::{NodeSim, RunOptions};
@@ -54,8 +54,8 @@ fn diagram_document_and_checker_link() {
 
 #[test]
 fn editor_renders_a_placed_icon() {
-    let env = VisualEnvironment::nsc_1988();
-    let mut ed = env.editor("smoke");
+    let session = Session::nsc_1988();
+    let mut ed = session.editor("smoke");
     ed.place_icon(IconKind::als(AlsKind::Singlet), Point::new(40, 8));
     let screen = render_ascii(&ed);
     assert!(!screen.is_empty());
@@ -63,19 +63,19 @@ fn editor_renders_a_placed_icon() {
 
 #[test]
 fn codegen_emits_pseudocode_for_a_generated_document() {
-    let env = VisualEnvironment::nsc_1988();
+    let session = Session::nsc_1988();
     let mut doc = nsc::cfd::build_jacobi_document(5, 1e-6, 4, JacobiVariant::Full);
-    let compiled = env.session().compile(&mut doc).expect("jacobi document compiles");
+    let compiled = session.compile(&mut doc).expect("jacobi document compiles");
     assert!(!compiled.program().instrs.is_empty());
     assert!(emit_pseudocode(&doc).contains("pipeline"));
 }
 
 #[test]
 fn sim_runs_a_generated_program() {
-    let env = VisualEnvironment::nsc_1988();
+    let session = Session::nsc_1988();
     let mut doc = nsc::cfd::build_jacobi_document(5, 0.0, 1, JacobiVariant::Full);
-    let compiled = env.session().compile(&mut doc).expect("compiles");
-    let mut node: NodeSim = env.node();
+    let compiled = session.compile(&mut doc).expect("compiles");
+    let mut node: NodeSim = session.node();
     let report = compiled.run(&mut node, &RunOptions::default()).expect("runs");
     assert!(report.stats.executed > 0);
     assert!(report.counters.cycles > 0);
