@@ -24,16 +24,23 @@
 //! (step 2, `O(n)` wall work) stays on the host.
 
 use crate::diagrams::{
-    build_ftcs_transport_document, build_jacobi2d_sweep_document_windows, Jacobi2dGeometry,
-    PLANE_G, PLANE_MASK, PLANE_U0, PLANE_U1, PLANE_W0, PLANE_W1, PLANE_WC,
+    build_ftcs_transport_document, build_jacobi2d_sweep_document_windows, check_tap_reach,
+    Jacobi2dGeometry, PLANE_G, PLANE_MASK, PLANE_U0, PLANE_U1, PLANE_W0, PLANE_W1, PLANE_WC,
 };
 use crate::distributed::check_same_machine;
 use crate::grid::{Grid2, PaddedField};
 use crate::host::{ftcs_update_tree, FtcsCoeffs};
 use crate::overlap::{CompiledSweep, SweepEngine};
-use crate::partition::{check_partition_fits, read_slabs, GridShape, Partition, PartitionSpec};
+use crate::partition::{
+    check_partition_fits, read_slabs, GridShape, Part, Partition, PartitionSpec,
+};
 use nsc_core::{run_lanes, CompiledProgram, NscError, Session, Workload};
 use nsc_sim::{NscSystem, PerfCounters, RunOptions, SystemRunMetrics};
+
+/// Words in one row of a part's slab: the layer a 2-D sweep streams.
+fn row_words(part: &Part) -> usize {
+    part.local_shape().0
+}
 
 /// Outcome of one distributed Poisson solve.
 #[derive(Debug, Clone, Copy)]
@@ -83,6 +90,7 @@ impl Poisson2dSolver {
     ) -> Result<Self, NscError> {
         check_same_machine(session, &system.nodes()[0])?;
         let partition = spec.build(GridShape::plane2d(nx, ny), system.cube, true)?;
+        check_tap_reach(session.kb(), partition.parts().iter().map(row_words), "row")?;
         let sweeps = SweepEngine::stencil(partition.as_ref()).compile_pair(
             session,
             |p, even, windows| {
@@ -176,6 +184,7 @@ impl VorticityTransport {
         partition: &dyn Partition,
         coeffs: FtcsCoeffs,
     ) -> Result<Self, NscError> {
+        check_tap_reach(session.kb(), partition.parts().iter().map(row_words), "row")?;
         let programs = partition
             .parts()
             .iter()

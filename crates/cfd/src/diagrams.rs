@@ -12,6 +12,11 @@
 //! a min/max unit with register-file feedback reduces `max |update|` into
 //! a data cache for the sequencer's convergence test.
 //!
+//! The sweeps and the cavity's FTCS step are stencil descriptions: each
+//! names the offsets it reads and the operations it applies, and
+//! [`PipelineBuilder`] places the units, programs the shift/delay taps
+//! and aligns every stream to the output window.
+//!
 //! Variants (experiments T4/T5):
 //!
 //! * [`JacobiVariant::Full`] — the full machine, as in the paper;
@@ -26,12 +31,16 @@
 //! kernel used by the subset ablation where functional-unit count, not
 //! memory bandwidth, is the binding resource.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::host::FtcsCoeffs;
-use crate::partition::SweepWindow;
-use nsc_arch::{AlsKind, CacheId, FuOp, InPort, PlaneId};
+use crate::partition::{Part, SweepWindow};
+use nsc_arch::{AlsKind, CacheId, FuOp, InPort, KnowledgeBase, MachineConfig, PlaneId};
+use nsc_core::NscError;
 use nsc_diagram::{
-    ControlNode, ConvergenceCond, DmaAttrs, Document, FuAssign, IconId, IconKind, PadLoc, PadRef,
-    PipelineDiagram, VarDecl,
+    ControlNode, ConvergenceCond, DiagramError, DmaAttrs, Document, FuAssign, IconId, IconKind,
+    OutputWindow, PadLoc, PadRef, PipelineBuilder, PipelineDiagram, PipelineId, Placement, Stream,
+    Units, VarDecl,
 };
 
 /// Memory-plane roles of the Jacobi program.
@@ -92,75 +101,62 @@ impl JacobiGeometry {
     }
 }
 
-/// The unit placements for one sweep pipeline: `(icon index, position)`
-/// per operation, plus the icon shapes to create.
-struct UnitPlan {
-    icons: Vec<AlsKind>,
-    /// Placement of the 11 compute units (order: add_ud, add_ns, add_ew,
-    /// add_s4, add_s5, sub_g, mul16, sub_d, mul_mask, add_unew, maxabs).
-    slots: Vec<(usize, u8)>,
+/// Refuse a grid whose sweeps the machine's shift/delay units cannot
+/// serve: the deepest tap of every stencil document runs two layers (a
+/// 3-D plane, a 2-D row) behind its stream, and a delay must stay inside
+/// the SDU buffer. `layers` are the local layer sizes in words of the
+/// parts to be swept; `what` names the layer. Callers refuse before any
+/// plane is written.
+pub(crate) fn check_tap_reach(
+    kb: &KnowledgeBase,
+    layers: impl IntoIterator<Item = usize>,
+    what: &str,
+) -> Result<(), NscError> {
+    let buffer = u64::from(kb.config().sdu.buffer_words);
+    for layer in layers {
+        let delay = (layer as u64).saturating_mul(2);
+        if delay >= buffer {
+            return Err(NscError::Workload(format!(
+                "a {layer}-word {what} puts the deepest shift/delay tap {delay} words back; \
+                 the SDU buffer holds {buffer} words"
+            )));
+        }
+    }
+    Ok(())
 }
 
-fn plan(variant: JacobiVariant, damped: bool) -> UnitPlan {
-    use AlsKind::*;
-    match variant {
-        JacobiVariant::Full | JacobiVariant::NoSdu => {
-            let mut slots = vec![
-                (0, 0),
-                (0, 1),
-                (0, 2),
-                (1, 0),
-                (1, 1),
-                (1, 2),
-                (2, 0),
-                (2, 1),
-                (2, 2),
-                (3, 0),
-                (3, 2), // maxabs on the min/max-capable tail unit
-            ];
-            if damped {
-                // The omega multiply takes the last free triplet slot.
-                slots.push((3, 1));
-            }
-            UnitPlan { icons: vec![Triplet, Triplet, Triplet, Triplet], slots }
-        }
-        JacobiVariant::SingletsOnly => UnitPlan {
-            icons: vec![
-                Triplet, Triplet, Triplet, Triplet, Doublet, Doublet, Doublet, Doublet, Doublet,
-                Doublet, Doublet,
-            ],
-            slots: vec![
-                (0, 0),
-                (1, 0),
-                (2, 0),
-                (3, 0),
-                (4, 0),
-                (5, 0),
-                (6, 0),
-                (7, 0),
-                (8, 0),
-                (9, 0),
-                (10, 1), // maxabs on a doublet's min/max-capable unit
-            ],
-        },
+/// Words in one xy-plane of a part's slab: the layer a 3-D sweep
+/// streams.
+pub(crate) fn plane_words(part: &Part) -> usize {
+    let (nx, ny, _) = part.local_shape();
+    nx * ny
+}
+
+/// The builder's result, or a panic naming the layer a stencil document
+/// could not be built for.
+fn swept<T>(built: Result<T, DiagramError>, layer: usize, what: &str) -> T {
+    built.unwrap_or_else(|e| panic!("a {layer}-word {what} cannot be swept: {e}"))
+}
+
+/// `words` of a grid as a stream offset.
+fn offset(words: usize) -> i64 {
+    i64::try_from(words).expect("a grid layer fits a signed offset")
+}
+
+/// Declare each `(name, plane)` variable, `len` words from the plane's
+/// start.
+fn declare(doc: &mut Document, vars: &[(&str, PlaneId)], len: usize) {
+    for &(name, plane) in vars {
+        doc.decls.declare(VarDecl { name: name.into(), plane, base: 0, len: len as u64 });
     }
 }
 
 /// Declare the Jacobi working set (the Figure 5 left region).
-fn declare_jacobi_vars(doc: &mut Document, geo: JacobiGeometry, variant: JacobiVariant) {
-    let np = geo.padded as u64;
-    for (name, plane) in [("u0", PLANE_U0), ("mask", PLANE_MASK), ("g", PLANE_G), ("u1", PLANE_U1)]
-    {
-        doc.decls.declare(VarDecl { name: name.into(), plane, base: 0, len: np });
-    }
+fn declare_jacobi_vars(doc: &mut Document, len: usize, variant: JacobiVariant) {
+    declare(doc, &[("u0", PLANE_U0), ("mask", PLANE_MASK), ("g", PLANE_G), ("u1", PLANE_U1)], len);
     if variant == JacobiVariant::NoSdu {
         for i in 0..6u8 {
-            doc.decls.declare(VarDecl {
-                name: format!("ucopy{i}"),
-                plane: PlaneId(PLANE_COPY0 + i),
-                base: 0,
-                len: np,
-            });
+            declare(doc, &[(&format!("ucopy{i}"), PlaneId(PLANE_COPY0 + i))], len);
         }
     }
 }
@@ -170,6 +166,11 @@ fn declare_jacobi_vars(doc: &mut Document, geo: JacobiGeometry, variant: JacobiV
 /// `tol` and `max_iters` program the convergence loop; the loop body is a
 /// ping-pong pair of sweeps (u0 -> u1 then u1 -> u0), so iterations are
 /// counted in pairs.
+///
+/// # Panics
+///
+/// If a plane of `n²` words puts the deepest shift/delay tap (two planes
+/// back) past the 16-bit tap field.
 pub fn build_jacobi_document(
     n: usize,
     tol: f64,
@@ -178,13 +179,15 @@ pub fn build_jacobi_document(
 ) -> Document {
     let geo = JacobiGeometry::cube(n);
     let mut doc = Document::new(format!("jacobi3d-{}x{}x{}", geo.nx, geo.ny, geo.nz));
-    declare_jacobi_vars(&mut doc, geo, variant);
+    declare_jacobi_vars(&mut doc, geo.padded, variant);
 
     let whole = SweepWindow::whole(geo.nz);
-    let sweep_a =
-        build_sweep(&mut doc, "point Jacobi sweep (even)", "u0", "u1", geo, variant, None, whole);
-    let sweep_b =
-        build_sweep(&mut doc, "point Jacobi sweep (odd)", "u1", "u0", geo, variant, None, whole);
+    let sweep = |doc: &mut Document, tag: &str, src: &str, dst: &str| {
+        let name = format!("point Jacobi sweep ({tag})");
+        swept(build_sweep(doc, &name, src, dst, geo, variant, None, whole), geo.plane, "plane")
+    };
+    let sweep_a = sweep(&mut doc, "even", "u0", "u1");
+    let sweep_b = sweep(&mut doc, "odd", "u1", "u0");
 
     let body = match variant {
         JacobiVariant::NoSdu => {
@@ -227,6 +230,12 @@ pub fn build_jacobi_document(
 /// operation tree over the same inputs), and the maximum of the window
 /// residuals equals the fused residual — the split the overlapped sweep
 /// engine runs as interior and boundary-shell phases.
+///
+/// # Panics
+///
+/// If `windows` is empty or a window is empty or reaches past the slab,
+/// or if a plane of `geo.plane` words puts the deepest shift/delay tap
+/// (two planes back) past the 16-bit tap field.
 pub fn build_jacobi_sweep_document_windows(
     geo: JacobiGeometry,
     even: bool,
@@ -238,11 +247,15 @@ pub fn build_jacobi_sweep_document_windows(
 /// Build a single *damped* Jacobi sweep as its own document: the plain
 /// sweep's update is scaled by `omega` before the mask, so the stored
 /// iterate is `u + omega * (jacobi(u) - u)` — the smoothing kernel of the
-/// ref. \[6\] multigrid V-cycle, as one extra multiply unit on the last
-/// free triplet slot. `u0 -> u1` when `even`, `u1 -> u0` otherwise; the
-/// residual reduction still lands `max |omega-scaled masked update|` in
-/// the cache (the distributed V-cycle ignores it). See
-/// [`build_jacobi_sweep_document_windows`] for the windowing contract.
+/// ref. \[6\] multigrid V-cycle, as one extra multiply unit. `u0 -> u1`
+/// when `even`, `u1 -> u0` otherwise; the residual reduction still lands
+/// `max |omega-scaled masked update|` in the cache (the distributed
+/// V-cycle ignores it). See [`build_jacobi_sweep_document_windows`] for
+/// the windowing contract.
+///
+/// # Panics
+///
+/// As [`build_jacobi_sweep_document_windows`].
 pub fn build_damped_jacobi_sweep_document_windows(
     geo: JacobiGeometry,
     even: bool,
@@ -259,29 +272,44 @@ fn build_sweep_windows_doc(
     omega: Option<f64>,
     windows: &[SweepWindow],
 ) -> Document {
-    assert!(!windows.is_empty(), "a sweep document needs at least one window");
     let (src, dst, tag) = if even { ("u0", "u1", "even") } else { ("u1", "u0", "odd") };
     let (kind, what) =
         if omega.is_some() { ("smooth", "damped Jacobi") } else { ("sweep", "point Jacobi") };
     let mut doc = Document::new(format!("jacobi3d-{kind}-{tag}-{}x{}x{}", geo.nx, geo.ny, geo.nz));
-    declare_jacobi_vars(&mut doc, geo, JacobiVariant::Full);
-    let pids: Vec<_> = windows
+    declare_jacobi_vars(&mut doc, geo.padded, JacobiVariant::Full);
+    let built = sweep_document(doc, (what, tag), (geo.nz, "planes"), windows, |doc, name, w| {
+        build_sweep(doc, name, src, dst, geo, JacobiVariant::Full, omega, w)
+    });
+    swept(built, geo.plane, "plane")
+}
+
+/// One `"{what} sweep"` pipeline per window, run in window order and
+/// named by `tag` and the window's run of `unit`s unless it spans all
+/// `layers`.
+fn sweep_document(
+    mut doc: Document,
+    (what, tag): (&str, &str),
+    (layers, unit): (usize, &str),
+    windows: &[SweepWindow],
+    mut sweep: impl FnMut(&mut Document, &str, SweepWindow) -> Result<PipelineId, DiagramError>,
+) -> Result<Document, DiagramError> {
+    assert!(!windows.is_empty(), "a sweep document needs at least one window");
+    let pids = windows
         .iter()
         .map(|&w| {
-            let name = if w.len == geo.nz {
+            let name = if w.len == layers {
                 format!("{what} sweep ({tag})")
             } else {
-                format!("{what} sweep ({tag}, planes {}..{})", w.start, w.start + w.len)
+                format!("{what} sweep ({tag}, {unit} {}..{})", w.start, w.start + w.len)
             };
-            build_sweep(&mut doc, &name, src, dst, geo, JacobiVariant::Full, omega, w)
+            sweep(&mut doc, &name, w)
         })
-        .collect();
-    doc.control = Some(if pids.len() == 1 {
-        ControlNode::Pipeline(pids[0])
-    } else {
-        ControlNode::Seq(pids.into_iter().map(ControlNode::Pipeline).collect())
+        .collect::<Result<Vec<_>, _>>()?;
+    doc.control = Some(match pids[..] {
+        [pid] => ControlNode::Pipeline(pid),
+        _ => ControlNode::Seq(pids.into_iter().map(ControlNode::Pipeline).collect()),
     });
-    doc
+    Ok(doc)
 }
 
 /// Geometry of a 2-D five-point Jacobi sweep: rows play the role planes
@@ -316,167 +344,135 @@ impl Jacobi2dGeometry {
 /// runs of *rows* here, since rows play the role xy-planes play in 3-D
 /// (`&[SweepWindow::whole(geo.ny)]` is the fused sweep); see
 /// [`build_jacobi_sweep_document_windows`] for the windowing contract.
+///
+/// # Panics
+///
+/// If `windows` is empty or a window is empty or reaches past the slab,
+/// or if a row of `geo.row` words puts the deepest shift/delay tap (two
+/// rows back) past the 16-bit tap field.
 pub fn build_jacobi2d_sweep_document_windows(
     geo: Jacobi2dGeometry,
     even: bool,
     windows: &[SweepWindow],
 ) -> Document {
-    assert!(!windows.is_empty(), "a sweep document needs at least one window");
     let (src, dst, tag) = if even { ("u0", "u1", "even") } else { ("u1", "u0", "odd") };
     let mut doc = Document::new(format!("jacobi2d-sweep-{tag}-{}x{}", geo.nx, geo.ny));
-    let np = geo.padded as u64;
-    for (name, plane) in [("u0", PLANE_U0), ("mask", PLANE_MASK), ("g", PLANE_G), ("u1", PLANE_U1)]
-    {
-        doc.decls.declare(VarDecl { name: name.into(), plane, base: 0, len: np });
-    }
-    let pids: Vec<_> = windows
-        .iter()
-        .map(|&w| {
-            let name = if w.len == geo.ny {
-                format!("2-D Jacobi sweep ({tag})")
-            } else {
-                format!("2-D Jacobi sweep ({tag}, rows {}..{})", w.start, w.start + w.len)
-            };
-            build_sweep2d(&mut doc, &name, src, dst, geo, w)
-        })
-        .collect();
-    doc.control = Some(if pids.len() == 1 {
-        ControlNode::Pipeline(pids[0])
-    } else {
-        ControlNode::Seq(pids.into_iter().map(ControlNode::Pipeline).collect())
-    });
-    doc
+    declare_jacobi_vars(&mut doc, geo.padded, JacobiVariant::Full);
+    let built =
+        sweep_document(doc, ("2-D Jacobi", tag), (geo.ny, "rows"), windows, |doc, name, w| {
+            assert!(
+                w.len > 0 && w.start + w.len <= geo.ny,
+                "window {w:?} is empty or exceeds the slab"
+            );
+            let h = geo.row as u64;
+            let (pid, mut b) = open(doc, name, Placement::Packed, w, h, h);
+            let hi = offset(geo.row);
+            let [north, east, west, south, centre] = b.read(src, h, [hi, 1, -1, -hi, 0])?;
+            let ns = b.binary(FuOp::Add, north, south)?;
+            let ew = b.binary(FuOp::Add, east, west)?;
+            let sum = b.binary(FuOp::Add, ns, ew)?;
+            jacobi_update(&mut b, sum, centre, 1.0 / 4.0, None, dst, h)?;
+            Ok(pid)
+        });
+    swept(built, geo.row, "row")
 }
 
-/// One windowed 2-D five-point sweep pipeline (see
-/// [`build_jacobi2d_sweep_document_windows`]).
-fn build_sweep2d(
+/// Open pipeline `name` over the layers of `window`, `layer` words each,
+/// reading through taps that reach `lead` words either way.
+fn open<'d>(
+    doc: &'d mut Document,
+    name: &str,
+    placement: Placement,
+    window: SweepWindow,
+    layer: u64,
+    lead: u64,
+) -> (PipelineId, PipelineBuilder<'d>) {
+    let pid = doc.add_pipeline(name);
+    let d = doc.pipeline_mut(pid).expect("the pipeline was just added");
+    let (first, len) = (window.start as u64 * layer, window.len as u64 * layer);
+    (pid, PipelineBuilder::new(d, placement, OutputWindow { first, len, lead, slot: window.slot }))
+}
+
+/// The masked update both Jacobi sweeps end in (paper Equation 1):
+/// `(sum − g)·scale − u`, scaled by ω when `damping`, masked, added back
+/// onto the centre `u` and stored to `dst`, with `max |masked update|`
+/// folded into the window's cache slot. `g` and the mask are stored
+/// aligned, two layers of pad in front.
+fn jacobi_update(
+    b: &mut PipelineBuilder,
+    sum: Stream,
+    centre: Stream,
+    scale: f64,
+    damping: Option<f64>,
+    dst: &str,
+    layer: u64,
+) -> Result<(), DiagramError> {
+    let [g] = b.read("g", 2 * layer, [0])?;
+    let rhs = b.binary(FuOp::Sub, sum, g)?;
+    let jacobi = b.constant(FuOp::Mul, rhs, scale)?;
+    let mut update = b.binary(FuOp::Sub, jacobi, centre)?;
+    if let Some(omega) = damping {
+        update = b.constant(FuOp::Mul, update, omega)?;
+    }
+    let [mask] = b.read("mask", 2 * layer, [0])?;
+    let masked = b.binary(FuOp::Mul, update, mask)?;
+    let next = b.binary(FuOp::Add, centre, masked)?;
+    let residual = b.fold(FuOp::MaxAbs, masked, 0.0)?;
+    b.store(dst, layer, next)?;
+    b.capture(residual)
+}
+
+/// One seven-point sweep pipeline reading `src` and writing `dst` over
+/// the planes of `window`; the stencil layout keeps one plane of pad in
+/// front. `damping` scales the update by `omega` before the mask (the
+/// multigrid smoother; full variant only). The no-SDU variant streams
+/// whole slabs only and reads each neighbour from its own copy plane
+/// with lead 0 (§3: "multiple copies of arrays").
+#[allow(clippy::too_many_arguments)] // one knob per paper experiment axis
+fn build_sweep(
     doc: &mut Document,
     name: &str,
     src: &str,
     dst: &str,
-    geo: Jacobi2dGeometry,
+    geo: JacobiGeometry,
+    variant: JacobiVariant,
+    damping: Option<f64>,
     window: SweepWindow,
-) -> nsc_diagram::PipelineId {
-    assert!(window.start + window.len <= geo.ny, "window exceeds the slab");
-    assert!(window.len > 0, "empty sweep window");
-    let pid = doc.add_pipeline(name);
-    let h = geo.row as u64;
-    let w0 = window.start as u64 * h;
-    let wpts = window.len as u64 * h;
-    let d = doc.pipeline_mut(pid).unwrap();
-    d.stream_len = wpts + 2 * h;
-
-    // Nine compute units on three triplets; the maxabs reduction sits on a
-    // min/max-capable tail unit, as in the 3-D placement.
-    let icons: Vec<IconId> = (0..3).map(|_| d.add_icon(IconKind::als(AlsKind::Triplet))).collect();
-    let slots: [(usize, u8); 9] =
-        [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)];
-    let unit = |i: usize| -> (IconId, u8) {
-        let (icon, pos) = slots[i];
-        (icons[icon], pos)
+) -> Result<PipelineId, DiagramError> {
+    assert!(
+        damping.is_none() || variant == JacobiVariant::Full,
+        "the damped smoother is built for the full machine only"
+    );
+    assert!(
+        window.len > 0 && window.start + window.len <= geo.nz,
+        "window {window:?} is empty or exceeds the slab"
+    );
+    let no_sdu = variant == JacobiVariant::NoSdu;
+    assert!(!no_sdu || window.len == geo.nz, "the no-SDU variant streams whole slabs only");
+    let placement = match variant {
+        JacobiVariant::SingletsOnly => Placement::OnePerAls,
+        _ => Placement::Packed,
     };
-    const ADD_NS: usize = 0;
-    const ADD_EW: usize = 1;
-    const ADD_S3: usize = 2;
-    const SUB_G: usize = 3;
-    const MUL14: usize = 4;
-    const SUB_D: usize = 5;
-    const MUL_MASK: usize = 6;
-    const ADD_UNEW: usize = 7;
-    const MAXABS: usize = 8;
-
-    let mem_mask = d.add_icon(IconKind::memory());
-    let mem_g = d.add_icon(IconKind::memory());
-    let mem_out = d.add_icon(IconKind::memory());
-    let cache_res = d.add_icon(IconKind::cache());
-
-    let fu_in = |u: (IconId, u8), port: InPort| PadLoc::new(u.0, PadRef::FuIn { pos: u.1, port });
-    let fu_out = |u: (IconId, u8)| PadLoc::new(u.0, PadRef::FuOut { pos: u.1 });
-
-    // Five u-streams from two shift/delay units, delays relative to the
-    // leading (j+1) row: north 0, east h-1, west h+1; south 2h, centre h
-    // (a delay d taps stream element q+2h-d, as in the 3-D builder).
-    let mem_u = d.add_icon(IconKind::memory());
-    let sdu0 = d.add_icon(IconKind::sdu());
-    let sdu1 = d.add_icon(IconKind::sdu());
-    let hh = h as u16;
-    d.set_sdu_taps(sdu0, vec![0, hh - 1, hh + 1]).unwrap();
-    d.set_sdu_taps(sdu1, vec![2 * hh, hh]).unwrap();
-    for sdu in [sdu0, sdu1] {
-        d.connect(
-            PadLoc::new(mem_u, PadRef::Io),
-            PadLoc::new(sdu, PadRef::SduIn),
-            Some(DmaAttrs::variable(src).with_offset(w0)),
-        )
-        .unwrap();
-    }
-    let tap = |sdu: IconId, t: u8| PadLoc::new(sdu, PadRef::SduTap { tap: t });
-    d.connect(tap(sdu0, 0), fu_in(unit(ADD_NS), InPort::A), None).unwrap(); // north
-    d.connect(tap(sdu1, 0), fu_in(unit(ADD_NS), InPort::B), None).unwrap(); // south
-    d.connect(tap(sdu0, 1), fu_in(unit(ADD_EW), InPort::A), None).unwrap(); // east
-    d.connect(tap(sdu0, 2), fu_in(unit(ADD_EW), InPort::B), None).unwrap(); // west
-    for sink in [fu_in(unit(SUB_D), InPort::B), fu_in(unit(ADD_UNEW), InPort::A)] {
-        d.connect(tap(sdu1, 1), sink, None).unwrap(); // centre
-    }
-
-    // The arithmetic tree: ((n+s) + (e+w) - g) / 4, masked update.
-    let ops = [
-        (ADD_NS, FuAssign::binary(FuOp::Add)),
-        (ADD_EW, FuAssign::binary(FuOp::Add)),
-        (ADD_S3, FuAssign::binary(FuOp::Add)),
-        (SUB_G, FuAssign::binary(FuOp::Sub)),
-        (MUL14, FuAssign::with_const(FuOp::Mul, 1.0 / 4.0)),
-        (SUB_D, FuAssign::binary(FuOp::Sub)),
-        (MUL_MASK, FuAssign::binary(FuOp::Mul)),
-        (ADD_UNEW, FuAssign::binary(FuOp::Add)),
-        (MAXABS, FuAssign::reduction(FuOp::MaxAbs, 0.0)),
-    ];
-    for (u, assign) in ops {
-        let (icon, pos) = unit(u);
-        d.assign_fu(icon, pos, assign).unwrap();
-    }
-    let wire = |d: &mut PipelineDiagram, from: usize, to: usize, port: InPort| {
-        d.connect(fu_out(unit(from)), fu_in(unit(to), port), None).unwrap();
+    let h = geo.plane as u64;
+    let (pid, mut b) = open(doc, name, placement, window, h, if no_sdu { 0 } else { h });
+    let (hi, nx) = (offset(geo.plane), offset(geo.nx));
+    // Up, north, east, west, south, down and centre: in this order the
+    // taps fill the two shift/delay units as Figure 2 draws them.
+    let offsets = [hi, nx, 1, -1, -nx, -hi, 0];
+    let [up, north, east, west, south, down, centre] = if no_sdu {
+        let vars = ["ucopy0", "ucopy2", "ucopy4", "ucopy5", "ucopy3", "ucopy1", src];
+        let mut read = |i: usize| b.read(vars[i], h, [offsets[i]]).map(|[s]| s);
+        [read(0)?, read(1)?, read(2)?, read(3)?, read(4)?, read(5)?, read(6)?]
+    } else {
+        b.read(src, h, offsets)?
     };
-    wire(d, ADD_NS, ADD_S3, InPort::A);
-    wire(d, ADD_EW, ADD_S3, InPort::B);
-    wire(d, ADD_S3, SUB_G, InPort::A);
-    wire(d, SUB_G, MUL14, InPort::A);
-    wire(d, MUL14, SUB_D, InPort::A);
-    wire(d, SUB_D, MUL_MASK, InPort::A);
-    wire(d, MUL_MASK, ADD_UNEW, InPort::B);
-    wire(d, MUL_MASK, MAXABS, InPort::A);
-
-    // Mask and scaled-RHS streams, stored `aligned` (front pad 2h).
-    d.connect(
-        PadLoc::new(mem_g, PadRef::Io),
-        fu_in(unit(SUB_G), InPort::B),
-        Some(DmaAttrs::variable("g").with_offset(w0)),
-    )
-    .unwrap();
-    d.connect(
-        PadLoc::new(mem_mask, PadRef::Io),
-        fu_in(unit(MUL_MASK), InPort::B),
-        Some(DmaAttrs::variable("mask").with_offset(w0)),
-    )
-    .unwrap();
-
-    // Stores: the new iterate and the window's residual scalar.
-    d.connect(
-        fu_out(unit(ADD_UNEW)),
-        PadLoc::new(mem_out, PadRef::Io),
-        Some(DmaAttrs::variable(dst).with_offset(h + w0).with_count(wpts)),
-    )
-    .unwrap();
-    d.connect(
-        fu_out(unit(MAXABS)),
-        PadLoc::new(cache_res, PadRef::Io),
-        Some(DmaAttrs::at_address(window.slot).last_only()),
-    )
-    .unwrap();
-
-    pid
+    let ud = b.binary(FuOp::Add, up, down)?;
+    let ns = b.binary(FuOp::Add, north, south)?;
+    let ew = b.binary(FuOp::Add, east, west)?;
+    let s4 = b.binary(FuOp::Add, ud, ns)?;
+    let sum = b.binary(FuOp::Add, s4, ew)?;
+    jacobi_update(&mut b, sum, centre, 1.0 / 6.0, damping, dst, h)?;
+    Ok(pid)
 }
 
 /// Vorticity plane of the cavity's FTCS transport step (stencil layout,
@@ -500,406 +496,66 @@ pub const PLANE_W1: PlaneId = PlaneId(6);
 /// [`PLANE_W1`]. `coeffs` folds `h`, `Re` and `dt` into the three
 /// multiply constants ([`FtcsCoeffs`] keeps the host mirror
 /// bit-compatible).
+///
+/// # Panics
+///
+/// If a row of `geo.row` words puts the deepest shift/delay tap (two rows
+/// back) past the 16-bit tap field.
 pub fn build_ftcs_transport_document(geo: Jacobi2dGeometry, coeffs: FtcsCoeffs) -> Document {
     let mut doc = Document::new(format!("cavity-ftcs-{}x{}", geo.nx, geo.ny));
-    let np = geo.padded as u64;
-    for (name, plane) in [
+    let vars = [
         ("psi", PLANE_U0),
         ("mask", PLANE_MASK),
         ("w0", PLANE_W0),
         ("wc", PLANE_WC),
         ("w1", PLANE_W1),
-    ] {
-        doc.decls.declare(VarDecl { name: name.into(), plane, base: 0, len: np });
-    }
-
-    let pid = doc.add_pipeline("vorticity FTCS step");
-    let h = geo.row as u64;
-    let hh = h as u16;
-    let d = doc.pipeline_mut(pid).unwrap();
-    d.stream_len = geo.padded as u64;
-
-    let units = alloc_unit_slots(d, 21);
-    const SUB_PNS: usize = 0; // ψn - ψs
-    const MUL_U: usize = 1; // u = (ψn - ψs) · c1
-    const SUB_PWE: usize = 2; // ψw - ψe
-    const MUL_V: usize = 3; // v = (ψw - ψe) · c1
-    const SUB_WEW: usize = 4; // ωe - ωw
-    const MUL_WX: usize = 5; // ωx
-    const SUB_WNS: usize = 6; // ωn - ωs
-    const MUL_WY: usize = 7; // ωy
-    const ADD_WEW: usize = 8; // ωe + ωw
-    const ADD_WNS: usize = 9; // ωn + ωs
-    const ADD_S4: usize = 10; // four-neighbour sum
-    const MUL_C4: usize = 11; // 4·ωc
-    const SUB_LAP: usize = 12; // sum - 4ωc
-    const MUL_C2: usize = 13; // · c2 = ∇²ω / Re
-    const MUL_A1: usize = 14; // u·ωx
-    const MUL_A2: usize = 15; // v·ωy
-    const ADD_ADV: usize = 16; // u·ωx + v·ωy
-    const SUB_RHS: usize = 17; // diffusion - advection
-    const MUL_DT: usize = 18; // · dt
-    const MUL_MASK: usize = 19; // · mask
-    const ADD_OUT: usize = 20; // ωc + masked update
-
-    let fu_in =
-        |u: usize, port: InPort| PadLoc::new(units[u].0, PadRef::FuIn { pos: units[u].1, port });
-    let fu_out = |u: usize| PadLoc::new(units[u].0, PadRef::FuOut { pos: units[u].1 });
-
-    // ψ and ω five-point streams from one shift/delay unit each; delays
-    // relative to the leading (j+1) row as in the 2-D Jacobi builder.
-    let mem_psi = d.add_icon(IconKind::memory());
-    let mem_w = d.add_icon(IconKind::memory());
-    let sdu_psi = d.add_icon(IconKind::sdu());
-    let sdu_w = d.add_icon(IconKind::sdu());
-    d.set_sdu_taps(sdu_psi, vec![0, 2 * hh, hh - 1, hh + 1]).unwrap();
-    d.set_sdu_taps(sdu_w, vec![0, 2 * hh, hh - 1, hh + 1]).unwrap();
-    d.connect(
-        PadLoc::new(mem_psi, PadRef::Io),
-        PadLoc::new(sdu_psi, PadRef::SduIn),
-        Some(DmaAttrs::variable("psi")),
-    )
-    .unwrap();
-    d.connect(
-        PadLoc::new(mem_w, PadRef::Io),
-        PadLoc::new(sdu_w, PadRef::SduIn),
-        Some(DmaAttrs::variable("w0")),
-    )
-    .unwrap();
-    let tap = |sdu: IconId, t: u8| PadLoc::new(sdu, PadRef::SduTap { tap: t });
-    // ψ taps: north, south, east, west.
-    d.connect(tap(sdu_psi, 0), fu_in(SUB_PNS, InPort::A), None).unwrap();
-    d.connect(tap(sdu_psi, 1), fu_in(SUB_PNS, InPort::B), None).unwrap();
-    d.connect(tap(sdu_psi, 2), fu_in(SUB_PWE, InPort::B), None).unwrap(); // east
-    d.connect(tap(sdu_psi, 3), fu_in(SUB_PWE, InPort::A), None).unwrap(); // west
-                                                                          // ω taps fan out to the derivative subs and the Laplacian adds.
-    d.connect(tap(sdu_w, 0), fu_in(SUB_WNS, InPort::A), None).unwrap();
-    d.connect(tap(sdu_w, 0), fu_in(ADD_WNS, InPort::A), None).unwrap();
-    d.connect(tap(sdu_w, 1), fu_in(SUB_WNS, InPort::B), None).unwrap();
-    d.connect(tap(sdu_w, 1), fu_in(ADD_WNS, InPort::B), None).unwrap();
-    d.connect(tap(sdu_w, 2), fu_in(SUB_WEW, InPort::A), None).unwrap();
-    d.connect(tap(sdu_w, 2), fu_in(ADD_WEW, InPort::A), None).unwrap();
-    d.connect(tap(sdu_w, 3), fu_in(SUB_WEW, InPort::B), None).unwrap();
-    d.connect(tap(sdu_w, 3), fu_in(ADD_WEW, InPort::B), None).unwrap();
-    // The ω centre stream comes straight from the aligned copy plane.
-    let mem_wc = d.add_icon(IconKind::memory());
-    for sink in [fu_in(MUL_C4, InPort::A), fu_in(ADD_OUT, InPort::A)] {
-        d.connect(PadLoc::new(mem_wc, PadRef::Io), sink, Some(DmaAttrs::variable("wc"))).unwrap();
-    }
-    // Mask stream.
-    let mem_mask = d.add_icon(IconKind::memory());
-    d.connect(
-        PadLoc::new(mem_mask, PadRef::Io),
-        fu_in(MUL_MASK, InPort::B),
-        Some(DmaAttrs::variable("mask")),
-    )
-    .unwrap();
-
-    let ops = [
-        (SUB_PNS, FuAssign::binary(FuOp::Sub)),
-        (MUL_U, FuAssign::with_const(FuOp::Mul, coeffs.c1)),
-        (SUB_PWE, FuAssign::binary(FuOp::Sub)),
-        (MUL_V, FuAssign::with_const(FuOp::Mul, coeffs.c1)),
-        (SUB_WEW, FuAssign::binary(FuOp::Sub)),
-        (MUL_WX, FuAssign::with_const(FuOp::Mul, coeffs.c1)),
-        (SUB_WNS, FuAssign::binary(FuOp::Sub)),
-        (MUL_WY, FuAssign::with_const(FuOp::Mul, coeffs.c1)),
-        (ADD_WEW, FuAssign::binary(FuOp::Add)),
-        (ADD_WNS, FuAssign::binary(FuOp::Add)),
-        (ADD_S4, FuAssign::binary(FuOp::Add)),
-        (MUL_C4, FuAssign::with_const(FuOp::Mul, 4.0)),
-        (SUB_LAP, FuAssign::binary(FuOp::Sub)),
-        (MUL_C2, FuAssign::with_const(FuOp::Mul, coeffs.c2)),
-        (MUL_A1, FuAssign::binary(FuOp::Mul)),
-        (MUL_A2, FuAssign::binary(FuOp::Mul)),
-        (ADD_ADV, FuAssign::binary(FuOp::Add)),
-        (SUB_RHS, FuAssign::binary(FuOp::Sub)),
-        (MUL_DT, FuAssign::with_const(FuOp::Mul, coeffs.dt)),
-        (MUL_MASK, FuAssign::binary(FuOp::Mul)),
-        (ADD_OUT, FuAssign::binary(FuOp::Add)),
     ];
-    for (u, assign) in ops {
-        let (icon, pos) = units[u];
-        d.assign_fu(icon, pos, assign).unwrap();
-    }
-    let wire = |d: &mut PipelineDiagram, from: usize, to: usize, port: InPort| {
-        d.connect(fu_out(from), fu_in(to, port), None).unwrap();
-    };
-    wire(d, SUB_PNS, MUL_U, InPort::A);
-    wire(d, SUB_PWE, MUL_V, InPort::A);
-    wire(d, SUB_WEW, MUL_WX, InPort::A);
-    wire(d, SUB_WNS, MUL_WY, InPort::A);
-    wire(d, ADD_WEW, ADD_S4, InPort::A);
-    wire(d, ADD_WNS, ADD_S4, InPort::B);
-    wire(d, MUL_C4, SUB_LAP, InPort::B);
-    wire(d, ADD_S4, SUB_LAP, InPort::A);
-    wire(d, SUB_LAP, MUL_C2, InPort::A);
-    wire(d, MUL_U, MUL_A1, InPort::A);
-    wire(d, MUL_WX, MUL_A1, InPort::B);
-    wire(d, MUL_V, MUL_A2, InPort::A);
-    wire(d, MUL_WY, MUL_A2, InPort::B);
-    wire(d, MUL_A1, ADD_ADV, InPort::A);
-    wire(d, MUL_A2, ADD_ADV, InPort::B);
-    wire(d, MUL_C2, SUB_RHS, InPort::A);
-    wire(d, ADD_ADV, SUB_RHS, InPort::B);
-    wire(d, SUB_RHS, MUL_DT, InPort::A);
-    wire(d, MUL_DT, MUL_MASK, InPort::A);
-    wire(d, MUL_MASK, ADD_OUT, InPort::B);
-
-    // Store the advanced vorticity into the output plane's data region.
-    let mem_out = d.add_icon(IconKind::memory());
-    d.connect(
-        fu_out(ADD_OUT),
-        PadLoc::new(mem_out, PadRef::Io),
-        Some(DmaAttrs::variable("w1").with_offset(h).with_count(geo.points as u64)),
-    )
-    .unwrap();
-
+    declare(&mut doc, &vars, geo.padded);
+    let pid = swept(ftcs_step(&mut doc, geo, coeffs), geo.row, "row");
     doc.control = Some(ControlNode::Pipeline(pid));
     doc
 }
 
-/// One sweep pipeline reading `src` and writing `dst`. `damping` adds an
-/// `omega` multiply between the update and the mask (the multigrid
-/// smoother; full variant only). `window` restricts the output to a run
-/// of xy-planes: the stream starts `2h` elements before the window's
-/// first output point and covers exactly `window.len` planes, so the
-/// operation tree sees the same inputs as the fused sweep on those
-/// points (the no-SDU variant streams differently and accepts only the
-/// whole-slab window).
-#[allow(clippy::too_many_arguments)] // one knob per paper experiment axis
-fn build_sweep(
+/// The FTCS step's pipeline: the operation tree
+/// [`ftcs_update_tree`](crate::host::ftcs_update_tree) mirrors on the host.
+fn ftcs_step(
     doc: &mut Document,
-    name: &str,
-    src: &str,
-    dst: &str,
-    geo: JacobiGeometry,
-    variant: JacobiVariant,
-    damping: Option<f64>,
-    window: SweepWindow,
-) -> nsc_diagram::PipelineId {
-    assert!(
-        damping.is_none() || variant == JacobiVariant::Full,
-        "the damped smoother is built for the full machine only"
-    );
-    assert!(window.start + window.len <= geo.nz, "window exceeds the slab");
-    assert!(window.len > 0, "empty sweep window");
-    let pid = doc.add_pipeline(name);
-    let h = geo.plane as u64;
-    // Window origin and extent in stream elements.
-    let w0 = window.start as u64 * h;
-    let wpts = window.len as u64 * h;
-    let d = doc.pipeline_mut(pid).unwrap();
-    d.stream_len = match variant {
-        JacobiVariant::NoSdu => {
-            assert!(
-                window.start == 0 && window.len == geo.nz,
-                "the no-SDU variant streams whole slabs only"
-            );
-            geo.points as u64
-        }
-        _ => wpts + 2 * h,
-    };
-
-    // Compute units.
-    let unit_plan = plan(variant, damping.is_some());
-    let als_icons: Vec<IconId> =
-        unit_plan.icons.iter().map(|&k| d.add_icon(IconKind::als(k))).collect();
-    let unit = |i: usize| -> (IconId, u8) {
-        let (icon, pos) = unit_plan.slots[i];
-        (als_icons[icon], pos)
-    };
-    const ADD_UD: usize = 0;
-    const ADD_NS: usize = 1;
-    const ADD_EW: usize = 2;
-    const ADD_S4: usize = 3;
-    const ADD_S5: usize = 4;
-    const SUB_G: usize = 5;
-    const MUL16: usize = 6;
-    const SUB_D: usize = 7;
-    const MUL_MASK: usize = 8;
-    const ADD_UNEW: usize = 9;
-    const MAXABS: usize = 10;
-    const MUL_OMEGA: usize = 11;
-
-    // Storage icons.
-    let mem_mask = d.add_icon(IconKind::memory());
-    let mem_g = d.add_icon(IconKind::memory());
-    let mem_out = d.add_icon(IconKind::memory());
-    let cache_res = d.add_icon(IconKind::cache());
-
-    let fu_in = |u: (IconId, u8), port: InPort| PadLoc::new(u.0, PadRef::FuIn { pos: u.1, port });
-    let fu_out = |u: (IconId, u8)| PadLoc::new(u.0, PadRef::FuOut { pos: u.1 });
-
-    // ------------------------------------------------------------------
-    // neighbour streams
-    // ------------------------------------------------------------------
-    // Wires carrying (stream, sink) pairs for the seven u-streams:
-    // up, down, north, south, east, west, centre(x2 fan-out).
-    let centre_sinks = [fu_in(unit(SUB_D), InPort::B), fu_in(unit(ADD_UNEW), InPort::A)];
-    match variant {
-        JacobiVariant::Full | JacobiVariant::SingletsOnly => {
-            let mem_u = d.add_icon(IconKind::memory());
-            let sdu0 = d.add_icon(IconKind::sdu());
-            let sdu1 = d.add_icon(IconKind::sdu());
-            // Tap programming: delays relative to the leading (k+1) plane.
-            let nx = geo.nx as u16;
-            let hh = h as u16;
-            d.set_sdu_taps(sdu0, vec![0, hh - nx, hh - 1, hh + 1]).unwrap();
-            d.set_sdu_taps(sdu1, vec![hh + nx, 2 * hh, hh]).unwrap();
-            for sdu in [sdu0, sdu1] {
-                d.connect(
-                    PadLoc::new(mem_u, PadRef::Io),
-                    PadLoc::new(sdu, PadRef::SduIn),
-                    Some(DmaAttrs::variable(src).with_offset(w0)),
-                )
-                .unwrap();
-            }
-            let tap = |sdu: IconId, t: u8| PadLoc::new(sdu, PadRef::SduTap { tap: t });
-            d.connect(tap(sdu0, 0), fu_in(unit(ADD_UD), InPort::A), None).unwrap(); // up
-            d.connect(tap(sdu1, 1), fu_in(unit(ADD_UD), InPort::B), None).unwrap(); // down
-            d.connect(tap(sdu0, 1), fu_in(unit(ADD_NS), InPort::A), None).unwrap(); // north
-            d.connect(tap(sdu1, 0), fu_in(unit(ADD_NS), InPort::B), None).unwrap(); // south
-            d.connect(tap(sdu0, 2), fu_in(unit(ADD_EW), InPort::A), None).unwrap(); // east
-            d.connect(tap(sdu0, 3), fu_in(unit(ADD_EW), InPort::B), None).unwrap(); // west
-            for sink in centre_sinks {
-                d.connect(tap(sdu1, 2), sink, None).unwrap(); // centre
-            }
-        }
-        JacobiVariant::NoSdu => {
-            // Six copy planes + the source plane for the centre stream.
-            // Each binary add would read two planes, which §3 forbids, so
-            // one operand of each pair is staged through a COPY unit.
-            let stage = [
-                d.add_icon(IconKind::als(AlsKind::Doublet)),
-                d.add_icon(IconKind::als(AlsKind::Doublet)),
-            ];
-            let stage_units = [(stage[0], 0u8), (stage[0], 1u8), (stage[1], 0u8)];
-            let nx = geo.nx as u64;
-            // (variable, base offset, destination)
-            let direct = [
-                ("ucopy0", 2 * h, fu_in(unit(ADD_UD), InPort::A)), // up
-                ("ucopy2", h + nx, fu_in(unit(ADD_NS), InPort::A)), // north
-                ("ucopy4", h + 1, fu_in(unit(ADD_EW), InPort::A)), // east
-            ];
-            let staged = [
-                ("ucopy1", 0u64, 0usize, fu_in(unit(ADD_UD), InPort::B)), // down
-                ("ucopy3", h - nx, 1, fu_in(unit(ADD_NS), InPort::B)),    // south
-                ("ucopy5", h - 1, 2, fu_in(unit(ADD_EW), InPort::B)),     // west
-            ];
-            for (var, base, sink) in direct {
-                let m = d.add_icon(IconKind::memory());
-                d.connect(
-                    PadLoc::new(m, PadRef::Io),
-                    sink,
-                    Some(DmaAttrs::variable(var).with_offset(base)),
-                )
-                .unwrap();
-            }
-            for (var, base, stage_idx, sink) in staged {
-                let m = d.add_icon(IconKind::memory());
-                let cu = stage_units[stage_idx];
-                d.connect(
-                    PadLoc::new(m, PadRef::Io),
-                    fu_in(cu, InPort::A),
-                    Some(DmaAttrs::variable(var).with_offset(base)),
-                )
-                .unwrap();
-                d.assign_fu(cu.0, cu.1, FuAssign::unary(FuOp::Copy)).unwrap();
-                d.connect(fu_out(cu), sink, None).unwrap();
-            }
-            // Centre stream straight from the source plane.
-            let mem_u = d.add_icon(IconKind::memory());
-            for sink in centre_sinks {
-                d.connect(
-                    PadLoc::new(mem_u, PadRef::Io),
-                    sink,
-                    Some(DmaAttrs::variable(src).with_offset(h)),
-                )
-                .unwrap();
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // the arithmetic tree (paper Equation 1)
-    // ------------------------------------------------------------------
-    let mut ops = vec![
-        (ADD_UD, FuAssign::binary(FuOp::Add)),
-        (ADD_NS, FuAssign::binary(FuOp::Add)),
-        (ADD_EW, FuAssign::binary(FuOp::Add)),
-        (ADD_S4, FuAssign::binary(FuOp::Add)),
-        (ADD_S5, FuAssign::binary(FuOp::Add)),
-        (SUB_G, FuAssign::binary(FuOp::Sub)),
-        (MUL16, FuAssign::with_const(FuOp::Mul, 1.0 / 6.0)),
-        (SUB_D, FuAssign::binary(FuOp::Sub)),
-        (MUL_MASK, FuAssign::binary(FuOp::Mul)),
-        (ADD_UNEW, FuAssign::binary(FuOp::Add)),
-        (MAXABS, FuAssign::reduction(FuOp::MaxAbs, 0.0)),
-    ];
-    if let Some(omega) = damping {
-        ops.push((MUL_OMEGA, FuAssign::with_const(FuOp::Mul, omega)));
-    }
-    for (u, assign) in ops {
-        let (icon, pos) = unit(u);
-        d.assign_fu(icon, pos, assign).unwrap();
-    }
-    let wire = |d: &mut PipelineDiagram, from: usize, to: usize, port: InPort| {
-        d.connect(fu_out(unit(from)), fu_in(unit(to), port), None).unwrap();
-    };
-    wire(d, ADD_UD, ADD_S4, InPort::A);
-    wire(d, ADD_NS, ADD_S4, InPort::B);
-    wire(d, ADD_S4, ADD_S5, InPort::A);
-    wire(d, ADD_EW, ADD_S5, InPort::B);
-    wire(d, ADD_S5, SUB_G, InPort::A);
-    wire(d, SUB_G, MUL16, InPort::A);
-    wire(d, MUL16, SUB_D, InPort::A);
-    if damping.is_some() {
-        // The damped smoother scales the update by omega before masking.
-        wire(d, SUB_D, MUL_OMEGA, InPort::A);
-        wire(d, MUL_OMEGA, MUL_MASK, InPort::A);
-    } else {
-        wire(d, SUB_D, MUL_MASK, InPort::A);
-    }
-    wire(d, MUL_MASK, ADD_UNEW, InPort::B);
-    wire(d, MUL_MASK, MAXABS, InPort::A);
-
-    // Mask and scaled-RHS streams. Under the SDU layout they are stored
-    // `aligned` (front pad 2h, offset 0); the no-SDU variant streams the
-    // same images starting at the data (offset 2h).
-    let storage_base = match variant {
-        JacobiVariant::NoSdu => 2 * h,
-        _ => w0,
-    };
-    d.connect(
-        PadLoc::new(mem_g, PadRef::Io),
-        fu_in(unit(SUB_G), InPort::B),
-        Some(DmaAttrs::variable("g").with_offset(storage_base)),
-    )
-    .unwrap();
-    d.connect(
-        PadLoc::new(mem_mask, PadRef::Io),
-        fu_in(unit(MUL_MASK), InPort::B),
-        Some(DmaAttrs::variable("mask").with_offset(storage_base)),
-    )
-    .unwrap();
-
-    // Stores: the new iterate (into the pong plane's window) and the
-    // window's residual scalar.
-    d.connect(
-        fu_out(unit(ADD_UNEW)),
-        PadLoc::new(mem_out, PadRef::Io),
-        Some(DmaAttrs::variable(dst).with_offset(h + w0).with_count(wpts)),
-    )
-    .unwrap();
-    d.connect(
-        fu_out(unit(MAXABS)),
-        PadLoc::new(cache_res, PadRef::Io),
-        Some(DmaAttrs::at_address(window.slot).last_only()),
-    )
-    .unwrap();
-
-    pid
+    geo: Jacobi2dGeometry,
+    c: FtcsCoeffs,
+) -> Result<PipelineId, DiagramError> {
+    let h = geo.row as u64;
+    let whole = SweepWindow::whole(geo.ny);
+    let (pid, mut b) = open(doc, "vorticity FTCS step", Placement::Packed, whole, h, h);
+    let hi = offset(geo.row);
+    // North, south, east and west of ψ and of ω, one shift/delay unit
+    // each; the ω centre streams from its aligned copy.
+    let [pn, ps, pe, pw] = b.read("psi", h, [hi, -hi, 1, -1])?;
+    let [wn, ws, we, ww] = b.read("w0", h, [hi, -hi, 1, -1])?;
+    let [wc] = b.read("wc", 2 * h, [0])?;
+    let [mask] = b.read("mask", 2 * h, [0])?;
+    let psi_y = b.binary(FuOp::Sub, pn, ps)?;
+    let u = b.constant(FuOp::Mul, psi_y, c.c1)?;
+    let psi_x = b.binary(FuOp::Sub, pw, pe)?;
+    let v = b.constant(FuOp::Mul, psi_x, c.c1)?;
+    let dwx = b.binary(FuOp::Sub, we, ww)?;
+    let w_x = b.constant(FuOp::Mul, dwx, c.c1)?;
+    let dwy = b.binary(FuOp::Sub, wn, ws)?;
+    let w_y = b.constant(FuOp::Mul, dwy, c.c1)?;
+    let ew = b.binary(FuOp::Add, we, ww)?;
+    let ns = b.binary(FuOp::Add, wn, ws)?;
+    let sum = b.binary(FuOp::Add, ew, ns)?;
+    let centre4 = b.constant(FuOp::Mul, wc, 4.0)?;
+    let laplacian = b.binary(FuOp::Sub, sum, centre4)?;
+    let diffusion = b.constant(FuOp::Mul, laplacian, c.c2)?;
+    let a1 = b.binary(FuOp::Mul, u, w_x)?;
+    let a2 = b.binary(FuOp::Mul, v, w_y)?;
+    let advection = b.binary(FuOp::Add, a1, a2)?;
+    let rhs = b.binary(FuOp::Sub, diffusion, advection)?;
+    let step = b.constant(FuOp::Mul, rhs, c.dt)?;
+    let masked = b.binary(FuOp::Mul, step, mask)?;
+    let next = b.binary(FuOp::Add, wc, masked)?;
+    b.store("w1", h, next)?;
+    Ok(pid)
 }
 
 /// A broadcast-copy pipeline: one plane fanned out to `n_dst` copy planes
@@ -923,8 +579,8 @@ fn build_broadcast(
         units.push((icon, 0));
         units.push((icon, 1));
     }
-    units.truncate(n_dst as usize);
-    for (slot, &(icon, pos)) in units.iter().enumerate() {
+    units.truncate(n_dst.into());
+    for (copy, &(icon, pos)) in (first_dst..).zip(&units) {
         d.assign_fu(icon, pos, FuAssign::unary(FuOp::Copy)).unwrap();
         d.connect(
             PadLoc::new(mem_src, PadRef::Io),
@@ -936,32 +592,11 @@ fn build_broadcast(
         d.connect(
             PadLoc::new(icon, PadRef::FuOut { pos }),
             PadLoc::new(m, PadRef::Io),
-            Some(DmaAttrs::variable(format!("ucopy{}", first_dst + slot as u8))),
+            Some(DmaAttrs::variable(format!("ucopy{copy}"))),
         )
         .unwrap();
     }
     pid
-}
-
-/// Allocate `needed` unit slots across mixed ALS shapes, triplets first
-/// (the 1988 machine offers 32 slots in total).
-fn alloc_unit_slots(d: &mut PipelineDiagram, needed: usize) -> Vec<(IconId, u8)> {
-    let mut slots = Vec::new();
-    let shapes =
-        [(AlsKind::Triplet, 4usize, 3u8), (AlsKind::Doublet, 8, 2), (AlsKind::Singlet, 4, 1)];
-    'outer: for (kind, max_icons, units) in shapes {
-        for _ in 0..max_icons {
-            if slots.len() >= needed {
-                break 'outer;
-            }
-            let icon = d.add_icon(IconKind::als(kind));
-            for p in 0..units {
-                slots.push((icon, p));
-            }
-        }
-    }
-    assert!(slots.len() >= needed, "kernel needs {needed} units; the node has 32");
-    slots
 }
 
 /// A compute-bound kernel for the subset ablation: Horner evaluation of
@@ -1009,22 +644,21 @@ pub fn build_chebyshev_document(count: u64, coeffs: &[f64], stages_per_instr: us
         };
         let out_var = if last || ci % 2 == 1 { "y" } else { "t" };
 
-        let n_units = chunk.len() * 2; // mul + add-const per stage
-        let needed = n_units + n_copies;
-        let als = alloc_unit_slots(d, needed);
-        let copies = &als[..n_copies];
-        let units = &als[n_copies..needed];
+        let mut units = Units::on(&MachineConfig::nsc_1988(), Placement::Packed);
+        let mut place = |d: &mut PipelineDiagram, assign| {
+            units.place(d, assign).expect("a Horner chunk fits the node's units")
+        };
         // Wire the x distribution: plane -> copy0 -> copy1 -> ...
         let mut x_src: Vec<PadLoc> = Vec::new();
-        for (i, &(icon, pos)) in copies.iter().enumerate() {
-            d.assign_fu(icon, pos, FuAssign::unary(FuOp::Copy)).unwrap();
-            let from = if i == 0 {
-                PadLoc::new(mem_x.expect("a chunk with copies reads x"), PadRef::Io)
-            } else {
-                let (pi, pp) = copies[i - 1];
-                PadLoc::new(pi, PadRef::FuOut { pos: pp })
+        for _ in 0..n_copies {
+            let (icon, pos) = place(d, FuAssign::unary(FuOp::Copy));
+            let (from, attrs) = match x_src.last() {
+                Some(&prev) => (prev, None),
+                None => {
+                    let mem_x = mem_x.expect("a chunk with copies reads x");
+                    (PadLoc::new(mem_x, PadRef::Io), Some(DmaAttrs::variable("x")))
+                }
             };
-            let attrs = (i == 0).then(|| DmaAttrs::variable("x"));
             d.connect(from, PadLoc::new(icon, PadRef::FuIn { pos, port: InPort::A }), attrs)
                 .unwrap();
             x_src.push(PadLoc::new(icon, PadRef::FuOut { pos }));
@@ -1033,8 +667,6 @@ pub fn build_chebyshev_document(count: u64, coeffs: &[f64], stages_per_instr: us
         let mut acc_src = PadLoc::new(mem_in, PadRef::Io);
         let mut acc_attrs = Some(DmaAttrs::variable(in_var));
         for (si, &c) in chunk.iter().enumerate() {
-            let (mi, mp) = units[2 * si];
-            let (ai, ap) = units[2 * si + 1];
             // The leading stage's acc is x itself, so it computes
             // coeffs[n-1]*x + c; every later stage computes acc*x + c.
             let mul = if si < lead {
@@ -1042,8 +674,8 @@ pub fn build_chebyshev_document(count: u64, coeffs: &[f64], stages_per_instr: us
             } else {
                 FuAssign::binary(FuOp::Mul)
             };
-            d.assign_fu(mi, mp, mul).unwrap();
-            d.assign_fu(ai, ap, FuAssign::with_const(FuOp::Add, c)).unwrap();
+            let (mi, mp) = place(d, mul);
+            let (ai, ap) = place(d, FuAssign::with_const(FuOp::Add, c));
             d.connect(
                 acc_src,
                 PadLoc::new(mi, PadRef::FuIn { pos: mp, port: InPort::A }),
@@ -1257,6 +889,13 @@ mod tests {
             }
         }
         assert_eq!(xs.map(|x| horner(&quad, x)), [1.125, 3.25, 12.0, 26.75]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 65636-word plane cannot be swept: tap delay 65632 does not fit")]
+    fn a_plane_past_the_tap_field_panics_by_name() {
+        let geo = JacobiGeometry::slab(4, 16_409, 3);
+        build_jacobi_sweep_document_windows(geo, true, &[SweepWindow::whole(3)]);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! boundary shells against the fresh ghosts.
 
 use crate::diagrams::{
-    build_jacobi_sweep_document_windows, JacobiGeometry, JacobiVariant, PLANE_U0, RESIDUAL_CACHE,
+    build_jacobi_sweep_document_windows, check_tap_reach, plane_words, JacobiGeometry,
+    JacobiVariant, PLANE_U0, RESIDUAL_CACHE,
 };
 use crate::grid::{check_problem, Grid3};
 use crate::host::{sor_sweep_host_layers, JacobiHostState};
@@ -137,6 +138,7 @@ impl Workload for DistributedJacobiWorkload {
         let shape = GridShape::volume3d(self.u0.nx, self.u0.ny, self.u0.nz);
         let partition = self.partition.build(shape, system.cube, false)?;
         let parts = partition.parts();
+        check_tap_reach(session.kb(), parts.iter().map(plane_words), "plane")?;
 
         // Load every node's slab problem (ghosts included, so the first
         // sweep needs no exchange) and compile its sweep pair.

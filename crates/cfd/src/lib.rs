@@ -23,7 +23,9 @@
 //!   stencil streams, masked update, feedback residual reduction), the
 //!   no-SDU variant (array copies in extra planes, §3's "multiple copies
 //!   of arrays"), the subset-model variant, and a compute-bound Chebyshev
-//!   kernel for the T4 ablation;
+//!   kernel for the T4 ablation. The 3-D and 2-D sweeps and the cavity's
+//!   FTCS step are stencil descriptions lowered through
+//!   `nsc_diagram::PipelineBuilder`;
 //! * [`nsc_run`] — the paper's Figure 2/11 Jacobi document on one
 //!   simulated node ([`run_jacobi`]): it loads the problem, compiles the
 //!   document through `nsc_core::Session`, runs the generated microcode

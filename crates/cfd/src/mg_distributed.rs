@@ -31,8 +31,8 @@
 //! of dimension 0 is the serial solver.
 
 use crate::diagrams::{
-    build_damped_jacobi_sweep_document_windows, JacobiGeometry, PLANE_G, PLANE_MASK, PLANE_U0,
-    PLANE_U1, RESIDUAL_CACHE,
+    build_damped_jacobi_sweep_document_windows, check_tap_reach, plane_words, JacobiGeometry,
+    PLANE_G, PLANE_MASK, PLANE_U0, PLANE_U1, RESIDUAL_CACHE,
 };
 use crate::distributed::check_same_machine;
 use crate::grid::{check_problem, Grid3, PaddedField};
@@ -102,6 +102,7 @@ fn build_levels(
     let mut h = h0;
     let mut levels = Vec::new();
     loop {
+        check_tap_reach(session.kb(), part.parts().iter().map(plane_words), "plane")?;
         let (even, odd) =
             SweepEngine::stencil(&part).compile_pair(session, |p, even, windows| {
                 let (lnx, lny, lnz) = p.local_shape();

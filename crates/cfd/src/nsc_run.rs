@@ -6,8 +6,8 @@
 //! drivers can be batched, retried and reported on.
 
 use crate::diagrams::{
-    build_jacobi_document, JacobiGeometry, JacobiVariant, PLANE_COPY0, PLANE_G, PLANE_MASK,
-    PLANE_U0, RESIDUAL_CACHE,
+    build_jacobi_document, check_tap_reach, JacobiGeometry, JacobiVariant, PLANE_COPY0, PLANE_G,
+    PLANE_MASK, PLANE_U0, RESIDUAL_CACHE,
 };
 use crate::distributed::check_same_machine;
 use crate::grid::{check_problem, Grid3};
@@ -80,6 +80,9 @@ pub fn run_jacobi(
     }
     check_problem(u0, f)?;
     let n = u0.nx;
+    if variant != JacobiVariant::NoSdu {
+        check_tap_reach(session.kb(), [n * n], "plane")?;
+    }
     let state = JacobiHostState::new(u0, f);
     load_problem(node, &state, variant);
     let mut doc = build_jacobi_document(n, tol, max_pairs, variant);

@@ -6,7 +6,9 @@
 //! stencil needs, a grid the V-cycle cannot coarsen, a node whose machine
 //! differs from the session's, a system lacking one of the partition's
 //! nodes, and host slabs that are not one per part, at every halo
-//! exchange entry point.
+//! exchange entry point. So, at every entry point that sweeps through
+//! shift/delay units, is a grid whose deepest tap — two planes (3-D) or
+//! rows (2-D) back — reaches the SDU buffer.
 
 use nsc_arch::{HypercubeConfig, KnowledgeBase, MachineConfig, SubsetModel};
 use nsc_cfd::diagrams::PLANE_U0;
@@ -143,6 +145,75 @@ fn distributed_sor_refuses_a_side_below_three_untouched() {
         assert_workload_error(w.execute(&session, &mut sys));
         assert_eq!(footprint(&sys), before, "{nx}x{ny}x{nz} {partition:?}");
     }
+}
+
+/// Grids whose xy-plane puts the deepest shift/delay tap at or past the
+/// 16,384-word SDU buffer: a 65,636-word plane (its tap delay wrapped the
+/// 16-bit tap field to 200, and the sweep answered wrongly), a
+/// 65,538-word plane (its delay arithmetic overflowed), and an 8,281-word
+/// plane whose delay fits the field but not the buffer.
+const PAST_THE_TAPS: [(usize, usize, usize); 3] = [(4, 16_409, 3), (3, 21_846, 3), (91, 91, 3)];
+
+fn assert_tap_refusal<T: std::fmt::Debug>(result: Result<T, NscError>, layer: &str, delay: usize) {
+    let err = result.expect_err("a sweep past the shift/delay buffer must be refused");
+    let named = format!("a {layer} puts the deepest shift/delay tap {delay} words back");
+    assert!(
+        matches!(&err, NscError::Workload(m) if m.contains(&named) && m.contains("16384 words")),
+        "{err}"
+    );
+}
+
+#[test]
+fn sweeps_past_the_shift_delay_buffer_are_refused_untouched() {
+    let session = Session::nsc_1988();
+    for (nx, ny, nz) in PAST_THE_TAPS {
+        let mut sys = NscSystem::new(HypercubeConfig::new(0), session.kb());
+        let before = footprint(&sys);
+        let (u0, f) = flat_problem(nx, ny, nz);
+        let w = DistributedJacobiWorkload::new(u0, f, 0.0, 1, PartitionSpec::Auto);
+        let plane = nx * ny;
+        assert_tap_refusal(
+            w.execute(&session, &mut sys),
+            &format!("{plane}-word plane"),
+            2 * plane,
+        );
+        assert_eq!(footprint(&sys), before, "{nx}x{ny}x{nz}");
+    }
+
+    // The serial loop document, on the full and the singlets-only machine.
+    let (u0, f) = flat_problem(91, 91, 91);
+    for (variant, model) in [
+        (JacobiVariant::Full, SubsetModel::Full),
+        (JacobiVariant::SingletsOnly, SubsetModel::SingletsOnly),
+    ] {
+        let session = Session::new(MachineConfig::nsc_1988().subset(model));
+        let mut node = session.node();
+        let before = node_footprint(&node);
+        let run = run_jacobi(&session, &mut node, &u0, &f, 0.0, 1, variant);
+        assert_tap_refusal(run, "8281-word plane", 16_562);
+        assert_eq!(node_footprint(&node), before, "{variant:?}");
+    }
+
+    // The V-cycle's finest level on one node.
+    let mut sys = NscSystem::new(HypercubeConfig::new(0), session.kb());
+    let before = footprint(&sys);
+    let (u0, f) = flat_problem(129, 129, 129);
+    let w = DistributedMultigridWorkload { u0, f, tol: 0.0, max_cycles: 1, omega: 0.8 };
+    assert_tap_refusal(w.execute(&session, &mut sys), "16641-word plane", 33_282);
+    assert_eq!(footprint(&sys), before);
+
+    // The cavity's 2-D sweep and FTCS step, whose layer is a row: 8,192
+    // words put the deepest tap exactly at the buffer; 8,191 fit.
+    let mut sys = NscSystem::new(HypercubeConfig::new(0), session.kb());
+    let before = footprint(&sys);
+    let solver = Poisson2dSolver::new(&session, &mut sys, 8192, 3);
+    assert_tap_refusal(solver, "8192-word row", 16_384);
+    let rows = PartitionSpec::Auto.build(GridShape::plane2d(8192, 3), sys.cube, true).unwrap();
+    let coeffs = FtcsCoeffs::new(1.0 / 8.0, 10.0, 1e-4);
+    let transport = VorticityTransport::new(&session, rows.as_ref(), coeffs);
+    assert_tap_refusal(transport, "8192-word row", 16_384);
+    assert_eq!(footprint(&sys), before);
+    Poisson2dSolver::new(&session, &mut sys, 8191, 3).expect("an 8,191-word row fits");
 }
 
 #[test]

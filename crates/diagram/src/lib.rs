@@ -24,17 +24,23 @@
 //!   of the Figure 5 window, which the 1988 prototype did not implement and
 //!   this reproduction does).
 //!
+//! * the **builder** — [`PipelineBuilder`], through which every generated
+//!   pipeline (expression trees, stencil sweeps) lowers: unit placement,
+//!   shift/delay taps, direct reads and COPY staging, each by one rule.
+//!
 //! The prototype's output was "only the semantic data structures ... a
 //! pseudo-code representation of the instructions" — these are exactly the
 //! types serialized by [`Document::to_json`].
 
 pub mod attrs;
+pub mod build;
 pub mod document;
 pub mod icon;
 pub mod ids;
 pub mod pipeline;
 
 pub use self::attrs::{CaptureMode, DmaAttrs, FuAssign, InputSpec};
+pub use self::build::{OutputWindow, PipelineBuilder, Placement, Stream, Units};
 pub use self::document::{
     ControlNode, ConvergenceCond, Declarations, DiagramLayout, Document, VarDecl,
 };

@@ -14,7 +14,7 @@
 use crate::attrs::{DmaAttrs, FuAssign};
 use crate::icon::{Icon, IconKind, PadRef};
 use crate::ids::{ConnId, IconId, PipelineId};
-use nsc_arch::{AlsKind, DoubletMode};
+use nsc_arch::{AlsKind, DoubletMode, FuOp};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -83,6 +83,16 @@ pub enum DiagramError {
         /// How many taps the caller asked for.
         requested: usize,
     },
+    /// A generated read, tap or store falls outside its pipeline's
+    /// output window (see `PipelineBuilder`).
+    Window(String),
+    /// A shift/delay tap delay that does not fit the 16-bit tap field.
+    TapDelay {
+        /// The delay asked for, in elements.
+        delay: u64,
+    },
+    /// No free functional unit of the node can execute the operation.
+    NoFreeUnit(FuOp),
 }
 
 impl fmt::Display for DiagramError {
@@ -97,6 +107,11 @@ impl fmt::Display for DiagramError {
             DiagramError::TooManyTaps { icon, requested } => {
                 write!(f, "{icon} asked for {requested} taps; the structural cap is {MAX_SDU_TAPS}")
             }
+            DiagramError::Window(detail) => write!(f, "outside the output window: {detail}"),
+            DiagramError::TapDelay { delay } => {
+                write!(f, "tap delay {delay} does not fit the {}-bit tap field", u16::BITS)
+            }
+            DiagramError::NoFreeUnit(op) => write!(f, "no free functional unit can execute {op}"),
         }
     }
 }
@@ -181,10 +196,11 @@ impl PipelineDiagram {
 
     /// Whether `pad` exists structurally on icon `id`.
     pub fn has_pad(&self, loc: PadLoc) -> bool {
-        let Some(icon) = self.icons.get(&loc.icon) else {
-            return false;
-        };
-        match (&icon.kind, loc.pad) {
+        self.icons.get(&loc.icon).is_some_and(|icon| Self::icon_has_pad(icon, loc.pad))
+    }
+
+    fn icon_has_pad(icon: &Icon, pad: PadRef) -> bool {
+        match (&icon.kind, pad) {
             (IconKind::Als { kind, mode, .. }, PadRef::FuIn { pos, .. })
             | (IconKind::Als { kind, mode, .. }, PadRef::FuOut { pos }) => {
                 Self::position_active(*kind, *mode, pos)
@@ -219,16 +235,12 @@ impl PipelineDiagram {
         to: PadLoc,
         dma: Option<DmaAttrs>,
     ) -> Result<ConnId, DiagramError> {
-        if !self.icons.contains_key(&from.icon) {
-            return Err(DiagramError::NoSuchIcon(from.icon));
-        }
-        if !self.icons.contains_key(&to.icon) {
-            return Err(DiagramError::NoSuchIcon(to.icon));
-        }
-        if !self.has_pad(from) {
+        let from_icon = self.icons.get(&from.icon).ok_or(DiagramError::NoSuchIcon(from.icon))?;
+        let to_icon = self.icons.get(&to.icon).ok_or(DiagramError::NoSuchIcon(to.icon))?;
+        if !Self::icon_has_pad(from_icon, from.pad) {
             return Err(DiagramError::NoSuchPad(from));
         }
-        if !self.has_pad(to) {
+        if !Self::icon_has_pad(to_icon, to.pad) {
             return Err(DiagramError::NoSuchPad(to));
         }
         if !from.pad.can_source() {
@@ -356,7 +368,7 @@ impl PipelineDiagram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nsc_arch::{FuOp, InPort};
+    use nsc_arch::InPort;
 
     fn diagram() -> PipelineDiagram {
         PipelineDiagram::new(PipelineId(0), "test")

@@ -10,6 +10,10 @@
 //!   a COPY unit inside the same instruction (a unit-count cost, not a
 //!   time cost).
 //!
+//! The mapper decides the staging; the evaluating instruction lowers
+//! through [`PipelineBuilder`], which places the units and inserts the
+//! COPY units.
+//!
 //! The number of staging instructions is therefore a direct function of
 //! the allocation strategy — exactly the §3 claim that "the optimum layout
 //! for one pipeline may be unworkable for the next".
@@ -19,7 +23,8 @@ use crate::expr::Expr;
 use nsc_arch::{AlsKind, CacheId, FuOp, InPort, KnowledgeBase};
 use nsc_checker::Checker;
 use nsc_diagram::{
-    ControlNode, DmaAttrs, Document, FuAssign, IconId, IconKind, PadLoc, PadRef, PipelineDiagram,
+    ControlNode, DiagramError, DmaAttrs, Document, FuAssign, IconKind, OutputWindow, PadLoc,
+    PadRef, PipelineBuilder, Placement, Stream,
 };
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -96,30 +101,15 @@ pub fn compile_expr(
 
     // The main instruction.
     let pid = doc.add_pipeline("evaluate");
-    let d = doc.pipeline_mut(pid).unwrap();
-    d.stream_len = len;
-    let mut cx = MapCx {
-        d,
-        staged: &staged,
-        next_slot: 0,
-        group_icons: BTreeMap::new(),
-        var_pads: BTreeMap::new(),
-        copies: 0,
-    };
-    let root = cx.lower(expr);
-    let copies = cx.copies;
-    let units = cx.next_slot;
-    let root_attrs = root.attrs.clone();
-    let mem_out = cx.d.add_icon(IconKind::memory());
-    cx.d.connect(
-        root.pad,
-        PadLoc::new(mem_out, PadRef::Io),
-        Some(DmaAttrs::variable(output).with_count(len)),
-    )
-    .unwrap();
-    drop(root_attrs);
-    stats.units_used = units;
-    stats.copies_inserted = copies;
+    let d = doc.pipeline_mut(pid).expect("the pipeline was just added");
+    let window = OutputWindow { first: 0, len, lead: 0, slot: 0 };
+    let mut b = PipelineBuilder::new(d, Placement::Packed, window);
+    let mapped = lower(&mut b, expr, &staged).and_then(|root| b.store(output, 0, root));
+    if let Err(e) = mapped {
+        panic!("cannot map the expression ({e}); split it first");
+    }
+    stats.units_used = b.units();
+    stats.copies_inserted = b.copies();
 
     doc.control = Some(ControlNode::Seq(
         doc.pipelines().iter().map(|p| ControlNode::Pipeline(p.id)).collect(),
@@ -135,164 +125,34 @@ pub fn compile_expr(
     (doc, stats)
 }
 
-/// A lowered subexpression: the pad its stream leaves from, the DMA
-/// attributes every wire from that pad must carry (storage pads only), and
-/// the variable name when the stream is a *direct plane read*.
-#[derive(Clone)]
-struct Lowered {
-    pad: PadLoc,
-    attrs: Option<DmaAttrs>,
-    direct_var: Option<String>,
-}
-
-struct MapCx<'a> {
-    d: &'a mut PipelineDiagram,
-    staged: &'a BTreeMap<String, CacheId>,
-    next_slot: usize,
-    group_icons: BTreeMap<usize, IconId>,
-    var_pads: BTreeMap<String, Lowered>,
-    copies: usize,
-}
-
-impl<'a> MapCx<'a> {
-    /// Allocate the next unit slot, creating ALS icons lazily.
-    fn alloc_unit(&mut self) -> (IconId, u8) {
-        let shapes = [
-            (AlsKind::Triplet, 4usize, 3usize),
-            (AlsKind::Doublet, 8, 2),
-            (AlsKind::Singlet, 4, 1),
-        ];
-        let mut base = 0usize;
-        for (kind, count, per) in shapes {
-            for g in 0..count {
-                let lo = base + g * per;
-                let hi = lo + per;
-                if self.next_slot >= lo && self.next_slot < hi {
-                    let icon = *self
-                        .group_icons
-                        .entry(lo)
-                        .or_insert_with(|| self.d.add_icon(IconKind::als(kind)));
-                    let pos = (self.next_slot - lo) as u8;
-                    self.next_slot += 1;
-                    return (icon, pos);
-                }
-            }
-            base += count * per;
+/// Lower `e` through the builder: a staged variable streams from its
+/// cache, any other from its plane.
+fn lower(
+    b: &mut PipelineBuilder,
+    e: &Expr,
+    staged: &BTreeMap<String, CacheId>,
+) -> Result<Stream, DiagramError> {
+    Ok(match e {
+        Expr::Load(name) => match staged.get(name) {
+            Some(&cache) => b.cache_read(name, cache),
+            None => b.read(name, 0, [0])?[0],
+        },
+        Expr::Const(_) => panic!("constants only as right operands of binary nodes"),
+        Expr::Unary(op, a) => {
+            let a = lower(b, a, staged)?;
+            b.unary(*op, a)?
         }
-        panic!("expression needs more than 32 units; split it first");
-    }
-
-    fn lower(&mut self, e: &Expr) -> Lowered {
-        match e {
-            Expr::Load(name) => {
-                if let Some(l) = self.var_pads.get(name) {
-                    return l.clone();
-                }
-                let lowered = match self.staged.get(name) {
-                    Some(cache) => {
-                        let icon = self.d.add_icon(IconKind::Cache { cache: Some(*cache) });
-                        Lowered {
-                            pad: PadLoc::new(icon, PadRef::Io),
-                            attrs: Some(DmaAttrs::at_address(0)),
-                            direct_var: None,
-                        }
-                    }
-                    None => {
-                        let icon = self.d.add_icon(IconKind::memory());
-                        Lowered {
-                            pad: PadLoc::new(icon, PadRef::Io),
-                            attrs: Some(DmaAttrs::variable(name)),
-                            direct_var: Some(name.clone()),
-                        }
-                    }
-                };
-                self.var_pads.insert(name.clone(), lowered.clone());
-                lowered
-            }
-            Expr::Const(_) => panic!("constants only as right operands of binary nodes"),
-            Expr::Unary(op, a) => {
-                let src = self.lower(a);
-                let (icon, pos) = self.alloc_unit();
-                self.d.assign_fu(icon, pos, FuAssign::unary(*op)).unwrap();
-                self.d
-                    .connect(
-                        src.pad,
-                        PadLoc::new(icon, PadRef::FuIn { pos, port: InPort::A }),
-                        src.attrs,
-                    )
-                    .unwrap();
-                Lowered {
-                    pad: PadLoc::new(icon, PadRef::FuOut { pos }),
-                    attrs: None,
-                    direct_var: None,
-                }
-            }
-            Expr::Binary(op, a, b) => {
-                if let Expr::Const(c) = **b {
-                    let src = self.lower(a);
-                    let (icon, pos) = self.alloc_unit();
-                    self.d.assign_fu(icon, pos, FuAssign::with_const(*op, c)).unwrap();
-                    self.d
-                        .connect(
-                            src.pad,
-                            PadLoc::new(icon, PadRef::FuIn { pos, port: InPort::A }),
-                            src.attrs,
-                        )
-                        .unwrap();
-                    return Lowered {
-                        pad: PadLoc::new(icon, PadRef::FuOut { pos }),
-                        attrs: None,
-                        direct_var: None,
-                    };
-                }
-                let la = self.lower(a);
-                let mut lb = self.lower(b);
-                // One read plane per unit: two *different* direct plane
-                // streams cannot meet at one unit.
-                if la.direct_var.is_some()
-                    && lb.direct_var.is_some()
-                    && la.direct_var != lb.direct_var
-                {
-                    let (ci, cp) = self.alloc_unit();
-                    self.d.assign_fu(ci, cp, FuAssign::unary(FuOp::Copy)).unwrap();
-                    self.d
-                        .connect(
-                            lb.pad,
-                            PadLoc::new(ci, PadRef::FuIn { pos: cp, port: InPort::A }),
-                            lb.attrs.clone(),
-                        )
-                        .unwrap();
-                    lb = Lowered {
-                        pad: PadLoc::new(ci, PadRef::FuOut { pos: cp }),
-                        attrs: None,
-                        direct_var: None,
-                    };
-                    self.copies += 1;
-                }
-                let (icon, pos) = self.alloc_unit();
-                self.d.assign_fu(icon, pos, FuAssign::binary(*op)).unwrap();
-                self.d
-                    .connect(
-                        la.pad,
-                        PadLoc::new(icon, PadRef::FuIn { pos, port: InPort::A }),
-                        la.attrs,
-                    )
-                    .unwrap();
-                self.d
-                    .connect(
-                        lb.pad,
-                        PadLoc::new(icon, PadRef::FuIn { pos, port: InPort::B }),
-                        lb.attrs,
-                    )
-                    .unwrap();
-                Lowered {
-                    pad: PadLoc::new(icon, PadRef::FuOut { pos }),
-                    attrs: None,
-                    direct_var: None,
+        Expr::Binary(op, a, rhs) => {
+            let a = lower(b, a, staged)?;
+            match **rhs {
+                Expr::Const(c) => b.constant(*op, a, c)?,
+                _ => {
+                    let rhs = lower(b, rhs, staged)?;
+                    b.binary(*op, a, rhs)?
                 }
             }
         }
-    }
+    })
 }
 
 #[cfg(test)]

@@ -13,7 +13,8 @@
 //!   unary/binary operations) with a host evaluator;
 //! * [`AllocStrategy`] — variable-to-plane allocation policies, from the
 //!   naive everything-in-plane-0 through round-robin spreading;
-//! * [`compile_expr`] — a mapper onto pipeline diagrams that *works around*
+//! * [`compile_expr`] — a mapper onto pipeline diagrams (through
+//!   `nsc_diagram::PipelineBuilder`) that *works around*
 //!   plane-port conflicts the §3 way: when two operand streams live in the
 //!   same plane, all but one are staged through data caches by extra
 //!   preceding instructions. The instruction count (and the simulated
