@@ -460,6 +460,8 @@ fn build_sweep(
     // taps fill the two shift/delay units as Figure 2 draws them.
     let offsets = [hi, nx, 1, -1, -nx, -hi, 0];
     let [up, north, east, west, south, down, centre] = if no_sdu {
+        // Each neighbour streams from its own copy plane (all six hold the
+        // source), the centre from the source itself.
         let vars = ["ucopy0", "ucopy2", "ucopy4", "ucopy5", "ucopy3", "ucopy1", src];
         let mut read = |i: usize| b.read(vars[i], h, [offsets[i]]).map(|[s]| s);
         [read(0)?, read(1)?, read(2)?, read(3)?, read(4)?, read(5)?, read(6)?]

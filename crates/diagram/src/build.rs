@@ -54,24 +54,13 @@ pub enum Placement {
 pub struct Units {
     placement: Placement,
     als: Vec<(AlsKind, Option<IconId>, u8)>,
-    /// The ALSs before this one take no more units.
-    open: usize,
     placed: usize,
 }
 
 impl Units {
     /// Every unit of `node`, none placed.
     pub fn on(node: &MachineConfig, placement: Placement) -> Self {
-        let als = node.als_kinds().map(|k| (k, None, 0)).collect();
-        Units { placement, als, open: 0, placed: 0 }
-    }
-
-    /// Whether an ALS with positions `taken` takes no more units.
-    fn closed(&self, kind: AlsKind, taken: u8) -> bool {
-        match self.placement {
-            Placement::Packed => taken == (1 << kind.unit_count()) - 1,
-            Placement::OnePerAls => taken != 0,
-        }
+        Units { placement, als: node.als_kinds().map(|k| (k, None, 0)).collect(), placed: 0 }
     }
 
     /// Program `assign` on the first free unit whose capabilities support
@@ -82,24 +71,22 @@ impl Units {
         d: &mut PipelineDiagram,
         assign: FuAssign,
     ) -> Result<(IconId, u8), DiagramError> {
-        let (i, pos) = (self.open..self.als.len())
-            .find_map(|i| {
-                let (kind, _, taken) = self.als[i];
-                let free = (0u8..).take(kind.unit_count()).find(|&p| {
-                    taken & (1 << p) == 0 && kind.unit_caps(usize::from(p)).supports(assign.op)
-                });
-                free.filter(|_| !self.closed(kind, taken)).map(|p| (i, p))
-            })
-            .ok_or(DiagramError::NoFreeUnit(assign.op))?;
-        let (kind, icon, taken) = &mut self.als[i];
-        let icon = *icon.get_or_insert_with(|| d.add_icon(IconKind::als(*kind)));
-        *taken |= 1 << pos;
-        self.placed += 1;
-        while self.als.get(self.open).is_some_and(|&(kind, _, taken)| self.closed(kind, taken)) {
-            self.open += 1;
+        for (kind, icon, taken) in &mut self.als {
+            if self.placement == Placement::OnePerAls && *taken != 0 {
+                continue;
+            }
+            let free = (0u8..).take(kind.unit_count()).find(|&p| {
+                *taken & (1 << p) == 0 && kind.unit_caps(usize::from(p)).supports(assign.op)
+            });
+            if let Some(pos) = free {
+                let icon = *icon.get_or_insert_with(|| d.add_icon(IconKind::als(*kind)));
+                *taken |= 1 << pos;
+                self.placed += 1;
+                d.assign_fu(icon, pos, assign)?;
+                return Ok((icon, pos));
+            }
         }
-        d.assign_fu(icon, pos, assign)?;
-        Ok((icon, pos))
+        Err(DiagramError::NoFreeUnit(assign.op))
     }
 }
 
