@@ -25,22 +25,16 @@
 
 use crate::diagrams::{
     build_ftcs_transport_document, build_jacobi2d_sweep_document_windows, check_tap_reach,
-    Jacobi2dGeometry, PLANE_G, PLANE_MASK, PLANE_U0, PLANE_U1, PLANE_W0, PLANE_W1, PLANE_WC,
+    row_words, Jacobi2dGeometry, PLANE_G, PLANE_MASK, PLANE_U0, PLANE_U1, PLANE_W0, PLANE_W1,
+    PLANE_WC,
 };
 use crate::distributed::check_same_machine;
 use crate::grid::{Grid2, PaddedField};
 use crate::host::{ftcs_update_tree, FtcsCoeffs};
 use crate::overlap::{CompiledSweep, SweepEngine};
-use crate::partition::{
-    check_partition_fits, read_slabs, GridShape, Part, Partition, PartitionSpec,
-};
+use crate::partition::{check_partition_fits, read_slabs, GridShape, Partition, PartitionSpec};
 use nsc_core::{run_lanes, CompiledProgram, NscError, Session, Workload};
 use nsc_sim::{NscSystem, PerfCounters, RunOptions, SystemRunMetrics};
-
-/// Words in one row of a part's slab: the layer a 2-D sweep streams.
-fn row_words(part: &Part) -> usize {
-    part.local_shape().0
-}
 
 /// Outcome of one distributed Poisson solve.
 #[derive(Debug, Clone, Copy)]

@@ -132,6 +132,11 @@ pub(crate) fn plane_words(part: &Part) -> usize {
     nx * ny
 }
 
+/// Words in one row of a part's slab: the layer a 2-D sweep streams.
+pub(crate) fn row_words(part: &Part) -> usize {
+    part.local_shape().0
+}
+
 /// The builder's result, or a panic naming the layer a stencil document
 /// could not be built for.
 fn swept<T>(built: Result<T, DiagramError>, layer: usize, what: &str) -> T {

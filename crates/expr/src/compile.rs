@@ -44,6 +44,11 @@ pub struct CompileStats {
 /// instructions followed by the evaluating instruction storing to
 /// `output`. Icons are bound before return; the document is ready for the
 /// generator.
+///
+/// # Panics
+///
+/// If the tree needs more functional units than the node has, or holds a
+/// constant anywhere but as the right operand of a binary node.
 pub fn compile_expr(
     expr: &Expr,
     output: &str,
