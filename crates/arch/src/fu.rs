@@ -137,6 +137,9 @@ pub enum FuOp {
     MaxAbs,
 }
 
+/// The bit that makes a NaN quiet (the top bit of the significand).
+const QUIET_NAN_BIT: u64 = 1 << 51;
+
 impl FuOp {
     /// Every operation, in the canonical menu order used by the editor.
     pub const ALL: [FuOp; 23] = [
@@ -193,8 +196,44 @@ impl FuOp {
     /// Apply the operation to concrete element values (the simulator's
     /// arithmetic core). `c` is the unit's register-file constant, used by
     /// [`FuOp::MulAddConst`].
+    ///
+    /// A NaN result's bits are fixed here, not by the host: Rust leaves
+    /// the payload of an arithmetic NaN unspecified, and vector code may
+    /// swap the operands of `+`, `*`, `max` and `min`. The result is the
+    /// first NaN input as the operation sees it — `a`, then `b`, then
+    /// `MulAddConst`'s `c`, and `|a|` for [`FuOp::MaxAbs`] — quieted, or
+    /// [`f64::NAN`] when the operation made the NaN from inputs that are
+    /// not (`∞ − ∞`, `0 × ∞`, `0 / 0`, the root of a negative). `Neg`,
+    /// `Abs` and `Copy` touch only the sign bit, so a NaN keeps its
+    /// payload through them, quiet or signalling; the integer and compare
+    /// operations never make a NaN.
     #[inline]
     pub fn apply(self, a: f64, b: f64, c: f64) -> f64 {
+        let r = self.arithmetic(a, b, c);
+        if r.is_nan() && !matches!(self, FuOp::Neg | FuOp::Abs | FuOp::Copy) {
+            self.nan_result(a, b, c)
+        } else {
+            r
+        }
+    }
+
+    /// The NaN [`FuOp::apply`] returns when its arithmetic makes one.
+    #[cold]
+    fn nan_result(self, a: f64, b: f64, c: f64) -> f64 {
+        let a = if self == FuOp::MaxAbs { a.abs() } else { a };
+        let inputs = match self {
+            FuOp::MulAddConst => 3,
+            op => op.arity(),
+        };
+        [a, b, c][..inputs]
+            .iter()
+            .find(|x| x.is_nan())
+            .map_or(f64::NAN, |x| f64::from_bits(x.to_bits() | QUIET_NAN_BIT))
+    }
+
+    /// The operation in plain host arithmetic.
+    #[inline]
+    fn arithmetic(self, a: f64, b: f64, c: f64) -> f64 {
         use FuOp::*;
         match self {
             Add => a + b,
@@ -352,6 +391,74 @@ mod tests {
         assert_eq!(FuOp::And.apply(6.0, 3.0, 0.0), 2.0);
         assert_eq!(FuOp::Shl.apply(1.0, 4.0, 0.0), 16.0);
         assert_eq!(FuOp::Copy.apply(7.0, 99.0, 0.0), 7.0);
+    }
+
+    /// Two quiet NaNs of distinct payloads and signs, and a signalling one.
+    const NAN_A: u64 = 0x7ffc_0000_0000_beef;
+    const NAN_B: u64 = 0xfff8_0000_0000_dead;
+    const SNAN: u64 = 0x7ff0_0000_0000_0001;
+
+    fn apply_bits(op: FuOp, a: u64, b: u64, c: u64) -> u64 {
+        op.apply(f64::from_bits(a), f64::from_bits(b), f64::from_bits(c)).to_bits()
+    }
+
+    #[test]
+    fn a_nan_result_is_the_first_nan_input_quieted() {
+        let one = 1.0f64.to_bits();
+        for op in [FuOp::Add, FuOp::Sub, FuOp::Mul, FuOp::Div, FuOp::Max, FuOp::Min] {
+            assert_eq!(apply_bits(op, NAN_A, NAN_B, one), NAN_A, "{op}: a before b");
+            assert_eq!(apply_bits(op, NAN_B, NAN_A, one), NAN_B, "{op}: the order is the rule's");
+            assert_eq!(apply_bits(op, SNAN, NAN_B, one), SNAN | QUIET_NAN_BIT, "{op}: quieted");
+        }
+        for op in [FuOp::Add, FuOp::Sub, FuOp::Mul, FuOp::Div, FuOp::MulAddConst] {
+            assert_eq!(apply_bits(op, one, NAN_B, one), NAN_B, "{op}: b when a is a number");
+        }
+        assert_eq!(apply_bits(FuOp::Max, one, NAN_B, 0), one, "max keeps the number");
+        assert_eq!(apply_bits(FuOp::Sqrt, SNAN, NAN_B, 0), SNAN | QUIET_NAN_BIT);
+        assert_eq!(apply_bits(FuOp::Recip, NAN_B, NAN_A, 0), NAN_B, "unary: b is not an input");
+        assert_eq!(apply_bits(FuOp::Recip, one, NAN_A, 0), one, "1 / 1 ignores b");
+    }
+
+    #[test]
+    fn max_abs_sees_the_magnitude_and_mac_sees_its_constant_last() {
+        let (inf, zero) = (f64::INFINITY.to_bits(), 0.0f64.to_bits());
+        let sign = 1u64 << 63;
+        assert_eq!(apply_bits(FuOp::MaxAbs, NAN_B, NAN_A, 0), NAN_B & !sign, "|a|, quieted");
+        assert_eq!(apply_bits(FuOp::MaxAbs, NAN_B, zero, 0), zero, "max drops the NaN |a|");
+        assert_eq!(apply_bits(FuOp::MulAddConst, NAN_A, NAN_B, SNAN), NAN_A);
+        assert_eq!(apply_bits(FuOp::MulAddConst, zero, inf, SNAN), SNAN | QUIET_NAN_BIT);
+        assert_eq!(apply_bits(FuOp::MulAddConst, zero, inf, zero), f64::NAN.to_bits());
+    }
+
+    #[test]
+    fn a_nan_made_from_numbers_is_the_canonical_nan() {
+        let (inf, zero) = (f64::INFINITY, 0.0);
+        let made = [
+            FuOp::Sub.apply(inf, inf, 0.0),
+            FuOp::Add.apply(inf, -inf, 0.0),
+            FuOp::Mul.apply(zero, inf, 0.0),
+            FuOp::Div.apply(zero, zero, 0.0),
+            FuOp::Div.apply(inf, -inf, 0.0),
+            FuOp::Sqrt.apply(-1.0, 0.0, 0.0),
+            FuOp::MulAddConst.apply(inf, 1.0, -inf),
+        ];
+        for r in made {
+            assert_eq!(r.to_bits(), f64::NAN.to_bits());
+        }
+    }
+
+    #[test]
+    fn sign_bit_ops_keep_a_nans_payload() {
+        let sign = 1u64 << 63;
+        for bits in [NAN_A, NAN_B, SNAN] {
+            assert_eq!(apply_bits(FuOp::Copy, bits, 0, 0), bits);
+            assert_eq!(apply_bits(FuOp::Neg, bits, 0, 0), bits ^ sign);
+            assert_eq!(apply_bits(FuOp::Abs, bits, 0, 0), bits & !sign);
+        }
+        let nan = f64::from_bits(NAN_A);
+        for op in [FuOp::IAdd, FuOp::And, FuOp::Shl, FuOp::CmpLt, FuOp::CmpEq] {
+            assert!(!op.apply(nan, nan, nan).is_nan(), "{op} makes no NaN");
+        }
     }
 
     #[test]

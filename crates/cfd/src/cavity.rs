@@ -641,6 +641,22 @@ mod tests {
     }
 
     #[test]
+    fn a_cavity_member_touches_one_4_ki_word_page_per_plane_it_uses() {
+        // A 17² member's padded grid (323 words) fits one 4 Ki-word page,
+        // so its seven planes cost 224 KB; of the caches, only the buffer
+        // the sweeps store their residuals in is allocated.
+        let session = Session::nsc_1988();
+        let mut sys = system(0, &session);
+        CavityWorkload::new(17, 100.0, 2).execute(&session, &mut sys).expect("runs");
+        let node = &sys.nodes()[0];
+        let pages: Vec<usize> = node.mem.planes.iter().map(|p| p.resident_pages()).collect();
+        assert_eq!(pages.iter().sum::<usize>(), 7, "{pages:?}");
+        assert!(pages.iter().all(|&p| p <= 1), "{pages:?}");
+        let buffers: usize = node.mem.caches.iter().map(|c| c.resident_buffers()).sum();
+        assert_eq!(buffers, 1, "only the residual slots' buffer");
+    }
+
+    #[test]
     fn cavity_rejects_bad_parameters() {
         let session = Session::nsc_1988();
         let mut sys = system(0, &session);

@@ -6,9 +6,10 @@
 //! seeded inputs on the kernel fast path and once on the interpreter.
 //! Both runs must charge the pinned cycles, flops and instructions and
 //! leave the pinned hash of every word the document can write; every
-//! instruction must specialize. The documents may be rebuilt by any
-//! means, but these numbers may not move. Only the count of editing
-//! decisions (icons, wires, unit assignments and DMA forms) may fall.
+//! instruction must specialize, and every residual fold must reduce
+//! without a stream. The documents may be rebuilt by any means, but
+//! these numbers may not move. Only the count of editing decisions
+//! (icons, wires, unit assignments and DMA forms) may fall.
 
 use nsc_arch::{CacheId, MachineConfig, SubsetModel};
 use nsc_cfd::diagrams::{build_ftcs_transport_document, Jacobi2dGeometry, JacobiGeometry};
@@ -30,6 +31,8 @@ struct Pin {
     instructions: u64,
     /// FNV-1a over every declared word and the residual cache slots.
     words: u64,
+    /// Residual folds, each of which the kernel must run reduce-only.
+    folds: usize,
     /// The most editing decisions the document may take.
     decisions: usize,
 }
@@ -58,14 +61,23 @@ fn fnv(words: impl IntoIterator<Item = f64>) -> u64 {
 
 /// Compile `doc` for `machine`, fill every declared variable with seeded
 /// words, run it, and return the run's counters and the hash of every
-/// declared word plus the first four residual cache slots.
-fn run(doc: &Document, machine: &MachineConfig, seed: u64, fast: bool) -> (PerfCounters, u64) {
+/// declared word plus the first four residual cache slots. On the fast
+/// path, also check the kernel covers every instruction and runs `folds`
+/// reduce-only folds.
+fn run(
+    doc: &Document,
+    machine: &MachineConfig,
+    seed: u64,
+    fast: bool,
+    folds: usize,
+) -> (PerfCounters, u64) {
     let session = Session::new(machine.clone()).with_fast_path(fast);
     let mut doc = doc.clone();
     let prog = session.compile(&mut doc).expect("the document compiles");
     if fast {
         let kernel = prog.kernel().expect("a fast session attaches a kernel");
         assert_eq!(kernel.specialized(), kernel.instructions(), "{}: kernel coverage", doc.name);
+        assert_eq!(kernel.reduce_only_folds(), folds, "{}: reduce-only folds", doc.name);
     }
     let mut node = session.node();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -83,8 +95,8 @@ fn run(doc: &Document, machine: &MachineConfig, seed: u64, fast: bool) -> (PerfC
 
 fn check(doc: Document, machine: MachineConfig, seed: u64, pin: Pin) {
     let name = doc.name.clone();
-    let (kernel, kernel_words) = run(&doc, &machine, seed, true);
-    let (interp, interp_words) = run(&doc, &machine, seed, false);
+    let (kernel, kernel_words) = run(&doc, &machine, seed, true, pin.folds);
+    let (interp, interp_words) = run(&doc, &machine, seed, false, pin.folds);
     assert_eq!(kernel, interp, "{name}: kernel and interpreter counters");
     assert_eq!(kernel_words, interp_words, "{name}: kernel and interpreter words");
     assert_eq!(
@@ -116,6 +128,7 @@ fn loop_documents_keep_their_numbers() {
                 flops: 34806,
                 instructions: 7,
                 words: 0xb8ef_0b1e_7554_73cd,
+                folds: 2,
                 decisions: 104,
             },
         ),
@@ -127,6 +140,7 @@ fn loop_documents_keep_their_numbers() {
                 flops: 34806,
                 instructions: 7,
                 words: 0xb5c0_f4a6_cf7b_ce8f,
+                folds: 2,
                 decisions: 118,
             },
         ),
@@ -138,6 +152,7 @@ fn loop_documents_keep_their_numbers() {
                 flops: 33792,
                 instructions: 19,
                 words: 0xf873_8f70_dde0_920c,
+                folds: 2,
                 decisions: 218,
             },
         ),
@@ -161,6 +176,7 @@ fn windowed_sweeps_keep_their_numbers() {
             flops: 4536,
             instructions: 3,
             words: 0xa859_26d7_be72_698b,
+            folds: 3,
             decisions: 156,
         },
     );
@@ -173,6 +189,7 @@ fn windowed_sweeps_keep_their_numbers() {
             flops: 4536,
             instructions: 3,
             words: 0xfc64_d127_c3f8_78f5,
+            folds: 3,
             decisions: 156,
         },
     );
@@ -186,6 +203,7 @@ fn windowed_sweeps_keep_their_numbers() {
             flops: 2835,
             instructions: 3,
             words: 0x072a_092c_767b_27ce,
+            folds: 3,
             decisions: 162,
         },
     );
@@ -199,6 +217,7 @@ fn windowed_sweeps_keep_their_numbers() {
             flops: 615,
             instructions: 3,
             words: 0xc2af_f965_6034_cdf7,
+            folds: 3,
             decisions: 135,
         },
     );
@@ -218,6 +237,7 @@ fn ftcs_transport_keeps_its_numbers() {
             flops: 1043,
             instructions: 1,
             words: 0x1edf_2f7f_9b34_4a6f,
+            folds: 0,
             decisions: 81,
         },
     );

@@ -39,14 +39,22 @@
 //! interpreter's own arithmetic. Two details keep the vector loops
 //! bit-identical. The compiler may swap the operands of `+`, `*`, `max`
 //! and `min`, which changes only which payload a NaN result carries, so a
-//! chunk that makes a NaN is redone one element at a time, as the
-//! interpreter computes it. And a feedback stage folds sequentially, each
-//! result feeding the next, but the residual fold `MaxAbs` puts only one
-//! `max` per block of eight elements on that chain: from a carry that is
-//! neither NaN nor −0 its running maximum does not depend on the order of
-//! the `max`es, so each block forms its own prefix maxima first (see
-//! `max_abs_fold`). Any other fold, or a carry that is NaN or −0, runs the
-//! serial loop.
+//! chunk that makes a NaN is redone one element at a time through
+//! [`FuOp::apply`], which fixes a NaN result's bits by rule. And a
+//! feedback stage folds sequentially, each result feeding the next, but
+//! the residual fold `MaxAbs` puts only one `max` per block of eight
+//! elements on that chain: from a carry that is neither NaN nor −0 its
+//! running maximum does not depend on the order of the `max`es, so each
+//! block forms its own prefix maxima first (see `max_abs_fold`). Any
+//! other fold, or a carry that is NaN or −0, runs the serial loop.
+//!
+//! A fold whose results nothing reads but a `LastOnly` capture or a trace
+//! of its last one — a residual, whose final value the sequencer reads
+//! from a data cache (paper §2) — is *reduce-only*: it keeps its carry
+//! and stores no element. From a finite carry that is not −0, a `MaxAbs`
+//! chunk then takes one blocked max of `|x|` and, when that result is
+//! finite, raises no exception; every other reduce-only chunk runs the
+//! serial loop without storing its results, counting the non-finite ones.
 //!
 //! Instructions whose behaviour cannot be proven equivalent statically
 //! (wire cycles, DMA ranges that overlap within the instruction,
@@ -140,6 +148,11 @@ struct SlotPlan {
     /// consumer reads an element before `pos + tail` again. `usize::MAX`
     /// for a slot nothing reads.
     tail: usize,
+    /// A reduce-only fold's slot: no stage or stream write reads it, and
+    /// every capture and trace entry on it takes its last element. It
+    /// holds no elements, only the fold's carry, which is that element
+    /// once the step that produces it has run.
+    reduce: bool,
 }
 
 impl SlotPlan {
@@ -277,6 +290,18 @@ impl CompiledKernel {
     /// interpreter).
     pub fn specialized(&self) -> usize {
         self.plans.iter().filter(|p| p.is_some()).count()
+    }
+
+    /// How many feedback folds reduce without a stream: nothing reads
+    /// their results but a `LastOnly` capture or a trace of the last one,
+    /// so they keep only their carry. Every Jacobi sweep's residual fold
+    /// is one.
+    pub fn reduce_only_folds(&self) -> usize {
+        let pipelines = self.plans.iter().flatten().filter_map(|p| match &p.body {
+            PlanBody::Idle => None,
+            PlanBody::Pipeline(p) => Some(p),
+        });
+        pipelines.map(|p| p.slots.iter().filter(|s| s.reduce).count()).sum()
     }
 
     pub(crate) fn plan(&self, pc: usize) -> Option<&InstrPlan> {
@@ -690,7 +715,8 @@ fn plan_instruction(kb: &KnowledgeBase, ins: &MicroInstruction) -> Option<InstrP
     let executed = term + 1;
 
     // --- lower to the flat plan ---
-    let mut slots = vec![SlotPlan { len: 0, lead: 0, tail: usize::MAX }; n_reads + fus.len()];
+    let mut slots =
+        vec![SlotPlan { len: 0, lead: 0, tail: usize::MAX, reduce: false }; n_reads + fus.len()];
     let read_plans: Vec<ReadPlan> = reads
         .iter()
         .enumerate()
@@ -788,14 +814,6 @@ fn plan_instruction(kb: &KnowledgeBase, ins: &MicroInstruction) -> Option<InstrP
             }
         }
     }
-    let streaming = slots.iter().filter(|s| s.len > 0).count().max(1);
-    let chunk = (CHUNK_LIVE_WORDS / streaming).max(MIN_CHUNK);
-    let span = slots
-        .iter()
-        .map(|s| s.len.saturating_sub(s.lead))
-        .chain(write_plans.iter().map(|w| w.count))
-        .max()
-        .unwrap_or(0);
 
     // --- the debugger trace: last valid value per source ---
     let mut trace: Vec<TracePlan> = Vec::new();
@@ -815,6 +833,29 @@ fn plan_instruction(kb: &KnowledgeBase, ins: &MicroInstruction) -> Option<InstrP
             }
         }
     }
+
+    // --- reduce-only folds: nothing reads a result but the last ---
+    // A slot's `tail` is still `usize::MAX` when no stage or stream write
+    // reads it.
+    for st in stages.iter().filter(|st| st.uses_acc) {
+        let s = st.out_slot;
+        let last = slots[s].len - 1;
+        let mut takes =
+            lasts.iter().map(|l| (l.slot, l.idx)).chain(trace.iter().map(|t| (t.slot, t.idx)));
+        slots[s].reduce =
+            slots[s].tail == usize::MAX && takes.all(|(slot, idx)| slot != s || idx == last);
+    }
+
+    // A reduce-only slot holds no elements, so it takes no share of the
+    // chunk's live words.
+    let streaming = slots.iter().filter(|s| s.len > 0 && !s.reduce).count().max(1);
+    let chunk = (CHUNK_LIVE_WORDS / streaming).max(MIN_CHUNK);
+    let span = slots
+        .iter()
+        .map(|s| s.len.saturating_sub(s.lead))
+        .chain(write_plans.iter().map(|w| w.count))
+        .max()
+        .unwrap_or(0);
 
     Some(InstrPlan {
         n_sources,
@@ -889,9 +930,15 @@ impl Slot {
         &self.buf[from - self.base..to - self.base]
     }
 
-    /// Stream element `idx`.
-    fn at(&self, idx: usize) -> f64 {
-        self.buf[idx - self.base]
+    /// Stream element `idx`. A reduce-only slot holds only its carry, so
+    /// it gives that: its last element, once produced.
+    fn at(&self, plan: &SlotPlan, idx: usize) -> f64 {
+        if plan.reduce {
+            debug_assert_eq!(idx + 1, self.end, "a reduce-only slot gives its last element");
+            self.acc
+        } else {
+            self.buf[idx - self.base]
+        }
     }
 
     /// Start the slot's share of the chunk step from `pos` to `next`: the
@@ -937,7 +984,8 @@ impl Clone for StreamBuffers {
 
 /// The first `p.slots.len()` slots, emptied, each with room for the most
 /// it ever holds: its whole stream, or twice its lead plus a chunk (see
-/// [`Slot::advance`]). A chunk step therefore never reallocates.
+/// [`Slot::advance`]), or nothing for a reduce-only slot. A chunk step
+/// therefore never reallocates.
 fn prepare<'b>(slots: &'b mut Vec<Slot>, p: &PipelinePlan) -> &'b mut [Slot] {
     if slots.len() < p.slots.len() {
         slots.resize_with(p.slots.len(), Slot::default);
@@ -945,7 +993,8 @@ fn prepare<'b>(slots: &'b mut Vec<Slot>, p: &PipelinePlan) -> &'b mut [Slot] {
     let slots = &mut slots[..p.slots.len()];
     for (slot, plan) in slots.iter_mut().zip(&p.slots) {
         slot.buf.clear();
-        slot.buf.reserve_exact(plan.len.min(2 * plan.lead + p.chunk));
+        let held = if plan.reduce { 0 } else { plan.len.min(2 * plan.lead + p.chunk) };
+        slot.buf.reserve_exact(held);
         slot.base = 0;
         slot.end = 0;
     }
@@ -1016,9 +1065,17 @@ fn run_loop(op: FuOp, cv: f64, n: usize, a: Side, b: Side, out: &mut Vec<f64>) -
 
 /// The element loop as the interpreter runs it: [`FuOp::apply`] on one
 /// element at a time, the accumulator (`acc` on entry) set to every
-/// result. It folds feedback stages and redoes a [`run_loop`] chunk that
-/// made a NaN.
-fn scalar_loop(op: FuOp, cv: f64, n: usize, a: Side, b: Side, mut acc: f64, out: &mut Vec<f64>) {
+/// result, each handed to `emit`. Returns the last result. It folds
+/// feedback stages and redoes a [`run_loop`] chunk that made a NaN.
+fn scalar_loop(
+    op: FuOp,
+    cv: f64,
+    n: usize,
+    a: Side,
+    b: Side,
+    mut acc: f64,
+    mut emit: impl FnMut(f64),
+) -> f64 {
     let fetch = |s: Side, k: usize, acc: f64| match s {
         Side::S(v) => v[k],
         Side::C(c) => c,
@@ -1026,8 +1083,9 @@ fn scalar_loop(op: FuOp, cv: f64, n: usize, a: Side, b: Side, mut acc: f64, out:
     };
     for k in 0..n {
         acc = op.apply(fetch(a, k, acc), fetch(b, k, acc), cv);
-        out.push(acc);
+        emit(acc);
     }
+    acc
 }
 
 /// Elements per block of the blocked `MaxAbs` fold.
@@ -1067,10 +1125,54 @@ fn max_abs_fold(x: &[f64], mut carry: f64, out: &mut Vec<f64>) {
     }
 }
 
+/// Whether a `MaxAbs` fold's running maximum from `carry` is the same
+/// whatever the order of its `max`es (see [`max_abs_fold`]).
+fn order_free_carry(carry: f64) -> bool {
+    !carry.is_nan() && carry.to_bits() != (-0.0f64).to_bits()
+}
+
+/// The largest `|x|` that is not NaN, `-inf` if there is none, taken in
+/// [`FOLD_BLOCK`] independent lanes. No value a lane meets is NaN or −0,
+/// so the lanes may split the `max`es in any order (see [`max_abs_fold`]).
+fn max_abs(x: &[f64]) -> f64 {
+    let mut lanes = [f64::NEG_INFINITY; FOLD_BLOCK];
+    let mut blocks = x.chunks_exact(FOLD_BLOCK);
+    for block in &mut blocks {
+        for (m, &v) in lanes.iter_mut().zip(block) {
+            *m = v.abs().max(*m);
+        }
+    }
+    let rest = blocks.remainder().iter().fold(f64::NEG_INFINITY, |m, &v| v.abs().max(m));
+    lanes.into_iter().fold(rest, f64::max)
+}
+
+/// A reduce-only fold's chunk from `carry`: the last result of the fold
+/// [`scalar_loop`] runs, and how many of its results are not finite.
+///
+/// A `MaxAbs` fold over a stream from a finite carry that is not −0 ends
+/// at the larger of the carry and the chunk's [`max_abs`], exactly. Its
+/// running maximum never falls, so when that end is finite every result
+/// before it is finite too, and the chunk raises no exception. Any other
+/// fold, carry or end runs the element loop, storing nothing.
+fn reduce_chunk(op: FuOp, cv: f64, n: usize, a: Side, b: Side, carry: f64) -> (f64, usize) {
+    if let (FuOp::MaxAbs, Side::S(x), Side::Acc) = (op, a, b) {
+        if carry.is_finite() && order_free_carry(carry) {
+            let end = max_abs(x).max(carry);
+            if end.is_finite() {
+                return (end, 0);
+            }
+        }
+    }
+    let mut non_finite = 0;
+    let end = scalar_loop(op, cv, n, a, b, carry, |r| non_finite += usize::from(!r.is_finite()));
+    (end, non_finite)
+}
+
 /// Stage `st`'s share of the chunk step from `pos` to `next`: the
-/// elements its slot gains, computed from operand slots that earlier
-/// reads and stages have already run far enough ahead. Non-finite results
-/// are counted while the chunk is still in cache.
+/// elements its slot gains (a reduce-only slot keeps only the carry),
+/// computed from operand slots that earlier reads and stages have already
+/// run far enough ahead. Non-finite results are counted while the chunk
+/// is still in cache.
 fn eval_chunk(
     st: &StagePlan,
     plan: &SlotPlan,
@@ -1099,32 +1201,37 @@ fn eval_chunk(
         }
     };
     let (a, b) = (side(&st.a), side(&st.b));
-    let (op, cv, buf) = (st.op, st.const_val, &mut out.buf);
-    let start = buf.len();
-    let non_finite = if st.uses_acc {
-        // A feedback stage folds with the accumulator, set to every result
-        // as the interpreter sets it, and carries it to the next chunk.
-        let carry = if from == 0 { cv } else { out.acc };
+    let (op, cv) = (st.op, st.const_val);
+    // A feedback stage folds with the accumulator, set to every result as
+    // the interpreter sets it, and carries it to the next chunk.
+    let carry = if from == 0 { cv } else { out.acc };
+    let start = out.buf.len();
+    let non_finite = if plan.reduce {
+        let (end, non_finite) = reduce_chunk(op, cv, n, a, b, carry);
+        // The slot keeps the carry and none of the elements it produced.
+        (out.acc, out.base) = (end, out.end);
+        non_finite
+    } else if st.uses_acc {
+        let buf = &mut out.buf;
         match (op, a, b) {
-            // The blocked fold is exact only from a carry that is neither
-            // NaN nor −0 (see `max_abs_fold`).
-            (FuOp::MaxAbs, Side::S(x), Side::Acc)
-                if !carry.is_nan() && carry.to_bits() != (-0.0f64).to_bits() =>
-            {
+            (FuOp::MaxAbs, Side::S(x), Side::Acc) if order_free_carry(carry) => {
                 max_abs_fold(x, carry, buf)
             }
-            _ => scalar_loop(op, cv, n, a, b, carry, buf),
+            _ => {
+                scalar_loop(op, cv, n, a, b, carry, |r| buf.push(r));
+            }
         }
         out.acc = buf[buf.len() - 1];
         buf[start..].iter().filter(|r| !r.is_finite()).count()
     } else {
+        let buf = &mut out.buf;
         let non_finite = run_loop(op, cv, n, a, b, buf);
         // Whether a result is NaN does not depend on operand order; which
         // NaN it is may (see `run_loop`), so a chunk with a NaN is redone
         // one element at a time.
         if non_finite > 0 && buf[start..].iter().any(|r| r.is_nan()) {
             buf.truncate(start);
-            scalar_loop(op, cv, n, a, b, 0.0, buf);
+            scalar_loop(op, cv, n, a, b, 0.0, |r| buf.push(r));
         }
         non_finite
     };
@@ -1186,7 +1293,8 @@ pub(crate) fn run_plan(
             }
         }
         let taken = |slot: usize, idx: usize| {
-            (pos..next).contains(&p.slots[slot].due(idx)).then(|| slots[slot].at(idx))
+            let plan = &p.slots[slot];
+            (pos..next).contains(&plan.due(idx)).then(|| slots[slot].at(plan, idx))
         };
         for (l, v) in p.lasts.iter().zip(lasts.iter_mut()) {
             if let Some(x) = taken(l.slot, l.idx) {
@@ -1464,8 +1572,9 @@ mod tests {
     /// Words of one grid plane (32 × 32) in the long instruction.
     const PLANE: usize = 1024;
     /// Elements the long instruction streams: more than four default
-    /// chunks of its nine streaming slots.
-    const LONG: usize = 4 * (CHUNK_LIVE_WORDS / 9) + 1500;
+    /// chunks of its eight streaming slots (its ninth, the fold, is
+    /// reduce-only).
+    const LONG: usize = 4 * (CHUNK_LIVE_WORDS / 8) + 1500;
 
     /// One instruction spanning several default chunks, with everything a
     /// chunk boundary can cut through. `u = p0[0 .. LONG + 2 PLANE]` enters
@@ -1478,7 +1587,8 @@ mod tests {
     ///   of `p2`, goes to `p4`, and `r[k + 3] - r[k]` (F5, through a
     ///   register-file queue) to `p5`, so `r` keeps a three-element tail
     ///   from one chunk step to the next;
-    /// - `max |s|`, a feedback fold (F4), is captured at `c1[5]`.
+    /// - `max |s|`, a feedback fold (F4), is captured at `c1[5]` and read
+    ///   nowhere else, so it is reduce-only.
     fn long_instruction(kb: &KnowledgeBase) -> MicroInstruction {
         let (n, p) = (LONG as u32, PLANE as u16);
         let mut ins = MicroInstruction::empty(kb);
@@ -1576,6 +1686,9 @@ mod tests {
         assert!(LONG >= 3 * p.chunk, "{LONG} elements span three chunks of {}", p.chunk);
         let recip = p.slots[p.reads.len() + 3];
         assert_eq!((recip.lead, recip.tail), (3, 0), "r keeps a three-element tail");
+        let reduce: Vec<bool> = p.slots.iter().map(|s| s.reduce).collect();
+        assert_eq!(reduce.iter().filter(|&&r| r).count(), 1, "one reduce-only slot");
+        assert!(reduce[p.reads.len() + 4], "the captured fold is reduce-only");
         assert_eq!(p.slots[0].lead, 2 * PLANE + 5, "u leads by two planes plus the write skip");
         let chunk = p.chunk;
         assert_identical(
@@ -1625,7 +1738,7 @@ mod tests {
         };
         assert_eq!(bits(&got), bits(&want));
 
-        let streaming: Vec<&SlotPlan> = p.slots.iter().filter(|s| s.len > 0).collect();
+        let streaming: Vec<&SlotPlan> = p.slots.iter().filter(|s| s.len > 0 && !s.reduce).collect();
         let leads: usize = streaming.iter().map(|s| s.lead).sum();
         let bound = 2 * (streaming.len() * p.chunk + leads);
         let whole: usize = streaming.iter().map(|s| s.len).sum();
@@ -1999,8 +2112,9 @@ mod tests {
     }
 
     /// The running `max |p0[0 .. len]|` from `seed`, a `MaxAbs` fold on
-    /// F0: every result goes to `p1[0 .. len]`, the last also to `c1[3]`.
-    fn edge_fold(kb: &KnowledgeBase, len: u32, seed: f64) -> MicroInstruction {
+    /// F0 whose last result goes to `c1[3]`. With `stream` every result
+    /// also goes to `p1[0 .. len]`; without, the fold is reduce-only.
+    fn edge_fold(kb: &KnowledgeBase, len: u32, seed: f64, stream: bool) -> MicroInstruction {
         let mut ins = MicroInstruction::empty(kb);
         *ins.fu_mut(FuId(0)) = FuField {
             enabled: true,
@@ -2011,17 +2125,25 @@ mod tests {
             preload: Some(seed),
         };
         *ins.plane_rd_mut(PlaneId(0)) = PlaneDmaField::contiguous(0, len);
-        *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, len);
         *ins.cache_wr_mut(CacheId(1)) = CacheDmaField::scalar_capture(3);
         let routes = [
             (SourceRef::PlaneRead(PlaneId(0)), SinkRef::FuIn(FuId(0), InPort::A)),
-            (SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))),
             (SourceRef::Fu(FuId(0)), SinkRef::CacheWrite(CacheId(1))),
         ];
         for (from, to) in routes {
             ins.switch.route(kb, from, to).unwrap();
         }
+        if stream {
+            *ins.plane_wr_mut(PlaneId(1)) = PlaneDmaField::contiguous(0, len);
+            ins.switch.route(kb, SourceRef::Fu(FuId(0)), SinkRef::PlaneWrite(PlaneId(1))).unwrap();
+        }
         ins
+    }
+
+    /// Whether `ins`'s plan holds a reduce-only fold.
+    fn reduces(kb: &KnowledgeBase, ins: &MicroInstruction) -> bool {
+        let plan = plan_instruction(kb, ins).expect("instruction specializes");
+        pipeline(&plan).is_some_and(|p| p.slots.iter().any(|s| s.reduce))
     }
 
     /// Memory holding `a` at `p0[0 ..]` and `b` at `c0[0 ..]`.
@@ -2067,12 +2189,33 @@ mod tests {
         ) {
             let kb = kb();
             let len = a.len();
-            let ins = edge_fold(&kb, len as u32, seed);
+            let ins = edge_fold(&kb, len as u32, seed, true);
+            assert!(!reduces(&kb, &ins), "a fold whose results are written streams them");
             assert_identical(
                 &kb,
                 &ins,
                 |m| edge_inputs(m, &a, &[]),
                 &[(Store::Plane(1), 0, len), (Store::Cache(1, 0), 3, 1)],
+            );
+        }
+
+        /// The same fold captured and read nowhere else: reduce-only, so
+        /// its blocked max and its serial loop store nothing, yet leave the
+        /// same capture, exception count and trace as the interpreter.
+        #[test]
+        fn kernel_reduce_only_fold_matches_the_interpreter_on_edge_seeds(
+            seed in fold_seed(),
+            a in prop::collection::vec(edge_operand(), 1..=EDGE_LEN),
+        ) {
+            let kb = kb();
+            let len = a.len();
+            let ins = edge_fold(&kb, len as u32, seed, false);
+            assert!(reduces(&kb, &ins), "a captured fold read nowhere else is reduce-only");
+            assert_identical(
+                &kb,
+                &ins,
+                |m| edge_inputs(m, &a, &[]),
+                &[(Store::Plane(1), 0, len), (Store::Cache(1, 0), 0, 8)],
             );
         }
     }

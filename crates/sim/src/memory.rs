@@ -2,14 +2,18 @@
 //!
 //! A plane is 16 Mi words (128 MB) in the published sizing; simulating 16
 //! of them per node times 64 nodes eagerly would be 128 GB, so planes
-//! allocate lazily in 64 Ki-word pages. Unwritten memory reads as zero
-//! (the real machine's ECC-scrubbed initial state is unspecified; zero is
-//! the conventional simulator choice).
+//! allocate lazily in 4 Ki-word (32 KB) pages: a 17² cavity grid costs
+//! one page. A cache buffer (8 Ki words in the published sizing)
+//! likewise allocates on its first write, so a fresh node holds no
+//! storage until a program writes some.
+//! Unwritten memory reads as zero (the real machine's ECC-scrubbed
+//! initial state is unspecified; zero is the conventional simulator
+//! choice).
 
 use nsc_arch::{CacheId, CacheSpec, MachineConfig, MemorySpec, PlaneId};
 use std::collections::HashMap;
 
-const PAGE_WORDS: u64 = 65_536;
+const PAGE_WORDS: u64 = 4096;
 
 /// One lazily-paged memory plane.
 #[derive(Debug, Clone, Default)]
@@ -145,37 +149,66 @@ impl MemoryPlane {
 /// One double-buffered data cache.
 #[derive(Debug, Clone)]
 pub struct DataCache {
+    words: usize,
+    /// Each buffer is empty until its first write, then `words` long.
     buffers: [Vec<f64>; 2],
 }
 
 impl DataCache {
-    /// A cache with two buffers of `words_per_buffer` words.
+    /// A cache with two buffers of `words_per_buffer` words, neither
+    /// allocated until it is written.
     pub fn new(words_per_buffer: u64) -> Self {
-        DataCache {
-            buffers: [vec![0.0; words_per_buffer as usize], vec![0.0; words_per_buffer as usize]],
-        }
+        DataCache { words: words_per_buffer as usize, buffers: [Vec::new(), Vec::new()] }
     }
 
     /// Words per buffer.
     pub fn buffer_words(&self) -> usize {
-        self.buffers[0].len()
+        self.words
     }
 
-    /// Read from one buffer.
+    /// Read from one buffer (zero if never written).
+    ///
+    /// # Panics
+    /// If `offset` is outside the buffer.
     #[inline]
     pub fn read(&self, buffer: u8, offset: u64) -> f64 {
-        self.buffers[buffer as usize & 1][offset as usize]
+        let buf = &self.buffers[buffer as usize & 1];
+        if buf.is_empty() {
+            self.assert_within(offset);
+            0.0
+        } else {
+            buf[offset as usize]
+        }
     }
 
-    /// Write into one buffer.
+    /// Write into one buffer, allocating it on its first write.
+    ///
+    /// # Panics
+    /// If `offset` is outside the buffer.
     #[inline]
     pub fn write(&mut self, buffer: u8, offset: u64, value: f64) {
-        self.buffers[buffer as usize & 1][offset as usize] = value;
+        let b = buffer as usize & 1;
+        if self.buffers[b].is_empty() {
+            self.assert_within(offset);
+            self.buffers[b] = vec![0.0; self.words];
+        }
+        self.buffers[b][offset as usize] = value;
+    }
+
+    /// An allocated buffer's indexing bounds its offsets; this bounds an
+    /// unallocated one's.
+    fn assert_within(&self, offset: u64) {
+        assert!(offset < self.words as u64, "cache offset {offset} beyond {} words", self.words);
     }
 
     /// Swap the two buffers (the double-buffer flip).
     pub fn swap(&mut self) {
         self.buffers.swap(0, 1);
+    }
+
+    /// Buffers written so far (for memory-footprint assertions).
+    pub fn resident_buffers(&self) -> usize {
+        self.buffers.iter().filter(|b| !b.is_empty()).count()
     }
 }
 
@@ -246,6 +279,15 @@ mod tests {
     }
 
     #[test]
+    fn a_page_is_4_ki_words() {
+        let mut p = MemoryPlane::new(1 << 20);
+        p.write_slice(0, &[1.0; 4096]);
+        assert_eq!(p.resident_pages(), 1, "words 0 .. 4096 share one page");
+        p.write(4096, 2.0);
+        assert_eq!(p.resident_pages(), 2, "word 4096 starts the next");
+    }
+
+    #[test]
     #[should_panic(expected = "beyond")]
     fn plane_bounds_are_enforced() {
         MemoryPlane::new(100).read(100);
@@ -271,6 +313,21 @@ mod tests {
         for (k, &v) in out.iter().enumerate() {
             assert_eq!(v, p.read((PAGE_WORDS - 1200) + k as u64));
         }
+        // Unit stride over several 4 Ki-word boundaries, an unwritten page
+        // between two written ones, starting and ending inside a page.
+        let (lo, hi) = (3 * PAGE_WORDS - 7, 5 * PAGE_WORDS + 9);
+        let data: Vec<f64> = (0..hi - lo).map(|i| i as f64 + 0.5).collect();
+        p.write_strided(lo as i64, 1, &data[..7]);
+        p.write_strided((5 * PAGE_WORDS) as i64, 1, &data[data.len() - 9..]);
+        assert_eq!(p.resident_pages(), 4, "pages 0, 1, 2 and 5; 3 and 4 stay unwritten");
+        let mut out = Vec::new();
+        p.read_strided_into(lo as i64 - 1, 1, (hi - lo + 2) as usize, &mut out);
+        assert_eq!(out.len() as u64, hi - lo + 2);
+        for (addr, &v) in (lo - 1..).zip(&out) {
+            assert_eq!(v.to_bits(), p.read(addr).to_bits(), "word {addr}");
+        }
+        p.write_strided(lo as i64, 1, &data);
+        assert_eq!(p.read_vec(lo, hi - lo), data, "a write across four boundaries reads back");
         // Negative and zero strides take the per-word path.
         p.write_strided(100, -2, &[1.0, 2.0, 3.0]);
         assert_eq!((p.read(100), p.read(98), p.read(96)), (1.0, 2.0, 3.0));
@@ -279,6 +336,38 @@ mod tests {
         let mut rev = Vec::new();
         p.read_strided_into(100, -2, 3, &mut rev);
         assert_eq!(rev, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn caches_allocate_a_buffer_on_its_first_write() {
+        let mut c = DataCache::new(64);
+        assert_eq!((c.resident_buffers(), c.buffer_words()), (0, 64));
+        assert_eq!(c.read(1, 63), 0.0);
+        c.write(1, 5, 2.5);
+        assert_eq!(c.resident_buffers(), 1);
+        assert_eq!((c.read(1, 5), c.read(1, 6), c.read(0, 5)), (2.5, 0.0, 0.0));
+        c.swap();
+        assert_eq!((c.read(0, 5), c.read(1, 5)), (2.5, 0.0), "the flip moves the written buffer");
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond")]
+    fn unwritten_cache_bounds_are_enforced() {
+        DataCache::new(64).read(0, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond")]
+    fn first_cache_write_bounds_are_enforced() {
+        DataCache::new(64).write(0, 64, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn written_cache_bounds_are_enforced() {
+        let mut c = DataCache::new(64);
+        c.write(0, 0, 1.0);
+        c.read(0, 64);
     }
 
     #[test]

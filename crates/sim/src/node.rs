@@ -185,6 +185,22 @@ mod tests {
         KnowledgeBase::nsc_1988()
     }
 
+    #[test]
+    fn a_fresh_node_holds_no_storage_until_a_write() {
+        let mut node = NodeSim::nsc_1988();
+        for cache in &node.mem.caches {
+            assert_eq!((cache.resident_buffers(), cache.buffer_words()), (0, 8192));
+            for (buffer, offset) in (0..2).flat_map(|b| (0..8192).map(move |o| (b, o))) {
+                assert_eq!(cache.read(buffer, offset).to_bits(), 0, "unwritten words read +0");
+            }
+        }
+        assert!(node.mem.planes.iter().all(|p| p.resident_pages() == 0));
+        node.mem.cache_mut(CacheId(3)).write(1, 8191, 4.0);
+        let resident: Vec<usize> = node.mem.caches.iter().map(|c| c.resident_buffers()).collect();
+        assert_eq!(resident.iter().sum::<usize>(), 1, "one write, one buffer: {resident:?}");
+        assert_eq!(node.mem.cache(CacheId(3)).read(1, 8191), 4.0);
+    }
+
     /// An instruction that doubles `count` words from plane 0 into plane 0
     /// (reads plane 0, writes plane 1, then a second instruction copies
     /// back — or simpler: ping-pongs by parameterization).
