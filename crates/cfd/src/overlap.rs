@@ -32,8 +32,11 @@
 //!
 //! A step exchanges the ghosts of the plane it *reads*; the plane it
 //! writes keeps stale ghosts until the next step that reads it (or
-//! [`SweepEngine::refresh`]). This is the only choreography: Jacobi,
-//! block SOR, multigrid smoothing and the cavity's ψ-solve all run it.
+//! [`SweepEngine::refresh`]). A step with nothing to exchange (fresh
+//! ghosts, or a partition with no boundary such as a one-node cube's)
+//! opens no window and runs its lanes bare. This is the only
+//! choreography: Jacobi, block SOR, multigrid smoothing and the cavity's
+//! ψ-solve all run it.
 //!
 //! Host-resident block solvers (block SOR) run the same choreography
 //! through [`SweepEngine::host_sweep`], with the compute phases as host
@@ -276,9 +279,15 @@ impl<'p> SweepEngine<'p> {
     /// are read back with ghosts.
     ///
     /// Returns the message nanoseconds hidden under the interior phase.
-    /// A sweep compiled over a different part count, or a system lacking
-    /// one of the partition's nodes, is refused with
-    /// [`NscError::Workload`] before anything runs.
+    /// A step *exchanges nothing* when its read plane's ghosts are fresh
+    /// or the partition lists no boundary (every one-part partition): it
+    /// takes no cycle snapshot, opens no comm window, runs its interior
+    /// lanes, then its shell lanes if any part has a shell program, and
+    /// returns 0. That is exact, since an exchange over no boundary
+    /// charges nothing and a window would hide nothing. A sweep compiled
+    /// over a different part count, or a system lacking one of the
+    /// partition's nodes, is refused with [`NscError::Workload`] before
+    /// anything runs.
     pub fn sweep(
         &self,
         system: &mut NscSystem,
@@ -297,29 +306,35 @@ impl<'p> SweepEngine<'p> {
         }
         check_partition_fits(self.partition, system)?;
 
-        if !io.fresh_ghosts && self.sync_spec.wants_any() {
-            self.partition.halo_exchange(system, io.read, &self.sync_spec)?;
-        }
-        let before: Vec<u64> = self.pool.iter().map(|&n| system.node(n).counters.cycles).collect();
-        run_lanes(system.nodes_mut(), &self.lanes(&sweep.interior), opts)?;
-        // The interior window: what each pool node just spent computing, in
-        // ns. Message time the exchange charges a node hides up to it.
-        let clock = system.nodes()[0].kb.config().clock_hz;
-        let budgets: Vec<(NodeId, u64)> = self
-            .pool
-            .iter()
-            .zip(&before)
-            .map(|(&n, &b)| {
-                let cycles = system.node(n).counters.cycles.saturating_sub(b);
-                (n, (cycles as u128 * 1_000_000_000 / clock as u128) as u64)
-            })
-            .collect();
-        system.open_comm_window(&budgets);
-        if !io.fresh_ghosts {
+        let hidden = if io.fresh_ghosts || self.partition.boundaries().is_empty() {
+            run_lanes(system.nodes_mut(), &self.lanes(&sweep.interior), opts)?;
+            0
+        } else {
+            if self.sync_spec.wants_any() {
+                self.partition.halo_exchange(system, io.read, &self.sync_spec)?;
+            }
+            let before: Vec<u64> =
+                self.pool.iter().map(|&n| system.node(n).counters.cycles).collect();
+            run_lanes(system.nodes_mut(), &self.lanes(&sweep.interior), opts)?;
+            // The interior window: what each pool node just spent computing,
+            // in ns. Message time the exchange charges a node hides up to it.
+            let clock = system.nodes()[0].kb.config().clock_hz;
+            let budgets: Vec<(NodeId, u64)> = self
+                .pool
+                .iter()
+                .zip(&before)
+                .map(|(&n, &b)| {
+                    let cycles = system.node(n).counters.cycles.saturating_sub(b);
+                    (n, (cycles as u128 * 1_000_000_000 / clock as u128) as u64)
+                })
+                .collect();
+            system.open_comm_window(&budgets);
             self.partition.halo_exchange(system, io.read, &self.overlap_spec)?;
+            system.close_comm_window()
+        };
+        if sweep.shell.iter().any(Option::is_some) {
+            run_lanes(system.nodes_mut(), &self.lanes(&sweep.shell), opts)?;
         }
-        let hidden = system.close_comm_window();
-        run_lanes(system.nodes_mut(), &self.lanes(&sweep.shell), opts)?;
         self.combine_residuals(system);
         Ok(hidden)
     }
@@ -619,6 +634,9 @@ mod tests {
         jacobi_sweep_host(&mut host);
         let host_r = jacobi_sweep_host(&mut host);
         let host_u = host.current();
+        let comm = |system: &NscSystem| -> Vec<(u64, u64)> {
+            system.nodes().iter().map(|n| (n.counters.comm_ns, n.counters.comm_hidden_ns)).collect()
+        };
 
         let mut system = NscSystem::new(HypercubeConfig::new(2), session.kb());
         let strips = StripPartition::new(GridShape::volume3d(9, 9, 9), system.cube).unwrap();
@@ -626,10 +644,12 @@ mod tests {
         let engine = SweepEngine::stencil(&strips);
         let even = engine.compile(&session, build(true)).expect("compiles");
         let odd = engine.compile(&session, build(false)).expect("compiles");
+        let loaded = comm(&system);
         let first = engine
             .sweep(&mut system, &even, SweepIo::first(PLANE_U0, PLANE_U1), &opts)
             .expect("even");
         assert_eq!(first, 0, "fresh ghosts: the first sweep exchanges nothing");
+        assert_eq!(comm(&system), loaded, "fresh ghosts: the first sweep charges no message");
         let hidden = engine
             .sweep(&mut system, &odd, SweepIo::steady(PLANE_U1, PLANE_U0), &opts)
             .expect("odd");
@@ -640,5 +660,33 @@ mod tests {
         }
         let (r, _) = system.pool_max_cache_scalar(&strips.member_nodes(), RESIDUAL_CACHE, 0);
         assert_eq!(r.to_bits(), host_r.to_bits(), "combined residual differs");
+
+        // A one-node partition lists no boundary, so even its steady sweeps
+        // exchange nothing: they hide and charge no message time, and two
+        // pairs still match the host mirror bit for bit.
+        jacobi_sweep_host(&mut host);
+        let host_r = jacobi_sweep_host(&mut host);
+        let host_u = host.current();
+        let mut system = NscSystem::new(HypercubeConfig::new(0), session.kb());
+        let whole = StripPartition::new(GridShape::volume3d(9, 9, 9), system.cube).unwrap();
+        assert!(whole.boundaries().is_empty());
+        load_parts(&whole, &mut system, &u0, &f);
+        let engine = SweepEngine::stencil(&whole);
+        let even = engine.compile(&session, build(true)).expect("compiles");
+        let odd = engine.compile(&session, build(false)).expect("compiles");
+        for pair in 0..2 {
+            let read = if pair == 0 { SweepIo::first } else { SweepIo::steady };
+            let io = read(PLANE_U0, PLANE_U1);
+            assert_eq!(engine.sweep(&mut system, &even, io, &opts).expect("even"), 0);
+            let io = SweepIo::steady(PLANE_U1, PLANE_U0);
+            assert_eq!(engine.sweep(&mut system, &odd, io, &opts).expect("odd"), 0);
+        }
+        assert_eq!(comm(&system), vec![(0, 0)], "one node charges no message time");
+        let slabs = crate::partition::read_slabs(&whole, &system, PLANE_U0);
+        for (a, b) in whole.gather(&slabs).iter().zip(&host_u.data) {
+            assert_eq!(a.to_bits(), b.to_bits(), "one-node sweep diverged from the host mirror");
+        }
+        let (r, _) = system.pool_max_cache_scalar(&whole.member_nodes(), RESIDUAL_CACHE, 0);
+        assert_eq!(r.to_bits(), host_r.to_bits(), "one-node residual differs");
     }
 }

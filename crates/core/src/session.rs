@@ -16,7 +16,8 @@
 //!
 //! [`run_lanes`] is the one driver that runs compiled programs on many
 //! nodes at once: the first node on the calling thread, every other node
-//! on a scoped thread of its own; the distributed solvers are built on it.
+//! on a scoped thread of its own (a one-lane call opens no thread scope);
+//! the distributed solvers are built on it.
 
 use crate::certify::build_certificate;
 use crate::error::NscError;
@@ -468,20 +469,34 @@ fn rebind_preloads(doc: &Document, base: &GenOutput) -> Option<GenOutput> {
 ///
 /// Each lane `(node, program)` runs `program` on `nodes[node]`. Lane 0
 /// runs on the calling thread and every further lane on a scoped thread of
-/// its own, so the lanes run concurrently, each node executes exactly one
-/// program, and a one-lane call starts no thread. Lanes must name
-/// distinct, in-range nodes ([`NscError::BadLane`] otherwise, before
-/// anything runs); nodes no lane names stay untouched, so embeddings on
-/// disjoint sub-cubes of one system can each drive only their own nodes.
-/// Returns one [`RunReport`] per lane, in lane order. Every lane runs to
-/// completion even when another fails; the lowest failing lane's error is
-/// then reported as [`NscError::NodeFailed`] naming that lane's node. A
-/// panicking lane panics this call once every lane has finished.
+/// its own, so the lanes run concurrently and each node executes exactly
+/// one program. Lanes must name distinct, in-range nodes
+/// ([`NscError::BadLane`] otherwise, before anything runs); nodes no lane
+/// names stay untouched, so embeddings on disjoint sub-cubes of one system
+/// can each drive only their own nodes. Returns one [`RunReport`] per
+/// lane, in lane order. Every lane runs to completion even when another
+/// fails; the lowest failing lane's error is then reported as
+/// [`NscError::NodeFailed`] naming that lane's node. A panicking lane
+/// panics this call once every lane has finished.
+///
+/// A zero-lane call returns no reports at once. A one-lane call runs its
+/// program on the calling thread and returns, building no thread scope
+/// and no per-node borrow table: a small sweep step (a one-node ψ-solve's
+/// few hundred elements) then costs its run and nothing more.
 pub fn run_lanes(
     nodes: &mut [NodeSim],
     lanes: &[(usize, &CompiledProgram)],
     opts: &RunOptions,
 ) -> Result<Vec<RunReport>, NscError> {
+    let on_node = |node: usize| move |e| NscError::on_node(NodeId(node as u16), e);
+    match *lanes {
+        [] => return Ok(Vec::new()),
+        [(node, prog)] => {
+            let sim = nodes.get_mut(node).ok_or(NscError::BadLane { lane: 0, node })?;
+            return Ok(vec![prog.run(sim, opts).map_err(on_node(node))?]);
+        }
+        _ => {}
+    }
     // Take disjoint mutable borrows of the lanes' nodes, in lane order.
     let mut free: Vec<Option<&mut NodeSim>> = nodes.iter_mut().map(Some).collect();
     let mut work = Vec::with_capacity(lanes.len());
@@ -489,13 +504,12 @@ pub fn run_lanes(
         let sim = free.get_mut(node).and_then(Option::take);
         work.push((sim.ok_or(NscError::BadLane { lane, node })?, prog));
     }
-    let mut work = work.into_iter();
-    let Some((first, first_prog)) = work.next() else {
-        return Ok(Vec::new());
-    };
+    let (first, first_prog) = work.remove(0);
     let runs = std::thread::scope(|scope| {
-        let spawned: Vec<_> =
-            work.map(|(node, prog)| scope.spawn(move || prog.run(node, opts))).collect();
+        let spawned: Vec<_> = work
+            .into_iter()
+            .map(|(node, prog)| scope.spawn(move || prog.run(node, opts)))
+            .collect();
         let mut runs = vec![first_prog.run(first, opts)];
         // A lane's panic resumes here; the scope still joins every other
         // lane before it leaves the call.
@@ -504,10 +518,7 @@ pub fn run_lanes(
         );
         runs
     });
-    runs.into_iter()
-        .zip(lanes)
-        .map(|(run, &(node, _))| run.map_err(|e| NscError::on_node(NodeId(node as u16), e)))
-        .collect()
+    runs.into_iter().zip(lanes).map(|(run, &(node, _))| run.map_err(on_node(node))).collect()
 }
 
 /// A document that made it through bind, check and generate.

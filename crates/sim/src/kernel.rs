@@ -1023,29 +1023,34 @@ enum Side<'s> {
 /// given two NaNs the hardware returns one operand's payload (x86 the
 /// first's). The caller redoes a chunk that made a NaN with
 /// [`scalar_loop`].
+///
+/// The loop does not count: it ORs the bits of `r - r` over the results,
+/// which is +0 for every finite `r` and NaN for ±inf and NaN, so the flag
+/// is 0 exactly when the whole chunk is finite. Only a flagged chunk
+/// counts its non-finite results, in a second pass.
 fn run_loop(op: FuOp, cv: f64, n: usize, a: Side, b: Side, out: &mut Vec<f64>) -> usize {
     macro_rules! go {
         ($f:expr) => {{
             let f = $f;
-            // Counting in the loop spares a second pass over the results.
-            let mut non_finite = 0;
-            let mut count = |r: f64| {
-                non_finite += usize::from(!r.is_finite());
+            let mut flag = 0u64;
+            let mut mark = |r: f64| {
+                flag |= (r - r).to_bits();
                 r
             };
             match (a, b) {
                 (Side::S(a), Side::S(b)) => {
-                    out.extend(a[..n].iter().zip(&b[..n]).map(|(&x, &y)| count(f(x, y))))
+                    out.extend(a[..n].iter().zip(&b[..n]).map(|(&x, &y)| mark(f(x, y))))
                 }
-                (Side::S(a), Side::C(y)) => out.extend(a[..n].iter().map(|&x| count(f(x, y)))),
-                (Side::C(x), Side::S(b)) => out.extend(b[..n].iter().map(|&y| count(f(x, y)))),
-                (Side::C(x), Side::C(y)) => out.extend((0..n).map(|_| count(f(x, y)))),
+                (Side::S(a), Side::C(y)) => out.extend(a[..n].iter().map(|&x| mark(f(x, y)))),
+                (Side::C(x), Side::S(b)) => out.extend(b[..n].iter().map(|&y| mark(f(x, y)))),
+                (Side::C(x), Side::C(y)) => out.extend((0..n).map(|_| mark(f(x, y)))),
                 (Side::Acc, _) | (_, Side::Acc) => unreachable!("feedback stages fold"),
             }
-            non_finite
+            flag
         }};
     }
-    match op {
+    let start = out.len();
+    let flag = match op {
         FuOp::Add => go!(|x: f64, y: f64| x + y),
         FuOp::Sub => go!(|x: f64, y: f64| x - y),
         FuOp::Mul => go!(|x: f64, y: f64| x * y),
@@ -1060,6 +1065,11 @@ fn run_loop(op: FuOp, cv: f64, n: usize, a: Side, b: Side, out: &mut Vec<f64>) -
         FuOp::Min => go!(|x: f64, y: f64| x.min(y)),
         FuOp::MaxAbs => go!(|x: f64, y: f64| x.abs().max(y)),
         other => go!(|x: f64, y: f64| other.apply(x, y, cv)),
+    };
+    if flag == 0 {
+        0
+    } else {
+        out[start..].iter().filter(|r| !r.is_finite()).count()
     }
 }
 
@@ -1363,13 +1373,13 @@ mod tests {
     /// Run `ins` through the interpreter and, at the plan's own chunk and
     /// at every forced one, through the kernel, each on identical fresh
     /// memory; assert the plan exists and that counters, traces and the
-    /// probed ranges agree to the bit.
+    /// probed ranges agree to the bit. Returns the interpreter's counters.
     fn assert_identical(
         kb: &KnowledgeBase,
         ins: &MicroInstruction,
         init: impl Fn(&mut NodeMemory),
         probes: &[(Store, i64, usize)],
-    ) {
+    ) -> PerfCounters {
         let mut mem_i = NodeMemory::new(kb.config());
         init(&mut mem_i);
         let mut c_i = PerfCounters::default();
@@ -1405,6 +1415,7 @@ mod tests {
                 }
             }
         }
+        c_i
     }
 
     fn copy_instr(kb: &KnowledgeBase, count: u32) -> MicroInstruction {
@@ -2036,10 +2047,30 @@ mod tests {
         0x3ff8_0000_0000_0000, // 1.5
     ];
 
-    /// The operations a stage's vector loop or the blocked fold computes
-    /// that edge operands can tell apart.
-    const EDGE_OPS: [FuOp; 7] =
-        [FuOp::Add, FuOp::Sub, FuOp::Mul, FuOp::MulAddConst, FuOp::Max, FuOp::Min, FuOp::MaxAbs];
+    /// Every operation a stage's vector loop serves by name, and `CmpLt`
+    /// for the ones it serves through [`FuOp::apply`].
+    const EDGE_OPS: [FuOp; 14] = [
+        FuOp::Add,
+        FuOp::Sub,
+        FuOp::Mul,
+        FuOp::Div,
+        FuOp::Neg,
+        FuOp::Abs,
+        FuOp::Sqrt,
+        FuOp::Recip,
+        FuOp::Copy,
+        FuOp::MulAddConst,
+        FuOp::Max,
+        FuOp::Min,
+        FuOp::MaxAbs,
+        FuOp::CmpLt,
+    ];
+
+    /// Finite operands whose results overflow or are undefined under some
+    /// operation: `x / 0`, `1 / 0`, the root of a negative, `f64::MAX ×
+    /// 1.5`, `f64::MAX + f64::MAX` and `f64::MIN − f64::MAX`.
+    const FINITE_A: [f64; 8] = [1.5, -2.0, f64::MAX, 0.0, 4.0, -0.0, f64::MIN, f64::MAX];
+    const FINITE_B: [f64; 8] = [0.0, 1.5, 1.5, -0.0, 2.0, 0.25, f64::MAX, f64::MAX];
 
     /// Longest stream an edge case draws.
     const EDGE_LEN: usize = 100;
@@ -2217,6 +2248,44 @@ mod tests {
                 |m| edge_inputs(m, &a, &[]),
                 &[(Store::Plane(1), 0, len), (Store::Cache(1, 0), 0, 8)],
             );
+        }
+    }
+
+    /// Every stage operation, stream × stream and stream × constant both
+    /// ways round, on finite operands that give non-finite results: each
+    /// chunk that makes one must count it exactly as the interpreter does,
+    /// at every chunk of [`assert_identical`].
+    #[test]
+    fn kernel_stage_loops_count_non_finite_results_of_finite_operands() {
+        let kb = kb();
+        let len = 3 * FINITE_A.len();
+        let a: Vec<f64> = FINITE_A.iter().cycle().take(len).copied().collect();
+        let b: Vec<f64> = FINITE_B.iter().cycle().take(len).copied().collect();
+        for op in EDGE_OPS {
+            let mut exceptions = 0;
+            for pairing in 0..3 {
+                for c in [0.0, 1.5, -2.0, f64::MAX] {
+                    let ins = edge_stage(&kb, op, pairing, len as u32, c);
+                    let interp = assert_identical(
+                        &kb,
+                        &ins,
+                        |m| edge_inputs(m, &a, &b),
+                        &[(Store::Plane(1), 0, len)],
+                    );
+                    exceptions += interp.exceptions;
+                }
+            }
+            let finite_only = matches!(
+                op,
+                FuOp::Neg
+                    | FuOp::Abs
+                    | FuOp::Copy
+                    | FuOp::Max
+                    | FuOp::Min
+                    | FuOp::MaxAbs
+                    | FuOp::CmpLt
+            );
+            assert_eq!(exceptions == 0, finite_only, "{op:?}: {exceptions} exceptions");
         }
     }
 

@@ -170,6 +170,12 @@ fn a_lane_naming_a_node_out_of_range_is_an_error() {
         .expect_err("node 2 does not exist");
     assert_eq!(err, NscError::BadLane { lane: 1, node: 2 });
     assert_eq!(nodes[0].counters.instructions, 0, "nothing ran");
+
+    // A single lane, which runs on the calling thread, is refused alike.
+    let err = run_lanes(&mut nodes, &[(2, &prog)], &RunOptions::default())
+        .expect_err("node 2 does not exist");
+    assert_eq!(err, NscError::BadLane { lane: 0, node: 2 });
+    assert!(nodes.iter().all(|n| n.counters.instructions == 0), "nothing ran");
 }
 
 #[test]
