@@ -9,6 +9,8 @@
 //! branch (and, for convergence loops, the interrupt-evaluated comparison
 //! against the residual scalar in a cache).
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::lower::{lower_pipeline, InstrMap, LoweredPipeline};
 use crate::GenError;
 use nsc_arch::KnowledgeBase;
@@ -148,11 +150,10 @@ impl<'a> Assembler<'a> {
                 if self.builder.next_index() == start {
                     return Err(GenError::EmptyProgram);
                 }
+                let target = jump_target(start)?;
                 let closer = self.closing_slot(false);
-                let end = self.builder.next_index();
-                self.builder.instr_mut(closer).seq.ctl =
-                    SeqCtl::DecJnz { ctr, target: start as u16 };
-                debug_assert!(closer == end - 1);
+                debug_assert_eq!(closer, self.builder.next_index() - 1);
+                self.builder.instr_mut(closer).seq.ctl = SeqCtl::DecJnz { ctr, target };
                 Ok(())
             }
             ControlNode::RepeatUntil { cond, body } => {
@@ -170,8 +171,9 @@ impl<'a> Assembler<'a> {
                 if self.builder.next_index() == start {
                     return Err(GenError::EmptyProgram);
                 }
+                let target = jump_target(start)?;
                 let closer = self.closing_slot(true);
-                let end = self.builder.next_index();
+                let exit = jump_target(self.builder.next_index())?;
                 // Converged? fall out (branch past the loop). Otherwise
                 // keep looping while the iteration counter lasts.
                 let last = self.builder.instr_mut(closer);
@@ -180,13 +182,18 @@ impl<'a> Assembler<'a> {
                     offset: cond.offset,
                     cmp: CmpKind::Lt,
                     threshold: cond.threshold,
-                    target: end as u16,
+                    target: exit,
                 });
-                last.seq.ctl = SeqCtl::DecJnz { ctr, target: start as u16 };
+                last.seq.ctl = SeqCtl::DecJnz { ctr, target };
                 Ok(())
             }
         }
     }
+}
+
+/// A branch target as the sequencer's 16-bit jump field holds it.
+fn jump_target(index: usize) -> Result<u16, GenError> {
+    u16::try_from(index).map_err(|_| GenError::JumpTarget { index })
 }
 
 #[cfg(test)]
@@ -272,6 +279,39 @@ mod tests {
         assert_eq!(cond.target, 2, "converged -> fall past the loop");
         assert_eq!(last.seq.ctl, SeqCtl::DecJnz { ctr: 0, target: 1 });
         assert_eq!(out.program.instrs[0].seq.set_counter, Some((0, 500)));
+    }
+
+    /// A loop whose first body instruction lies past the sequencer's
+    /// 16-bit jump field is refused by name, not wrapped to `start %
+    /// 65,536`; so is a convergence loop whose exit lies past it.
+    #[test]
+    fn loops_past_the_jump_field_are_refused() {
+        let kb = kb();
+        let (mut doc, pid) = doc_with_pipeline(&kb);
+        let body = || Box::new(ControlNode::Pipeline(pid));
+        let prefix = |n: usize| vec![ControlNode::Pipeline(pid); n];
+        let mut seq = prefix(1 << 16);
+        seq.push(ControlNode::Repeat { times: 2, body: body() });
+        doc.control = Some(ControlNode::Seq(seq));
+        // Header at 65,536, so the loop starts at 65,537.
+        assert_eq!(generate(&kb, &doc), Err(GenError::JumpTarget { index: 65_537 }));
+
+        let until = ControlNode::RepeatUntil {
+            cond: ConvergenceCond {
+                cache: nsc_arch::CacheId(0),
+                offset: 0,
+                threshold: 1e-6,
+                max_iters: 9,
+            },
+            body: body(),
+        };
+        let mut seq = prefix((1 << 16) - 2);
+        seq.push(until);
+        doc.control = Some(ControlNode::Seq(seq));
+        // The body is instruction 65,535, so the exit is 65,536.
+        let err = generate(&kb, &doc).expect_err("the exit does not fit");
+        assert_eq!(err, GenError::JumpTarget { index: 65_536 });
+        assert!(err.to_string().contains("16-bit jump target field"), "{err}");
     }
 
     #[test]
@@ -387,7 +427,7 @@ mod tests {
     fn sdu_delays_the_checker_passes_encode() {
         use nsc_checker::ConstraintKind;
         let kb = kb();
-        let buffer = kb.config().sdu.buffer_words as u16;
+        let buffer = u16::try_from(kb.config().sdu.buffer_words).expect("a 16-bit buffer");
         for delay in [buffer - 1, buffer] {
             let (mut doc, pid) = doc_with_pipeline(&kb);
             let d = doc.pipeline_mut(pid).unwrap();

@@ -71,6 +71,12 @@ pub enum GenError {
     },
     /// The document has no instructions to emit.
     EmptyProgram,
+    /// A loop branches to an instruction past the 16-bit jump-target
+    /// field of the sequencer.
+    JumpTarget {
+        /// Index of the instruction the branch would target.
+        index: usize,
+    },
     /// A diagram shape the generator cannot lower.
     Unsupported(String),
 }
@@ -95,6 +101,12 @@ impl fmt::Display for GenError {
                 "{icon}.u{pos} needs two register-file preloads; only one loads per instruction"
             ),
             GenError::EmptyProgram => write!(f, "document contains no instructions"),
+            GenError::JumpTarget { index } => write!(
+                f,
+                "a loop branches to instruction {index}, past the sequencer's 16-bit jump \
+                 target field (at most {})",
+                u16::MAX
+            ),
             GenError::Unsupported(msg) => write!(f, "unsupported diagram shape: {msg}"),
         }
     }

@@ -10,7 +10,7 @@
 //! perform. Once again this is done with a pop-up menu." ([`FuAssign`])
 
 use nsc_arch::FuOp;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Sink};
 use std::fmt;
 
 /// How a write-side stream is captured (mirrors the microcode
@@ -101,7 +101,7 @@ impl fmt::Display for DmaAttrs {
 }
 
 /// Where one operand of a functional unit comes from, at diagram level.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Deserialize)]
 pub enum InputSpec {
     /// The wire connected to this pad, if any (external connection).
     #[default]
@@ -141,16 +141,36 @@ impl InputSpec {
             _ => None,
         }
     }
+}
 
-    /// The same operand with any embedded register-file value replaced by
-    /// `0.0` — the canonical form used by
-    /// `Document::shape_digest`, under which two documents that differ only
-    /// in swept constants hash identically.
-    pub fn masked(self) -> InputSpec {
-        match self {
-            InputSpec::Constant(_) => InputSpec::Constant(0.0),
-            InputSpec::Feedback { .. } => InputSpec::Feedback { init: 0.0 },
-            other => other,
+/// The derive's encoding, written out so that the register-file value
+/// (the constant, or the feedback seed) goes to [`Sink::parameter`]:
+/// `Document::shape_digest` masks it there.
+impl Serialize for InputSpec {
+    fn serialize_into(&self, sink: &mut dyn Sink) {
+        let mut tagged = |variant: &str, field: Option<&str>| {
+            sink.object(1);
+            sink.key(variant);
+            if let Some(field) = field {
+                sink.object(1);
+                sink.key(field);
+            }
+        };
+        match *self {
+            InputSpec::Wire => sink.str("Wire"),
+            InputSpec::DelayedWire { delay } => {
+                tagged("DelayedWire", Some("delay"));
+                delay.serialize_into(sink)
+            }
+            InputSpec::Constant(v) => {
+                tagged("Constant", None);
+                sink.parameter(v)
+            }
+            InputSpec::Feedback { init } => {
+                tagged("Feedback", Some("init"));
+                sink.parameter(init)
+            }
+            InputSpec::Unused => sink.str("Unused"),
         }
     }
 }
@@ -200,12 +220,6 @@ impl FuAssign {
     pub fn preload_value(&self) -> Option<f64> {
         self.in_a.preload_value().or_else(|| self.in_b.preload_value())
     }
-
-    /// The assignment with both operands in their
-    /// [masked](InputSpec::masked) canonical form.
-    pub fn masked(self) -> FuAssign {
-        FuAssign { op: self.op, in_a: self.in_a.masked(), in_b: self.in_b.masked() }
-    }
 }
 
 #[cfg(test)]
@@ -248,6 +262,21 @@ mod tests {
         assert_eq!(FuAssign::unary(FuOp::Abs).expected_wires(), 1);
         assert_eq!(FuAssign::with_const(FuOp::Mul, 1.0 / 6.0).expected_wires(), 1);
         assert_eq!(FuAssign::reduction(FuOp::Max, 0.0).expected_wires(), 1);
+    }
+
+    #[test]
+    fn input_specs_keep_the_derived_encoding() {
+        let cases = [
+            (InputSpec::Wire, r#""Wire""#),
+            (InputSpec::DelayedWire { delay: 3 }, r#"{"DelayedWire":{"delay":3}}"#),
+            (InputSpec::Constant(-2.5), r#"{"Constant":-2.5}"#),
+            (InputSpec::Feedback { init: 0.0 }, r#"{"Feedback":{"init":0.0}}"#),
+            (InputSpec::Unused, r#""Unused""#),
+        ];
+        for (spec, json) in cases {
+            assert_eq!(serde_json::to_string(&spec).unwrap(), json);
+            assert_eq!(serde_json::from_str::<InputSpec>(json).unwrap(), spec);
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::ids::{IconId, PipelineId, Point};
 use crate::pipeline::PipelineDiagram;
 use nsc_arch::{CacheId, PlaneId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Sink};
 use std::collections::BTreeMap;
 
 /// Display-only data for one pipeline: icon positions on the drawing
@@ -266,11 +266,10 @@ impl Document {
     }
 
     /// Serialize *only the semantic information* — what the microcode
-    /// generator needs (§4's distinction). Display layouts are stripped.
+    /// generator needs (§4's distinction). Display layouts are written
+    /// empty.
     pub fn semantic_json(&self) -> String {
-        let mut stripped = self.clone();
-        stripped.layouts.clear();
-        serde_json::to_string_pretty(&stripped).expect("document serializes")
+        serde_json::to_string_pretty(&Semantic(self)).expect("document serializes")
     }
 
     /// A 128-bit content digest of the document's *semantic* information —
@@ -280,21 +279,20 @@ impl Document {
     /// same program.
     ///
     /// The serializer's event stream, hashed as the events arrive by
-    /// [`serde::WordHasher`], eight bytes at a time and with no value tree
-    /// built. Every event is tagged and every string length-prefixed, so
-    /// differently-shaped documents cannot collide by coincidence of
-    /// encoding. Cache keys depend on the encoding and the hash, so the
-    /// workspace's `digest_stability` test pins both.
+    /// [`serde::WordHasher`], eight bytes at a time, with no value tree
+    /// built and no copy of the document made. Every event is tagged and
+    /// every string length-prefixed, so differently-shaped documents
+    /// cannot collide by coincidence of encoding. Cache keys depend on the
+    /// encoding and the hash, so the workspace's `digest_stability` test
+    /// pins both.
     pub fn digest(&self) -> u128 {
-        let mut stripped = self.clone();
-        stripped.layouts.clear();
-        serde::hash128(&stripped)
+        self.semantic_hash(false)
     }
 
     /// A 128-bit digest of the document's *shape*: everything
     /// [`Document::digest`] covers except the register-file values
-    /// (functional-unit constants and feedback seeds), which are replaced
-    /// by a canonical `0.0` before hashing.
+    /// (functional-unit constants and feedback seeds), each hashed as a
+    /// canonical `0.0` in its place.
     ///
     /// Two documents with equal shape digests compile to microcode that
     /// differs only in functional-unit preload values, so a compiled
@@ -304,12 +302,104 @@ impl Document {
     /// convergence thresholds lower into loop sequencing, so changing them
     /// changes the shape, not just the constants.
     pub fn shape_digest(&self) -> u128 {
-        let mut stripped = self.clone();
-        stripped.layouts.clear();
-        for p in &mut stripped.pipelines {
-            p.mask_preload_values();
+        self.semantic_hash(true)
+    }
+
+    fn semantic_hash(&self, mask: bool) -> u128 {
+        let mut hasher = serde::WordHasher::new();
+        self.serialize_into(&mut SemanticView::new(&mut hasher, mask));
+        hasher.finish()
+    }
+}
+
+/// A document serialized through [`SemanticView`]: what
+/// [`Document::semantic_json`] writes.
+struct Semantic<'a>(&'a Document);
+
+impl Serialize for Semantic<'_> {
+    fn serialize_into(&self, sink: &mut dyn Sink) {
+        self.0.serialize_into(&mut SemanticView::new(sink, false))
+    }
+}
+
+/// A [`Sink`] filter that turns the derived [`Document`] event stream into
+/// its semantic part, so the field list lives only in the derive. Every
+/// event passes through except the value of the top-level `layouts`
+/// entry, which is emitted as an empty object. With `mask` set, every
+/// [`Sink::parameter`] (the register-file values of
+/// [`InputSpec`](crate::InputSpec) operands) is written as `0.0`: the
+/// stream [`Document::shape_digest`] hashes.
+struct SemanticView<'a, S: Sink + ?Sized> {
+    sink: &'a mut S,
+    mask: bool,
+    /// Values still to come in the current top-level entry; 0 between
+    /// entries. The lengths delimit the nesting, so one count tells when
+    /// an entry ends.
+    left: usize,
+    /// The current entry is `layouts`: its events are dropped.
+    drop: bool,
+}
+
+impl<'a, S: Sink + ?Sized> SemanticView<'a, S> {
+    fn new(sink: &'a mut S, mask: bool) -> Self {
+        SemanticView { sink, mask, left: 0, drop: false }
+    }
+
+    /// Pass on a value event that opens `children` values of its own (none
+    /// for a scalar) through `emit`, unless it belongs to the layouts.
+    #[inline]
+    fn value(&mut self, children: usize, emit: impl FnOnce(&mut S)) {
+        if self.left == 0 {
+            // The document's own header.
+            return emit(self.sink);
         }
-        serde::hash128(&stripped)
+        if !self.drop {
+            emit(self.sink);
+        }
+        self.left = self.left - 1 + children;
+    }
+}
+
+impl<S: Sink + ?Sized> Sink for SemanticView<'_, S> {
+    fn null(&mut self) {
+        self.value(0, |s| s.null())
+    }
+    fn bool(&mut self, v: bool) {
+        self.value(0, |s| s.bool(v))
+    }
+    fn int(&mut self, v: i64) {
+        self.value(0, |s| s.int(v))
+    }
+    fn uint(&mut self, v: u64) {
+        self.value(0, |s| s.uint(v))
+    }
+    fn float(&mut self, v: f64) {
+        self.value(0, |s| s.float(v))
+    }
+    fn parameter(&mut self, v: f64) {
+        let mask = self.mask;
+        self.value(0, |s| if mask { s.float(0.0) } else { s.parameter(v) })
+    }
+    fn str(&mut self, v: &str) {
+        self.value(0, |s| s.str(v))
+    }
+    fn array(&mut self, len: usize) {
+        self.value(len, |s| s.array(len))
+    }
+    fn object(&mut self, len: usize) {
+        self.value(len, |s| s.object(len))
+    }
+    fn key(&mut self, k: &str) {
+        if self.left == 0 {
+            self.sink.key(k);
+            self.left = 1;
+            self.drop = k == "layouts";
+            if self.drop {
+                self.sink.object(0);
+            }
+        } else if !self.drop {
+            self.sink.key(k);
+        }
     }
 }
 
@@ -466,5 +556,38 @@ mod tests {
         let back = Document::from_json(&semantic).unwrap();
         assert_eq!(back.pipeline(p).unwrap().icon_count(), 1);
         assert!(back.layout(p).is_none());
+    }
+
+    #[test]
+    fn semantic_json_is_a_layouts_free_reload_of_itself() {
+        use crate::attrs::FuAssign;
+        use nsc_arch::{AlsKind, FuOp};
+        let mut doc = Document::new("laid out");
+        let mut ids = Vec::new();
+        for (k, name) in ["sweep", "scale", "unplaced"].into_iter().enumerate() {
+            let p = doc.add_pipeline(name);
+            let d = doc.pipeline_mut(p).unwrap();
+            let mem = d.add_icon(IconKind::memory());
+            let als = d.add_icon(IconKind::als(AlsKind::Singlet));
+            d.assign_fu(als, 0, FuAssign::with_const(FuOp::Mul, 0.5 + k as f64)).unwrap();
+            if name != "unplaced" {
+                let layout = doc.layout_mut(p).unwrap();
+                layout.place(mem, Point::new(3, 4 + k as i32));
+                layout.place(als, Point::new(30, 40));
+            }
+            ids.push(p);
+        }
+        // Entries after the layouts, so the view must resume passing events.
+        doc.decls.declare(VarDecl { name: "u".into(), plane: PlaneId(2), base: 8, len: 64 });
+        doc.control =
+            Some(ControlNode::Seq(ids.iter().map(|&p| ControlNode::Pipeline(p)).collect()));
+
+        let semantic = doc.semantic_json();
+        let reloaded = Document::from_json(&semantic).unwrap();
+        assert!(ids.iter().all(|&p| reloaded.layout(p).is_none()), "no layout survives");
+        assert_eq!(reloaded.to_json(), semantic);
+        assert_eq!(reloaded.semantic_json(), semantic);
+        assert_eq!(reloaded.digest(), doc.digest());
+        assert_eq!(reloaded.shape_digest(), doc.shape_digest());
     }
 }

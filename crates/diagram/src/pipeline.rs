@@ -326,18 +326,6 @@ impl PipelineDiagram {
         self.fu_assigns.iter().flat_map(|(icon, m)| m.iter().map(move |(pos, a)| (*icon, *pos, a)))
     }
 
-    /// Replace every register-file value (constants, feedback seeds) with
-    /// the [masked](FuAssign::masked) canonical `0.0` — the normalization
-    /// behind `Document::shape_digest`, under which documents differing
-    /// only in swept constants compare equal.
-    pub fn mask_preload_values(&mut self) {
-        for units in self.fu_assigns.values_mut() {
-            for assign in units.values_mut() {
-                *assign = assign.masked();
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // shift/delay programming
     // ------------------------------------------------------------------

@@ -12,20 +12,45 @@
 
 use nsc_arch::{CacheId, CacheSpec, MachineConfig, MemorySpec, PlaneId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_WORDS: u64 = 4096;
+
+/// Hashes a page number with one multiply by an odd constant, so
+/// consecutive pages land in distinct buckets. Every plane read and write
+/// looks its page up, so SipHash's cost would be paid per word. Pages
+/// whose numbers agree in their low bits share a bucket; a plane holds
+/// at most `words / PAGE_WORDS` pages, which bounds any such chain.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        self.0 = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// One lazily-paged memory plane.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryPlane {
     words: u64,
-    pages: HashMap<u64, Vec<f64>>,
+    pages: HashMap<u64, Vec<f64>, BuildHasherDefault<PageHasher>>,
 }
 
 impl MemoryPlane {
     /// A plane of the given capacity in words.
     pub fn new(words: u64) -> Self {
-        MemoryPlane { words, pages: HashMap::new() }
+        MemoryPlane { words, pages: HashMap::default() }
     }
 
     /// Capacity in words.
@@ -285,6 +310,21 @@ mod tests {
         assert_eq!(p.resident_pages(), 1, "words 0 .. 4096 share one page");
         p.write(4096, 2.0);
         assert_eq!(p.resident_pages(), 2, "word 4096 starts the next");
+    }
+
+    #[test]
+    fn consecutive_and_scattered_pages_keep_their_own_words() {
+        let mut p = MemoryPlane::new(16 * 1024 * 1024);
+        let pages: Vec<u64> = (0..64).chain((64..4096).step_by(97)).collect();
+        for &page in &pages {
+            p.write(page * PAGE_WORDS + page % PAGE_WORDS, page as f64);
+        }
+        assert_eq!(p.resident_pages(), pages.len());
+        for &page in &pages {
+            let base = page * PAGE_WORDS;
+            assert_eq!(p.read(base + page % PAGE_WORDS), page as f64, "page {page}");
+            assert_eq!(p.read(base + (page + 1) % PAGE_WORDS), 0.0, "page {page}");
+        }
     }
 
     #[test]

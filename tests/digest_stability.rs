@@ -31,7 +31,7 @@ use nsc::cfd::{
     build_jacobi_sweep_document_windows, JacobiVariant, SweepWindow,
 };
 use nsc::codegen::generate_prechecked;
-use nsc::diagram::{Document, FuAssign, InputSpec};
+use nsc::diagram::{Document, FuAssign, InputSpec, Point};
 use nsc::env::certify::build_certificate;
 use nsc::env::Session;
 use nsc::expr::{compile_expr, AllocStrategy, Expr};
@@ -165,14 +165,11 @@ fn non_finite_and_negative_zero_constants_survive_a_save_and_reload() {
 }
 
 /// The document with every register-file value (constants and feedback
-/// seeds) moved to its neighbouring bit pattern: the same shape, and a
-/// new digest whenever the document holds any value.
-fn perturbed(doc: &Document) -> Document {
-    let flip = |spec: InputSpec| match spec {
-        InputSpec::Constant(v) => InputSpec::Constant(f64::from_bits(v.to_bits() ^ 1)),
-        InputSpec::Feedback { init } => {
-            InputSpec::Feedback { init: f64::from_bits(init.to_bits() ^ 1) }
-        }
+/// seeds) passed through `edit`.
+fn map_preloads(doc: &Document, edit: impl Fn(f64) -> f64) -> Document {
+    let edit = |spec: InputSpec| match spec {
+        InputSpec::Constant(v) => InputSpec::Constant(edit(v)),
+        InputSpec::Feedback { init } => InputSpec::Feedback { init: edit(init) },
         other => other,
     };
     let mut twin = doc.clone();
@@ -181,11 +178,18 @@ fn perturbed(doc: &Document) -> Document {
         let d = twin.pipeline_mut(id).expect("listed id");
         let assigns: Vec<_> = d.fu_assigns().map(|(icon, pos, a)| (icon, pos, *a)).collect();
         for (icon, pos, a) in assigns {
-            let flipped = FuAssign { op: a.op, in_a: flip(a.in_a), in_b: flip(a.in_b) };
-            d.assign_fu(icon, pos, flipped).expect("an assigned unit");
+            let edited = FuAssign { op: a.op, in_a: edit(a.in_a), in_b: edit(a.in_b) };
+            d.assign_fu(icon, pos, edited).expect("an assigned unit");
         }
     }
     twin
+}
+
+/// The document with every register-file value moved to its neighbouring
+/// bit pattern: the same shape, and a new digest whenever the document
+/// holds any value.
+fn perturbed(doc: &Document) -> Document {
+    map_preloads(doc, |v| f64::from_bits(v.to_bits() ^ 1))
 }
 
 #[test]
@@ -350,15 +354,9 @@ fn oracle_value_hash(v: &Value) -> u128 {
 }
 
 /// The reference digest: the document's value tree with the display
-/// layouts emptied (and, for the shape, every preload masked).
+/// layouts emptied (and, for the shape, every preload set to `0.0`).
 fn oracle_digest(doc: &Document, shape: bool) -> u128 {
-    let mut doc = doc.clone();
-    if shape {
-        let ids: Vec<_> = doc.pipelines().iter().map(|p| p.id).collect();
-        for id in ids {
-            doc.pipeline_mut(id).expect("listed id").mask_preload_values();
-        }
-    }
+    let doc = if shape { map_preloads(doc, |_| 0.0) } else { doc.clone() };
     let Value::Object(mut fields) = doc.to_value() else { panic!("a document is an object") };
     let layouts = fields.iter_mut().find(|(k, _)| k == "layouts").expect("layouts field");
     layouts.1 = Value::Object(Vec::new());
@@ -433,6 +431,20 @@ fn random_document(seed: u64, kb: &KnowledgeBase) -> Document {
     compile_expr(&tree, output, rng.random_range(1..1025u64), strategy, kb).0
 }
 
+/// Place every icon of `doc` at a position drawn from `seed`: display
+/// data, which no digest may see.
+fn lay_out(doc: &mut Document, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ids: Vec<_> = doc.pipelines().iter().map(|p| p.id).collect();
+    for id in ids {
+        let icons: Vec<_> = doc.pipeline(id).expect("listed id").icons().map(|i| i.id).collect();
+        let layout = doc.layout_mut(id).expect("every pipeline has a layout");
+        for icon in icons {
+            layout.place(icon, Point::new(rng.random_range(0..200), rng.random_range(0..60)));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
@@ -440,6 +452,7 @@ proptest! {
     fn streamed_digests_and_seals_match_the_tree_walk_oracles(seed in any::<u64>()) {
         let session = Session::nsc_1988();
         let mut doc = random_document(seed, session.kb());
+        lay_out(&mut doc, seed);
         prop_assert_eq!(doc.digest(), oracle_digest(&doc, false), "digest, seed {}", seed);
         prop_assert_eq!(doc.shape_digest(), oracle_digest(&doc, true), "shape, seed {}", seed);
         let compiled = session.compile(&mut doc).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
